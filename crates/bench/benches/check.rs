@@ -1,7 +1,7 @@
 //! Check-throughput benchmark: end-to-end validation time on
-//! Table-2-class instances, sequential breadth-first against the sharded
-//! breadth-first checker and the work-stealing parallel-dag executor at
-//! increasing worker counts, plus the observability overhead
+//! Table-2-class instances, sequential breadth-first against the
+//! work-stealing parallel-dag executor at increasing worker counts, plus
+//! the observability overhead
 //! of running the same check under a recording [`MetricsSink`] instead
 //! of the [`NullObserver`] (the hot path is allocation-free, so the gap
 //! should be noise).
@@ -10,10 +10,7 @@
 //! binary temp file and checked through a [`FileTrace`] with its byte
 //! map established up front (the `rescheck serve` reuse pattern) — so
 //! the parallel rows exercise the mapped sharded ingestion front end.
-//! The `pbf` rows keep the default `parallel_min_learned` threshold:
-//! with the map's exact learned count both instances fall back to the
-//! sequential pass, so those rows should sit at the `bf` baseline at
-//! every worker count. The `pdag` rows override the threshold to 0 to
+//! The `pdag` rows override the `parallel_min_learned` threshold to 0 to
 //! force the parallel path, and a `nommap` row re-checks under the
 //! buffered backing; its work counters must match the mapped row
 //! bit-for-bit.
@@ -50,13 +47,6 @@ fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
     let trace = FileTrace::open(&path).expect("open trace fixture");
     trace.trace_map(true).expect("binary traces map");
     (trace, path)
-}
-
-fn config_with_jobs(jobs: usize) -> CheckConfig {
-    CheckConfig {
-        jobs,
-        ..CheckConfig::default()
-    }
 }
 
 /// The pdag rows force the parallel path: both bench instances sit
@@ -118,23 +108,6 @@ fn main() {
             .expect("genuine trace");
         });
         push_row("bf", seq.median.as_secs_f64(), None);
-
-        for jobs in [1usize, 2, 4] {
-            let summary = bench(&format!("check/pbf-jobs{jobs}/{}", inst.name), || {
-                check_unsat_claim(
-                    &inst.cnf,
-                    &trace,
-                    Strategy::ParallelBf,
-                    &config_with_jobs(jobs),
-                )
-                .expect("genuine trace");
-            });
-            push_row(
-                &format!("pbf-jobs{jobs}"),
-                summary.median.as_secs_f64(),
-                None,
-            );
-        }
 
         let mut mapped_key = None;
         for jobs in [1usize, 2, 4, 8] {

@@ -15,7 +15,7 @@
 
 use rescheck_bench::micro::bench;
 use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
-use rescheck_checker::{normalize_literals, resolve_sorted, KernelMode, ResolutionKernel};
+use rescheck_checker::{normalize_literals, resolve_sorted, ResolutionKernel};
 use rescheck_cnf::Lit;
 use rescheck_obs::Json;
 use std::path::Path;
@@ -36,10 +36,8 @@ struct Chain {
 /// `(¬p_i ∨ p_{i+1} ∨ f_1 … f_width)` with globally fresh `f_j`, so the
 /// accumulator keeps every deposited literal and ends `k·width + 1`
 /// literals wide. `stride` spaces the fresh variables apart: at 1 the
-/// mark stores stay cache-resident (the regime where the extra SWAR
-/// masking is pure overhead); large strides model big-instance variable
-/// spaces where every probe is a potential miss and the 4×-denser
-/// packed store earns its keep.
+/// mark store stays cache-resident; large strides model big-instance
+/// variable spaces where every probe is a potential miss.
 fn make_chain(k: usize, width: usize, stride: i64) -> Chain {
     let pivot = |i: usize| Lit::from_dimacs(i as i64);
     let mut next_fresh = k as i64 + 1;
@@ -91,8 +89,8 @@ fn main() {
 
     // Long chains with narrow and wide clauses: the acceptance scenario
     // (≥ 64 antecedents) plus a longer and a wider variant, and a
-    // scattered-variable variant whose mark stores exceed the fast
-    // caches (the SWAR layout's target regime).
+    // scattered-variable variant whose mark store exceeds the fast
+    // caches.
     let scenarios = [
         (64usize, 8usize, 1i64),
         (256, 8, 1),
@@ -118,17 +116,8 @@ fn main() {
         let kernel_summary = bench(&format!("resolve/kernel/{}", chain.name), || {
             std::hint::black_box(run_kernel(&mut kernel, &chain));
         });
-        // The same fold with the SWAR probe loops disabled, isolating
-        // what the 4-lane packed mark-array scan buys on this shape.
-        let mut scalar = ResolutionKernel::with_mode(KernelMode::Scalar);
-        let scalar_summary = bench(&format!("resolve/kernel-scalar/{}", chain.name), || {
-            std::hint::black_box(run_kernel(&mut scalar, &chain));
-        });
         let speedup = oracle.median.as_secs_f64() / kernel_summary.median.as_secs_f64().max(1e-12);
-        let swar_speedup =
-            scalar_summary.median.as_secs_f64() / kernel_summary.median.as_secs_f64().max(1e-12);
         println!("resolve/speedup/{}: {speedup:.2}x", chain.name);
-        println!("resolve/swar-speedup/{}: {swar_speedup:.2}x", chain.name);
 
         let mut row = Json::object();
         row.set("name", chain.name.as_str())
@@ -137,12 +126,7 @@ fn main() {
             .set("resolvent_len", expected.len())
             .set("oracle_median_seconds", oracle.median.as_secs_f64())
             .set("kernel_median_seconds", kernel_summary.median.as_secs_f64())
-            .set(
-                "kernel_scalar_median_seconds",
-                scalar_summary.median.as_secs_f64(),
-            )
-            .set("speedup", speedup)
-            .set("swar_speedup", swar_speedup);
+            .set("speedup", speedup);
         rows.push(row);
     }
 

@@ -9,8 +9,8 @@
 //! built% / runtime / peak memory, breadth-first runtime / peak memory —
 //! plus a third block for the *hybrid* strategy (the on-disk depth-first
 //! design the paper's conclusion proposes, implemented here) and a
-//! fourth for the racing *portfolio* (DF vs BF concurrently, first
-//! success wins — it survives any budget either racer survives).
+//! fourth for the *portfolio* (disk-backed DF, falling back to BF only
+//! on a memory-out — it survives any budget either stage survives).
 //!
 //! A `*` marks a memory-out under the budget (the paper used 800 MB on
 //! gigabyte-era traces; pass a byte budget to reproduce the effect at
@@ -23,7 +23,7 @@
 //! breadth-first-like memory; checking is always much cheaper than
 //! solving; binary traces are 2-3x smaller than ASCII.
 
-use rescheck_bench::{fmt_kb, fmt_secs, measure_check, measure_check_jobs, measure_solve, report};
+use rescheck_bench::{fmt_kb, fmt_secs, measure_check, measure_solve, report};
 use rescheck_checker::Strategy;
 use rescheck_obs::{Json, Registry};
 use rescheck_solver::SolverConfig;
@@ -67,10 +67,10 @@ fn main() {
         let df = measure_check(&solve, Strategy::DepthFirst, mem_limit);
         let bf = measure_check(&solve, Strategy::BreadthFirst, mem_limit);
         let hy = measure_check(&solve, Strategy::Hybrid, mem_limit);
-        // The racing portfolio never memory-outs where breadth-first
-        // survives: its column shows what the race costs (and that under
-        // the budget it converges on the surviving racer's peak).
-        let pf = measure_check_jobs(&solve, Strategy::Portfolio, mem_limit, 0);
+        // The portfolio never memory-outs where dfd or breadth-first
+        // survives: its column shows dfd's numbers, or bf's after a
+        // fallback (whose time includes the failed dfd attempt).
+        let pf = measure_check(&solve, Strategy::Portfolio, mem_limit);
 
         let mut row = Json::object();
         row.set("instance", report::instance_json(&solve))
@@ -136,7 +136,7 @@ fn main() {
     println!(
         "Paper shape: DF faster than BF but memory-hungry (and * on the biggest rows); \
          hybrid = DF's built count at BF-like memory (the paper's proposed future work); \
-         portfolio races DF vs BF and never stars where either survives; \
+         portfolio never stars where dfd or bf survives; \
          checking ≪ solving; binary trace 2-3x smaller than ASCII."
     );
 

@@ -158,20 +158,8 @@ pub fn measure_check(
     strategy: Strategy,
     memory_limit: Option<u64>,
 ) -> CheckReport {
-    measure_check_jobs(report, strategy, memory_limit, 0)
-}
-
-/// [`measure_check`] with an explicit worker count for the parallel
-/// strategies (`0` = auto).
-pub fn measure_check_jobs(
-    report: &InstanceReport,
-    strategy: Strategy,
-    memory_limit: Option<u64>,
-    jobs: usize,
-) -> CheckReport {
     let config = CheckConfig {
         memory_limit,
-        jobs,
         ..CheckConfig::default()
     };
     let t = Instant::now();

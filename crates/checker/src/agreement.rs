@@ -2,26 +2,24 @@
 //! claim and verify they tell a consistent story.
 //!
 //! The paper's trust argument rests on the checker being simpler than the
-//! solver — but this repo now ships *seven* strategies sharing a hot path,
-//! and a bug in any one of them would silently weaken that argument. This
+//! solver — but this repo ships *six* strategies sharing a hot path, and
+//! a bug in any one of them would silently weaken that argument. This
 //! module turns the strategies against each other: on a valid trace all
-//! seven must accept with class-identical statistics
+//! six must accept with class-identical statistics
 //! ([`verify_valid_agreement`]); on an arbitrary — possibly corrupted —
 //! trace the cross-strategy implications that hold by construction must
 //! still hold ([`verify_cross_consistency`]):
 //!
 //! - depth-first and disk-backed depth-first are the *same traversal* and
 //!   must agree bit-for-bit, down to the failure diagnostic;
-//! - breadth-first and parallel breadth-first run the same per-event code
-//!   path and must agree bit-for-bit;
+//! - without a memory budget the portfolio never falls back, so it is
+//!   disk-backed depth-first and must agree with it bit-for-bit;
 //! - the parallel-dag executor verifies the same full set of learned
 //!   clauses as breadth-first and must agree with it on the verdict and
 //!   the work counters, for any worker count;
 //! - hybrid verifies the same needed subset as depth-first;
 //! - breadth-first validates a superset of what depth-first validates, so
-//!   a breadth-first accept implies a depth-first accept;
-//! - the portfolio races depth-first against breadth-first, so it accepts
-//!   exactly when one of its racers does.
+//!   a breadth-first accept implies a depth-first accept.
 //!
 //! Each strategy runs under [`std::panic::catch_unwind`], so a panicking
 //! strategy is reported as a [`StrategyRun::Panicked`] disagreement
@@ -37,12 +35,11 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every checking strategy, in the fixed order the oracle runs them.
-pub const ALL_STRATEGIES: [Strategy; 7] = [
+pub const ALL_STRATEGIES: [Strategy; 6] = [
     Strategy::DepthFirst,
     Strategy::BreadthFirst,
     Strategy::Hybrid,
     Strategy::Portfolio,
-    Strategy::ParallelBf,
     Strategy::DiskDepthFirst,
     Strategy::ParallelDag,
 ];
@@ -98,7 +95,7 @@ pub struct StrategyReport {
     pub run: StrategyRun,
 }
 
-/// Runs all seven strategies on the same claim, capturing panics.
+/// Runs all six strategies on the same claim, capturing panics.
 ///
 /// The strategies run sequentially in [`ALL_STRATEGIES`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
@@ -211,8 +208,8 @@ pub fn verify_synthesized_trace(
 
 /// Verifies the oracle matrix of a trace that *should* be valid: every
 /// strategy accepts, and the statistics agree within each equivalence
-/// class (df = hybrid = dfd on the needed subset, bf = pbf = pdag on the
-/// full trace, the portfolio's winner matching one of its racers).
+/// class (df = dfd = portfolio on the needed subset, with hybrid between
+/// df and bf; bf = pdag on the full trace).
 ///
 /// # Errors
 ///
@@ -240,7 +237,6 @@ pub fn verify_valid_agreement(
     let bf = outcome(Strategy::BreadthFirst)?;
     let hybrid = outcome(Strategy::Hybrid)?;
     let portfolio = outcome(Strategy::Portfolio)?;
-    let pbf = outcome(Strategy::ParallelBf)?;
     let dfd = outcome(Strategy::DiskDepthFirst)?;
     let pdag = outcome(Strategy::ParallelDag)?;
 
@@ -249,7 +245,6 @@ pub fn verify_valid_agreement(
         ("breadth-first", bf),
         ("hybrid", hybrid),
         ("portfolio", portfolio),
-        ("parallel-bf", pbf),
         ("disk-depth-first", dfd),
         ("parallel-dag", pdag),
     ] {
@@ -263,19 +258,40 @@ pub fn verify_valid_agreement(
             ));
         }
     }
-    // Disk-backed depth-first is the same traversal as depth-first and
-    // must match it bit-for-bit.
-    if dfd.stats.clauses_built != df.stats.clauses_built
-        || dfd.stats.resolutions != df.stats.resolutions
-    {
+    // Disk-backed depth-first is the same traversal as depth-first, and
+    // an unlimited portfolio is disk-backed depth-first: all three must
+    // match bit-for-bit, down to the unsat core.
+    for (name, o, base_name, base) in [
+        ("disk-depth-first", dfd, "depth-first", df),
+        ("portfolio", portfolio, "disk-depth-first", dfd),
+    ] {
+        if o.stats.clauses_built != base.stats.clauses_built
+            || o.stats.resolutions != base.stats.resolutions
+        {
+            return Err(disagree(
+                "stats-mismatch",
+                format!(
+                    "{name} built {}/{} resolutions vs {base_name} {}/{}",
+                    o.stats.clauses_built,
+                    o.stats.resolutions,
+                    base.stats.clauses_built,
+                    base.stats.resolutions
+                ),
+            ));
+        }
+        if o.core != base.core {
+            return Err(disagree(
+                "stats-mismatch",
+                format!("{name} derived a different unsat core than {base_name}"),
+            ));
+        }
+    }
+    if portfolio.stats.peak_memory_bytes != dfd.stats.peak_memory_bytes {
         return Err(disagree(
             "stats-mismatch",
             format!(
-                "disk-depth-first built {}/{} resolutions vs depth-first {}/{}",
-                dfd.stats.clauses_built,
-                dfd.stats.resolutions,
-                df.stats.clauses_built,
-                df.stats.resolutions
+                "portfolio peaked at {} bytes, disk-depth-first at {}",
+                portfolio.stats.peak_memory_bytes, dfd.stats.peak_memory_bytes
             ),
         ));
     }
@@ -301,37 +317,13 @@ pub fn verify_valid_agreement(
             ),
         ));
     }
-    if dfd.core != df.core {
-        return Err(disagree(
-            "stats-mismatch",
-            "disk-depth-first derived a different unsat core than depth-first".to_string(),
-        ));
-    }
-    // Breadth-first builds every learned clause; its parallel variant is
-    // bit-identical to it.
+    // Breadth-first builds every learned clause.
     if bf.stats.clauses_built != bf.stats.learned_in_trace {
         return Err(disagree(
             "stats-mismatch",
             format!(
                 "breadth-first built {} of {} learned clauses (must build all)",
                 bf.stats.clauses_built, bf.stats.learned_in_trace
-            ),
-        ));
-    }
-    if pbf.stats.clauses_built != bf.stats.clauses_built
-        || pbf.stats.resolutions != bf.stats.resolutions
-        || pbf.stats.peak_memory_bytes != bf.stats.peak_memory_bytes
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "parallel-bf ({}/{}/{} peak) diverges from breadth-first ({}/{}/{} peak)",
-                pbf.stats.clauses_built,
-                pbf.stats.resolutions,
-                pbf.stats.peak_memory_bytes,
-                bf.stats.clauses_built,
-                bf.stats.resolutions,
-                bf.stats.peak_memory_bytes
             ),
         ));
     }
@@ -352,18 +344,6 @@ pub fn verify_valid_agreement(
             ),
         ));
     }
-    // The portfolio's winner is one of its racers.
-    if portfolio.stats.resolutions != df.stats.resolutions
-        && portfolio.stats.resolutions != bf.stats.resolutions
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "portfolio reports {} resolutions, matching neither df ({}) nor bf ({})",
-                portfolio.stats.resolutions, df.stats.resolutions, bf.stats.resolutions
-            ),
-        ));
-    }
     Ok(AgreementSummary {
         learned_in_trace: df.stats.learned_in_trace,
         needed_built: df.stats.clauses_built,
@@ -381,18 +361,15 @@ pub fn verify_valid_agreement(
 ///   resource or environmental-I/O classification (callers must pass a
 ///   config without a memory limit, or limit breaches will be reported
 ///   as disagreements);
-/// - depth-first and disk-backed depth-first agree bit-for-bit, down to
-///   the failure diagnostic text;
-/// - breadth-first, parallel breadth-first and parallel-dag agree the
-///   same way;
+/// - depth-first, disk-backed depth-first and the portfolio agree
+///   bit-for-bit, down to the failure diagnostic text;
+/// - breadth-first and parallel-dag agree the same way;
 /// - acceptance respects what each strategy verifies: a breadth-first
 ///   accept and a hybrid accept each imply a depth-first accept (both
 ///   verify a superset of depth-first's needed clauses; bf and hybrid
 ///   themselves are incomparable — bf alone sees defects in unneeded
 ///   learned clauses, hybrid alone sees dangling level-0 antecedents
-///   the final derivation never consumes);
-/// - the portfolio accepts exactly when depth-first or breadth-first
-///   accepts.
+///   the final derivation never consumes).
 ///
 /// # Errors
 ///
@@ -418,7 +395,6 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     let bf = require(reports, Strategy::BreadthFirst)?;
     let hybrid = require(reports, Strategy::Hybrid)?;
     let portfolio = require(reports, Strategy::Portfolio)?;
-    let pbf = require(reports, Strategy::ParallelBf)?;
     let dfd = require(reports, Strategy::DiskDepthFirst)?;
     let pdag = require(reports, Strategy::ParallelDag)?;
 
@@ -426,7 +402,7 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     // accept, same work counters.
     for (a_name, a, b_name, b) in [
         ("depth-first", df, "disk-depth-first", dfd),
-        ("breadth-first", bf, "parallel-bf", pbf),
+        ("disk-depth-first", dfd, "portfolio", portfolio),
         ("breadth-first", bf, "parallel-dag", pdag),
     ] {
         if a.verdict() != b.verdict() {
@@ -479,19 +455,6 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
             ));
         }
     }
-    // The portfolio accepts exactly when one of its racers does.
-    let racer_accepts = df.accepted() || bf.accepted();
-    if portfolio.accepted() != racer_accepts {
-        return Err(disagree(
-            "verdict-mismatch",
-            format!(
-                "portfolio said {:?} while df said {:?} and bf said {:?}",
-                portfolio.verdict(),
-                df.verdict(),
-                bf.verdict()
-            ),
-        ));
-    }
     Ok(())
 }
 
@@ -515,10 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn valid_trace_agrees_seven_ways() {
+    fn valid_trace_agrees_six_ways() {
         let (cnf, trace) = unsat_fixture();
         let reports = run_all_strategies(&cnf, &trace, &CheckConfig::default());
-        assert_eq!(reports.len(), 7);
+        assert_eq!(reports.len(), 6);
         let summary = verify_valid_agreement(&reports).unwrap();
         assert!(summary.learned_in_trace >= summary.needed_built);
         verify_cross_consistency(&reports).unwrap();

@@ -6,10 +6,11 @@ use crate::outcome::CheckOutcome;
 pub use crate::outcome::Strategy;
 use crate::scratch::CheckScratch;
 use rescheck_cnf::{Assignment, Cnf};
-use rescheck_obs::{NullObserver, Observer, Span};
+use rescheck_obs::{Event, Level, NullObserver, Observer, Span};
 use rescheck_trace::{RandomAccessTrace, TraceSource};
 use std::error::Error;
 use std::fmt;
+use std::time::Instant;
 
 /// Options shared by every checking strategy.
 ///
@@ -32,15 +33,14 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Worker threads for [`Strategy::ParallelBf`]'s sharded counting
-    /// pass and [`Strategy::ParallelDag`]'s executor; `0` picks the
-    /// available parallelism (capped at 8). `ParallelDag` treats the
-    /// value as a cap and never runs more workers than the machine has
-    /// cores — extra threads cannot raise throughput and its stats are
-    /// identical for any worker count. Other strategies ignore it
-    /// ([`Strategy::Portfolio`] always races exactly two threads).
+    /// Worker threads for [`Strategy::ParallelDag`]'s sharded pass 1 and
+    /// executor; `0` picks the available parallelism (capped at 8). The
+    /// value is a cap: pdag never runs more workers than the machine has
+    /// cores, since extra threads cannot raise throughput and its stats
+    /// are identical for any worker count. Every other strategy runs on
+    /// the calling thread and ignores it.
     pub jobs: usize,
-    /// Learned-clause estimate below which the parallel strategies fall
+    /// Learned-clause estimate below which [`Strategy::ParallelDag`] falls
     /// back to plain sequential breadth-first: thread spin-up and
     /// cross-shard merging cost more than they save on small traces
     /// (the reported strategy then says so). Set to `0` to always run
@@ -119,7 +119,6 @@ impl Default for CheckConfig {
 ///     Strategy::BreadthFirst,
 ///     Strategy::Hybrid,
 ///     Strategy::Portfolio,
-///     Strategy::ParallelBf,
 ///     Strategy::DiskDepthFirst,
 ///     Strategy::ParallelDag,
 /// ] {
@@ -139,7 +138,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// [`check_unsat_claim`] with an [`Observer`] receiving phase timers
 /// (`check:pass1`, `check:resolve`, `final-phase`) nested under a
 /// per-strategy span (`check:df`, `check:bf`, `check:hybrid`,
-/// `check:portfolio`, `check:pbf`, `check:dfd`), resolution-shape
+/// `check:portfolio`, `check:dfd`, `check:pdag`), resolution-shape
 /// histograms (`check.resolve.chain_len` — resolve sources per learned
 /// clause — and `check.resolve.clause_len` — literals in each stored
 /// resolvent), progress heartbeats
@@ -157,12 +156,12 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// `check.dfd.cursor_reads` (positioned trace reads performed),
 /// `check.dfd.cache_hits` and `check.dfd.cache_bytes` (source-list cache
 /// effectiveness and residency). Strategies that establish a
-/// memory-mapped trace backing ([`Strategy::DiskDepthFirst`],
-/// [`Strategy::ParallelBf`], [`Strategy::ParallelDag`] on binary file
-/// traces) run it inside a `trace-map` phase and emit `check.map.bytes`
-/// (accounted map length) and `check.map.mmap` (1 for the `mmap`
-/// backing, 0 for the buffered fallback); the sharded mapped pass 1
-/// additionally reports `check.pass1.shards`.
+/// memory-mapped trace backing ([`Strategy::DiskDepthFirst`] and
+/// [`Strategy::ParallelDag`] on binary file traces) run it inside a
+/// `trace-map` phase and emit `check.map.bytes` (accounted map length)
+/// and `check.map.mmap` (1 for the `mmap` backing, 0 for the buffered
+/// fallback); the sharded mapped pass 1 additionally reports
+/// `check.pass1.shards`.
 ///
 /// # Errors
 ///
@@ -201,22 +200,12 @@ pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
     // Every strategy runs inside a named span, so the metrics span tree
     // reads `<caller> > check:<strategy> > check:pass1/…`. The span is
     // stopped on the error path too — flight dumps see it close.
-    let name = match strategy {
-        Strategy::DepthFirst => "check:df",
-        Strategy::BreadthFirst => "check:bf",
-        Strategy::Hybrid => "check:hybrid",
-        Strategy::Portfolio => "check:portfolio",
-        Strategy::ParallelBf => "check:pbf",
-        Strategy::DiskDepthFirst => "check:dfd",
-        Strategy::ParallelDag => "check:pdag",
-    };
-    let mut span = Span::start(name, obs);
+    let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
         Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, obs),
         Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, obs),
         Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => crate::parallel::run_portfolio(cnf, trace, config, obs),
-        Strategy::ParallelBf => crate::parallel::run_parallel_bf(cnf, trace, config, obs),
+        Strategy::Portfolio => run_portfolio(cnf, trace, config, obs),
         Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
@@ -224,17 +213,55 @@ pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
     result
 }
 
+/// The per-strategy span every check runs inside.
+fn span_name(strategy: Strategy) -> &'static str {
+    match strategy {
+        Strategy::DepthFirst => "check:df",
+        Strategy::BreadthFirst => "check:bf",
+        Strategy::Hybrid => "check:hybrid",
+        Strategy::Portfolio => "check:portfolio",
+        Strategy::DiskDepthFirst => "check:dfd",
+        Strategy::ParallelDag => "check:pdag",
+    }
+}
+
+/// The portfolio policy: disk-backed depth-first, and breadth-first only
+/// when that runs out of memory. Every other verdict of the first stage
+/// is final, so a proof defect is reported as found and the portfolio
+/// runs out of memory only when both strategies do.
+fn run_portfolio<S: RandomAccessTrace + ?Sized>(
+    cnf: &Cnf,
+    trace: &S,
+    config: &CheckConfig,
+    obs: &mut dyn Observer,
+) -> Result<CheckOutcome, CheckError> {
+    let started = Instant::now();
+    config.cancel.check()?;
+    let mut outcome = match crate::disk_df::run(cnf, trace, config, obs) {
+        Err(err @ CheckError::MemoryLimitExceeded { .. }) => {
+            obs.observe(&Event::Message {
+                level: Level::Info,
+                text: &format!("portfolio: disk-depth-first {err}; falling back to breadth-first"),
+            });
+            config.cancel.check()?;
+            crate::breadth_first::run(cnf, trace, config, obs)
+        }
+        decided => decided,
+    }?;
+    outcome.stats.strategy = Strategy::Portfolio;
+    outcome.stats.runtime = started.elapsed();
+    Ok(outcome)
+}
+
 /// [`check_unsat_claim_observed`] against caller-owned scratch buffers,
 /// for long-lived processes (the `rescheck serve` daemon) that run many
 /// checks and want to reuse the kernel, arena and original-clause cache
 /// across jobs instead of rebuilding them per job.
 ///
-/// The single-threaded strategies ([`Strategy::DepthFirst`] and
-/// [`Strategy::BreadthFirst`]) run against the provided
-/// [`CheckScratch`]; the other strategies spread state across threads
-/// and fall back to building their own, exactly like
-/// [`check_unsat_claim_observed`] — passing a scratch is never wrong,
-/// just not always a speedup.
+/// [`Strategy::DepthFirst`] and [`Strategy::BreadthFirst`] run against
+/// the provided [`CheckScratch`]; the other strategies build their own,
+/// exactly like [`check_unsat_claim_observed`] — passing a scratch is
+/// never wrong, just not always a speedup.
 ///
 /// Reported stats and accounted memory are bit-identical to the
 /// unscoped entry point: reuse trades allocator work, never accounting.
@@ -252,24 +279,14 @@ pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
     scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
-    let name = match strategy {
-        Strategy::DepthFirst => "check:df",
-        Strategy::BreadthFirst => "check:bf",
-        Strategy::Hybrid => "check:hybrid",
-        Strategy::Portfolio => "check:portfolio",
-        Strategy::ParallelBf => "check:pbf",
-        Strategy::DiskDepthFirst => "check:dfd",
-        Strategy::ParallelDag => "check:pdag",
-    };
-    let mut span = Span::start(name, obs);
+    let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
         Strategy::DepthFirst => crate::depth_first::run_scoped(cnf, trace, config, scratch, obs),
         Strategy::BreadthFirst => {
             crate::breadth_first::run_scoped(cnf, trace, config, scratch, obs)
         }
         Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => crate::parallel::run_portfolio(cnf, trace, config, obs),
-        Strategy::ParallelBf => crate::parallel::run_parallel_bf(cnf, trace, config, obs),
+        Strategy::Portfolio => run_portfolio(cnf, trace, config, obs),
         Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
@@ -346,72 +363,6 @@ pub fn check_disk_depth_first<S: RandomAccessTrace + ?Sized>(
     crate::disk_df::run(cnf, trace, config, &mut NullObserver)
 }
 
-/// Validates an UNSAT claim by racing the depth-first and breadth-first
-/// strategies on two threads; the first verdict wins and cancels the
-/// loser. Gives depth-first speed when memory allows and breadth-first
-/// robustness when it does not.
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`]. If both racers fail, the more fundamental
-/// error is reported (a proof defect over a mere memory-out).
-pub fn check_portfolio<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::parallel::run_portfolio(cnf, trace, config, &mut NullObserver)
-}
-
-/// Validates an UNSAT claim with the parallel breadth-first strategy:
-/// pass 1's use counting is sharded across [`CheckConfig::jobs`] workers
-/// and pass 2 decodes the trace on a reader thread that runs ahead of the
-/// resolution loop. Returns bit-identical [`CheckStats::resolutions`] and
-/// [`CheckStats::clauses_built`] to [`check_breadth_first`], for any
-/// worker count.
-///
-/// [`CheckStats::resolutions`]: crate::CheckStats::resolutions
-/// [`CheckStats::clauses_built`]: crate::CheckStats::clauses_built
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`].
-pub fn check_parallel_bf<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::parallel::run_parallel_bf(cnf, trace, config, &mut NullObserver)
-}
-
-/// Validates an UNSAT claim with the parallel-dag strategy: the trace's
-/// learned clauses form a dependency DAG (each depends only on the
-/// learned clauses it resolves with), which a work-stealing executor
-/// schedules by in-degree across [`CheckConfig::jobs`] workers. A build
-/// pass resolves every clause id to a dense index first, so the
-/// resolution hot loop performs no hash lookups at all, and completions
-/// are committed in trace order so memory accounting replays
-/// breadth-first's free-at-last-use discipline deterministically.
-///
-/// Returns bit-identical [`CheckStats::clauses_built`],
-/// [`CheckStats::resolutions`] and [`CheckStats::peak_memory_bytes`] for
-/// any worker count, and the same verdict as [`check_breadth_first`].
-///
-/// [`CheckStats::resolutions`]: crate::CheckStats::resolutions
-/// [`CheckStats::clauses_built`]: crate::CheckStats::clauses_built
-/// [`CheckStats::peak_memory_bytes`]: crate::CheckStats::peak_memory_bytes
-///
-/// # Errors
-///
-/// See [`check_unsat_claim`].
-pub fn check_parallel_dag<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, CheckError> {
-    crate::dag::run(cnf, trace, config, &mut NullObserver)
-}
-
 /// A SAT claim that does not hold.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ModelError {
@@ -477,7 +428,161 @@ pub fn check_sat_claim(cnf: &Cnf, model: &Assignment) -> Result<(), ModelError> 
 mod tests {
     use super::*;
     use rescheck_cnf::Lit;
+    use rescheck_obs::Event;
     use rescheck_trace::{MemorySink, TraceSink};
+
+    /// An implication-chain instance whose proof uses each learned
+    /// clause exactly once — depth-first holds everything, breadth-first
+    /// holds O(1) clauses.
+    fn chain(n: i64) -> (Cnf, MemorySink) {
+        let mut cnf = Cnf::new();
+        cnf.add_dimacs_clause(&[1]);
+        for i in 1..n {
+            cnf.add_dimacs_clause(&[-i, i + 1]);
+        }
+        cnf.add_dimacs_clause(&[-n]);
+        let mut sink = MemorySink::new();
+        let mut prev = 0u64;
+        for i in 1..n {
+            let next_id = (n + i) as u64;
+            sink.learned(next_id, &[prev, i as u64]).unwrap();
+            prev = next_id;
+        }
+        sink.level_zero(Lit::from_dimacs(n), prev).unwrap();
+        sink.final_conflict(n as u64).unwrap();
+        (cnf, sink)
+    }
+
+    /// Collects the text of every message a check logs.
+    #[derive(Default)]
+    struct Messages(Vec<String>);
+
+    impl Observer for Messages {
+        fn observe(&mut self, event: &Event<'_>) {
+            if let Event::Message { text, .. } = event {
+                self.0.push(text.to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn portfolio_without_memory_pressure_is_disk_depth_first() {
+        let (cnf, sink) = chain(16);
+        let config = CheckConfig::default();
+        let dfd = check_unsat_claim(&cnf, &sink, Strategy::DiskDepthFirst, &config).unwrap();
+        let mut messages = Messages::default();
+        let pf =
+            check_unsat_claim_observed(&cnf, &sink, Strategy::Portfolio, &config, &mut messages)
+                .unwrap();
+        assert_eq!(pf.stats.strategy, Strategy::Portfolio);
+        assert_eq!(pf.stats.clauses_built, dfd.stats.clauses_built);
+        assert_eq!(pf.stats.resolutions, dfd.stats.resolutions);
+        assert_eq!(pf.stats.peak_memory_bytes, dfd.stats.peak_memory_bytes);
+        assert!(pf.core.is_some());
+        assert_eq!(pf.core, dfd.core);
+        assert!(messages.0.iter().all(|m| !m.contains("falling back")));
+    }
+
+    #[test]
+    fn portfolio_falls_back_to_breadth_first_when_depth_first_memory_outs() {
+        let (cnf, sink) = chain(64);
+        let bf = check_unsat_claim(&cnf, &sink, Strategy::BreadthFirst, &CheckConfig::default())
+            .unwrap();
+        // A budget breadth-first fits in but disk-backed depth-first
+        // does not.
+        let config = CheckConfig {
+            memory_limit: Some(bf.stats.peak_memory_bytes),
+            ..CheckConfig::default()
+        };
+        assert!(matches!(
+            check_unsat_claim(&cnf, &sink, Strategy::DiskDepthFirst, &config).unwrap_err(),
+            CheckError::MemoryLimitExceeded { .. }
+        ));
+        let mut messages = Messages::default();
+        let pf =
+            check_unsat_claim_observed(&cnf, &sink, Strategy::Portfolio, &config, &mut messages)
+                .unwrap();
+        assert_eq!(pf.stats.strategy, Strategy::Portfolio);
+        // Breadth-first decided, so there is no core.
+        assert!(pf.core.is_none());
+        assert_eq!(pf.stats.clauses_built, bf.stats.clauses_built);
+        assert_eq!(pf.stats.resolutions, bf.stats.resolutions);
+        assert_eq!(pf.stats.peak_memory_bytes, bf.stats.peak_memory_bytes);
+        assert!(messages.0.iter().any(|m| m.contains("falling back")));
+
+        // Under a budget neither fits, the memory-out stands.
+        let config = CheckConfig {
+            memory_limit: Some(64),
+            ..CheckConfig::default()
+        };
+        assert!(matches!(
+            check_unsat_claim(&cnf, &sink, Strategy::Portfolio, &config).unwrap_err(),
+            CheckError::MemoryLimitExceeded { .. }
+        ));
+    }
+
+    #[test]
+    fn portfolio_reports_a_proof_defect_without_falling_back() {
+        let mut cnf = Cnf::new();
+        cnf.add_dimacs_clause(&[1, 2]);
+        cnf.add_dimacs_clause(&[3, 4]);
+        let mut sink = MemorySink::new();
+        sink.learned(2, &[0, 1]).unwrap(); // no clashing variable
+        sink.final_conflict(2).unwrap();
+        let mut messages = Messages::default();
+        let err = check_unsat_claim_observed(
+            &cnf,
+            &sink,
+            Strategy::Portfolio,
+            &CheckConfig::default(),
+            &mut messages,
+        )
+        .unwrap_err();
+        assert!(matches!(err, CheckError::NotResolvable { .. }), "{err:?}");
+        assert!(messages.0.iter().all(|m| !m.contains("falling back")));
+    }
+
+    #[test]
+    fn portfolio_cancellation_stops_both_stages() {
+        let (cnf, sink) = chain(64);
+        let bf = check_unsat_claim(&cnf, &sink, Strategy::BreadthFirst, &CheckConfig::default())
+            .unwrap();
+        for memory_limit in [None, Some(bf.stats.peak_memory_bytes)] {
+            let config = CheckConfig {
+                memory_limit,
+                cancel: CancelFlag::armed(),
+                ..CheckConfig::default()
+            };
+            config.cancel.cancel();
+            let err = check_unsat_claim(&cnf, &sink, Strategy::Portfolio, &config).unwrap_err();
+            assert!(matches!(err, CheckError::Cancelled), "{err:?}");
+        }
+
+        // Cancelled while the dfd stage runs out of memory: the fallback
+        // never starts. (The chain is shorter than a progress stride, so
+        // dfd itself never polls the flag.)
+        struct CancelInPass1(CancelFlag);
+        impl Observer for CancelInPass1 {
+            fn observe(&mut self, event: &Event<'_>) {
+                if let Event::SpanStarted {
+                    name: "check:pass1",
+                    ..
+                } = event
+                {
+                    self.0.cancel();
+                }
+            }
+        }
+        let config = CheckConfig {
+            memory_limit: Some(bf.stats.peak_memory_bytes),
+            cancel: CancelFlag::armed(),
+            ..CheckConfig::default()
+        };
+        let mut obs = CancelInPass1(config.cancel.clone());
+        let err = check_unsat_claim_observed(&cnf, &sink, Strategy::Portfolio, &config, &mut obs)
+            .unwrap_err();
+        assert!(matches!(err, CheckError::Cancelled), "{err:?}");
+    }
 
     #[test]
     fn both_strategies_accept_a_valid_proof() {

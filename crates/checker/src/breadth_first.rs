@@ -12,11 +12,10 @@
 //! As a side effect, the breadth-first strategy verifies *every* learned
 //! clause, not just those on the proof path.
 //!
-//! Both passes are factored into reusable pieces — [`Pass1Tables`] and
-//! [`BfResolveState`] — shared verbatim with the parallel breadth-first
-//! checker in [`crate::parallel`]; running the identical per-event code
-//! is what makes the parallel statistics bit-identical to the sequential
-//! ones.
+//! Pass 1's [`Pass1Tables`] are shared verbatim with the parallel-dag
+//! checker ([`crate::dag`]), whose mapped sharded pass 1 in
+//! [`crate::parallel`] replays the same per-event validation, so both
+//! reject a malformed trace with the identical first error.
 
 use crate::api::CheckConfig;
 use crate::arena::ClauseArena;
@@ -35,7 +34,7 @@ use crate::resolve::normalize_literals;
 use crate::scratch::{kernel_stats_since, CheckScratch};
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{EventRef, TraceEvent, TraceSource};
+use rescheck_trace::{EventRef, TraceSource};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,10 +43,10 @@ use std::time::Instant;
 /// and the pin set.
 ///
 /// The `absorb_*` methods perform the per-event validation in trace
-/// order. The sequential pass calls them directly; the sharded pass of
-/// [`crate::parallel`] replays compact per-event records through the
-/// same methods after merging, so both reject a malformed trace with the
-/// identical first error.
+/// order. The sequential pass calls them directly; the mapped sharded
+/// pass of [`crate::parallel`] replays compact per-event records through
+/// the same methods after merging, so both reject a malformed trace with
+/// the identical first error.
 #[derive(Default)]
 pub(crate) struct Pass1Tables {
     pub use_counts: FxHashMap<u64, u32>,
@@ -170,11 +169,10 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
 
 /// The resolution pass (pass 2) plus the final empty-clause phase.
 ///
-/// Feed it every trace event in order via [`handle_event`], then call
-/// [`into_outcome`]. The parallel checker drives the same state from a
-/// pipelined reader thread.
+/// Feed it every learned clause in trace order via [`handle_learned`],
+/// then call [`into_outcome`].
 ///
-/// [`handle_event`]: BfResolveState::handle_event
+/// [`handle_learned`]: BfResolveState::handle_learned
 /// [`into_outcome`]: BfResolveState::into_outcome
 pub(crate) struct BfResolveState<'a> {
     cnf: &'a Cnf,
@@ -188,10 +186,10 @@ pub(crate) struct BfResolveState<'a> {
     originals: &'a mut OriginalCache,
     /// Kernel counters at job start, for per-job delta gauges.
     kernel_base: KernelStats,
-    pub meter: MemoryMeter,
+    meter: MemoryMeter,
     cancel: CancelFlag,
-    pub resolutions: u64,
-    pub clauses_built: u64,
+    resolutions: u64,
+    clauses_built: u64,
 }
 
 impl<'a> BfResolveState<'a> {
@@ -279,24 +277,8 @@ impl<'a> BfResolveState<'a> {
         Ok(())
     }
 
-    /// Processes one trace event of the resolution pass. Non-`Learned`
-    /// events are ignored (pass 1 already consumed them).
-    pub(crate) fn handle_event(
-        &mut self,
-        event: &TraceEvent,
-        obs: &mut dyn Observer,
-    ) -> Result<(), CheckError> {
-        let TraceEvent::Learned { id, sources } = event else {
-            return Ok(());
-        };
-        self.handle_learned(*id, sources, obs)
-    }
-
-    /// Rebuilds one learned clause from a borrowed source list — the
-    /// allocation-free core of [`handle_event`], called directly by the
-    /// streaming visitor of [`run`].
-    ///
-    /// [`handle_event`]: BfResolveState::handle_event
+    /// Rebuilds one learned clause from a borrowed source list, without
+    /// allocating; called by the streaming visitor of [`run`].
     pub(crate) fn handle_learned(
         &mut self,
         id: u64,
@@ -355,7 +337,6 @@ impl<'a> BfResolveState<'a> {
     pub(crate) fn into_outcome(
         mut self,
         start_id: u64,
-        strategy: Strategy,
         started: Instant,
         trace_bytes: Option<u64>,
         obs: &mut dyn Observer,
@@ -366,7 +347,7 @@ impl<'a> BfResolveState<'a> {
         final_phase.finish(obs);
 
         let stats = CheckStats {
-            strategy,
+            strategy: Strategy::BreadthFirst,
             learned_in_trace: self.tables.defined.len() as u64,
             clauses_built: self.clauses_built,
             resolutions: self.resolutions + final_stats.resolutions,
@@ -450,13 +431,7 @@ pub(crate) fn run_scoped<S: TraceSource + ?Sized>(
     finish_visit(parked, result)?;
     resolve_phase.finish(obs);
 
-    state.into_outcome(
-        start_id,
-        Strategy::BreadthFirst,
-        start,
-        trace.encoded_size(),
-        obs,
-    )
+    state.into_outcome(start_id, start, trace.encoded_size(), obs)
 }
 
 #[cfg(test)]

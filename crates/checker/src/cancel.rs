@@ -1,12 +1,11 @@
 //! Cooperative cancellation of a running check.
 //!
-//! The racing portfolio ([`crate::Strategy::Portfolio`]) runs two
-//! strategies concurrently and stops the loser the moment the winner
-//! finishes. There is no safe way to kill a thread, so cancellation is
-//! cooperative: each strategy polls a shared flag at its progress-stride
-//! points (every [`crate::depth_first::PROGRESS_STRIDE`] clauses, and
-//! periodically during trace passes) and bails out with
-//! [`CheckError::Cancelled`].
+//! The `rescheck serve` watchdog stops a job whose deadline passed
+//! while a worker thread is still checking it. There is no safe way to
+//! kill a thread, so cancellation is cooperative: each strategy polls a
+//! shared flag at its progress-stride points (every
+//! [`crate::depth_first::PROGRESS_STRIDE`] clauses, and periodically
+//! during trace passes) and bails out with [`CheckError::Cancelled`].
 
 use crate::error::CheckError;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,15 +18,16 @@
 //!
 //! ## Error parity with breadth-first
 //!
-//! Pass 1 is shared verbatim ([`sequential_pass1`] / the sharded variant
-//! in [`crate::parallel`]), so malformed-trace errors are identical by
-//! construction. The build pass stops at the first *structurally*
-//! missing source (a forward reference or an unknown clause — exactly
-//! the condition under which breadth-first's pass 2 would fail), records
-//! which node and step stopped it, and builds no nodes beyond. The
-//! executor still resolves the stopped node's prefix first: a fold
-//! failure at an earlier step of the same node outranks the structural
-//! error, just as the sequential per-step loop would report it.
+//! Pass 1 is shared verbatim ([`sequential_pass1`] / the mapped sharded
+//! variant in [`crate::parallel`]), so malformed-trace errors are
+//! identical by construction. The build pass stops at the first
+//! *structurally* missing source (a forward reference or an unknown
+//! clause — exactly the condition under which breadth-first's pass 2
+//! would fail), records which node and step stopped it, and builds no
+//! nodes beyond. The executor still resolves the stopped node's prefix
+//! first: a fold failure at an earlier step of the same node outranks
+//! the structural error, just as the sequential per-step loop would
+//! report it.
 
 use crate::api::CheckConfig;
 use crate::breadth_first::{sequential_pass1, Pass1Tables};
@@ -38,7 +39,7 @@ use crate::fxhash::FxHashMap;
 use crate::memory::{clause_bytes, MemoryMeter, DAG_NODE_BYTES, DAG_SOURCE_BYTES};
 use crate::model::{finish_visit, park_check_error, table_capacity_hint};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
-use crate::parallel::{effective_jobs, mapped_sharded_pass1, sharded_pass1};
+use crate::parallel::{effective_jobs, mapped_sharded_pass1};
 use crate::resolve::normalize_literals;
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
@@ -375,9 +376,10 @@ impl ClauseProvider for DagProvider<'_> {
     }
 }
 
-/// The parallel-dag checker: shared pass 1 (sharded when `jobs > 1`), a
-/// dense dependency-graph build, the work-stealing resolution pass, and
-/// the final empty-clause derivation over the surviving slots.
+/// The parallel-dag checker: shared pass 1 (sharded over a mapped trace
+/// when `jobs > 1`, sequential otherwise), a dense dependency-graph
+/// build, the work-stealing resolution pass, and the final empty-clause
+/// derivation over the surviving slots.
 pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     cnf: &Cnf,
     trace: &S,
@@ -414,8 +416,7 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
         (Some(map), Some(index)) if jobs > 1 => {
             mapped_sharded_pass1(map, index, num_original, jobs, &config.cancel, obs)?
         }
-        _ if jobs <= 1 => sequential_pass1(trace, num_original, &config.cancel)?,
-        _ => sharded_pass1(trace, num_original, jobs, &config.cancel, obs)?,
+        _ => sequential_pass1(trace, num_original, &config.cancel)?,
     };
     meter.alloc(tables.resident_bytes())?;
     pass1.finish(obs);

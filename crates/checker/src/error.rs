@@ -185,12 +185,13 @@ pub enum CheckError {
         required: u64,
     },
     /// The check was cancelled cooperatively before reaching a verdict —
-    /// e.g. because another racer of a checking portfolio already
-    /// succeeded. Not a statement about the trace's validity.
+    /// e.g. because the `serve` watchdog's deadline fired. Not a
+    /// statement about the trace's validity.
     Cancelled,
-    /// A checker worker thread panicked. The parallel strategies convert
-    /// join failures into this instead of `expect`-aborting the whole
-    /// process, so a poisoned worker degrades into a reportable verdict.
+    /// A checker worker thread panicked. The parallel-dag strategy
+    /// converts join failures into this instead of `expect`-aborting the
+    /// whole process, so a poisoned worker degrades into a reportable
+    /// verdict.
     WorkerPanic {
         /// Which worker died and the panic message it died with.
         what: String,

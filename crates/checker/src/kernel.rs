@@ -29,25 +29,20 @@
 //!
 //! # The SWAR stamp layout
 //!
-//! The default [`KernelMode::Swar`] packs all four stamps of a variable —
-//! present/paired for each phase, 16 bits each — into **one `u64` lane
-//! word** per variable. Probing a variable is then a single load and a
-//! couple of XOR/mask operations on the packed lanes (SIMD-within-a-
-//! register), where the original layout took up to four spread-out `u64`
-//! loads across two code-indexed arrays. The lane store is also 4× denser
-//! (8 bytes per variable instead of 32), which is worth more than the
-//! arithmetic on cache-bound traces. The price is 16-bit stamps: when a
+//! The kernel packs all four stamps of a variable — present/paired for
+//! each phase, 16 bits each — into **one `u64` lane word** per variable.
+//! Probing a variable is then a single load and a couple of XOR/mask
+//! operations on the packed lanes (SIMD-within-a-register) instead of up
+//! to four spread-out loads across two code-indexed arrays, and the lane
+//! store takes 8 bytes per variable. The price is 16-bit stamps: when a
 //! counter wraps, the kernel re-establishes the invariant explicitly — a
 //! full lane-store flush at a chain boundary for the generation, a
 //! targeted un-pairing sweep over the accumulator for a mid-chain fold
 //! sequence wrap — both amortized over 65 534 chains/folds.
 //!
-//! [`KernelMode::Scalar`] keeps the original dual `u64` arrays; it is
-//! retained as the comparison baseline for `BENCH_resolve.json`'s
-//! SWAR-on/off row and as a second implementation for differential
-//! testing. `resolve_sorted` remains the ultimate oracle;
-//! `tests/kernel_diff.rs` drives random chains through both modes and
-//! asserts identical resolvents and identical failures.
+//! `resolve_sorted` is the oracle: `tests/kernel_diff.rs` and the unit
+//! tests below drive random and crafted chains through both and assert
+//! identical resolvents and identical failures.
 
 use crate::resolve::ResolveFailure;
 use rescheck_cnf::{Lit, Var};
@@ -68,18 +63,6 @@ pub struct KernelStats {
     pub scratch_grows: u64,
     /// Peak scratch footprint in bytes across the kernel's lifetime.
     pub scratch_high_water: u64,
-}
-
-/// Which stamp layout a [`ResolutionKernel`] probes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelMode {
-    /// One packed `u64` per variable holding all four 16-bit stamps;
-    /// single-load probes. The default.
-    #[default]
-    Swar,
-    /// The original layout: two code-indexed `u64` arrays with 64-bit
-    /// stamps. Kept as the benchmark baseline and differential twin.
-    Scalar,
 }
 
 /// Lane offsets inside a packed SWAR word. Phase `pos` is the
@@ -123,27 +106,16 @@ const LANE: u64 = 0xFFFF;
 /// ```
 #[derive(Debug, Default)]
 pub struct ResolutionKernel {
-    mode: KernelMode,
-    /// SWAR lane store: `marks[var]` packs present/paired for both
-    /// phases, 16 bits each (see the module docs for the layout).
+    /// Lane store: `marks[var]` packs present/paired for both phases, 16
+    /// bits each (see the module docs for the layout).
     marks: Vec<u64>,
-    /// SWAR chain stamp; 0 is never valid (flushed lanes hold 0).
-    generation16: u16,
-    /// SWAR fold stamp; 0 is never valid.
-    fold_seq16: u16,
-    /// Scalar mode: `present[code] == generation` iff the literal with
-    /// that code is in the current accumulator.
-    present: Vec<u64>,
-    /// Scalar mode: `paired[code] == fold_seq` iff the literal was paired
-    /// during the current fold.
-    paired: Vec<u64>,
-    /// Scalar stamp for the current chain; bumping it empties the
-    /// accumulator.
-    generation: u64,
-    /// Scalar globally monotone stamp; bumping it "unpairs" everything.
-    fold_seq: u64,
+    /// Chain stamp; bumping it empties the accumulator. 0 is never valid
+    /// (flushed lanes hold 0).
+    generation: u16,
+    /// Fold stamp; bumping it "unpairs" everything. 0 is never valid.
+    fold_seq: u16,
     /// Insertion-ordered accumulator literals; may contain entries whose
-    /// `present` stamp has since been cleared (lazy deletion).
+    /// `present` lane has since been cleared (lazy deletion).
     lits: Vec<Lit>,
     /// Resolvent buffer returned by [`finish`](Self::finish).
     out: Vec<Lit>,
@@ -155,23 +127,9 @@ pub struct ResolutionKernel {
 }
 
 impl ResolutionKernel {
-    /// Creates a kernel with empty scratch buffers in the default
-    /// ([`KernelMode::Swar`]) mode.
+    /// Creates a kernel with empty scratch buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a kernel probing the given stamp layout.
-    pub fn with_mode(mode: KernelMode) -> Self {
-        ResolutionKernel {
-            mode,
-            ..Self::default()
-        }
-    }
-
-    /// The stamp layout this kernel probes.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
     }
 
     /// Starts a new chain seeded with `seed`'s literals.
@@ -184,52 +142,27 @@ impl ResolutionKernel {
             "seed clause not normalized"
         );
         self.lits.clear();
-        match self.mode {
-            KernelMode::Swar => self.begin_swar(seed),
-            KernelMode::Scalar => self.begin_scalar(seed),
-        }
-        self.stats.chains += 1;
-        self.note_footprint();
-    }
-
-    fn begin_scalar(&mut self, seed: &[Lit]) {
-        self.generation += 1;
-        self.fold_seq += 1;
-        if let Some(max) = seed.iter().map(|l| l.code() | 1).max() {
-            if max >= self.present.len() {
-                self.present.resize(max + 1, 0);
-                self.paired.resize(max + 1, 0);
-            }
-        }
-        let generation = self.generation;
-        for &l in seed {
-            self.present[l.code()] = generation;
-            self.lits.push(l);
-        }
-    }
-
-    fn begin_swar(&mut self, seed: &[Lit]) {
         // Both 16-bit stamps advance at the chain boundary; a wrap of
         // either re-establishes "no lane holds the current stamp" the
         // explicit way — by flushing the lane store.
         let (gen, fseq) = (
-            self.generation16.wrapping_add(1),
-            self.fold_seq16.wrapping_add(1),
+            self.generation.wrapping_add(1),
+            self.fold_seq.wrapping_add(1),
         );
         if gen == 0 || fseq == 0 {
             self.marks.fill(0);
-            self.generation16 = 1;
-            self.fold_seq16 = 1;
+            self.generation = 1;
+            self.fold_seq = 1;
         } else {
-            self.generation16 = gen;
-            self.fold_seq16 = fseq;
+            self.generation = gen;
+            self.fold_seq = fseq;
         }
         if let Some(max) = seed.iter().map(|l| l.var().index()).max() {
             if max >= self.marks.len() {
                 self.marks.resize(max + 1, 0);
             }
         }
-        let gen = self.generation16 as u64;
+        let gen = self.generation as u64;
         for &l in seed {
             let v = l.var().index();
             let (pshift, dshift) = lane_shifts(l);
@@ -240,6 +173,8 @@ impl ResolutionKernel {
                 (self.marks[v] & !((LANE << pshift) | (LANE << dshift))) | (gen << pshift);
             self.lits.push(l);
         }
+        self.stats.chains += 1;
+        self.note_footprint();
     }
 
     /// Folds one antecedent into the accumulator.
@@ -264,10 +199,7 @@ impl ResolutionKernel {
             "antecedent clause not normalized"
         );
         self.clash.clear();
-        match self.mode {
-            KernelMode::Swar => self.fold_swar(antecedent),
-            KernelMode::Scalar => self.fold_scalar(antecedent),
-        }
+        self.fold_lanes(antecedent);
         self.stats.literals_folded += antecedent.len() as u64;
         self.note_footprint();
         if self.clash.len() == 1 {
@@ -279,51 +211,9 @@ impl ResolutionKernel {
         }
     }
 
-    fn fold_scalar(&mut self, antecedent: &[Lit]) {
-        self.fold_seq += 1;
-        if let Some(max) = antecedent.iter().map(|l| l.code() | 1).max() {
-            if max >= self.present.len() {
-                self.present.resize(max + 1, 0);
-                self.paired.resize(max + 1, 0);
-            }
-        }
-        let generation = self.generation;
-        let fold_seq = self.fold_seq;
-        for &l in antecedent {
-            let code = l.code();
-            let positive = code & !1;
-            let negative = positive | 1;
-            // The smallest-code literal of this variable that is in the
-            // accumulator and not yet paired during this fold.
-            let head = if self.present[positive] == generation && self.paired[positive] != fold_seq
-            {
-                Some(positive)
-            } else if self.present[negative] == generation && self.paired[negative] != fold_seq {
-                Some(negative)
-            } else {
-                None
-            };
-            match head {
-                // Shared literal: merged, output once.
-                Some(h) if h == code => self.paired[h] = fold_seq,
-                // Opposite phases: a clash, both literals consumed.
-                Some(h) => {
-                    self.present[h] = 0;
-                    self.clash.push(l.var());
-                }
-                // No partner: the antecedent literal passes through.
-                None => {
-                    self.present[code] = generation;
-                    self.paired[code] = fold_seq;
-                    self.lits.push(l);
-                }
-            }
-        }
-    }
-
-    fn fold_swar(&mut self, antecedent: &[Lit]) {
-        let fseq = self.fold_seq16.wrapping_add(1);
-        self.fold_seq16 = if fseq == 0 {
+    fn fold_lanes(&mut self, antecedent: &[Lit]) {
+        let fseq = self.fold_seq.wrapping_add(1);
+        self.fold_seq = if fseq == 0 {
             // Mid-chain wrap: the accumulator must survive, so instead of
             // flushing we un-pair exactly the lanes a stale stamp could
             // live in — every variable ever touched by this chain is in
@@ -342,8 +232,8 @@ impl ResolutionKernel {
                 self.marks.resize(max + 1, 0);
             }
         }
-        let gen = self.generation16 as u64;
-        let fseq = self.fold_seq16 as u64;
+        let gen = self.generation as u64;
+        let fseq = self.fold_seq as u64;
         // Broadcast word: XOR-ing it against a lane word zeroes the
         // present lanes that match the generation and the paired lanes
         // that match the fold stamp — one load + one XOR probes all four
@@ -395,30 +285,15 @@ impl ResolutionKernel {
     /// to start the next chain.
     pub fn finish(&mut self) -> &[Lit] {
         self.out.clear();
-        match self.mode {
-            KernelMode::Swar => {
-                let gen = self.generation16 as u64;
-                for i in 0..self.lits.len() {
-                    let l = self.lits[i];
-                    let v = l.var().index();
-                    let (pshift, _) = lane_shifts(l);
-                    if (self.marks[v] >> pshift) & LANE == gen {
-                        // Unmark on emit so lazily-deleted duplicates are
-                        // skipped.
-                        self.marks[v] &= !(LANE << pshift);
-                        self.out.push(l);
-                    }
-                }
-            }
-            KernelMode::Scalar => {
-                let generation = self.generation;
-                for i in 0..self.lits.len() {
-                    let l = self.lits[i];
-                    if self.present[l.code()] == generation {
-                        self.present[l.code()] = 0;
-                        self.out.push(l);
-                    }
-                }
+        let gen = self.generation as u64;
+        for i in 0..self.lits.len() {
+            let l = self.lits[i];
+            let v = l.var().index();
+            let (pshift, _) = lane_shifts(l);
+            if (self.marks[v] >> pshift) & LANE == gen {
+                // Unmark on emit so lazily-deleted duplicates are skipped.
+                self.marks[v] &= !(LANE << pshift);
+                self.out.push(l);
             }
         }
         self.out.sort_unstable();
@@ -436,8 +311,6 @@ impl ResolutionKernel {
     fn note_footprint(&mut self) {
         use std::mem::size_of;
         let bytes = (self.marks.capacity() * size_of::<u64>()
-            + self.present.capacity() * size_of::<u64>()
-            + self.paired.capacity() * size_of::<u64>()
             + self.lits.capacity() * size_of::<Lit>()
             + self.out.capacity() * size_of::<Lit>()
             + self.clash.capacity() * size_of::<Var>()) as u64;
@@ -464,54 +337,34 @@ mod tests {
     use super::*;
     use crate::resolve::{normalize_literals, resolve_sorted};
 
-    const BOTH_MODES: [KernelMode; 2] = [KernelMode::Swar, KernelMode::Scalar];
-
     fn lits(ds: &[i64]) -> Vec<Lit> {
         normalize_literals(ds.iter().map(|&d| Lit::from_dimacs(d)))
     }
 
-    /// Resolves a two-clause chain through the kernel in `mode`.
-    fn kernel_pair_mode(
-        mode: KernelMode,
-        a: &[i64],
-        b: &[i64],
-    ) -> Result<Vec<Lit>, ResolveFailure> {
-        let mut k = ResolutionKernel::with_mode(mode);
+    /// Resolves a two-clause chain through the kernel.
+    fn kernel_pair(a: &[i64], b: &[i64]) -> Result<Vec<Lit>, ResolveFailure> {
+        let mut k = ResolutionKernel::new();
         k.begin(&lits(a));
         k.fold(&lits(b))?;
         Ok(k.finish().to_vec())
     }
 
-    /// Resolves a two-clause chain in the default mode.
-    fn kernel_pair(a: &[i64], b: &[i64]) -> Result<Vec<Lit>, ResolveFailure> {
-        kernel_pair_mode(KernelMode::default(), a, b)
-    }
-
     #[test]
     fn paper_example() {
-        for mode in BOTH_MODES {
-            assert_eq!(
-                kernel_pair_mode(mode, &[1, 2], &[-2, 3]).unwrap(),
-                lits(&[1, 3])
-            );
-        }
+        assert_eq!(kernel_pair(&[1, 2], &[-2, 3]).unwrap(), lits(&[1, 3]));
     }
 
     #[test]
     fn unit_resolution_to_empty_clause() {
-        for mode in BOTH_MODES {
-            assert!(kernel_pair_mode(mode, &[5], &[-5]).unwrap().is_empty());
-        }
+        assert!(kernel_pair(&[5], &[-5]).unwrap().is_empty());
     }
 
     #[test]
     fn shared_literals_are_merged_once() {
-        for mode in BOTH_MODES {
-            assert_eq!(
-                kernel_pair_mode(mode, &[1, 2, 3], &[-3, 1, 4]).unwrap(),
-                lits(&[1, 2, 4])
-            );
-        }
+        assert_eq!(
+            kernel_pair(&[1, 2, 3], &[-3, 1, 4]).unwrap(),
+            lits(&[1, 2, 4])
+        );
     }
 
     #[test]
@@ -522,47 +375,41 @@ mod tests {
 
     #[test]
     fn double_clash_is_an_error() {
-        for mode in BOTH_MODES {
-            let err = kernel_pair_mode(mode, &[1, 2], &[-1, -2]).unwrap_err();
-            assert_eq!(
-                err.clashing_vars,
-                vec![Var::from_dimacs(1), Var::from_dimacs(2)]
-            );
-        }
+        let err = kernel_pair(&[1, 2], &[-1, -2]).unwrap_err();
+        assert_eq!(
+            err.clashing_vars,
+            vec![Var::from_dimacs(1), Var::from_dimacs(2)]
+        );
     }
 
     #[test]
     fn fold_reports_the_pivot() {
-        for mode in BOTH_MODES {
-            let mut k = ResolutionKernel::with_mode(mode);
-            k.begin(&lits(&[1, -2, 4]));
-            assert_eq!(k.fold(&lits(&[2, 5])).unwrap(), Var::from_dimacs(2));
-            assert_eq!(k.finish(), lits(&[1, 4, 5]));
-        }
+        let mut k = ResolutionKernel::new();
+        k.begin(&lits(&[1, -2, 4]));
+        assert_eq!(k.fold(&lits(&[2, 5])).unwrap(), Var::from_dimacs(2));
+        assert_eq!(k.finish(), lits(&[1, 4, 5]));
     }
 
     #[test]
     fn long_chain_matches_iterated_oracle() {
         // Seed (p1 + x1), antecedents (¬p_i + p_{i+1} + x_{i+1}).
-        for mode in BOTH_MODES {
-            let mut acc = lits(&[100, 1]);
-            let mut k = ResolutionKernel::with_mode(mode);
-            k.begin(&acc);
-            for i in 1..40i64 {
-                let ant = lits(&[-(100 + i - 1), 100 + i, i + 1]);
-                acc = resolve_sorted(&acc, &ant).unwrap();
-                assert_eq!(
-                    k.fold(&ant).unwrap(),
-                    Var::from_dimacs((100 + i - 1) as u32)
-                );
-            }
-            assert_eq!(k.finish(), acc);
+        let mut acc = lits(&[100, 1]);
+        let mut k = ResolutionKernel::new();
+        k.begin(&acc);
+        for i in 1..40i64 {
+            let ant = lits(&[-(100 + i - 1), 100 + i, i + 1]);
+            acc = resolve_sorted(&acc, &ant).unwrap();
+            assert_eq!(
+                k.fold(&ant).unwrap(),
+                Var::from_dimacs((100 + i - 1) as u32)
+            );
         }
+        assert_eq!(k.finish(), acc);
     }
 
     /// The per-variable pairing case table that distinguishes the kernel
     /// from a naive "negation present → clash" mark scheme. Each case is
-    /// checked against the oracle, in both modes.
+    /// checked against the oracle.
     #[test]
     fn tautological_inputs_match_the_oracle() {
         let cases: &[(&[i64], &[i64])] = &[
@@ -573,12 +420,10 @@ mod tests {
             (&[7], &[7, -7]),     // no clash, both phases in output
             (&[7, -7], &[7, -7]), // both merge, no clash
         ];
-        for mode in BOTH_MODES {
-            for (a, b) in cases {
-                let oracle = resolve_sorted(&lits(a), &lits(b));
-                let ours = kernel_pair_mode(mode, a, b);
-                assert_eq!(ours, oracle, "{mode:?} diverged on a={a:?} b={b:?}");
-            }
+        for (a, b) in cases {
+            let oracle = resolve_sorted(&lits(a), &lits(b));
+            let ours = kernel_pair(a, b);
+            assert_eq!(ours, oracle, "diverged on a={a:?} b={b:?}");
         }
     }
 
@@ -607,31 +452,27 @@ mod tests {
 
     #[test]
     fn kernel_is_reusable_after_a_failed_fold() {
-        for mode in BOTH_MODES {
-            let mut k = ResolutionKernel::with_mode(mode);
-            k.begin(&lits(&[1, 2]));
-            assert!(k.fold(&lits(&[3, 4])).is_err());
-            // The failed chain leaves no residue in the next one.
-            k.begin(&lits(&[5]));
-            k.fold(&lits(&[-5, 6])).unwrap();
-            assert_eq!(k.finish(), lits(&[6]));
-        }
+        let mut k = ResolutionKernel::new();
+        k.begin(&lits(&[1, 2]));
+        assert!(k.fold(&lits(&[3, 4])).is_err());
+        // The failed chain leaves no residue in the next one.
+        k.begin(&lits(&[5]));
+        k.fold(&lits(&[-5, 6])).unwrap();
+        assert_eq!(k.finish(), lits(&[6]));
     }
 
     #[test]
     fn finish_without_folds_returns_the_seed() {
-        for mode in BOTH_MODES {
-            let mut k = ResolutionKernel::with_mode(mode);
-            k.begin(&lits(&[3, -1, 2]));
-            assert_eq!(k.finish(), lits(&[-1, 2, 3]));
-        }
+        let mut k = ResolutionKernel::new();
+        k.begin(&lits(&[3, -1, 2]));
+        assert_eq!(k.finish(), lits(&[-1, 2, 3]));
     }
 
     #[test]
     fn generation_wrap_flushes_stale_stamps() {
         // Drive the 16-bit generation around its full range; a literal
         // marked 65 535 chains ago must not look present afterwards.
-        let mut k = ResolutionKernel::with_mode(KernelMode::Swar);
+        let mut k = ResolutionKernel::new();
         k.begin(&lits(&[42]));
         assert_eq!(k.finish(), lits(&[42]));
         for _ in 0..=u16::MAX as usize {
@@ -652,7 +493,7 @@ mod tests {
         // One chain with more folds than the 16-bit fold stamp can count:
         // the wrap must un-pair without flushing the accumulator.
         let n = u16::MAX as i64 + 40;
-        let mut k = ResolutionKernel::with_mode(KernelMode::Swar);
+        let mut k = ResolutionKernel::new();
         k.begin(&lits(&[1]));
         for i in 1..=n {
             // (¬p_i ∨ p_{i+1}): clash on p_i, deposit p_{i+1}.
@@ -666,7 +507,7 @@ mod tests {
         // Exercise the targeted un-pair sweep with a tautological
         // accumulator, where pairing order is what distinguishes the
         // kernel from a naive mark scheme.
-        let mut k = ResolutionKernel::with_mode(KernelMode::Swar);
+        let mut k = ResolutionKernel::new();
         k.begin(&lits(&[1]));
         for i in 1..=u16::MAX as i64 {
             k.fold(&lits(&[-i, i + 1])).unwrap();
@@ -676,18 +517,9 @@ mod tests {
         let acc = k.finish().to_vec();
         let taut = lits(&[-(u16::MAX as i64 + 1), u16::MAX as i64 + 1]);
         let oracle = resolve_sorted(&acc, &taut);
-        let mut k2 = ResolutionKernel::with_mode(KernelMode::Swar);
+        let mut k2 = ResolutionKernel::new();
         k2.begin(&acc);
         let ours = k2.fold(&taut).map(|_| k2.finish().to_vec());
         assert_eq!(ours.ok(), oracle.ok());
-    }
-
-    #[test]
-    fn modes_report_their_layout() {
-        assert_eq!(ResolutionKernel::new().mode(), KernelMode::Swar);
-        assert_eq!(
-            ResolutionKernel::with_mode(KernelMode::Scalar).mode(),
-            KernelMode::Scalar
-        );
     }
 }

@@ -83,14 +83,14 @@ mod scratch;
 mod trim;
 
 pub use api::{
-    check_breadth_first, check_depth_first, check_disk_depth_first, check_hybrid,
-    check_parallel_bf, check_parallel_dag, check_portfolio, check_sat_claim, check_unsat_claim,
-    check_unsat_claim_observed, check_unsat_claim_scoped, CheckConfig, ModelError, Strategy,
+    check_breadth_first, check_depth_first, check_disk_depth_first, check_hybrid, check_sat_claim,
+    check_unsat_claim, check_unsat_claim_observed, check_unsat_claim_scoped, CheckConfig,
+    ModelError, Strategy,
 };
 pub use cancel::CancelFlag;
 pub use core_min::{minimize_core, CoreIteration, CoreMinimization, MinimizeError};
 pub use error::{BadAntecedentReason, CheckError, FailureKind};
-pub use kernel::{KernelMode, KernelStats, ResolutionKernel};
+pub use kernel::{KernelStats, ResolutionKernel};
 pub use memory::MemoryMeter;
 pub use outcome::{CheckOutcome, CheckStats, UnsatCore};
 pub use proof::{proof_stats, ProofStats};

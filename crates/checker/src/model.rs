@@ -150,8 +150,8 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
 
 /// Validates one learned-clause record against the shared rules.
 ///
-/// Takes only the source *count*, not the list — the sharded pass 1 of
-/// the parallel breadth-first checker validates from compact per-event
+/// Takes only the source *count*, not the list — the mapped sharded
+/// pass 1 of the parallel-dag checker validates from compact per-event
 /// records that do not retain source lists.
 pub(crate) fn validate_learned(
     id: u64,

@@ -16,15 +16,12 @@ pub enum Strategy {
     /// their last needed use — the combination the paper's conclusion
     /// calls for (requires a random-access trace).
     Hybrid,
-    /// Race depth-first against breadth-first on two threads and return
-    /// the first success, cancelling the loser — depth-first speed when
-    /// memory allows, breadth-first robustness when it does not.
+    /// A fallback policy, not an engine: run
+    /// [`Strategy::DiskDepthFirst`], and only if it exceeds the memory
+    /// budget run [`Strategy::BreadthFirst`] — depth-first speed and its
+    /// unsat core when memory allows, breadth-first robustness when it
+    /// does not. Runs out of memory only when both do.
     Portfolio,
-    /// Breadth-first with a sharded counting pass and a pipelined
-    /// resolution pass. Same verdict and same `clauses_built` /
-    /// `resolutions` as [`Strategy::BreadthFirst`], regardless of the
-    /// worker count.
-    ParallelBf,
     /// Depth-first with the trace left on disk: only a flat id → offset
     /// index stays resident and resolve-source lists are fetched on
     /// demand through a trace cursor. Bit-identical statistics and core
@@ -48,7 +45,6 @@ impl fmt::Display for Strategy {
             Strategy::BreadthFirst => f.write_str("breadth-first"),
             Strategy::Hybrid => f.write_str("hybrid"),
             Strategy::Portfolio => f.write_str("portfolio"),
-            Strategy::ParallelBf => f.write_str("parallel-bf"),
             Strategy::DiskDepthFirst => f.write_str("disk-depth-first"),
             Strategy::ParallelDag => f.write_str("parallel-dag"),
         }
@@ -174,7 +170,8 @@ impl fmt::Display for CheckStats {
 /// The result of a successful UNSAT-claim validation.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
-    /// The unsat core, when the strategy produces one (depth-first only).
+    /// The unsat core, when the strategy produces one (the depth-first
+    /// family; a portfolio that fell back to breadth-first has none).
     pub core: Option<UnsatCore>,
     /// Measurements of the run.
     pub stats: CheckStats,

@@ -1,80 +1,39 @@
-//! Parallel checking: a racing portfolio and a sharded breadth-first
-//! checker, built on scoped threads only (the workspace stays free of
-//! external dependencies).
+//! Threading plumbing for the parallel-dag strategy
+//! ([`Strategy::ParallelDag`](crate::Strategy::ParallelDag)), built on
+//! scoped threads only (the workspace stays free of external
+//! dependencies): worker-count resolution, the small-trace fallback, the
+//! shared trace map, panic-to-error conversion, and the two decoders that
+//! fan a mapped binary trace out over the workers.
 //!
-//! **Portfolio** ([`Strategy::Portfolio`]): run the depth-first and
-//! breadth-first strategies concurrently on the same trace and return
-//! the first verdict, cancelling the loser through a [`CancelFlag`]
-//! polled at the existing progress strides. Depth-first usually wins on
-//! instances that fit in memory; when it memory-outs, breadth-first is
-//! already half-way done instead of starting from scratch.
+//! For binary *file* traces whose [`TraceMap`] carries a block index,
+//! pass 1 runs on every worker: each decodes its own disjoint byte shard
+//! of the shared map (see [`rescheck_trace::BlockIndex::shard_ranges`])
+//! straight into compact merge records, and the shards meet in a
+//! trace-order replay through the same [`Pass1Tables`] methods the
+//! sequential pass calls, so a malformed trace produces the identical
+//! first error. Unmapped sources run [`sequential_pass1`] on the calling
+//! thread instead.
 //!
-//! **Parallel breadth-first** ([`Strategy::ParallelBf`]): pass 1's use
-//! counting is embarrassingly parallel, so a reader thread decodes the
-//! trace once and deals event batches round-robin to `jobs` counting
-//! workers; their per-shard tables are merged in trace order through the
-//! same [`Pass1Tables`] methods the sequential pass uses. This strategy
-//! keeps pass 2 on one thread — clause construction is a *partial*
-//! order, not a chain, and scheduling it across workers is what
-//! [`Strategy::ParallelDag`](crate::Strategy::ParallelDag) does — but
-//! its trace *decoding* can be overlapped with resolution: a reader
-//! thread runs ahead through a bounded channel while the calling thread
-//! drives [`BfResolveState`] — the identical per-event code as the
-//! sequential checker, which is what makes `resolutions`,
-//! `clauses_built` and `peak_memory_bytes` bit-identical to
-//! [`Strategy::BreadthFirst`] for every worker count.
-//!
-//! On tiny traces the thread spin-up and cross-shard merging cost more
-//! than they save, so below an estimated
-//! [`CheckConfig::parallel_min_learned`] learned clauses the strategy
-//! silently runs the sequential breadth-first code on the calling
-//! thread (the verdict and every counter are bit-identical either way).
-//!
-//! Channel buffers hold at most [`PIPELINE_DEPTH`] batches of
-//! [`BATCH_EVENTS`] events and are deliberately not charged to the
-//! [`MemoryMeter`]: they are a small transport detail of this
-//! implementation, not part of the strategy's clause residency that
-//! Table 2 measures.
-//!
-//! For binary *file* traces pass 1 skips the reader/channel pipeline
-//! entirely when the established [`TraceMap`] carries a block index:
-//! each worker decodes its own disjoint byte shard of the shared map
-//! (see [`rescheck_trace::BlockIndex::shard_ranges`]) straight into the
-//! compact merge records, and the shards meet in the identical
-//! trace-order replay. The map's bytes are charged to the meter once,
-//! up front, so for file traces this strategy's peak exceeds sequential
-//! breadth-first's by exactly the encoded trace size — identically
-//! across worker counts and across `mmap`/buffered backings. For
-//! unmapped sources the peak still equals breadth-first's.
+//! [`sequential_pass1`]: crate::breadth_first::sequential_pass1
 
 use crate::api::CheckConfig;
-use crate::breadth_first::{sequential_pass1, BfResolveState, Pass1Tables};
+use crate::breadth_first::Pass1Tables;
 use crate::cancel::CancelFlag;
-use crate::error::{CheckError, FailureKind};
+use crate::error::CheckError;
 use crate::fxhash::FxHashMap;
-use crate::memory::MemoryMeter;
-use crate::outcome::{CheckOutcome, Strategy};
-use crate::scratch::CheckScratch;
-use rescheck_cnf::{Cnf, Lit};
+use rescheck_cnf::Lit;
 use rescheck_obs::{Event, EventBuffer, Level, Observer, Phase};
 use rescheck_trace::{
-    BlockIndex, EventRef, RandomAccessTrace, ShardRange, SliceDecoder, TraceEvent, TraceMap,
-    TraceSource,
+    BlockIndex, EventRef, ShardRange, SliceDecoder, TraceEvent, TraceMap, TraceSource,
 };
 use std::any::Any;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Events per batch crossing a channel.
+/// Events per `pass1.batch_events` histogram sample of a shard decoder.
 const BATCH_EVENTS: usize = 256;
-/// Bounded-channel capacity, in batches, for the pipelined reader.
-const PIPELINE_DEPTH: usize = 4;
-/// How often the portfolio coordinator polls the caller's cancel flag
-/// while waiting for a racer to finish.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Renders a caught panic payload into a printable message. Panics carry
 /// `&str` or `String` payloads from `panic!`; anything else (a custom
@@ -90,9 +49,9 @@ pub(crate) fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
 
 /// Converts a thread join result into a structured [`CheckError`]: a
 /// panicked worker becomes [`CheckError::WorkerPanic`] (kind
-/// [`FailureKind::Internal`]) instead of aborting the whole process, so
-/// callers that manage many checks — the serve daemon above all — can
-/// fail one job and keep running.
+/// [`FailureKind::Internal`](crate::FailureKind::Internal)) instead of
+/// aborting the whole process, so callers that manage many checks — the
+/// serve daemon above all — can fail one job and keep running.
 pub(crate) fn join_or_internal<T>(who: &str, joined: thread::Result<T>) -> Result<T, CheckError> {
     joined.map_err(|payload| CheckError::WorkerPanic {
         what: panic_message(who, payload.as_ref()),
@@ -122,7 +81,7 @@ pub(crate) fn max_useful_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether a parallel strategy should step aside for plain sequential
+/// Whether parallel-dag should step aside for plain sequential
 /// breadth-first: the trace's learned-clause count is below
 /// [`CheckConfig::parallel_min_learned`]. With an established
 /// [`TraceMap`] whose block index scanned cleanly the count is *exact*;
@@ -181,138 +140,6 @@ pub(crate) fn establish_map<'a, S: TraceSource + ?Sized>(
     map
 }
 
-// ---------------------------------------------------------------- portfolio
-
-/// Races depth-first against breadth-first; first verdict wins.
-pub(crate) fn run_portfolio<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-    obs: &mut dyn Observer,
-) -> Result<CheckOutcome, CheckError> {
-    let started = Instant::now();
-    config.cancel.check()?;
-
-    let df_cancel = CancelFlag::armed();
-    let bf_cancel = CancelFlag::armed();
-    let cancel_both = || {
-        df_cancel.cancel();
-        bf_cancel.cancel();
-    };
-
-    type RacerReport = (Strategy, Result<CheckOutcome, CheckError>, EventBuffer);
-    let (winner, mut errors) = thread::scope(|scope| {
-        let (tx, rx) = mpsc::channel::<RacerReport>();
-        for (strategy, flag) in [
-            (Strategy::DepthFirst, &df_cancel),
-            (Strategy::BreadthFirst, &bf_cancel),
-        ] {
-            let tx = tx.clone();
-            let mut racer_config = config.clone();
-            racer_config.cancel = flag.clone();
-            scope.spawn(move || {
-                let mut buffer = EventBuffer::new();
-                // Racers are joined implicitly by the scope, never by
-                // hand, so a panic must be caught *inside* the racer —
-                // otherwise the scope would re-panic it on exit and take
-                // the whole process down with one poisoned check.
-                let run = catch_unwind(AssertUnwindSafe(|| match strategy {
-                    Strategy::DepthFirst => {
-                        crate::depth_first::run(cnf, trace, &racer_config, &mut buffer)
-                    }
-                    _ => crate::breadth_first::run(cnf, trace, &racer_config, &mut buffer),
-                }));
-                let result = run.unwrap_or_else(|payload| {
-                    Err(CheckError::WorkerPanic {
-                        what: panic_message(&format!("{strategy} racer"), payload.as_ref()),
-                    })
-                });
-                // The coordinator may have stopped listening; that is fine.
-                let _ = tx.send((strategy, result, buffer));
-            });
-        }
-        drop(tx);
-
-        let mut winner: Option<(Strategy, CheckOutcome, EventBuffer)> = None;
-        let mut errors: Vec<(Strategy, CheckError)> = Vec::new();
-        loop {
-            match rx.recv_timeout(POLL_INTERVAL) {
-                Ok((strategy, Ok(outcome), buffer)) => {
-                    if winner.is_none() {
-                        cancel_both();
-                        winner = Some((strategy, outcome, buffer));
-                    }
-                }
-                // The loser being cancelled is the expected way to lose.
-                Ok((_, Err(CheckError::Cancelled), _)) => {}
-                Ok((strategy, Err(err), _)) => errors.push((strategy, err)),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if config.cancel.is_cancelled() {
-                        cancel_both();
-                    }
-                }
-                // Both racers reported; the scope joins them on exit.
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        (winner, errors)
-    });
-
-    config.cancel.check()?;
-    if let Some((strategy, outcome, buffer)) = winner {
-        let tag = match strategy {
-            Strategy::DepthFirst => "df",
-            _ => "bf",
-        };
-        buffer.replay_tagged(tag, obs);
-        obs.observe(&Event::Message {
-            level: Level::Info,
-            text: &format!("portfolio: {strategy} won the race"),
-        });
-        let mut stats = outcome.stats;
-        stats.strategy = Strategy::Portfolio;
-        stats.runtime = started.elapsed();
-        // Untagged end-of-run gauges, like every other strategy emits.
-        obs.observe(&Event::GaugeSet {
-            name: "check.clauses_built",
-            value: stats.clauses_built as f64,
-        });
-        obs.observe(&Event::GaugeSet {
-            name: "check.resolutions",
-            value: stats.resolutions as f64,
-        });
-        obs.observe(&Event::GaugeSet {
-            name: "check.peak_memory_bytes",
-            value: stats.peak_memory_bytes as f64,
-        });
-        return Ok(CheckOutcome {
-            core: outcome.core,
-            stats,
-        });
-    }
-
-    // Both racers failed. A proof defect is a stronger verdict than an
-    // internal error, which in turn beats running out of budget — so
-    // prefer defects, then any non-memory error.
-    let pick = errors
-        .iter()
-        .position(|(_, e)| e.kind() == FailureKind::ProofDefect)
-        .or_else(|| {
-            errors
-                .iter()
-                .position(|(_, e)| !matches!(e, CheckError::MemoryLimitExceeded { .. }))
-        })
-        .unwrap_or(0);
-    if errors.is_empty() {
-        // Unreachable without a cancelled parent (checked above), but do
-        // not panic on it.
-        return Err(CheckError::Cancelled);
-    }
-    Err(errors.swap_remove(pick).1)
-}
-
-// ---------------------------------------------------- parallel breadth-first
-
 /// A compact record of one pass-1-relevant event, tagged with its global
 /// position in the trace so shards can be merged back into trace order.
 /// Learned records keep only the source *count* — the counting itself
@@ -344,204 +171,14 @@ impl Meta {
     }
 }
 
-/// One counting worker: drains batches, counts learned-clause sources
-/// locally and keeps a [`Meta`] per event for the ordered merge. The
-/// returned [`EventBuffer`] holds the worker's own metrics (batch-size
-/// histogram, event-count gauge) under unprefixed names; the coordinator
-/// replays it with a `check.worker.N.` prefix for attribution.
-fn count_shard(
-    rx: mpsc::Receiver<(u64, Vec<TraceEvent>)>,
-    num_original: usize,
-) -> (Vec<Meta>, FxHashMap<u64, u32>, EventBuffer, Duration) {
-    let started = Instant::now();
-    let mut buffer = EventBuffer::new();
-    let mut metas: Vec<Meta> = Vec::new();
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    for (batch_start, batch) in rx {
-        buffer.observe(&Event::HistRecord {
-            name: "pass1.batch_events",
-            value: batch.len() as u64,
-        });
-        for (k, event) in batch.into_iter().enumerate() {
-            let idx = batch_start + k as u64;
-            match event {
-                TraceEvent::Learned { id, sources } => {
-                    for &s in &sources {
-                        if s >= num_original as u64 {
-                            *counts.entry(s).or_insert(0) += 1;
-                        }
-                    }
-                    metas.push(Meta::Learned {
-                        idx,
-                        id,
-                        num_sources: sources.len(),
-                    });
-                }
-                TraceEvent::LevelZero { lit, antecedent } => {
-                    metas.push(Meta::LevelZero {
-                        idx,
-                        lit,
-                        antecedent,
-                    });
-                }
-                TraceEvent::FinalConflict { id } => metas.push(Meta::Final { idx, id }),
-            }
-        }
-    }
-    buffer.observe(&Event::GaugeSet {
-        name: "pass1.events",
-        value: metas.len() as f64,
-    });
-    (metas, counts, buffer, started.elapsed())
-}
-
-/// Pass 1 sharded across `jobs` workers fed round-robin by one reader.
-///
-/// The merge replays every shard's [`Meta`] records sorted by trace
-/// position through the same [`Pass1Tables`] methods the sequential pass
-/// calls, so a malformed trace produces the identical first error. A
-/// decode error surfaces only after the records decoded before it have
-/// been validated — exactly the order a sequential scan sees.
-pub(crate) fn sharded_pass1<S: TraceSource + Sync + ?Sized>(
-    trace: &S,
-    num_original: usize,
-    jobs: usize,
-    cancel: &CancelFlag,
-    obs: &mut dyn Observer,
-) -> Result<(Pass1Tables, u64), CheckError> {
-    thread::scope(|scope| -> Result<(Pass1Tables, u64), CheckError> {
-        let mut txs = Vec::with_capacity(jobs);
-        let mut workers = Vec::with_capacity(jobs);
-        for _ in 0..jobs {
-            let (tx, rx) = mpsc::sync_channel::<(u64, Vec<TraceEvent>)>(PIPELINE_DEPTH);
-            txs.push(tx);
-            workers.push(scope.spawn(move || count_shard(rx, num_original)));
-        }
-        let reader_cancel = cancel.clone();
-        let reader = scope.spawn(move || -> (Option<io::Error>, EventBuffer) {
-            let mut buffer = EventBuffer::new();
-            let iter = match trace.events_iter() {
-                Ok(iter) => iter,
-                Err(e) => return (Some(e), buffer),
-            };
-            let mut next_idx: u64 = 0;
-            let mut batch_start: u64 = 0;
-            let mut batch: Vec<TraceEvent> = Vec::with_capacity(BATCH_EVENTS);
-            let mut target = 0usize;
-            let mut batch_began = Instant::now();
-            for item in iter {
-                match item {
-                    Ok(event) => {
-                        batch.push(event);
-                        next_idx += 1;
-                        if batch.len() == BATCH_EVENTS {
-                            buffer.observe(&Event::HistRecord {
-                                name: "check.pass1.decode_us",
-                                value: batch_began.elapsed().as_micros() as u64,
-                            });
-                            if txs[target]
-                                .send((batch_start, std::mem::take(&mut batch)))
-                                .is_err()
-                                || reader_cancel.is_cancelled()
-                            {
-                                return (None, buffer);
-                            }
-                            target = (target + 1) % txs.len();
-                            batch_start = next_idx;
-                            batch_began = Instant::now();
-                        }
-                    }
-                    Err(e) => {
-                        // Ship what decoded cleanly first, so validation
-                        // errors in it keep precedence over the decode
-                        // error — matching the sequential scan.
-                        if !batch.is_empty() {
-                            let _ = txs[target].send((batch_start, batch));
-                        }
-                        return (Some(e), buffer);
-                    }
-                }
-            }
-            if !batch.is_empty() {
-                buffer.observe(&Event::HistRecord {
-                    name: "check.pass1.decode_us",
-                    value: batch_began.elapsed().as_micros() as u64,
-                });
-                let _ = txs[target].send((batch_start, batch));
-            }
-            (None, buffer)
-        });
-
-        // Join every thread *before* acting on any one failure: an
-        // early return with a panicked-but-unjoined scoped thread would
-        // re-panic at scope exit and abort the process instead of
-        // reporting the structured internal error.
-        let reader_join = reader.join();
-        let worker_joins: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
-
-        let (io_err, reader_buffer) = join_or_internal("pass-1 trace reader", reader_join)?;
-        reader_buffer.replay(obs);
-        let mut metas: Vec<Meta> = Vec::new();
-        let mut merged_counts: FxHashMap<u64, u32> = FxHashMap::default();
-        for (w, joined) in worker_joins.into_iter().enumerate() {
-            let (shard_metas, shard_counts, worker_buffer, wall) =
-                join_or_internal(&format!("pass-1 counting worker {w}"), joined)?;
-            obs.observe(&Event::GaugeSet {
-                name: &format!("check.pass1.shard{w}.events"),
-                value: shard_metas.len() as f64,
-            });
-            // Per-worker attribution: the shard's own metrics land under
-            // `check.worker.N.*`, the merged wall-time histogram under a
-            // single shared name.
-            worker_buffer.replay_prefixed(&format!("check.worker.{w}."), obs);
-            obs.observe(&Event::HistRecord {
-                name: "check.pass1.worker_wall_us",
-                value: wall.as_micros() as u64,
-            });
-            metas.extend(shard_metas);
-            for (id, c) in shard_counts {
-                *merged_counts.entry(id).or_insert(0) += c;
-            }
-        }
-        cancel.check()?;
-
-        metas.sort_unstable_by_key(Meta::idx);
-        let mut tables = Pass1Tables::default();
-        let mut seen: u64 = 0;
-        for meta in &metas {
-            seen += 1;
-            if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
-                cancel.check()?;
-            }
-            match *meta {
-                Meta::Learned {
-                    id, num_sources, ..
-                } => tables.absorb_learned(id, num_sources, num_original)?,
-                Meta::LevelZero {
-                    lit, antecedent, ..
-                } => tables.absorb_level_zero(lit, antecedent, num_original)?,
-                Meta::Final { id, .. } => tables.absorb_final(id),
-            }
-        }
-        if let Some(e) = io_err {
-            return Err(CheckError::Trace(e));
-        }
-        for (id, c) in merged_counts {
-            *tables.use_counts.entry(id).or_insert(0) += c;
-        }
-        let start_id = tables.finish(num_original)?;
-        Ok((tables, start_id))
-    })
-}
-
 /// One mapped-decode worker: decodes the disjoint byte range
 /// `[range.start, range.end)` of the shared map straight into [`Meta`]
 /// records and local use counts — no owned events and no channel, just
 /// a [`SliceDecoder`] walking borrowed bytes. Event indices are global
-/// (`range.first_event` plus the local position), so the coordinator's
-/// merge is indistinguishable from [`count_shard`]'s output. A decode
-/// error is returned with the global index it occurred at; everything
-/// decoded before it is still valid prefix.
+/// (`range.first_event` plus the local position), so the coordinator
+/// can merge every shard back into trace order. A decode error is
+/// returned with the global index it occurred at; everything decoded
+/// before it is still valid prefix.
 #[allow(clippy::type_complexity)]
 fn decode_shard(
     bytes: &[u8],
@@ -619,8 +256,9 @@ fn decode_shard(
 /// Pass 1 decoded in place from a shared [`TraceMap`]: the block index
 /// splits the encoded bytes into per-worker shards at event-aligned
 /// boundaries, every worker runs [`decode_shard`] over its own range,
-/// and the compact records merge through the identical trace-order
-/// replay as [`sharded_pass1`]. No event ever crosses a channel.
+/// and the compact records replay in trace order through the same
+/// [`Pass1Tables`] methods the sequential pass calls. No event ever
+/// crosses a channel.
 ///
 /// Error semantics match the sequential scan: should a shard hit a
 /// decode error (unreachable on a cleanly indexed trace, but handled),
@@ -789,164 +427,17 @@ pub(crate) fn mapped_visit_ordered(
     })
 }
 
-/// Pass 2 with a reader thread decoding ahead of the resolution loop.
-///
-/// Resolution state stays on the calling thread; only owned event
-/// batches cross the channel. Dropping the receiver on a resolution
-/// error unblocks the reader, and the scope joins it before returning.
-fn pipelined_pass2<S: TraceSource + Sync + ?Sized>(
-    trace: &S,
-    state: &mut BfResolveState<'_>,
-    obs: &mut dyn Observer,
-) -> Result<(), CheckError> {
-    thread::scope(|scope| -> Result<(), CheckError> {
-        let (tx, rx) = mpsc::sync_channel::<Result<Vec<TraceEvent>, io::Error>>(PIPELINE_DEPTH);
-        let reader = scope.spawn(move || -> EventBuffer {
-            let mut buffer = EventBuffer::new();
-            let iter = match trace.events_iter() {
-                Ok(iter) => iter,
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return buffer;
-                }
-            };
-            let mut batch: Vec<TraceEvent> = Vec::with_capacity(BATCH_EVENTS);
-            let mut batch_began = Instant::now();
-            for item in iter {
-                match item {
-                    Ok(event) => {
-                        batch.push(event);
-                        if batch.len() == BATCH_EVENTS {
-                            buffer.observe(&Event::HistRecord {
-                                name: "check.pass2.decode_us",
-                                value: batch_began.elapsed().as_micros() as u64,
-                            });
-                            if tx.send(Ok(std::mem::take(&mut batch))).is_err() {
-                                return buffer;
-                            }
-                            batch_began = Instant::now();
-                        }
-                    }
-                    Err(e) => {
-                        // Preserve sequential error order: everything
-                        // decoded before the failure is still checked.
-                        if !batch.is_empty() {
-                            let _ = tx.send(Ok(std::mem::take(&mut batch)));
-                        }
-                        let _ = tx.send(Err(e));
-                        return buffer;
-                    }
-                }
-            }
-            if !batch.is_empty() {
-                buffer.observe(&Event::HistRecord {
-                    name: "check.pass2.decode_us",
-                    value: batch_began.elapsed().as_micros() as u64,
-                });
-                let _ = tx.send(Ok(batch));
-            }
-            buffer
-        });
-        // Break (not return) on any error so `rx` drops first, which
-        // unblocks the reader before it is joined for its metrics.
-        let mut result: Result<(), CheckError> = Ok(());
-        'drain: for message in rx {
-            match message {
-                Ok(batch) => {
-                    for event in &batch {
-                        if let Err(e) = state.handle_event(event, obs) {
-                            result = Err(e);
-                            break 'drain;
-                        }
-                    }
-                }
-                Err(e) => {
-                    result = Err(CheckError::Trace(e));
-                    break 'drain;
-                }
-            }
-        }
-        match reader.join() {
-            Ok(reader_buffer) => reader_buffer.replay(obs),
-            Err(payload) => {
-                let panic_err = CheckError::WorkerPanic {
-                    what: panic_message("pass-2 trace reader", payload.as_ref()),
-                };
-                // A resolution error found before the panic still wins.
-                result = result.and(Err(panic_err));
-            }
-        }
-        result
-    })
-}
-
-/// The parallel breadth-first checker: sharded pass 1, pipelined pass 2.
-pub(crate) fn run_parallel_bf<S: RandomAccessTrace + Sync + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-    obs: &mut dyn Observer,
-) -> Result<CheckOutcome, CheckError> {
-    let started = Instant::now();
-    let num_original = cnf.num_clauses();
-    let jobs = effective_jobs(config.jobs);
-    let map = establish_map(trace, config, obs);
-    if small_trace_fallback(trace, map, config, obs) {
-        // The sequential code streams through the established map but
-        // does not account it, exactly like a direct `--strategy bf`
-        // run — so the fallback's counters stay bit-identical to bf.
-        let mut outcome = crate::breadth_first::run(cnf, trace, config, obs)?;
-        outcome.stats.strategy = Strategy::ParallelBf;
-        return Ok(outcome);
-    }
-    let mut meter = MemoryMeter::new(config.memory_limit);
-    if let Some(map) = map {
-        // The whole encoded trace is resident (mapped or buffered) for
-        // the duration of the check; charge it under both backings so
-        // the peak is independent of `--no-mmap`.
-        meter.alloc(map.accounted_bytes())?;
-    }
-
-    let pass1 = Phase::start("check:pass1", obs);
-    obs.observe(&Event::GaugeSet {
-        name: "check.jobs",
-        value: jobs as f64,
-    });
-    let index = map.and_then(TraceMap::block_index);
-    let (tables, start_id) = match (map, index) {
-        (Some(map), Some(index)) if jobs > 1 => {
-            mapped_sharded_pass1(map, index, num_original, jobs, &config.cancel, obs)?
-        }
-        _ if jobs <= 1 => sequential_pass1(trace, num_original, &config.cancel)?,
-        _ => sharded_pass1(trace, num_original, jobs, &config.cancel, obs)?,
-    };
-    meter.alloc(tables.resident_bytes())?;
-    pass1.finish(obs);
-
-    let resolve_phase = Phase::start("check:resolve", obs);
-    let mut scratch = CheckScratch::new();
-    let mut state = BfResolveState::new(cnf, tables, meter, config, &mut scratch);
-    pipelined_pass2(trace, &mut state, obs)?;
-    resolve_phase.finish(obs);
-
-    state.into_outcome(
-        start_id,
-        Strategy::ParallelBf,
-        started,
-        trace.encoded_size(),
-        obs,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outcome::Strategy;
+    use crate::FailureKind;
+    use rescheck_cnf::Cnf;
     use rescheck_obs::NullObserver;
-    use rescheck_trace::{MemorySink, TraceSink};
+    use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, RandomAccessTrace, TraceSink};
 
     /// An implication-chain instance whose proof uses each learned
-    /// clause exactly once — depth-first holds everything, breadth-first
-    /// holds O(1) clauses.
+    /// clause exactly once.
     fn chain(n: i64) -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
         cnf.add_dimacs_clause(&[1]);
@@ -967,153 +458,18 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_accepts_a_valid_proof() {
-        let (cnf, sink) = chain(16);
-        let outcome =
-            run_portfolio(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap();
-        assert_eq!(outcome.stats.strategy, Strategy::Portfolio);
-    }
-
-    #[test]
-    fn portfolio_succeeds_where_depth_first_memory_outs() {
-        let (cnf, sink) = chain(64);
-        let bf_peak =
-            crate::breadth_first::run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver)
-                .unwrap()
-                .stats
-                .peak_memory_bytes;
-        let df_peak =
-            crate::depth_first::run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver)
-                .unwrap()
-                .stats
-                .peak_memory_bytes;
-        assert!(bf_peak < df_peak);
-
-        // A budget breadth-first fits in but depth-first does not.
-        let config = CheckConfig {
-            memory_limit: Some(bf_peak),
-            ..CheckConfig::default()
-        };
-        assert!(matches!(
-            crate::depth_first::run(&cnf, &sink, &config, &mut NullObserver).unwrap_err(),
-            CheckError::MemoryLimitExceeded { .. }
-        ));
-        let outcome = run_portfolio(&cnf, &sink, &config, &mut NullObserver).unwrap();
-        assert_eq!(outcome.stats.strategy, Strategy::Portfolio);
-        // Breadth-first won, so there is no core.
-        assert!(outcome.core.is_none());
-        assert_eq!(outcome.stats.peak_memory_bytes, bf_peak);
-    }
-
-    #[test]
-    fn portfolio_reports_proof_defect_over_memory_out() {
-        // An invalid resolution plus a tight budget: whichever racer
-        // fails however, the reported error is the proof defect.
-        let mut cnf = Cnf::new();
-        cnf.add_dimacs_clause(&[1, 2]);
-        cnf.add_dimacs_clause(&[3, 4]);
-        let mut sink = MemorySink::new();
-        sink.learned(2, &[0, 1]).unwrap();
-        sink.final_conflict(2).unwrap();
-        let err =
-            run_portfolio(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::NotResolvable { .. }));
-    }
-
-    #[test]
-    fn portfolio_respects_caller_cancellation() {
-        let (cnf, sink) = chain(8);
-        let config = CheckConfig {
-            cancel: CancelFlag::armed(),
-            ..CheckConfig::default()
-        };
-        config.cancel.cancel();
-        let err = run_portfolio(&cnf, &sink, &config, &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::Cancelled));
-    }
-
-    #[test]
-    fn parallel_bf_stats_match_sequential_for_every_job_count() {
-        let (cnf, sink) = chain(300);
-        let sequential =
-            crate::breadth_first::run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver)
-                .unwrap();
-        for jobs in [1usize, 2, 3, 4, 7] {
-            let config = CheckConfig {
-                jobs,
-                ..CheckConfig::default()
-            };
-            let parallel = run_parallel_bf(&cnf, &sink, &config, &mut NullObserver).unwrap();
-            assert_eq!(parallel.stats.strategy, Strategy::ParallelBf);
-            assert_eq!(
-                parallel.stats.resolutions, sequential.stats.resolutions,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                parallel.stats.clauses_built, sequential.stats.clauses_built,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                parallel.stats.learned_in_trace, sequential.stats.learned_in_trace,
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                parallel.stats.peak_memory_bytes, sequential.stats.peak_memory_bytes,
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_bf_attributes_metrics_per_worker() {
-        let (cnf, sink) = chain(3000);
-        let mut metrics = rescheck_obs::MetricsSink::new();
-        let config = CheckConfig {
-            jobs: 4,
-            ..CheckConfig::default()
-        };
-        run_parallel_bf(&cnf, &sink, &config, &mut metrics).unwrap();
-        let reg = metrics.registry();
-        for w in 0..4 {
-            assert!(
-                reg.gauge(&format!("check.worker.{w}.pass1.events"))
-                    .is_some(),
-                "missing per-worker event gauge for worker {w}"
-            );
-            assert!(
-                reg.histogram(&format!("check.worker.{w}.pass1.batch_events"))
-                    .is_some(),
-                "missing per-worker batch histogram for worker {w}"
-            );
-        }
-        let wall = reg.histogram("check.pass1.worker_wall_us").unwrap();
-        assert_eq!(wall.count(), 4, "one wall-time sample per worker");
-        assert!(reg.histogram("check.pass1.decode_us").is_some());
-        assert!(reg.histogram("check.pass2.decode_us").is_some());
-    }
-
-    #[test]
-    fn parallel_bf_rejects_malformed_traces_like_sequential() {
-        let mut cnf = Cnf::new();
-        cnf.add_dimacs_clause(&[1, 2]);
-        cnf.add_dimacs_clause(&[1, -2]);
-        cnf.add_dimacs_clause(&[-1, 2]);
-        cnf.add_dimacs_clause(&[-1, -2]);
-
-        // Large enough that batches actually reach several shards.
-        let build = |mutate: &dyn Fn(&mut Vec<TraceEvent>)| {
-            let (big_cnf, sink) = chain(600);
-            let mut events = sink.into_events();
-            mutate(&mut events);
-            (big_cnf, MemorySink::from(events))
-        };
-
+    fn parallel_dag_rejects_malformed_traces_like_breadth_first() {
+        // Malformed traces must fail with breadth-first's first error,
+        // both through the sequential pass 1 of an in-memory trace and
+        // through the mapped sharded pass 1 of a binary file trace, whose
+        // merge replays every shard in trace order. The chain is long
+        // enough for the block index to split it into several shards.
         type Mutation = Box<dyn Fn(&mut Vec<TraceEvent>)>;
         let cases: Vec<Mutation> = vec![
             // Duplicate learned id mid-trace.
             Box::new(|events| {
                 let dup = events[100].clone();
-                events.insert(400, dup);
+                events.insert(4000, dup);
             }),
             // Forward reference.
             Box::new(|events| {
@@ -1123,39 +479,59 @@ mod tests {
             }),
             // Self-referencing clause.
             Box::new(|events| {
-                if let TraceEvent::Learned { id, sources } = &mut events[10] {
+                if let TraceEvent::Learned { id, sources } = &mut events[3000] {
                     sources[0] = *id;
                 }
             }),
-            // Empty source list.
+            // Empty source list (case 3).
             Box::new(|events| {
-                if let TraceEvent::Learned { sources, .. } = &mut events[10] {
+                if let TraceEvent::Learned { sources, .. } = &mut events[4500] {
                     sources.clear();
                 }
             }),
         ];
+        let config = CheckConfig {
+            jobs: 4,
+            parallel_min_learned: 0,
+            ..CheckConfig::default()
+        };
+        let path = std::env::temp_dir().join(format!(
+            "rescheck-parallel-malformed-{}.rtb",
+            std::process::id()
+        ));
         for (i, mutate) in cases.iter().enumerate() {
-            let (big_cnf, sink) = build(mutate.as_ref());
-            let sequential = crate::breadth_first::run(
-                &big_cnf,
-                &sink,
-                &CheckConfig::default(),
-                &mut NullObserver,
-            )
-            .unwrap_err();
-            let config = CheckConfig {
-                jobs: 4,
-                ..CheckConfig::default()
+            let (cnf, sink) = chain(6000);
+            let mut events = sink.into_events();
+            mutate(&mut events);
+            let sink = MemorySink::from(events.clone());
+            let first_error = |trace: &(dyn RandomAccessTrace + Sync)| {
+                let bf = crate::breadth_first::run(&cnf, trace, &config, &mut NullObserver);
+                let pdag = crate::dag::run(&cnf, trace, &config, &mut NullObserver);
+                (bf.unwrap_err().to_string(), pdag.unwrap_err().to_string())
             };
-            let parallel =
-                run_parallel_bf(&big_cnf, &sink, &config, &mut NullObserver).unwrap_err();
-            assert_eq!(
-                std::mem::discriminant(&parallel),
-                std::mem::discriminant(&sequential),
-                "case {i}: parallel {parallel:?} vs sequential {sequential:?}"
-            );
+            let (bf, pdag) = first_error(&sink);
+            assert_eq!(pdag, bf, "case {i}, in memory");
+
+            {
+                let file = std::fs::File::create(&path).unwrap();
+                let mut writer = BinaryWriter::new(std::io::BufWriter::new(file)).unwrap();
+                for e in &events {
+                    writer.event(e).unwrap();
+                }
+                writer.flush().unwrap();
+            }
+            let trace = FileTrace::open(&path).unwrap();
+            // An empty source list does not even decode, so its map has
+            // no block index and pdag streams it; every other case takes
+            // the sharded merge.
+            let indexed = trace
+                .trace_map(true)
+                .is_some_and(|m| m.block_index().is_some());
+            assert_eq!(indexed, i != 3, "case {i}");
+            let (bf, pdag) = first_error(&trace);
+            assert_eq!(pdag, bf, "case {i}, mapped");
         }
-        let _ = cnf;
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1163,39 +539,6 @@ mod tests {
         assert_eq!(effective_jobs(3), 3);
         assert!(effective_jobs(0) >= 1);
         assert!(effective_jobs(0) <= 8);
-    }
-
-    /// A trace source whose iterator panics after yielding a prefix of
-    /// the events — the injected fault for panic-isolation tests.
-    struct PanickingTrace {
-        prefix: Vec<TraceEvent>,
-    }
-
-    impl TraceSource for PanickingTrace {
-        fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-            let mut remaining = self.prefix.clone().into_iter();
-            Ok(Box::new(std::iter::from_fn(move || {
-                Some(Ok(remaining.next().expect("injected worker panic")))
-            })))
-        }
-    }
-
-    impl RandomAccessTrace for PanickingTrace {
-        fn offset_events(&self) -> io::Result<rescheck_trace::OffsetEventsIter<'_>> {
-            panic!("injected worker panic");
-        }
-
-        fn open_cursor(&self) -> io::Result<Box<dyn rescheck_trace::TraceCursor + '_>> {
-            panic!("injected worker panic");
-        }
-    }
-
-    fn panicking_chain_trace(n: i64, keep: usize) -> (Cnf, PanickingTrace) {
-        let (cnf, sink) = chain(n);
-        let mut prefix = sink.into_events();
-        assert!(keep < prefix.len(), "prefix must cut the trace short");
-        prefix.truncate(keep);
-        (cnf, PanickingTrace { prefix })
     }
 
     #[test]
@@ -1210,21 +553,6 @@ mod tests {
         }
         let ok = join_or_internal("test worker", thread::spawn(|| 7).join());
         assert_eq!(ok.unwrap(), 7);
-    }
-
-    #[test]
-    fn parallel_bf_reports_worker_panics_as_internal_errors() {
-        // The sharded pass-1 reader panics mid-stream. The process used
-        // to abort on the `expect` at the join; now the whole check
-        // fails with a structured internal error.
-        let (cnf, trace) = panicking_chain_trace(600, 300);
-        let config = CheckConfig {
-            jobs: 4,
-            ..CheckConfig::default()
-        };
-        let err = run_parallel_bf(&cnf, &trace, &config, &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::WorkerPanic { .. }), "{err:?}");
-        assert_eq!(err.kind(), FailureKind::Internal);
     }
 
     #[test]
@@ -1304,11 +632,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategies_fall_back_to_sequential_bf_on_tiny_traces() {
-        // Below the learned-clause estimate threshold both parallel
-        // strategies run the sequential breadth-first code (identical
-        // verdict and counters, including the accounting model) while
-        // still reporting the strategy the caller asked for.
+    fn parallel_dag_falls_back_to_sequential_bf_on_tiny_traces() {
+        // Below the learned-clause estimate threshold pdag runs the
+        // sequential breadth-first code (identical verdict and counters,
+        // including the accounting model) while still reporting the
+        // strategy the caller asked for.
         let (cnf, sink) = chain(32);
         let config = CheckConfig {
             jobs: 4,
@@ -1316,15 +644,11 @@ mod tests {
         };
         let trace = SizedTrace(sink);
         let bf = crate::breadth_first::run(&cnf, &trace, &config, &mut NullObserver).unwrap();
-        let pbf = run_parallel_bf(&cnf, &trace, &config, &mut NullObserver).unwrap();
         let pdag = crate::dag::run(&cnf, &trace, &config, &mut NullObserver).unwrap();
-        assert_eq!(pbf.stats.strategy, Strategy::ParallelBf);
         assert_eq!(pdag.stats.strategy, Strategy::ParallelDag);
-        for o in [&pbf, &pdag] {
-            assert_eq!(o.stats.clauses_built, bf.stats.clauses_built);
-            assert_eq!(o.stats.resolutions, bf.stats.resolutions);
-            assert_eq!(o.stats.peak_memory_bytes, bf.stats.peak_memory_bytes);
-        }
+        assert_eq!(pdag.stats.clauses_built, bf.stats.clauses_built);
+        assert_eq!(pdag.stats.resolutions, bf.stats.resolutions);
+        assert_eq!(pdag.stats.peak_memory_bytes, bf.stats.peak_memory_bytes);
 
         // With the threshold disabled the real parallel-dag path runs;
         // its accounting model is its own, but the verdict and work
@@ -1337,17 +661,5 @@ mod tests {
         let pdag = crate::dag::run(&cnf, &trace, &config, &mut NullObserver).unwrap();
         assert_eq!(pdag.stats.clauses_built, bf.stats.clauses_built);
         assert_eq!(pdag.stats.resolutions, bf.stats.resolutions);
-    }
-
-    #[test]
-    fn portfolio_reports_worker_panics_as_internal_errors() {
-        // Both racers panic inside their strategy; each catches its own
-        // unwind, so the coordinator reports an internal error instead
-        // of the scope re-panicking at exit.
-        let (cnf, trace) = panicking_chain_trace(64, 16);
-        let err =
-            run_portfolio(&cnf, &trace, &CheckConfig::default(), &mut NullObserver).unwrap_err();
-        assert!(matches!(err, CheckError::WorkerPanic { .. }), "{err:?}");
-        assert_eq!(err.kind(), FailureKind::Internal);
     }
 }

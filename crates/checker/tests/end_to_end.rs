@@ -311,8 +311,7 @@ fn no_mmap_checks_are_bit_identical() {
     }
 
     for (strategy, job_counts) in [
-        (Strategy::ParallelBf, &[1usize, 2, 4][..]),
-        (Strategy::ParallelDag, &[1, 2, 4][..]),
+        (Strategy::ParallelDag, &[1usize, 2, 4][..]),
         (Strategy::DiskDepthFirst, &[1][..]),
     ] {
         let mut across_jobs: Option<(u64, u64, u64, u64)> = None;

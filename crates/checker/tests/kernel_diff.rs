@@ -1,6 +1,6 @@
 //! Differential tests for the mark-array resolution kernel against the
 //! sorted-merge oracle ([`resolve_sorted`]), plus end-to-end agreement
-//! of all seven checking strategies on the shared hot path.
+//! of all six checking strategies on the shared hot path.
 //!
 //! The kernel replaced the oracle inside every strategy; the oracle is
 //! deliberately kept (unchanged two-pointer merge) precisely so these
@@ -8,7 +8,7 @@
 //! paper's own validation idea applied to the checker itself.
 
 use rescheck_checker::{
-    check_unsat_claim, normalize_literals, resolve_sorted, CheckConfig, CheckOutcome, KernelMode,
+    check_unsat_claim, normalize_literals, resolve_sorted, CheckConfig, CheckOutcome,
     ResolutionKernel, Strategy,
 };
 use rescheck_cnf::{Cnf, Lit, SplitMix64};
@@ -39,54 +39,52 @@ fn random_clause(rng: &mut SplitMix64, max_vars: u32) -> Vec<Lit> {
 /// empty-clause steps all common rather than corner cases.
 #[test]
 fn kernel_matches_oracle_on_random_chains() {
-    for mode in [KernelMode::Swar, KernelMode::Scalar] {
-        let mut kernel = ResolutionKernel::with_mode(mode);
-        for seed in 0..CASES {
-            let mut rng = SplitMix64::new(seed);
-            let max_vars = rng.range_u32(2..7);
-            let steps = rng.range_usize(1..10);
-            let seed_clause = random_clause(&mut rng, max_vars);
-            let antecedents: Vec<Vec<Lit>> = (0..steps)
-                .map(|_| random_clause(&mut rng, max_vars))
-                .collect();
+    let mut kernel = ResolutionKernel::new();
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let max_vars = rng.range_u32(2..7);
+        let steps = rng.range_usize(1..10);
+        let seed_clause = random_clause(&mut rng, max_vars);
+        let antecedents: Vec<Vec<Lit>> = (0..steps)
+            .map(|_| random_clause(&mut rng, max_vars))
+            .collect();
 
-            let mut acc = seed_clause.clone();
-            kernel.begin(&seed_clause);
-            let mut oracle_failed = false;
-            for (step, ant) in antecedents.iter().enumerate() {
-                let oracle = resolve_sorted(&acc, ant);
-                let fast = kernel.fold(ant);
-                match (oracle, fast) {
-                    (Ok(resolvent), Ok(pivot)) => {
-                        // The oracle accepted, so exactly one variable
-                        // clashed; the kernel must name that same variable.
-                        assert!(
-                            acc.contains(&Lit::from_code(pivot.index() << 1))
-                                || acc.contains(&Lit::from_code(pivot.index() << 1 | 1)),
-                            "{mode:?} seed {seed} step {step}: pivot {pivot:?} not in accumulator"
-                        );
-                        acc = resolvent;
-                    }
-                    (Err(slow_failure), Err(fast_failure)) => {
-                        assert_eq!(
-                            slow_failure.clashing_vars, fast_failure.clashing_vars,
-                            "{mode:?} seed {seed} step {step}: failure diagnostics diverge"
-                        );
-                        oracle_failed = true;
-                        break;
-                    }
-                    (oracle, fast) => panic!(
-                        "{mode:?} seed {seed} step {step}: oracle {oracle:?} vs kernel {fast:?} disagree on validity"
-                    ),
+        let mut acc = seed_clause.clone();
+        kernel.begin(&seed_clause);
+        let mut oracle_failed = false;
+        for (step, ant) in antecedents.iter().enumerate() {
+            let oracle = resolve_sorted(&acc, ant);
+            let fast = kernel.fold(ant);
+            match (oracle, fast) {
+                (Ok(resolvent), Ok(pivot)) => {
+                    // The oracle accepted, so exactly one variable
+                    // clashed; the kernel must name that same variable.
+                    assert!(
+                        acc.contains(&Lit::from_code(pivot.index() << 1))
+                            || acc.contains(&Lit::from_code(pivot.index() << 1 | 1)),
+                        "seed {seed} step {step}: pivot {pivot:?} not in accumulator"
+                    );
+                    acc = resolvent;
                 }
+                (Err(slow_failure), Err(fast_failure)) => {
+                    assert_eq!(
+                        slow_failure.clashing_vars, fast_failure.clashing_vars,
+                        "seed {seed} step {step}: failure diagnostics diverge"
+                    );
+                    oracle_failed = true;
+                    break;
+                }
+                (oracle, fast) => panic!(
+                    "seed {seed} step {step}: oracle {oracle:?} vs kernel {fast:?} disagree on validity"
+                ),
             }
-            if !oracle_failed {
-                assert_eq!(
-                    kernel.finish(),
-                    acc.as_slice(),
-                    "{mode:?} seed {seed}: final resolvents diverge"
-                );
-            }
+        }
+        if !oracle_failed {
+            assert_eq!(
+                kernel.finish(),
+                acc.as_slice(),
+                "seed {seed}: final resolvents diverge"
+            );
         }
     }
 }
@@ -112,22 +110,20 @@ fn kernel_failure_diagnostics_match_the_oracle_exactly() {
         (&[1, -1], &[1, -1]),        // both tautological: both pair, no clash
         (&[1, -1, 2], &[-1, -2]),    // tautology plus a genuine second clash
     ];
-    for mode in [KernelMode::Swar, KernelMode::Scalar] {
-        let mut kernel = ResolutionKernel::with_mode(mode);
-        for (i, (acc, ant)) in cases.iter().enumerate() {
-            let acc = clause(acc);
-            let ant = clause(ant);
-            let oracle = resolve_sorted(&acc, &ant);
-            kernel.begin(&acc);
-            match (oracle, kernel.fold(&ant)) {
-                (Ok(resolvent), Ok(_)) => {
-                    assert_eq!(kernel.finish(), resolvent.as_slice(), "{mode:?} case {i}");
-                }
-                (Err(slow), Err(fast)) => {
-                    assert_eq!(slow.clashing_vars, fast.clashing_vars, "{mode:?} case {i}");
-                }
-                (oracle, fast) => panic!("{mode:?} case {i}: oracle {oracle:?} vs kernel {fast:?}"),
+    let mut kernel = ResolutionKernel::new();
+    for (i, (acc, ant)) in cases.iter().enumerate() {
+        let acc = clause(acc);
+        let ant = clause(ant);
+        let oracle = resolve_sorted(&acc, &ant);
+        kernel.begin(&acc);
+        match (oracle, kernel.fold(&ant)) {
+            (Ok(resolvent), Ok(_)) => {
+                assert_eq!(kernel.finish(), resolvent.as_slice(), "case {i}");
             }
+            (Err(slow), Err(fast)) => {
+                assert_eq!(slow.clashing_vars, fast.clashing_vars, "case {i}");
+            }
+            (oracle, fast) => panic!("case {i}: oracle {oracle:?} vs kernel {fast:?}"),
         }
     }
 }
@@ -179,14 +175,14 @@ fn solved(seed: u64) -> Option<(Cnf, MemorySink)> {
         .then_some((cnf, sink))
 }
 
-/// All seven strategies accept the same traces with consistent counters
+/// All six strategies accept the same traces with consistent counters
 /// on the shared kernel/arena hot path: depth-first, its disk-backed
-/// variant and hybrid verify the same needed subset, breadth-first,
-/// parallel breadth-first and the parallel-dag executor verify the full
-/// trace with matching work counters, and breadth-first builds every
-/// learned clause.
+/// variant, the portfolio and hybrid verify the same needed subset,
+/// breadth-first and the parallel-dag executor verify the full trace
+/// with matching work counters, and breadth-first builds every learned
+/// clause.
 #[test]
-fn seven_strategies_agree_end_to_end() {
+fn six_strategies_agree_end_to_end() {
     let mut fixtures: Vec<(Cnf, MemorySink)> = vec![chain(64), chain(300)];
     fixtures.extend((0..32).filter_map(solved).take(6));
     assert!(fixtures.len() > 2, "no solver fixture went UNSAT");
@@ -207,25 +203,34 @@ fn seven_strategies_agree_end_to_end() {
         let bf = run(Strategy::BreadthFirst);
         let hybrid = run(Strategy::Hybrid);
         let portfolio = run(Strategy::Portfolio);
-        let pbf = run(Strategy::ParallelBf);
         let dfd = run(Strategy::DiskDepthFirst);
         let pdag = run(Strategy::ParallelDag);
 
         // The disk-backed depth-first walk is the same traversal as the
-        // in-memory one: bit-identical work counters and the same core.
+        // in-memory one, and without a budget the portfolio never leaves
+        // it: bit-identical work counters and the same core.
+        for outcome in [&dfd, &portfolio] {
+            assert_eq!(
+                outcome.stats.clauses_built, df.stats.clauses_built,
+                "fixture {f}"
+            );
+            assert_eq!(
+                outcome.stats.resolutions, df.stats.resolutions,
+                "fixture {f}"
+            );
+            assert_eq!(
+                outcome.core.as_ref().map(|c| &c.clause_ids),
+                df.core.as_ref().map(|c| &c.clause_ids),
+                "fixture {f}"
+            );
+        }
         assert_eq!(
-            dfd.stats.clauses_built, df.stats.clauses_built,
-            "fixture {f}"
-        );
-        assert_eq!(dfd.stats.resolutions, df.stats.resolutions, "fixture {f}");
-        assert_eq!(
-            dfd.core.as_ref().map(|c| &c.clause_ids),
-            df.core.as_ref().map(|c| &c.clause_ids),
+            portfolio.stats.peak_memory_bytes, dfd.stats.peak_memory_bytes,
             "fixture {f}"
         );
 
         // Everyone sees the same trace.
-        for outcome in [&bf, &hybrid, &portfolio, &pbf, &dfd, &pdag] {
+        for outcome in [&bf, &hybrid, &portfolio, &dfd, &pdag] {
             assert_eq!(
                 outcome.stats.learned_in_trace, df.stats.learned_in_trace,
                 "fixture {f}"
@@ -240,19 +245,9 @@ fn seven_strategies_agree_end_to_end() {
             df.stats.resolutions, hybrid.stats.resolutions,
             "fixture {f}"
         );
-        // BF builds every learned clause, and the parallel variant is
-        // bit-identical to it (same per-event code path).
+        // BF builds every learned clause.
         assert_eq!(
             bf.stats.clauses_built, bf.stats.learned_in_trace,
-            "fixture {f}"
-        );
-        assert_eq!(
-            pbf.stats.clauses_built, bf.stats.clauses_built,
-            "fixture {f}"
-        );
-        assert_eq!(pbf.stats.resolutions, bf.stats.resolutions, "fixture {f}");
-        assert_eq!(
-            pbf.stats.peak_memory_bytes, bf.stats.peak_memory_bytes,
             "fixture {f}"
         );
         // The parallel-dag executor verifies the same full trace as
@@ -264,12 +259,6 @@ fn seven_strategies_agree_end_to_end() {
             "fixture {f}"
         );
         assert_eq!(pdag.stats.resolutions, bf.stats.resolutions, "fixture {f}");
-        // The portfolio's winner is one of its racers.
-        assert!(
-            portfolio.stats.resolutions == df.stats.resolutions
-                || portfolio.stats.resolutions == bf.stats.resolutions,
-            "fixture {f}"
-        );
     }
 }
 

@@ -19,16 +19,16 @@ const CASES: u64 = if cfg!(feature = "heavy-tests") {
 };
 
 /// Every checking strategy, the parallel and disk-backed ones included:
-/// anything the sequential checkers must survive, the racing portfolio,
-/// the sharded breadth-first checker and the disk-backed depth-first
-/// checker must survive too.
+/// anything the sequential checkers must survive, the portfolio, the
+/// parallel-dag executor and the disk-backed depth-first checker must
+/// survive too.
 const ALL_STRATEGIES: [CheckStrategy; 6] = [
     CheckStrategy::DepthFirst,
     CheckStrategy::BreadthFirst,
     CheckStrategy::Hybrid,
     CheckStrategy::Portfolio,
-    CheckStrategy::ParallelBf,
     CheckStrategy::DiskDepthFirst,
+    CheckStrategy::ParallelDag,
 ];
 
 fn pigeonhole(holes: usize) -> Cnf {
@@ -266,12 +266,12 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
     }
 }
 
-/// Repeated portfolio runs must not accumulate threads: the scoped
-/// racers are joined before `check_unsat_claim` returns, winner and
-/// cancelled loser alike. Best-effort (needs procfs); a systematic leak
-/// of two racers per call would trip the slack immediately.
+/// Repeated parallel-dag runs must not accumulate threads: the scoped
+/// executor workers are joined before `check_unsat_claim` returns.
+/// Best-effort (needs procfs); a systematic leak of even one worker per
+/// call would trip the slack immediately.
 #[test]
-fn portfolio_cancellation_leaks_no_threads() {
+fn parallel_dag_leaks_no_threads() {
     let thread_count = || -> Option<usize> {
         std::fs::read_to_string("/proc/self/status")
             .ok()?
@@ -286,21 +286,20 @@ fn portfolio_cancellation_leaks_no_threads() {
     let Some(before) = thread_count() else {
         return;
     };
+    let config = CheckConfig {
+        jobs: 4,
+        parallel_min_learned: 0,
+        ..CheckConfig::default()
+    };
     let runs = 16;
     for _ in 0..runs {
-        check_unsat_claim(
-            &cnf,
-            &events,
-            CheckStrategy::Portfolio,
-            &CheckConfig::default(),
-        )
-        .unwrap();
+        check_unsat_claim(&cnf, &events, CheckStrategy::ParallelDag, &config).unwrap();
     }
     let after = thread_count().unwrap();
-    // 2 racers per run would mean +32 on a leak; allow noise from
+    // A leaked worker per run would mean at least +16; allow noise from
     // concurrently running tests.
     assert!(
         after < before + runs,
-        "portfolio leaked threads: {before} -> {after}"
+        "parallel-dag leaked threads: {before} -> {after}"
     );
 }

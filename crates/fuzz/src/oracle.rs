@@ -7,7 +7,7 @@
 //!    ([`rescheck_checker::check_sat_claim`]), and — on small instances —
 //!    agree with brute-force ground truth and any status known by
 //!    construction.
-//! 2. **UNSAT answers** must be accepted by *all seven* checking
+//! 2. **UNSAT answers** must be accepted by *all six* checking
 //!    strategies with class-identical statistics
 //!    ([`rescheck_checker::agreement::verify_valid_agreement`]), again
 //!    cross-checked against ground truth where available.
@@ -40,9 +40,8 @@ use std::fmt;
 use std::io::Cursor;
 
 /// The checker configuration the oracle matrix runs under: a fixed
-/// worker count and no small-trace fallback, so the sharded pass-1 and
-/// the parallel-dag executor are exercised even on the tiny traces
-/// fuzzing produces.
+/// worker count and no small-trace fallback, so the parallel-dag
+/// executor is exercised even on the tiny traces fuzzing produces.
 fn oracle_config() -> CheckConfig {
     CheckConfig {
         jobs: 3,
@@ -95,7 +94,7 @@ pub enum FindingKind {
     /// The solver's verdict contradicts ground truth (brute force on
     /// small instances, or a status known by construction).
     GroundTruthMismatch,
-    /// The seven checking strategies disagreed on a pristine solver
+    /// The six checking strategies disagreed on a pristine solver
     /// trace.
     StrategyDisagreement,
     /// A mutated trace broke a checker invariant (panic, misclassified
@@ -190,7 +189,7 @@ pub struct IterationCounters {
     pub unsat: u64,
     /// Conflict budget exhausted.
     pub unknown: u64,
-    /// Seven-strategy matrices run on pristine traces.
+    /// Six-strategy matrices run on pristine traces.
     pub matrices: u64,
     /// LRAT round trips (export → re-ingest → re-check) completed.
     pub roundtrips: u64,
@@ -351,7 +350,7 @@ pub fn run_iteration(iteration: u64, iter_seed: u64, cfg: &OracleConfig) -> Iter
                 }
             }
 
-            // Seven-way strategy matrix on the pristine trace.
+            // Six-way strategy matrix on the pristine trace.
             let mut matrix_note = String::new();
             if found.is_none() {
                 counters.matrices = 1;

@@ -1,7 +1,7 @@
 //! Proof-format interop for rescheck.
 //!
 //! The native evidence format is the *resolve trace* — an explicit
-//! resolution derivation the seven checking strategies replay clause by
+//! resolution derivation the six checking strategies replay clause by
 //! clause (Zhang & Malik, DATE 2003). The wider proof-checking
 //! ecosystem standardised on clausal formats instead: DRAT (clause
 //! additions and deletions, no justification) and LRAT (DRAT plus unit

@@ -4,7 +4,7 @@
 //! into a pipeline: a resolve trace exported to LRAT and re-ingested
 //! must describe the *same refutation* — the re-derived resolvents
 //! match the exported ones clause for clause — and the synthesized
-//! trace must satisfy all seven native checking strategies, unanimously.
+//! trace must satisfy all six native checking strategies, unanimously.
 
 use rescheck_checker::agreement::verify_synthesized_trace;
 use rescheck_checker::CheckConfig;

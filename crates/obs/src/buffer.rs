@@ -2,12 +2,12 @@
 //!
 //! [`Event`] borrows its string fields, so it cannot be sent between
 //! threads or stored beyond the `observe` call. Parallel code (the
-//! checking portfolio, the sharded breadth-first passes) instead gives
-//! each worker its own [`EventBuffer`] — an owned, `Send` recording of
-//! everything the worker emitted — and replays the buffers into the real
-//! observer on the coordinating thread once the workers are joined,
-//! tagging every replayed event with the worker's id so downstream
-//! consumers can tell the streams apart.
+//! parallel-dag pass-1 shard decoders and executor workers) instead
+//! gives each worker its own [`EventBuffer`] — an owned, `Send`
+//! recording of everything the worker emitted — and replays the buffers
+//! into the real observer on the coordinating thread once the workers
+//! are joined, prefixing every replayed name with the worker's id so
+//! downstream consumers can tell the streams apart.
 
 use crate::observer::{Event, Level, Observer};
 use std::time::Duration;
@@ -215,26 +215,6 @@ impl OwnedEvent {
     }
 }
 
-/// How replayed names are rewritten.
-enum Naming<'t> {
-    /// Names pass through unchanged.
-    Plain,
-    /// `"{tag}:{name}"`.
-    Tagged(&'t str),
-    /// `"{prefix}{name}"` — the caller supplies its own separator.
-    Prefixed(&'t str),
-}
-
-impl Naming<'_> {
-    fn apply(&self, name: &str) -> String {
-        match self {
-            Naming::Plain => name.to_string(),
-            Naming::Tagged(tag) => format!("{tag}:{name}"),
-            Naming::Prefixed(prefix) => format!("{prefix}{name}"),
-        }
-    }
-}
-
 /// A `Send` observer that records owned copies of the events it sees,
 /// for later replay on another thread.
 ///
@@ -247,10 +227,10 @@ impl Naming<'_> {
 /// let mut buffer = EventBuffer::new();
 /// buffer.observe(&Event::GaugeSet { name: "check.resolutions", value: 42.0 });
 ///
-/// // …and the coordinator replays it, tagged with the worker id.
+/// // …and the coordinator replays it under the worker's namespace.
 /// let mut sink = MetricsSink::new();
-/// buffer.replay_tagged("bf", &mut sink);
-/// assert_eq!(sink.registry().gauge("bf:check.resolutions"), Some(42.0));
+/// buffer.replay_prefixed("check.worker.0.", &mut sink);
+/// assert_eq!(sink.registry().gauge("check.worker.0.check.resolutions"), Some(42.0));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventBuffer {
@@ -275,35 +255,27 @@ impl EventBuffer {
 
     /// Replays every buffered event into `obs` unchanged.
     pub fn replay(&self, obs: &mut dyn Observer) {
-        self.replay_inner(&Naming::Plain, obs);
+        self.replay_prefixed("", obs);
     }
 
     /// Replays every buffered event into `obs`, prefixing phase,
-    /// counter, gauge, histogram and span names with `"{tag}:"` so
-    /// events from different workers stay distinguishable.
-    pub fn replay_tagged(&self, tag: &str, obs: &mut dyn Observer) {
-        self.replay_inner(&Naming::Tagged(tag), obs);
-    }
-
-    /// Replays with a literal name prefix (the caller includes its own
-    /// separator): `replay_prefixed("check.worker.0.", obs)` turns a
-    /// buffered `pass1.events` into `check.worker.0.pass1.events` —
-    /// the dotted per-worker attribution namespace.
+    /// counter, gauge, histogram and span names with a literal prefix
+    /// (the caller includes its own separator):
+    /// `replay_prefixed("check.worker.0.", obs)` turns a buffered
+    /// `pass1.events` into `check.worker.0.pass1.events` — the dotted
+    /// per-worker attribution namespace.
     pub fn replay_prefixed(&self, prefix: &str, obs: &mut dyn Observer) {
-        self.replay_inner(&Naming::Prefixed(prefix), obs);
-    }
-
-    fn replay_inner(&self, naming: &Naming<'_>, obs: &mut dyn Observer) {
+        let apply = |name: &str| format!("{prefix}{name}");
         for event in &self.events {
             match event {
                 OwnedEvent::PhaseStarted { phase } => {
                     obs.observe(&Event::PhaseStarted {
-                        phase: &naming.apply(phase),
+                        phase: &apply(phase),
                     });
                 }
                 OwnedEvent::PhaseFinished { phase, wall } => {
                     obs.observe(&Event::PhaseFinished {
-                        phase: &naming.apply(phase),
+                        phase: &apply(phase),
                         wall: *wall,
                     });
                 }
@@ -311,31 +283,31 @@ impl EventBuffer {
                     obs.observe(&Event::SpanStarted {
                         id: *id,
                         parent: *parent,
-                        name: &naming.apply(name),
+                        name: &apply(name),
                     });
                 }
                 OwnedEvent::SpanFinished { id, name, wall } => {
                     obs.observe(&Event::SpanFinished {
                         id: *id,
-                        name: &naming.apply(name),
+                        name: &apply(name),
                         wall: *wall,
                     });
                 }
                 OwnedEvent::CounterAdd { name, delta } => {
                     obs.observe(&Event::CounterAdd {
-                        name: &naming.apply(name),
+                        name: &apply(name),
                         delta: *delta,
                     });
                 }
                 OwnedEvent::GaugeSet { name, value } => {
                     obs.observe(&Event::GaugeSet {
-                        name: &naming.apply(name),
+                        name: &apply(name),
                         value: *value,
                     });
                 }
                 OwnedEvent::HistRecord { name, value } => {
                     obs.observe(&Event::HistRecord {
-                        name: &naming.apply(name),
+                        name: &apply(name),
                         value: *value,
                     });
                 }
@@ -346,7 +318,7 @@ impl EventBuffer {
                     detail,
                 } => {
                     obs.observe(&Event::Progress {
-                        phase: &naming.apply(phase),
+                        phase: &apply(phase),
                         done: *done,
                         unit,
                         detail: detail.as_deref(),
@@ -491,24 +463,6 @@ mod tests {
                 delta: 1
             }
         );
-    }
-
-    #[test]
-    fn tagging_prefixes_names() {
-        let mut buf = EventBuffer::new();
-        buf.observe(&Event::CounterAdd {
-            name: "c",
-            delta: 1,
-        });
-        buf.observe(&Event::PhaseFinished {
-            phase: "check:pass1",
-            wall: Duration::from_millis(1),
-        });
-        let mut sink = MetricsSink::new();
-        buf.replay_tagged("w0", &mut sink);
-        assert_eq!(sink.registry().counter("w0:c"), Some(1));
-        assert!(sink.registry().phase_seconds("w0:check:pass1").is_some());
-        assert_eq!(sink.registry().counter("c"), None);
     }
 
     #[test]

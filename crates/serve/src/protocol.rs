@@ -18,11 +18,11 @@
 //! | `trace`        | inline ASCII resolve trace (UNSAT claim)                 |
 //! | `trace_path`   | path to a trace file (ASCII or binary, sniffed)          |
 //! | `model`        | array of DIMACS literals (SAT claim)                     |
-//! | `strategy`     | `df` `bf` `hybrid` `portfolio` `pbf` `pdag` `dfd` (default `df`)|
+//! | `strategy`     | `df` `bf` `hybrid` `portfolio` `pdag` `dfd` (default `df`) |
 //! | `proof_format` | `native` (default) `drat` `drup` `lrat` — how to read the trace payload |
 //! | `memory_bytes` | per-job accounted-memory cap                             |
 //! | `timeout_ms`   | per-job wall-clock deadline                              |
-//! | `jobs`         | inner worker threads for `pbf`/`pdag` (default 1)        |
+//! | `jobs`         | inner worker threads for `pdag` (default 1)              |
 //! | `inject`       | chaos hook: `panic` or `sleep:<ms>` (tests, drills)      |
 //!
 //! Exactly one of `trace` / `trace_path` / `model` selects the claim.
@@ -104,7 +104,7 @@ pub struct JobSpec {
     pub memory_bytes: Option<u64>,
     /// Per-job wall-clock deadline; `None` = the daemon default.
     pub timeout_ms: Option<u64>,
-    /// Inner worker threads (only `pbf` and `pdag` use more than one).
+    /// Inner worker threads (only `pdag` uses more than one).
     pub inner_jobs: usize,
     /// How to read UNSAT evidence: `None` = native resolve trace,
     /// `Some` = a clausal proof ingested into a synthetic trace first.
@@ -146,15 +146,16 @@ impl FrameError {
 }
 
 /// Maps the CLI's strategy names (the serve protocol reuses them
-/// verbatim) to [`Strategy`].
+/// verbatim) to [`Strategy`]. `pbf` / `parallel-bf` name the retired
+/// parallel breadth-first strategy and run parallel-dag, which verifies
+/// the same clauses with the same work counters.
 pub fn parse_strategy(name: &str) -> Option<Strategy> {
     match name {
         "df" | "depth-first" => Some(Strategy::DepthFirst),
         "bf" | "breadth-first" => Some(Strategy::BreadthFirst),
         "hybrid" => Some(Strategy::Hybrid),
         "portfolio" => Some(Strategy::Portfolio),
-        "pbf" | "parallel-bf" => Some(Strategy::ParallelBf),
-        "pdag" | "parallel-dag" => Some(Strategy::ParallelDag),
+        "pdag" | "parallel-dag" | "pbf" | "parallel-bf" => Some(Strategy::ParallelDag),
         "dfd" | "disk-df" => Some(Strategy::DiskDepthFirst),
         _ => None,
     }
@@ -406,8 +407,8 @@ mod tests {
             ("bf", Strategy::BreadthFirst),
             ("hybrid", Strategy::Hybrid),
             ("portfolio", Strategy::Portfolio),
-            ("pbf", Strategy::ParallelBf),
-            ("parallel-bf", Strategy::ParallelBf),
+            ("pbf", Strategy::ParallelDag),
+            ("parallel-bf", Strategy::ParallelDag),
             ("pdag", Strategy::ParallelDag),
             ("parallel-dag", Strategy::ParallelDag),
             ("dfd", Strategy::DiskDepthFirst),

@@ -1,4 +1,4 @@
-//! The acceptance campaign: a 100-job mixed workload through
+//! The acceptance campaign: a 115-job mixed workload through
 //! `rescheck serve` must match one-shot checking bit-for-bit (same
 //! statuses, same stats), and must do so identically whether the daemon
 //! runs one worker or four.
@@ -15,13 +15,14 @@ use rescheck_trace::{read_all, MemorySink, TraceFormat};
 use std::collections::BTreeMap;
 use std::io::Cursor;
 
-/// Deterministic strategies only: portfolio races two threads and its
-/// reported stats depend on which racer wins.
-const STRATEGIES: [(&str, Strategy); 5] = [
+/// Every strategy: each one's verdict and stats are a pure function of
+/// the claim and its budget.
+const STRATEGIES: [(&str, Strategy); 6] = [
     ("df", Strategy::DepthFirst),
     ("bf", Strategy::BreadthFirst),
     ("hybrid", Strategy::Hybrid),
-    ("pbf", Strategy::ParallelBf),
+    ("portfolio", Strategy::Portfolio),
+    ("pdag", Strategy::ParallelDag),
     ("dfd", Strategy::DiskDepthFirst),
 ];
 
@@ -136,9 +137,9 @@ fn sat_case(id: String, cnf: &Cnf, cnf_str: &str, model: &[i64]) -> Case {
     }
 }
 
-/// Builds the 100-job mixed campaign: valid UNSAT proofs across every
-/// deterministic strategy, defective proofs (formula/trace mismatches),
-/// valid and defective SAT models, and memory-starved jobs.
+/// Builds the 115-job mixed campaign: valid UNSAT proofs across every
+/// strategy, defective proofs (formula/trace mismatches), valid and
+/// defective SAT models, and memory-starved jobs.
 fn build_campaign() -> Vec<Case> {
     let formulas: Vec<(String, Cnf)> = vec![
         ("php2".into(), pigeonhole(2)),
@@ -157,7 +158,7 @@ fn build_campaign() -> Vec<Case> {
 
     let mut cases = Vec::new();
 
-    // 40 valid UNSAT: 4 formulas × 5 strategies × 2 rounds (the repeat
+    // 48 valid UNSAT: 4 formulas × 6 strategies × 2 rounds (the repeat
     // round exercises warm formula-cache + scratch reuse paths).
     for round in 0..2 {
         for (name, cnf, text, trace) in &prepared {
@@ -175,7 +176,7 @@ fn build_campaign() -> Vec<Case> {
         }
     }
 
-    // 20 proof defects: each formula checked against the next formula's
+    // 24 proof defects: each formula checked against the next formula's
     // trace — ids resolve, resolutions do not.
     for (i, (name, cnf, text, _)) in prepared.iter().enumerate() {
         let wrong_trace = &prepared[(i + 1) % prepared.len()].3;
@@ -192,7 +193,7 @@ fn build_campaign() -> Vec<Case> {
         }
     }
 
-    // 15 memory-starved: 64 bytes is below any real clause budget.
+    // 18 memory-starved: 64 bytes is below any real clause budget.
     for (name, cnf, text, trace) in prepared.iter().take(3) {
         for (sname, strategy) in STRATEGIES {
             cases.push(unsat_case(
@@ -226,7 +227,7 @@ fn build_campaign() -> Vec<Case> {
         cases.push(sat_case(format!("badmodel-{k}"), &cnf, &text, &model));
     }
 
-    assert_eq!(cases.len(), 100);
+    assert_eq!(cases.len(), 115);
     cases
 }
 

@@ -62,7 +62,6 @@ mod map;
 pub mod mutate;
 mod random;
 mod sink;
-mod snapshot;
 mod source;
 pub mod varint;
 
@@ -74,5 +73,4 @@ pub use map::{no_mmap_requested, BlockIndex, ShardRange, TraceMap, NO_MMAP_ENV};
 pub use mutate::{Mutation, ALL_MUTATIONS};
 pub use random::{OffsetEventsIter, RandomAccessTrace, TraceCursor};
 pub use sink::{CountingSink, MemorySink, NullSink, TeeSink, TraceSink};
-pub use snapshot::{TraceChunk, TraceSnapshot};
 pub use source::{collect_events, read_all, FileTrace, ReadTraceError, TraceFormat, TraceSource};

@@ -4,7 +4,7 @@
 //! ```text
 //! rescheck solve <file.cnf> [--trace <out>] [--binary] [--no-learning]
 //!                [--no-deletion] [--no-restarts]
-//! rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pbf|pdag]
+//! rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pdag]
 //!                [--mem-limit <bytes>] [--jobs <n>]
 //!                [--proof-format native|drat|drup|lrat]
 //! rescheck export <file.cnf> <trace> [--out <proof.lrat>] [--binary]
@@ -70,20 +70,20 @@ rescheck — validate SAT solver results with a resolution-based checker
 USAGE:
   rescheck solve <file.cnf> [--trace <out>] [--binary]
                  [--no-learning] [--no-deletion] [--no-restarts]
-  rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pbf|pdag]
+  rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pdag]
                  [--mem-limit <bytes>] [--jobs <n>] [--no-mmap]
                  (pass `-` as <trace> to read the trace from stdin,
                  ASCII or binary, sniffed by magic)
                  (dfd is depth-first with the trace left on disk — same
                  verdict, core and resolution stats as df under a far
-                 smaller memory budget; portfolio races df against bf on
-                 two threads; pbf is breadth-first with <n> counting
-                 workers and a pipelined resolution pass; pdag schedules
-                 the resolution pass itself as a dependency DAG across
-                 <n> work-stealing workers with bit-identical stats for
-                 any worker count — --jobs 0 = auto)
+                 smaller memory budget; portfolio runs dfd and, only if
+                 it runs out of memory, bf; pdag verifies what bf does
+                 but schedules the resolution pass as a dependency DAG
+                 across <n> work-stealing workers with bit-identical
+                 stats for any worker count — --jobs 0 = auto; pbf and
+                 parallel-bf are accepted as names for pdag)
                  (binary file traces are memory-mapped and decoded in
-                 place by dfd/pbf/pdag; --no-mmap, or RESCHECK_NO_MMAP=1
+                 place by dfd/pdag; --no-mmap, or RESCHECK_NO_MMAP=1
                  in the environment, swaps the mapping for a buffered
                  read of the whole file — verdict and every stat are
                  bit-identical either way)
@@ -117,7 +117,7 @@ USAGE:
                  [--max-findings <k>] [--artifacts <dir>] [--quiet]
                  [--inject reject-valid|accept-mutants]
                  (deterministic differential fuzzing: every iteration
-                 solves a seeded random instance, cross-validates all seven
+                 solves a seeded random instance, cross-validates all six
                  check strategies, verifies SAT models, and feeds
                  corrupted traces to the checker; disagreements are
                  delta-debugged to a minimal repro under --artifacts.
@@ -425,19 +425,11 @@ fn cmd_check(rest: &[String]) -> CliResult {
     use rescheck::checker::check_unsat_claim_observed;
     let mut args = rest.to_vec();
     let mut obs = CliObserver::from_args(&mut args)?;
-    let strategy = match take_opt(&mut args, "--strategy")?.as_deref() {
-        None | Some("df") => Strategy::DepthFirst,
-        Some("bf") => Strategy::BreadthFirst,
-        Some("hybrid") => Strategy::Hybrid,
-        Some("portfolio") => Strategy::Portfolio,
-        Some("pbf" | "parallel-bf") => Strategy::ParallelBf,
-        Some("pdag" | "parallel-dag") => Strategy::ParallelDag,
-        Some("dfd" | "disk-df") => Strategy::DiskDepthFirst,
-        Some(other) => {
-            return Err(
-                format!("unknown strategy {other:?} (df|bf|dfd|hybrid|portfolio|pbf|pdag)").into(),
-            )
-        }
+    let strategy = match take_opt(&mut args, "--strategy")? {
+        None => Strategy::DepthFirst,
+        Some(name) => rescheck_serve::protocol::parse_strategy(&name).ok_or_else(|| {
+            format!("unknown strategy {name:?} (df|bf|dfd|hybrid|portfolio|pdag)")
+        })?,
     };
     let memory_limit = take_opt(&mut args, "--mem-limit")?
         .map(|s| s.parse::<u64>())

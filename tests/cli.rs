@@ -109,40 +109,40 @@ fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
         .unwrap();
     assert_eq!(st.code(), Some(20));
 
-    // Both parallel strategies validate the genuine proof.
-    for strategy in ["portfolio", "pbf"] {
+    // The stats line without its trailing wall-clock figure.
+    let stats_line = |strategy: &str, jobs: &str| -> String {
         let out = bin()
             .arg("check")
             .arg(&cnf_path)
             .arg(&trace_path)
-            .args(["--strategy", strategy, "--jobs", "4"])
+            .args(["--strategy", strategy, "--jobs", jobs])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{strategy}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("VALID UNSAT proof"));
-    }
-
-    // The sharded breadth-first checker reports identical statistics
-    // regardless of the worker count (runtime excluded, of course).
-    let stats_line = |jobs: &str| -> String {
-        let out = bin()
-            .arg("check")
-            .arg(&cnf_path)
-            .arg(&trace_path)
-            .args(["--strategy", "pbf", "--jobs", jobs])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(0), "--jobs {jobs}");
+        assert_eq!(out.status.code(), Some(0), "{strategy} --jobs {jobs}");
         let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(text.contains("VALID UNSAT proof"), "{text}");
         let line = text
             .lines()
-            .find(|l| l.starts_with("parallel-bf:"))
+            .find(|l| l.contains(": built "))
             .unwrap_or_else(|| panic!("no stats line in {text}"))
             .to_string();
-        // Drop the trailing wall-clock figure.
         line.rsplit_once(',').unwrap().0.to_string()
     };
-    assert_eq!(stats_line("1"), stats_line("4"));
+
+    // Without a budget the portfolio is disk-backed depth-first.
+    assert_eq!(
+        stats_line("portfolio", "4").replacen("portfolio:", "disk-depth-first:", 1),
+        stats_line("dfd", "4")
+    );
+    // `pbf` and `parallel-bf` are names for parallel-dag, whose stats do
+    // not depend on the worker count.
+    let pdag = stats_line("pdag", "1");
+    assert!(pdag.starts_with("parallel-dag:"), "{pdag}");
+    for strategy in ["pdag", "pbf", "parallel-bf"] {
+        for jobs in ["1", "4"] {
+            assert_eq!(stats_line(strategy, jobs), pdag, "{strategy} --jobs {jobs}");
+        }
+    }
 }
 
 #[test]
@@ -569,7 +569,7 @@ fn failed_check_dumps_a_flight_recording() {
 fn parallel_check_attributes_per_worker_metrics() {
     let dir = tmp_dir("worker-metrics");
     let cnf_path = dir.join("w.cnf");
-    let trace_path = dir.join("w.rt");
+    let trace_path = dir.join("w.rtb");
     let metrics_path = dir.join("w.json");
     let out = bin().args(["gen", "pigeonhole", "7"]).output().unwrap();
     std::fs::write(&cnf_path, out.stdout).unwrap();
@@ -578,13 +578,14 @@ fn parallel_check_attributes_per_worker_metrics() {
         .arg(&cnf_path)
         .arg("--trace")
         .arg(&trace_path)
+        .arg("--binary")
         .status()
         .unwrap();
     let st = bin()
         .arg("check")
         .arg(&cnf_path)
         .arg(&trace_path)
-        .args(["--strategy", "pbf", "--jobs", "4"])
+        .args(["--strategy", "pdag", "--jobs", "4"])
         .arg("--metrics-out")
         .arg(&metrics_path)
         .status()
@@ -592,20 +593,31 @@ fn parallel_check_attributes_per_worker_metrics() {
     assert_eq!(st.code(), Some(0));
     let text = std::fs::read_to_string(&metrics_path).unwrap();
     let doc = rescheck_obs::json::parse(&text).unwrap();
-    let hists = doc.path("histograms").expect("histograms section");
-    let wall_count = hists
-        .get("check.pass1.worker_wall_us")
-        .and_then(|h| h.get("count"))
-        .and_then(|j| j.as_u64())
-        .unwrap_or_else(|| panic!("missing worker wall histogram: {text}"));
-    assert_eq!(wall_count, 4, "one wall-time sample per worker");
-    for w in 0..4 {
-        assert!(
-            doc.path("gauges")
-                .and_then(|g| g.get(&format!("check.worker.{w}.pass1.events")))
-                .is_some(),
-            "missing per-worker gauge for worker {w}: {text}"
-        );
+    let gauge = |name: &str| -> u64 {
+        doc.path("gauges")
+            .and_then(|g| g.get(name))
+            .and_then(|j| j.as_f64())
+            .unwrap_or_else(|| panic!("missing gauge {name}: {text}")) as u64
+    };
+    let samples = |name: &str| -> u64 {
+        doc.path("histograms")
+            .and_then(|h| h.get(name))
+            .and_then(|h| h.get("count"))
+            .and_then(|j| j.as_u64())
+            .unwrap_or_else(|| panic!("missing histogram {name}: {text}"))
+    };
+    // `--jobs` is a cap: pdag runs at most one worker per core, and one
+    // resolved-count sample per executor worker.
+    let workers = gauge("check.jobs");
+    assert!((1..=4).contains(&workers), "{workers} workers");
+    assert_eq!(samples("check.executor.resolved_per_worker"), workers);
+    if workers > 1 {
+        // The mapped pass 1 decodes one shard per worker.
+        let shards = gauge("check.pass1.shards");
+        assert_eq!(samples("check.pass1.worker_wall_us"), shards);
+        for w in 0..shards {
+            gauge(&format!("check.worker.{w}.pass1.events"));
+        }
     }
 }
 
