@@ -463,7 +463,7 @@ mod tests {
     use super::*;
     use rescheck_cnf::Lit;
     use rescheck_solver::{Solver, SolverConfig};
-    use rescheck_trace::{MemorySink, TraceSink};
+    use rescheck_trace::{varint, BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink};
 
     fn unsat_fixture() -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
@@ -550,5 +550,109 @@ mod tests {
         let reports = run_all_strategies(&cnf, &sink, &CheckConfig::default());
         verify_valid_agreement(&reports).unwrap();
         verify_cross_consistency(&reports).unwrap();
+    }
+
+    /// Runs every strategy, checks the oracle's pairs, and returns the
+    /// one verdict all six must share.
+    fn unanimous<S: RandomAccessTrace + Sync + ?Sized>(
+        cnf: &Cnf,
+        trace: &S,
+        config: &CheckConfig,
+    ) -> String {
+        let reports = run_all_strategies(cnf, trace, config);
+        verify_cross_consistency(&reports).unwrap();
+        let verdict = reports[0].run.verdict();
+        for r in &reports {
+            assert_eq!(r.run.verdict(), verdict, "{}", r.strategy);
+        }
+        verdict
+    }
+
+    /// The verdict all six strategies share on a binary trace file, the
+    /// same with the mapping on and off.
+    fn unanimous_on_file(cnf: &Cnf, name: &str, bytes: &[u8]) -> String {
+        let dir = std::env::temp_dir().join("rescheck-agreement");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{name}-{}.rtb", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let verdicts = [false, true].map(|no_mmap| {
+            let config = CheckConfig {
+                no_mmap,
+                ..CheckConfig::default()
+            };
+            unanimous(cnf, &FileTrace::open(&path).unwrap(), &config)
+        });
+        std::fs::remove_file(&path).ok();
+        assert_eq!(verdicts[0], verdicts[1], "mmap vs buffered");
+        verdicts[0].clone()
+    }
+
+    fn binary(events: &[TraceEvent]) -> Vec<u8> {
+        let mut writer = BinaryWriter::new(Vec::new()).unwrap();
+        for event in events {
+            writer.event(event).unwrap();
+        }
+        writer.into_inner()
+    }
+
+    #[test]
+    fn duplicate_ids_report_the_first_error_in_trace_order() {
+        let (cnf, _) = unsat_fixture();
+        let learned = |id, sources: &[u64]| TraceEvent::Learned {
+            id,
+            sources: sources.to_vec(),
+        };
+        let x1 = TraceEvent::LevelZero {
+            lit: Lit::from_dimacs(1),
+            antecedent: 0,
+        };
+        let first_duplicate = "proof-defect: learned clause #7 is defined twice";
+        let cases = [
+            // #7 is redefined before #5 is.
+            vec![
+                learned(7, &[0, 1]),
+                learned(5, &[2, 3]),
+                learned(7, &[0, 1]),
+                learned(5, &[2, 3]),
+            ],
+            // The duplicate precedes a second level-0 record for x1.
+            vec![learned(7, &[0, 1]), learned(7, &[0, 1]), x1.clone(), x1],
+            // One record both redefines #7 and is short of sources.
+            vec![learned(7, &[0, 1]), learned(7, &[2])],
+        ];
+        for (i, events) in cases.iter().enumerate() {
+            assert_eq!(
+                unanimous(&cnf, events.as_slice(), &CheckConfig::default()),
+                first_duplicate
+            );
+            let on_file = unanimous_on_file(&cnf, &format!("duplicate-{i}"), &binary(events));
+            if i < 2 {
+                assert_eq!(on_file, first_duplicate);
+            } else {
+                // The binary decoders reject the short record before
+                // any strategy sees it.
+                assert!(
+                    on_file.ends_with("at least two resolve sources"),
+                    "{on_file}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_source_counts_get_one_diagnostic_on_every_path() {
+        let (cnf, _) = unsat_fixture();
+        // Learned #65535 with one source (0).
+        let one_source = b"RTB1\x01\xff\xff\x03\x01\x00";
+        assert_eq!(
+            unanimous_on_file(&cnf, "one-source", one_source),
+            "proof-defect: cannot read trace: learned clause needs at least two resolve sources"
+        );
+        let mut huge = b"RTB1\x01\x07".to_vec();
+        varint::write_u64(&mut huge, (1 << 32) + 1).unwrap();
+        assert_eq!(
+            unanimous_on_file(&cnf, "huge-count", &huge),
+            "proof-defect: cannot read trace: implausible resolve-source count"
+        );
     }
 }

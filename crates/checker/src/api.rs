@@ -47,19 +47,6 @@ pub struct CheckConfig {
     /// parallel. The estimate comes from the encoded trace size; an
     /// unsized trace source never falls back.
     pub parallel_min_learned: usize,
-    /// Cap in bytes on the cache of normalized *original* clauses kept by
-    /// the depth-first, hybrid and breadth-first final phases; `None` =
-    /// uncapped. The cache is charged to the memory meter either way, but
-    /// it only uses budget left over after required clauses — it evicts
-    /// (oldest first) rather than ever causing a memory-out.
-    pub original_cache_bytes: Option<u64>,
-    /// Cap in bytes on [`Strategy::DiskDepthFirst`]'s cache of fetched
-    /// resolve-source lists; `None` = uncapped. Same spare-budget
-    /// discipline as [`original_cache_bytes`]: charged to the meter,
-    /// FIFO-evicted under pressure, never the cause of a memory-out.
-    ///
-    /// [`original_cache_bytes`]: CheckConfig::original_cache_bytes
-    pub source_cache_bytes: Option<u64>,
     /// Request the buffered read-whole-file backing instead of `mmap`
     /// for file traces (the `--no-mmap` CLI flag; the
     /// `RESCHECK_NO_MMAP` environment variable has the same effect).
@@ -76,14 +63,12 @@ pub struct CheckConfig {
 }
 
 impl Default for CheckConfig {
-    /// Unlimited memory, automatic job count, uncapped caches, an inert
-    /// cancel flag, and the tuned small-trace fallback threshold.
+    /// Unlimited memory, automatic job count, an inert cancel flag, and
+    /// the tuned small-trace fallback threshold.
     fn default() -> Self {
         CheckConfig {
             memory_limit: None,
             jobs: 0,
-            original_cache_bytes: None,
-            source_cache_bytes: None,
             parallel_min_learned: 4096,
             no_mmap: false,
             cancel: CancelFlag::default(),
@@ -163,6 +148,8 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// fallback); the sharded mapped pass 1 additionally reports
 /// `check.pass1.shards`.
 ///
+/// It is [`check_unsat_claim_scoped`] on a fresh [`CheckScratch`].
+///
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
@@ -197,20 +184,7 @@ pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
     config: &CheckConfig,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
-    // Every strategy runs inside a named span, so the metrics span tree
-    // reads `<caller> > check:<strategy> > check:pass1/…`. The span is
-    // stopped on the error path too — flight dumps see it close.
-    let mut span = Span::start(span_name(strategy), obs);
-    let result = match strategy {
-        Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, obs),
-        Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, obs),
-        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => run_portfolio(cnf, trace, config, obs),
-        Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
-        Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
-    };
-    span.stop(obs);
-    result
+    check_unsat_claim_scoped(cnf, trace, strategy, config, &mut CheckScratch::new(), obs)
 }
 
 /// The per-strategy span every check runs inside.
@@ -233,18 +207,19 @@ fn run_portfolio<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
+    scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
     config.cancel.check()?;
-    let mut outcome = match crate::disk_df::run(cnf, trace, config, obs) {
+    let mut outcome = match crate::depth_first::run_disk(cnf, trace, config, scratch, obs) {
         Err(err @ CheckError::MemoryLimitExceeded { .. }) => {
             obs.observe(&Event::Message {
                 level: Level::Info,
                 text: &format!("portfolio: disk-depth-first {err}; falling back to breadth-first"),
             });
             config.cancel.check()?;
-            crate::breadth_first::run(cnf, trace, config, obs)
+            crate::breadth_first::run(cnf, trace, config, scratch, obs)
         }
         decided => decided,
     }?;
@@ -258,10 +233,11 @@ fn run_portfolio<S: RandomAccessTrace + ?Sized>(
 /// checks and want to reuse the kernel, arena and original-clause cache
 /// across jobs instead of rebuilding them per job.
 ///
-/// [`Strategy::DepthFirst`] and [`Strategy::BreadthFirst`] run against
-/// the provided [`CheckScratch`]; the other strategies build their own,
-/// exactly like [`check_unsat_claim_observed`] — passing a scratch is
-/// never wrong, just not always a speedup.
+/// Every sequential strategy ([`Strategy::DepthFirst`],
+/// [`Strategy::BreadthFirst`], [`Strategy::Hybrid`],
+/// [`Strategy::DiskDepthFirst`] and [`Strategy::Portfolio`]) runs on the
+/// provided [`CheckScratch`]; [`Strategy::ParallelDag`] keeps per-worker
+/// state of its own and ignores it.
 ///
 /// Reported stats and accounted memory are bit-identical to the
 /// unscoped entry point: reuse trades allocator work, never accounting.
@@ -279,15 +255,16 @@ pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
     scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
+    // Every strategy runs inside a named span, so the metrics span tree
+    // reads `<caller> > check:<strategy> > check:pass1/…`. The span is
+    // stopped on the error path too — flight dumps see it close.
     let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
-        Strategy::DepthFirst => crate::depth_first::run_scoped(cnf, trace, config, scratch, obs),
-        Strategy::BreadthFirst => {
-            crate::breadth_first::run_scoped(cnf, trace, config, scratch, obs)
-        }
-        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, obs),
-        Strategy::Portfolio => run_portfolio(cnf, trace, config, obs),
-        Strategy::DiskDepthFirst => crate::disk_df::run(cnf, trace, config, obs),
+        Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, scratch, obs),
+        Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, scratch, obs),
+        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, scratch, obs),
+        Strategy::Portfolio => run_portfolio(cnf, trace, config, scratch, obs),
+        Strategy::DiskDepthFirst => crate::depth_first::run_disk(cnf, trace, config, scratch, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
     span.stop(obs);
@@ -306,7 +283,13 @@ pub fn check_depth_first<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::depth_first::run(cnf, trace, config, &mut NullObserver)
+    crate::depth_first::run(
+        cnf,
+        trace,
+        config,
+        &mut CheckScratch::new(),
+        &mut NullObserver,
+    )
 }
 
 /// Validates an UNSAT claim with the breadth-first strategy (§3.3).
@@ -319,7 +302,13 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::breadth_first::run(cnf, trace, config, &mut NullObserver)
+    crate::breadth_first::run(
+        cnf,
+        trace,
+        config,
+        &mut CheckScratch::new(),
+        &mut NullObserver,
+    )
 }
 
 /// Validates an UNSAT claim with the hybrid (on-disk depth-first)
@@ -337,7 +326,13 @@ pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::hybrid::run(cnf, trace, config, &mut NullObserver)
+    crate::hybrid::run(
+        cnf,
+        trace,
+        config,
+        &mut CheckScratch::new(),
+        &mut NullObserver,
+    )
 }
 
 /// Validates an UNSAT claim with the disk-backed depth-first strategy:
@@ -345,7 +340,7 @@ pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
 /// a by-product) with the trace left on disk — one streaming pass builds
 /// a flat id → byte-offset index, and resolve-source lists are fetched
 /// through a trace cursor when the walk reaches them, with hot lists kept
-/// in a memory-accounted cache ([`CheckConfig::source_cache_bytes`]).
+/// in a memory-accounted cache.
 ///
 /// Produces bit-identical `clauses_built` / `resolutions` and the same
 /// unsat core as [`check_depth_first`], while the peak accounted memory
@@ -360,7 +355,13 @@ pub fn check_disk_depth_first<S: RandomAccessTrace + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::disk_df::run(cnf, trace, config, &mut NullObserver)
+    crate::depth_first::run_disk(
+        cnf,
+        trace,
+        config,
+        &mut CheckScratch::new(),
+        &mut NullObserver,
+    )
 }
 
 /// A SAT claim that does not hold.
@@ -453,6 +454,18 @@ mod tests {
         (cnf, sink)
     }
 
+    /// One byte short of the tightest budget disk-backed depth-first
+    /// passes under: its caches have given everything back there, so
+    /// what does not fit is its index and clauses.
+    fn just_below_dfd(cnf: &Cnf, sink: &MemorySink) -> CheckConfig {
+        let limited = |memory_limit| CheckConfig {
+            memory_limit,
+            ..CheckConfig::default()
+        };
+        let dfd = |limit| check_unsat_claim(cnf, sink, Strategy::DiskDepthFirst, &limited(limit));
+        limited(Some(crate::memory::tightest_limit(dfd) - 1))
+    }
+
     /// Collects the text of every message a check logs.
     #[derive(Default)]
     struct Messages(Vec<String>);
@@ -486,14 +499,11 @@ mod tests {
     #[test]
     fn portfolio_falls_back_to_breadth_first_when_depth_first_memory_outs() {
         let (cnf, sink) = chain(64);
-        let bf = check_unsat_claim(&cnf, &sink, Strategy::BreadthFirst, &CheckConfig::default())
-            .unwrap();
         // A budget breadth-first fits in but disk-backed depth-first
-        // does not.
-        let config = CheckConfig {
-            memory_limit: Some(bf.stats.peak_memory_bytes),
-            ..CheckConfig::default()
-        };
+        // does not: breadth-first frees each chain clause after its one
+        // use, disk-backed depth-first keeps all of them.
+        let config = just_below_dfd(&cnf, &sink);
+        let bf = check_unsat_claim(&cnf, &sink, Strategy::BreadthFirst, &config).unwrap();
         assert!(matches!(
             check_unsat_claim(&cnf, &sink, Strategy::DiskDepthFirst, &config).unwrap_err(),
             CheckError::MemoryLimitExceeded { .. }
@@ -545,9 +555,8 @@ mod tests {
     #[test]
     fn portfolio_cancellation_stops_both_stages() {
         let (cnf, sink) = chain(64);
-        let bf = check_unsat_claim(&cnf, &sink, Strategy::BreadthFirst, &CheckConfig::default())
-            .unwrap();
-        for memory_limit in [None, Some(bf.stats.peak_memory_bytes)] {
+        let tight = just_below_dfd(&cnf, &sink).memory_limit;
+        for memory_limit in [None, tight] {
             let config = CheckConfig {
                 memory_limit,
                 cancel: CancelFlag::armed(),
@@ -574,7 +583,7 @@ mod tests {
             }
         }
         let config = CheckConfig {
-            memory_limit: Some(bf.stats.peak_memory_bytes),
+            memory_limit: tight,
             cancel: CancelFlag::armed(),
             ..CheckConfig::default()
         };
@@ -620,8 +629,6 @@ mod tests {
         let cfg = CheckConfig::default();
         assert_eq!(cfg.memory_limit, None);
         assert_eq!(cfg.jobs, 0);
-        assert_eq!(cfg.original_cache_bytes, None);
-        assert_eq!(cfg.source_cache_bytes, None);
         assert_eq!(cfg.parallel_min_learned, 4096);
         assert!(!cfg.no_mmap);
         assert!(!cfg.cancel.is_cancelled());

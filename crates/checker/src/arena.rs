@@ -63,7 +63,8 @@ impl ClauseArena {
     }
 
     /// Stores `clause` under `id`, charging the meter for any new pages
-    /// plus one slot.
+    /// plus one slot. A failed charge leaves the arena unchanged, so the
+    /// caller may free budget and retry.
     ///
     /// Freed extents are reused best-fit before the tail grows; a longer
     /// extent is split and its remainder returned to the free list.
@@ -75,6 +76,19 @@ impl ClauseArena {
     ) -> Result<(), CheckError> {
         debug_assert!(!self.slots.contains_key(&id), "duplicate arena id {id}");
         let len = clause.len() as u32;
+        let reuse = len > 0 && self.free.range(len..).next().is_some();
+        let pages = if reuse {
+            0
+        } else {
+            page_bytes(self.lits.len() + clause.len()).saturating_sub(self.charged_pages)
+        };
+        if pages > 0 {
+            meter.alloc(pages)?;
+        }
+        if let Err(err) = meter.alloc(ARENA_SLOT_BYTES) {
+            meter.free(pages);
+            return Err(err);
+        }
         let offset = match self.take_free(len) {
             Some(offset) => {
                 self.reuse_hits += 1;
@@ -83,17 +97,11 @@ impl ClauseArena {
                 offset
             }
             None => {
-                let offset = self.lits.len() as u32;
-                let needed = page_bytes(self.lits.len() + clause.len());
-                if needed > self.charged_pages {
-                    meter.alloc(needed - self.charged_pages)?;
-                    self.charged_pages = needed;
-                }
+                self.charged_pages += pages;
                 self.lits.extend_from_slice(clause);
-                offset
+                self.lits.len() as u32 - len
             }
         };
-        meter.alloc(ARENA_SLOT_BYTES)?;
         self.slots.insert(id, Slot { offset, len });
         Ok(())
     }
@@ -318,5 +326,17 @@ mod tests {
         let mut meter = MemoryMeter::with_limit(ARENA_PAGE_BYTES / 2);
         let err = arena.insert(1, &lits(&[1]), &mut meter).unwrap_err();
         assert!(matches!(err, CheckError::MemoryLimitExceeded { .. }));
+        // A page that fits without its slot is refunded too: a failed
+        // insert leaves the arena and the meter as they were, so the
+        // caller can free budget and retry.
+        let mut meter = MemoryMeter::with_limit(ARENA_PAGE_BYTES);
+        assert!(arena.insert(1, &lits(&[1]), &mut meter).is_err());
+        assert_eq!(
+            (meter.current(), arena.charged_bytes(), arena.len()),
+            (0, 0, 0)
+        );
+        let mut meter = MemoryMeter::with_limit(ARENA_PAGE_BYTES + ARENA_SLOT_BYTES);
+        arena.insert(1, &lits(&[1]), &mut meter).unwrap();
+        assert_eq!(arena.get(1).unwrap(), lits(&[1]).as_slice());
     }
 }

@@ -18,24 +18,19 @@
 //! reject a malformed trace with the identical first error.
 
 use crate::api::CheckConfig;
-use crate::arena::ClauseArena;
-use crate::cache::OriginalCache;
 use crate::cancel::CancelFlag;
+use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
-use crate::final_phase::{derive_empty_clause, ClauseProvider};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::{MemoryMeter, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
 use crate::model::{
     finish_visit, park_check_error, table_capacity_hint, validate_learned, LevelZeroMap,
 };
-use crate::outcome::{CheckOutcome, CheckStats, Strategy};
-use crate::resolve::normalize_literals;
-use crate::scratch::{kernel_stats_since, CheckScratch};
+use crate::outcome::{CheckOutcome, Strategy};
+use crate::scratch::CheckScratch;
 use rescheck_cnf::{Cnf, Lit};
-use rescheck_obs::{Event, Observer, Phase};
+use rescheck_obs::{Observer, Phase};
 use rescheck_trace::{EventRef, TraceSource};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything pass 1 learns from the trace: use counts, the set of
@@ -141,7 +136,7 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
     let result = trace.visit_events(&mut |event| {
         seen += 1;
         let step = (|| -> Result<(), CheckError> {
-            if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+            if seen.is_multiple_of(PROGRESS_STRIDE) {
                 cancel.check()?;
             }
             match event {
@@ -167,271 +162,91 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
     Ok((tables, start_id))
 }
 
-/// The resolution pass (pass 2) plus the final empty-clause phase.
-///
-/// Feed it every learned clause in trace order via [`handle_learned`],
-/// then call [`into_outcome`].
-///
-/// [`handle_learned`]: BfResolveState::handle_learned
-/// [`into_outcome`]: BfResolveState::into_outcome
-pub(crate) struct BfResolveState<'a> {
-    cnf: &'a Cnf,
-    num_original: usize,
-    tables: Pass1Tables,
-    /// Live learned clauses (borrowed from the job's scratch); slots are
-    /// recycled the moment a clause's last use is done.
-    arena: &'a mut ClauseArena,
-    /// Chain resolver; scratch reused across every learned clause.
-    kernel: &'a mut ResolutionKernel,
-    originals: &'a mut OriginalCache,
-    /// Kernel counters at job start, for per-job delta gauges.
-    kernel_base: KernelStats,
-    meter: MemoryMeter,
-    cancel: CancelFlag,
-    resolutions: u64,
-    clauses_built: u64,
-}
-
-impl<'a> BfResolveState<'a> {
-    pub(crate) fn new(
-        cnf: &'a Cnf,
-        tables: Pass1Tables,
-        meter: MemoryMeter,
-        config: &CheckConfig,
-        scratch: &'a mut CheckScratch,
-    ) -> Self {
-        let kernel_base = scratch.start_run(config.original_cache_bytes);
-        let (kernel, arena, originals) = scratch.parts();
-        BfResolveState {
-            cnf,
-            num_original: cnf.num_clauses(),
-            tables,
-            arena,
-            kernel,
-            originals,
-            kernel_base,
-            meter,
-            cancel: config.cancel.clone(),
-            resolutions: 0,
-            clauses_built: 0,
-        }
-    }
-
-    fn fetch_original(&mut self, id: u64) -> Arc<[Lit]> {
-        if let Some(c) = self.originals.get(id) {
-            return c;
-        }
-        // Promote from the warm tier when a previous job on this formula
-        // left the normalized clause behind; the insert below charges the
-        // current meter identically either way.
-        let lits: Arc<[Lit]> = self.originals.take_warm(id).unwrap_or_else(|| {
-            Arc::from(normalize_literals(
-                self.cnf
-                    .clause(id as usize)
-                    .expect("in range")
-                    .iter()
-                    .copied(),
-            ))
-        });
-        self.originals.insert(id, &lits, &mut self.meter);
-        lits
-    }
-
-    /// Seeds (step 0) or folds (later steps) one source clause into the
-    /// kernel, with breadth-first availability semantics: a learned
-    /// source that is defined but not yet built is a forward reference.
-    fn feed_source(&mut self, target: u64, step: usize, source: u64) -> Result<(), CheckError> {
-        if source < self.num_original as u64 {
-            let clause = self.fetch_original(source);
-            if step == 0 {
-                self.kernel.begin(&clause);
-                return Ok(());
-            }
-            self.kernel.fold(&clause)
-        } else {
-            // Split borrow: the arena slice is read while the kernel's
-            // disjoint scratch buffers are written.
-            let Some(clause) = self.arena.get(source) else {
-                return Err(if self.tables.defined.contains(&source) {
-                    CheckError::ForwardReference { id: target, source }
-                } else {
-                    CheckError::UnknownClause {
-                        id: source,
-                        referenced_by: Some(target),
-                    }
-                });
-            };
-            if step == 0 {
-                self.kernel.begin(clause);
-                return Ok(());
-            }
-            self.kernel.fold(clause)
-        }
-        .map_err(|failure| CheckError::NotResolvable {
-            target: Some(target),
-            step,
-            with: source,
-            failure,
-        })?;
-        self.resolutions += 1;
-        Ok(())
-    }
-
-    /// Rebuilds one learned clause from a borrowed source list, without
-    /// allocating; called by the streaming visitor of [`run`].
-    pub(crate) fn handle_learned(
-        &mut self,
-        id: u64,
-        sources: &[u64],
-        obs: &mut dyn Observer,
-    ) -> Result<(), CheckError> {
-        for (step, &s) in sources.iter().enumerate() {
-            self.feed_source(id, step, s)?;
-        }
-        obs.observe(&Event::HistRecord {
-            name: "check.resolve.chain_len",
-            value: sources.len() as u64,
-        });
-        self.clauses_built += 1;
-        if self
-            .clauses_built
-            .is_multiple_of(crate::depth_first::PROGRESS_STRIDE)
-        {
-            self.cancel.check()?;
-            obs.observe(&Event::Progress {
-                phase: "check:resolve",
-                done: self.clauses_built,
-                unit: "clauses",
-                detail: None,
-            });
-        }
-
-        // Release sources whose last use this was — before storing the
-        // resolvent, so it can reuse a just-freed arena extent.
-        for &s in sources {
-            if s >= self.num_original as u64 && !self.tables.pinned.contains(&s) {
-                let count = self.tables.use_counts.get_mut(&s).expect("counted");
-                *count -= 1;
-                if *count == 0 {
-                    self.arena.remove(s, &mut self.meter);
-                }
-            }
-        }
-
-        // Store the new clause unless it is already dead on arrival
-        // (the clause-length histogram samples only stored resolvents).
-        let remaining = self.tables.use_counts.get(&id).copied().unwrap_or(0);
-        if remaining > 0 || self.tables.pinned.contains(&id) {
-            let lits = self.kernel.finish();
-            let clause_len = lits.len() as u64;
-            self.arena.insert(id, lits, &mut self.meter)?;
-            obs.observe(&Event::HistRecord {
-                name: "check.resolve.clause_len",
-                value: clause_len,
-            });
-        }
-        Ok(())
-    }
-
-    /// Runs the final empty-clause phase and assembles the outcome.
-    pub(crate) fn into_outcome(
-        mut self,
-        start_id: u64,
-        started: Instant,
-        trace_bytes: Option<u64>,
-        obs: &mut dyn Observer,
-    ) -> Result<CheckOutcome, CheckError> {
-        let final_phase = Phase::start("final-phase", obs);
-        let level_zero = std::mem::take(&mut self.tables.level_zero);
-        let final_stats = derive_empty_clause(start_id, &level_zero, &mut self)?;
-        final_phase.finish(obs);
-
-        let stats = CheckStats {
-            strategy: Strategy::BreadthFirst,
-            learned_in_trace: self.tables.defined.len() as u64,
-            clauses_built: self.clauses_built,
-            resolutions: self.resolutions + final_stats.resolutions,
-            peak_memory_bytes: self.meter.peak(),
-            runtime: started.elapsed(),
-            trace_bytes,
-        };
-        crate::depth_first::emit_check_gauges(obs, &stats, self.tables.use_counts.len() as u64);
-        crate::depth_first::emit_kernel_gauges(
-            obs,
-            &kernel_stats_since(&self.kernel.stats(), &self.kernel_base),
-            self.arena.charged_bytes(),
-            self.arena.reuse_hits(),
-        );
-        Ok(CheckOutcome { core: None, stats })
-    }
-}
-
-/// The final derivation fetches pinned learned clauses from the arena
-/// and originals through the accounted cache.
-impl ClauseProvider for BfResolveState<'_> {
-    fn clause_into(&mut self, id: u64, out: &mut Vec<Lit>) -> Result<(), CheckError> {
-        if id < self.num_original as u64 {
-            let clause = self.fetch_original(id);
-            out.clear();
-            out.extend_from_slice(&clause);
-            return Ok(());
-        }
-        let Some(clause) = self.arena.get(id) else {
-            return Err(CheckError::UnknownClause {
-                id,
-                referenced_by: None,
-            });
-        };
-        out.clear();
-        out.extend_from_slice(clause);
-        Ok(())
-    }
-}
-
+/// `bf`: rebuilds every learned clause in trace order, freeing each at
+/// its last use.
 pub(crate) fn run<S: TraceSource + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    config: &CheckConfig,
-    obs: &mut dyn Observer,
-) -> Result<CheckOutcome, CheckError> {
-    let mut scratch = CheckScratch::new();
-    run_scoped(cnf, trace, config, &mut scratch, obs)
-}
-
-/// [`run`] against caller-owned scratch buffers; see
-/// [`crate::depth_first::run_scoped`] and the [`crate::scratch`] docs.
-pub(crate) fn run_scoped<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
-    let start = Instant::now();
-    let num_original = cnf.num_clauses();
+    let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
 
     let pass1 = Phase::start("check:pass1", obs);
-    let (tables, start_id) = sequential_pass1(trace, num_original, &config.cancel)?;
+    let (mut tables, start_id) = sequential_pass1(trace, cnf.num_clauses(), &config.cancel)?;
     // Accounting for the bookkeeping tables the strategy keeps resident.
     meter.alloc(tables.resident_bytes())?;
     pass1.finish(obs);
 
     let resolve_phase = Phase::start("check:resolve", obs);
-    let mut state = BfResolveState::new(cnf, tables, meter, config, scratch);
+    let mut chain = ChainStep::new(cnf, meter, config, scratch, false, obs);
     let mut parked = None;
     let result = trace.visit_events(&mut |event| {
         let EventRef::Learned { id, sources } = event else {
             return Ok(());
         };
-        state
-            .handle_learned(id, sources, &mut *obs)
-            .map_err(|e| park_check_error(&mut parked, e))
+        rebuild(
+            &mut chain,
+            id,
+            sources,
+            &mut tables.use_counts,
+            &tables.pinned,
+        )
+        .map_err(|e| match e {
+            // A defined source that is not rebuilt yet comes later in
+            // the trace.
+            CheckError::UnknownClause { id: source, .. } if tables.defined.contains(&source) => {
+                CheckError::ForwardReference { id, source }
+            }
+            e => e,
+        })
+        .map_err(|e| park_check_error(&mut parked, e))
     });
     finish_visit(parked, result)?;
-    resolve_phase.finish(obs);
+    resolve_phase.finish(&mut *chain.obs);
 
-    state.into_outcome(start_id, start, trace.encoded_size(), obs)
+    chain.final_phase(start_id, &tables.level_zero, |_, _| Ok(()))?;
+    Ok(chain.finish(
+        Strategy::BreadthFirst,
+        tables.defined.len() as u64,
+        tables.use_counts.len() as u64,
+        started,
+        trace.encoded_size(),
+    ))
+}
+
+/// Rebuilds learned clause `id` under the use-count freeing policy
+/// breadth-first and hybrid share: each learned source is freed at its
+/// last counted use unless pinned, and the resolvent is stored only if
+/// something will read it.
+pub(crate) fn rebuild(
+    chain: &mut ChainStep<'_>,
+    id: u64,
+    sources: &[u64],
+    use_counts: &mut FxHashMap<u64, u32>,
+    pinned: &FxHashSet<u64>,
+) -> Result<(), CheckError> {
+    chain.resolve(id, sources)?;
+    chain.count_built(sources.len())?;
+    // Release sources whose last use this was — before storing the
+    // resolvent, so it can reuse a just-freed arena extent.
+    for &s in sources {
+        if !chain.is_original(s) && !pinned.contains(&s) {
+            let count = use_counts.get_mut(&s).expect("counted");
+            *count -= 1;
+            if *count == 0 {
+                chain.free(s);
+            }
+        }
+    }
+    // Store the new clause unless it is already dead on arrival (the
+    // clause-length histogram samples only stored resolvents).
+    if use_counts.get(&id).copied().unwrap_or(0) > 0 || pinned.contains(&id) {
+        chain.store(id, |_| false)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -440,6 +255,15 @@ mod tests {
     use crate::memory::clause_bytes;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
+
+    fn run(
+        cnf: &Cnf,
+        trace: &MemorySink,
+        config: &CheckConfig,
+        obs: &mut dyn Observer,
+    ) -> Result<CheckOutcome, CheckError> {
+        super::run(cnf, trace, config, &mut CheckScratch::new(), obs)
+    }
 
     #[test]
     fn accepts_learned_clause_proof_and_builds_everything() {
@@ -541,8 +365,7 @@ mod tests {
         sink.final_conflict(n as u64).unwrap();
 
         let bf = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap();
-        let df = crate::depth_first::run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver)
-            .unwrap();
+        let df = crate::api::check_depth_first(&cnf, &sink, &CheckConfig::default()).unwrap();
         assert!(
             bf.stats.peak_memory_bytes < df.stats.peak_memory_bytes,
             "bf {} vs df {}",

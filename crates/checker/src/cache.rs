@@ -7,16 +7,17 @@
 //! on core-heavy instances by the size of the touched original clauses.
 //!
 //! [`OriginalCache`] fixes that: every cached clause is charged
-//! [`clause_bytes`] to the meter, the cache can be capped, and eviction
-//! is FIFO (insertion order) so the accounted peak stays deterministic —
-//! `HashMap` iteration order is randomized per process and must not leak
-//! into the byte accounting.
+//! [`clause_bytes`] to the meter, and eviction is FIFO (insertion order)
+//! so the accounted peak stays deterministic — `HashMap` iteration order
+//! is randomized per process and must not leak into the byte accounting.
 //!
 //! The cache treats the meter's budget as *spare* capacity: if charging a
 //! clause would exceed the memory limit, entries are evicted to make
-//! room, and if that is not enough the clause is simply not cached. A
-//! cache can therefore never cause a [`MemoryLimitExceeded`] failure —
-//! it only ever trades budget headroom for speed.
+//! room, and if that is not enough the clause is simply not cached. When
+//! a rebuilt clause does not fit, the chain step evicts cached entries
+//! before it gives up. A cache can therefore never cause a
+//! [`MemoryLimitExceeded`] failure — it only ever trades budget headroom
+//! for speed.
 //!
 //! # The warm tier
 //!
@@ -50,8 +51,6 @@ pub(crate) struct OriginalCache {
     order: VecDeque<u64>,
     /// Accounted bytes currently held by the cache.
     bytes: u64,
-    /// Optional hard cap on `bytes`, independent of the meter's budget.
-    cap: Option<u64>,
     /// Demoted entries from earlier jobs on the same formula: normalized
     /// but **not charged** to any meter. Promoted back through
     /// [`OriginalCache::insert`] on first touch.
@@ -61,17 +60,6 @@ pub(crate) struct OriginalCache {
 }
 
 impl OriginalCache {
-    pub(crate) fn new(cap: Option<u64>) -> Self {
-        OriginalCache {
-            map: FxHashMap::default(),
-            order: VecDeque::new(),
-            bytes: 0,
-            cap,
-            warm: FxHashMap::default(),
-            warm_hits: 0,
-        }
-    }
-
     pub(crate) fn get(&self, id: u64) -> Option<Arc<[Lit]>> {
         self.map.get(&id).cloned()
     }
@@ -84,14 +72,6 @@ impl OriginalCache {
             return;
         }
         let cost = clause_bytes(clause.len());
-        if self.cap.is_some_and(|cap| cost > cap) {
-            return;
-        }
-        while self.cap.is_some_and(|cap| self.bytes + cost > cap) {
-            if !self.evict_one(meter) {
-                return;
-            }
-        }
         while meter.alloc(cost).is_err() {
             if !self.evict_one(meter) {
                 return;
@@ -104,7 +84,7 @@ impl OriginalCache {
 
     /// Evicts the oldest entry, refunding its bytes. Returns `false` when
     /// the cache is already empty.
-    fn evict_one(&mut self, meter: &mut MemoryMeter) -> bool {
+    pub(crate) fn evict_one(&mut self, meter: &mut MemoryMeter) -> bool {
         let Some(id) = self.order.pop_front() else {
             return false;
         };
@@ -119,21 +99,19 @@ impl OriginalCache {
     /// entry to the warm tier and zeroes the per-job byte accounting.
     /// The outgoing job's meter is dropped with the job, so nothing is
     /// refunded; the incoming job's meter has charged nothing yet.
-    pub(crate) fn begin_job(&mut self, cap: Option<u64>) {
+    pub(crate) fn begin_job(&mut self) {
         self.warm.extend(self.map.drain());
         self.order.clear();
         self.bytes = 0;
-        self.cap = cap;
     }
 
     /// Drops every entry, warm and charged — the scratch is about to be
     /// used on a *different* formula, whose clause ids mean other things.
-    pub(crate) fn reset(&mut self, cap: Option<u64>) {
+    pub(crate) fn reset(&mut self) {
         self.map.clear();
         self.order.clear();
         self.warm.clear();
         self.bytes = 0;
-        self.cap = cap;
     }
 
     /// Takes a demoted clause out of the warm tier, if present. The
@@ -182,7 +160,7 @@ mod tests {
     #[test]
     fn charges_the_meter() {
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::new(None);
+        let mut cache = OriginalCache::default();
         let c = clause(&[1, 2]);
         cache.insert(0, &c, &mut meter);
         assert_eq!(meter.current(), clause_bytes(2));
@@ -194,10 +172,11 @@ mod tests {
 
     #[test]
     fn fifo_eviction_under_cap() {
-        // Cap fits exactly two 1-literal clauses.
+        // A memory limit that fits exactly two 1-literal clauses caps
+        // the cache.
         let cap = 2 * clause_bytes(1);
-        let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::new(Some(cap));
+        let mut meter = MemoryMeter::with_limit(cap);
+        let mut cache = OriginalCache::default();
         for id in 0..3u64 {
             cache.insert(id, &clause(&[id as i64 + 1]), &mut meter);
         }
@@ -215,7 +194,7 @@ mod tests {
         // Budget fits one clause; the cache must evict rather than fail,
         // and skip caching entirely when nothing can be evicted.
         let mut meter = MemoryMeter::with_limit(clause_bytes(1));
-        let mut cache = OriginalCache::new(None);
+        let mut cache = OriginalCache::default();
         cache.insert(0, &clause(&[1]), &mut meter);
         assert!(cache.get(0).is_some());
         cache.insert(1, &clause(&[2]), &mut meter);
@@ -229,8 +208,8 @@ mod tests {
 
     #[test]
     fn oversized_clause_is_not_cached() {
-        let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::new(Some(clause_bytes(1)));
+        let mut meter = MemoryMeter::with_limit(clause_bytes(1));
+        let mut cache = OriginalCache::default();
         cache.insert(0, &clause(&[1, 2]), &mut meter);
         assert!(cache.get(0).is_none());
         assert_eq!(meter.current(), 0);
@@ -239,13 +218,13 @@ mod tests {
     #[test]
     fn begin_job_demotes_without_charging() {
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::new(None);
+        let mut cache = OriginalCache::default();
         cache.insert(0, &clause(&[1, 2]), &mut meter);
         cache.insert(1, &clause(&[3]), &mut meter);
 
         // New job, fresh meter: nothing charged, entries demoted.
         let mut meter2 = MemoryMeter::unlimited();
-        cache.begin_job(None);
+        cache.begin_job();
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.warm_len(), 2);
@@ -263,11 +242,11 @@ mod tests {
     #[test]
     fn reset_clears_the_warm_tier_too() {
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::new(None);
+        let mut cache = OriginalCache::default();
         cache.insert(0, &clause(&[1]), &mut meter);
-        cache.begin_job(None);
+        cache.begin_job();
         assert_eq!(cache.warm_len(), 1);
-        cache.reset(None);
+        cache.reset();
         assert_eq!(cache.warm_len(), 0);
         assert!(cache.take_warm(0).is_none());
     }

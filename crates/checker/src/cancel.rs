@@ -4,7 +4,7 @@
 //! while a worker thread is still checking it. There is no safe way to
 //! kill a thread, so cancellation is cooperative: each strategy polls a
 //! shared flag at its progress-stride points (every
-//! [`crate::depth_first::PROGRESS_STRIDE`] clauses, and periodically
+//! [`crate::chain::PROGRESS_STRIDE`] clauses, and periodically
 //! during trace passes) and bails out with [`CheckError::Cancelled`].
 
 use crate::error::CheckError;

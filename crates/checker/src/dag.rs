@@ -41,6 +41,7 @@ use crate::model::{finish_visit, park_check_error, table_capacity_hint};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
 use crate::parallel::{effective_jobs, mapped_sharded_pass1};
 use crate::resolve::normalize_literals;
+use crate::scratch::CheckScratch;
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
 use rescheck_trace::{BlockIndex, EventRef, RandomAccessTrace, TraceMap, TraceSource};
@@ -249,7 +250,7 @@ pub(crate) fn build_from<S: TraceSource + ?Sized>(
                 return Ok(());
             }
             seen += 1;
-            if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+            if seen.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
                 cancel.check()?;
             }
             if dag.nodes.len() as u32 >= ORIGINAL_TAG {
@@ -394,7 +395,8 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     let jobs = effective_jobs(config.jobs).min(crate::parallel::max_useful_workers());
     let map = crate::parallel::establish_map(trace, config, obs);
     if crate::parallel::small_trace_fallback(trace, map, config, obs) {
-        let mut outcome = crate::breadth_first::run(cnf, trace, config, obs)?;
+        let mut outcome =
+            crate::breadth_first::run(cnf, trace, config, &mut CheckScratch::new(), obs)?;
         outcome.stats.strategy = Strategy::ParallelDag;
         return Ok(outcome);
     }
@@ -461,7 +463,7 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
         runtime: started.elapsed(),
         trace_bytes: trace.encoded_size(),
     };
-    crate::depth_first::emit_check_gauges(obs, &stats, tables.use_counts.len() as u64);
+    crate::chain::emit_check_gauges(obs, &stats, tables.use_counts.len() as u64);
     Ok(CheckOutcome { core: None, stats })
 }
 

@@ -222,7 +222,7 @@ impl<'d> Shared<'d> {
             g.clauses_built += 1;
             g.next += 1;
             if g.clauses_built
-                .is_multiple_of(crate::depth_first::PROGRESS_STRIDE)
+                .is_multiple_of(crate::chain::PROGRESS_STRIDE)
             {
                 if let Err(e) = cancel.check() {
                     self.record_error(g.next, e);
@@ -477,7 +477,7 @@ fn execute_inline(
         }
         resolutions += meta.resolutions();
         clauses_built += 1;
-        if clauses_built.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+        if clauses_built.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
             cancel.check()?;
         }
     }
@@ -502,7 +502,7 @@ fn execute_inline(
         name: "check.executor.steals",
         value: 0.0,
     });
-    crate::depth_first::emit_kernel_gauges(obs, &kernel.stats(), 0, 0);
+    crate::chain::emit_kernel_gauges(obs, &kernel.stats(), 0, 0);
 
     Ok(ExecResult {
         meter,
@@ -645,7 +645,7 @@ pub(crate) fn execute(
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
     state.buffer.replay(obs);
-    crate::depth_first::emit_kernel_gauges(obs, &kernel_total, 0, 0);
+    crate::chain::emit_kernel_gauges(obs, &kernel_total, 0, 0);
 
     Ok(ExecResult {
         meter: state.meter,

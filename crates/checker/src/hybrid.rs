@@ -25,26 +25,25 @@
 //! per-clause bookkeeping.
 
 use crate::api::CheckConfig;
-use crate::arena::ClauseArena;
-use crate::cache::OriginalCache;
+use crate::breadth_first::rebuild;
+use crate::chain::{ChainStep, PROGRESS_STRIDE};
+use crate::depth_first::fetch_learned;
 use crate::error::CheckError;
-use crate::final_phase::{derive_empty_clause, ClauseProvider};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::kernel::ResolutionKernel;
 use crate::memory::{MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
 use crate::model::{validate_learned, LevelZeroMap};
-use crate::outcome::{CheckOutcome, CheckStats, Strategy, UnsatCore};
-use crate::resolve::normalize_literals;
-use rescheck_cnf::{Cnf, Lit};
-use rescheck_obs::{Event, Observer, Phase};
+use crate::outcome::{CheckOutcome, Strategy};
+use crate::scratch::CheckScratch;
+use rescheck_cnf::Cnf;
+use rescheck_obs::{Observer, Phase};
 use rescheck_trace::{RandomAccessTrace, TraceCursor, TraceEvent};
-use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
+    scratch: &mut CheckScratch,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
     let start = Instant::now();
@@ -60,7 +59,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     let mut seen: u64 = 0;
     for item in trace.offset_events()? {
         seen += 1;
-        if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+        if seen.is_multiple_of(PROGRESS_STRIDE) {
             config.cancel.check()?;
         }
         let (offset, event) = item?;
@@ -100,13 +99,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
             id,
             referenced_by: parent,
         })?;
-        match cursor.event_at(offset).map_err(CheckError::Trace)? {
-            TraceEvent::Learned { id: got, sources } if got == id => Ok(sources),
-            _ => Err(CheckError::Trace(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("trace offset for clause #{id} no longer addresses its record"),
-            ))),
-        }
+        fetch_learned(cursor, id, offset)
     };
 
     // ---- Pass 2: reachability + use counts over the needed subgraph.
@@ -128,7 +121,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
         let mut stack: Vec<(u64, Option<u64>)> = vec![(root, None)];
         while let Some(&(cur, parent)) = stack.last() {
             steps += 1;
-            if steps.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+            if steps.is_multiple_of(PROGRESS_STRIDE) {
                 config.cancel.check()?;
             }
             if cur < num_original as u64 || visited.contains(&cur) {
@@ -162,13 +155,6 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
 
     // ---- Pass 3: depth-first build over the needed subgraph, freeing
     // clauses as their last use completes.
-    let mut arena = ClauseArena::new();
-    let mut kernel = ResolutionKernel::new();
-    let mut original_cache = OriginalCache::new(config.original_cache_bytes);
-    let mut used_originals = vec![false; num_original];
-    let mut resolutions: u64 = 0;
-    let mut clauses_built: u64 = 0;
-
     // Build in reverse topological order discovered by a second DFS (the
     // graph is now known to be acyclic).
     let mut build_order: Vec<u64> = Vec::with_capacity(needed);
@@ -198,182 +184,39 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
         }
     }
 
-    let fetch_original = |id: u64,
-                          cache: &mut OriginalCache,
-                          used: &mut Vec<bool>,
-                          meter: &mut MemoryMeter|
-     -> Arc<[Lit]> {
-        used[id as usize] = true;
-        if let Some(c) = cache.get(id) {
-            return c;
-        }
-        let lits: Arc<[Lit]> = Arc::from(normalize_literals(
-            cnf.clause(id as usize).expect("in range").iter().copied(),
-        ));
-        cache.insert(id, &lits, meter);
-        lits
-    };
-
+    let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
     for id in build_order {
         let sources = sources_of(&mut *cursor, &index, id, None)?;
-        obs.observe(&Event::HistRecord {
-            name: "check.resolve.chain_len",
-            value: sources.len() as u64,
-        });
-        for (step, &s) in sources.iter().enumerate() {
-            let folded = if s < num_original as u64 {
-                let clause =
-                    fetch_original(s, &mut original_cache, &mut used_originals, &mut meter);
-                if step == 0 {
-                    kernel.begin(&clause);
-                    continue;
-                }
-                kernel.fold(&clause)
-            } else {
-                let Some(clause) = arena.get(s) else {
-                    return Err(CheckError::UnknownClause {
-                        id: s,
-                        referenced_by: Some(id),
-                    });
-                };
-                if step == 0 {
-                    kernel.begin(clause);
-                    continue;
-                }
-                kernel.fold(clause)
-            };
-            folded.map_err(|failure| CheckError::NotResolvable {
-                target: Some(id),
-                step,
-                with: s,
-                failure,
-            })?;
-            resolutions += 1;
-        }
-        clauses_built += 1;
-        if clauses_built.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
-            config.cancel.check()?;
-            obs.observe(&Event::Progress {
-                phase: "check:resolve",
-                done: clauses_built,
-                unit: "clauses",
-                detail: None,
-            });
-        }
-
-        // Consume the sources: free any clause whose needed uses are done
-        // — before storing the resolvent, so it can reuse the extent.
-        for &s in &sources {
-            if s >= num_original as u64 && !pinned_set.contains(&s) {
-                let count = use_counts.get_mut(&s).expect("counted in pass 2");
-                *count -= 1;
-                if *count == 0 {
-                    arena.remove(s, &mut meter);
-                }
-            }
-        }
-        let still_used = pinned_set.contains(&id) || use_counts.get(&id).copied().unwrap_or(0) > 0;
-        if still_used {
-            let lits = kernel.finish();
-            let clause_len = lits.len() as u64;
-            arena.insert(id, lits, &mut meter)?;
-            obs.observe(&Event::HistRecord {
-                name: "check.resolve.clause_len",
-                value: clause_len,
-            });
-        }
+        rebuild(&mut chain, id, &sources, &mut use_counts, &pinned_set)?;
     }
-
-    resolve_phase.finish(obs);
+    resolve_phase.finish(&mut *chain.obs);
 
     // ---- Final phase over the pinned clauses.
-    let final_phase = Phase::start("final-phase", obs);
-    struct HybridProvider<'a> {
-        cnf: &'a Cnf,
-        num_original: usize,
-        arena: &'a ClauseArena,
-        original_cache: &'a mut OriginalCache,
-        used_originals: &'a mut Vec<bool>,
-        meter: &'a mut MemoryMeter,
-    }
-    impl ClauseProvider for HybridProvider<'_> {
-        fn clause_into(&mut self, id: u64, out: &mut Vec<Lit>) -> Result<(), CheckError> {
-            if id < self.num_original as u64 {
-                self.used_originals[id as usize] = true;
-                if let Some(c) = self.original_cache.get(id) {
-                    out.clear();
-                    out.extend_from_slice(&c);
-                    return Ok(());
-                }
-                let lits: Arc<[Lit]> = Arc::from(normalize_literals(
-                    self.cnf
-                        .clause(id as usize)
-                        .expect("in range")
-                        .iter()
-                        .copied(),
-                ));
-                self.original_cache.insert(id, &lits, self.meter);
-                out.clear();
-                out.extend_from_slice(&lits);
-                return Ok(());
-            }
-            let Some(clause) = self.arena.get(id) else {
-                return Err(CheckError::UnknownClause {
-                    id,
-                    referenced_by: None,
-                });
-            };
-            out.clear();
-            out.extend_from_slice(clause);
-            Ok(())
-        }
-    }
-    let mut provider = HybridProvider {
-        cnf,
-        num_original,
-        arena: &arena,
-        original_cache: &mut original_cache,
-        used_originals: &mut used_originals,
-        meter: &mut meter,
-    };
-    let final_stats = derive_empty_clause(start_id, &level_zero, &mut provider)?;
-    final_phase.finish(obs);
-
-    let core_ids: Vec<usize> = used_originals
-        .iter()
-        .enumerate()
-        .filter(|(_, &u)| u)
-        .map(|(i, _)| i)
-        .collect();
-
-    let stats = CheckStats {
-        strategy: Strategy::Hybrid,
-        learned_in_trace: index.len() as u64,
-        clauses_built,
-        resolutions: resolutions + final_stats.resolutions,
-        peak_memory_bytes: meter.peak(),
-        runtime: start.elapsed(),
-        trace_bytes: trace.encoded_size(),
-    };
-    crate::depth_first::emit_check_gauges(obs, &stats, use_counts.len() as u64);
-    crate::depth_first::emit_kernel_gauges(
-        obs,
-        &kernel.stats(),
-        arena.charged_bytes(),
-        arena.reuse_hits(),
-    );
-
-    Ok(CheckOutcome {
-        core: Some(UnsatCore::new(core_ids, cnf)),
-        stats,
-    })
+    chain.final_phase(start_id, &level_zero, |_, _| Ok(()))?;
+    Ok(chain.finish(
+        Strategy::Hybrid,
+        index.len() as u64,
+        use_counts.len() as u64,
+        start,
+        trace.encoded_size(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rescheck_cnf::Lit;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
+
+    fn run(
+        cnf: &Cnf,
+        trace: &MemorySink,
+        config: &CheckConfig,
+        obs: &mut dyn Observer,
+    ) -> Result<CheckOutcome, CheckError> {
+        super::run(cnf, trace, config, &mut CheckScratch::new(), obs)
+    }
 
     fn learned_proof() -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
@@ -495,8 +338,7 @@ mod tests {
         sink.final_conflict(n as u64).unwrap();
 
         let hybrid = run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver).unwrap();
-        let df = crate::depth_first::run(&cnf, &sink, &CheckConfig::default(), &mut NullObserver)
-            .unwrap();
+        let df = crate::api::check_depth_first(&cnf, &sink, &CheckConfig::default()).unwrap();
         assert!(
             hybrid.stats.peak_memory_bytes < df.stats.peak_memory_bytes,
             "hybrid {} vs df {}",

@@ -22,6 +22,15 @@
 //!   is done. Slower (it verifies *every* learned clause), but its clause
 //!   memory never exceeds what the solver itself used.
 //!
+//! Beyond the paper, [`check_disk_depth_first`] is the same depth-first
+//! engine with the trace left on disk behind a 16-byte-per-clause offset
+//! index, [`check_hybrid`] builds depth-first's clauses under
+//! breadth-first's freeing discipline (the paper's proposed future work),
+//! and [`Strategy::ParallelDag`] schedules breadth-first's work over
+//! threads. Every sequential engine rebuilds clauses through one shared
+//! chain step on a reusable [`CheckScratch`]; an engine contributes only
+//! its first pass, its rebuild order and when it frees a clause.
+//!
 //! SAT claims are checked by [`check_sat_claim`] in linear time.
 //!
 //! The unsat core from the depth-first strategy can be shrunk further by
@@ -63,10 +72,16 @@ mod arena;
 mod breadth_first;
 mod cache;
 mod cancel;
+mod chain;
 mod core_min;
 mod dag;
 mod depth_first;
-mod disk_df;
+#[cfg(test)]
+mod disk_df {
+    //! `dfd`, the depth-first engine over its disk source store, lives in
+    //! `depth_first`; only its tests are kept apart, in `disk_df/tests.rs`.
+    mod tests;
+}
 mod error;
 mod executor;
 mod final_phase;

@@ -153,6 +153,25 @@ impl MemoryMeter {
     }
 }
 
+/// The tightest memory limit `run` passes under, found by bisection. The
+/// run at the unlimited peak replays the unlimited run, so that upper
+/// end always passes.
+#[cfg(test)]
+pub(crate) fn tightest_limit(
+    run: impl Fn(Option<u64>) -> Result<crate::CheckOutcome, CheckError>,
+) -> u64 {
+    let (mut lo, mut hi) = (0, run(None).unwrap().stats.peak_memory_bytes);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if run(Some(mid)).is_ok() {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,7 +123,7 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
     let result = source.visit_events(&mut |event| {
         seen += 1;
         let step = (|| -> Result<(), CheckError> {
-            if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+            if seen.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
                 cancel.check()?;
             }
             match event {

@@ -328,7 +328,7 @@ pub(crate) fn mapped_sharded_pass1(
     let mut seen: u64 = 0;
     for meta in &metas {
         seen += 1;
-        if seen.is_multiple_of(crate::depth_first::PROGRESS_STRIDE) {
+        if seen.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
             cancel.check()?;
         }
         match *meta {
@@ -505,7 +505,7 @@ mod tests {
             mutate(&mut events);
             let sink = MemorySink::from(events.clone());
             let first_error = |trace: &(dyn RandomAccessTrace + Sync)| {
-                let bf = crate::breadth_first::run(&cnf, trace, &config, &mut NullObserver);
+                let bf = crate::api::check_breadth_first(&cnf, trace, &config);
                 let pdag = crate::dag::run(&cnf, trace, &config, &mut NullObserver);
                 (bf.unwrap_err().to_string(), pdag.unwrap_err().to_string())
             };
@@ -643,7 +643,7 @@ mod tests {
             ..CheckConfig::default()
         };
         let trace = SizedTrace(sink);
-        let bf = crate::breadth_first::run(&cnf, &trace, &config, &mut NullObserver).unwrap();
+        let bf = crate::api::check_breadth_first(&cnf, &trace, &config).unwrap();
         let pdag = crate::dag::run(&cnf, &trace, &config, &mut NullObserver).unwrap();
         assert_eq!(pdag.stats.strategy, Strategy::ParallelDag);
         assert_eq!(pdag.stats.clauses_built, bf.stats.clauses_built);

@@ -16,10 +16,11 @@
 //!   [`ScratchPool`] hands them out ([`checkout`]) and takes them back
 //!   ([`checkin`]); a scratch poisoned by a panicking job is simply
 //!   dropped instead of returned.
-//! - Every run begins with [`CheckScratch::start_run`] (called inside the
-//!   scoped strategy entry points): the arena is reset, the cache is
-//!   demoted to its warm tier, and the kernel's stat counters are
-//!   snapshotted so per-job metrics report deltas, not lifetime totals.
+//! - Every run begins with [`CheckScratch::start_run`] (called when a
+//!   sequential engine starts its chain step): the arena is reset, the
+//!   cache is demoted to its warm tier, and the kernel's stat counters
+//!   are snapshotted so per-job metrics report deltas, not lifetime
+//!   totals.
 //! - Warm reuse of cached original clauses requires the caller to
 //!   *declare* formula identity via [`CheckScratch::begin_job`] with a
 //!   stable token. Two consecutive runs declaring the same token keep the
@@ -73,7 +74,7 @@ impl CheckScratch {
         CheckScratch {
             kernel: ResolutionKernel::new(),
             arena: ClauseArena::new(),
-            originals: OriginalCache::new(None),
+            originals: OriginalCache::default(),
             token: None,
             next_token: None,
         }
@@ -95,18 +96,18 @@ impl CheckScratch {
     }
 
     /// Prepares the scratch for one run and returns the kernel-stats
-    /// baseline (for per-job delta reporting). Called by the scoped
-    /// strategy entry points — defensively, so a caller that forgets
+    /// baseline (for per-job delta reporting). Called by every chain
+    /// step — defensively, so a caller that forgets
     /// [`CheckScratch::begin_job`] gets a correct cold run, never stale
     /// clauses from another formula.
-    pub(crate) fn start_run(&mut self, original_cache_cap: Option<u64>) -> KernelStats {
+    pub(crate) fn start_run(&mut self) -> KernelStats {
         self.arena.reset();
         let declared = self.next_token.take();
         if declared.is_some() && declared == self.token {
             // Same formula back to back: keep normalized originals warm.
-            self.originals.begin_job(original_cache_cap);
+            self.originals.begin_job();
         } else {
-            self.originals.reset(original_cache_cap);
+            self.originals.reset();
         }
         self.token = declared;
         self.kernel.stats()
@@ -182,6 +183,15 @@ mod tests {
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
 
+    /// Every strategy that runs on the caller's scratch.
+    const SEQUENTIAL: [Strategy; 5] = [
+        Strategy::DepthFirst,
+        Strategy::BreadthFirst,
+        Strategy::Hybrid,
+        Strategy::DiskDepthFirst,
+        Strategy::Portfolio,
+    ];
+
     /// A proof touching several distinct original clauses, so the
     /// original cache actually holds entries worth keeping warm.
     fn fixture() -> (Cnf, MemorySink) {
@@ -206,7 +216,7 @@ mod tests {
     fn warm_and_cold_jobs_account_identical_peaks() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in [Strategy::DepthFirst, Strategy::BreadthFirst] {
+        for strategy in SEQUENTIAL {
             let mut scratch = CheckScratch::new();
             scratch.begin_job(42);
             let cold = check_unsat_claim_scoped(
@@ -247,7 +257,7 @@ mod tests {
     fn scoped_runs_match_one_shot_runs() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in [Strategy::DepthFirst, Strategy::BreadthFirst] {
+        for strategy in SEQUENTIAL {
             let one_shot = crate::api::check_unsat_claim(&cnf, &sink, strategy, &config).unwrap();
             let mut scratch = CheckScratch::new();
             scratch.begin_job(7);

@@ -59,34 +59,48 @@ fn assert_same_proof(dfd: &CheckOutcome, df: &CheckOutcome) {
     );
 }
 
+/// The tightest memory limit `dfd` passes under, found by bisection. The
+/// run at the unlimited peak replays the unlimited run, so the upper end
+/// always passes.
+fn tightest_dfd_limit(cnf: &Cnf, trace: &FileTrace) -> u64 {
+    let passes = |limit| {
+        let config = CheckConfig {
+            memory_limit: Some(limit),
+            ..CheckConfig::default()
+        };
+        check_disk_depth_first(cnf, trace, &config).is_ok()
+    };
+    let unlimited = check_disk_depth_first(cnf, trace, &CheckConfig::default()).unwrap();
+    let (mut lo, mut hi) = (0, unlimited.stats.peak_memory_bytes);
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if passes(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 #[test]
 fn completes_under_a_limit_that_memory_outs_depth_first() {
     let (cnf, sink) = chain(512);
     let trace = write_binary(&sink, "chain512");
-
-    // Establish both unlimited peaks. The source cache is disabled so the
-    // disk-backed peak is exactly its mandatory structures (index + arena
-    // + level-0 + originals) and the midpoint limit below is meaningful.
-    let no_cache = CheckConfig {
-        source_cache_bytes: Some(0),
-        ..CheckConfig::default()
-    };
     let df = check_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
-    let dfd = check_disk_depth_first(&cnf, &trace, &no_cache).unwrap();
+    let dfd = check_disk_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
     assert_same_proof(&dfd, &df);
-    assert!(
-        dfd.stats.peak_memory_bytes < df.stats.peak_memory_bytes,
-        "disk-backed peak {} must undercut in-memory peak {}",
-        dfd.stats.peak_memory_bytes,
-        df.stats.peak_memory_bytes
-    );
 
-    // A budget between the two peaks: in-memory depth-first memory-outs,
-    // the disk-backed walk completes with the identical proof.
-    let limit = (dfd.stats.peak_memory_bytes + df.stats.peak_memory_bytes) / 2;
+    // Under the tightest budget the disk-backed walk passes, its caches
+    // must give way to the mandatory structures (index + arena + level-0),
+    // and in-memory depth-first memory-outs.
+    let limit = tightest_dfd_limit(&cnf, &trace);
+    assert!(
+        limit < dfd.stats.peak_memory_bytes && limit < df.stats.peak_memory_bytes,
+        "disk-backed limit {limit} must undercut both unlimited peaks"
+    );
     let limited = CheckConfig {
         memory_limit: Some(limit),
-        source_cache_bytes: Some(0),
         ..CheckConfig::default()
     };
     let df_err = check_depth_first(&cnf, &trace, &limited).unwrap_err();
@@ -104,9 +118,10 @@ fn source_cache_does_not_change_the_proof() {
     let (cnf, sink) = chain(128);
     let trace = write_binary(&sink, "chain128");
     let df = check_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
-    for cache_bytes in [Some(0), Some(1 << 10), None] {
+    let tight = tightest_dfd_limit(&cnf, &trace);
+    for memory_limit in [Some(tight), Some(tight + (1 << 10)), None] {
         let config = CheckConfig {
-            source_cache_bytes: cache_bytes,
+            memory_limit,
             ..CheckConfig::default()
         };
         let dfd = check_disk_depth_first(&cnf, &trace, &config).unwrap();

@@ -12,14 +12,14 @@
 //! The same campaigns also re-check one trace *file* under several
 //! strategies or job counts. A [`TraceCache`] keys opened [`FileTrace`]
 //! handles by path (revalidated by length + mtime) and hands out clones
-//! that share the original's established byte map — so the daemon maps
-//! a repeatedly checked trace once instead of per job.
+//! that share the original's established byte buffer — so the daemon
+//! reads a repeatedly checked trace once instead of per job.
 //!
 //! [`CheckScratch::begin_job`]: rescheck_checker::CheckScratch::begin_job
 
 use rescheck_cnf::dimacs;
 use rescheck_cnf::{Cnf, ParseDimacsError};
-use rescheck_trace::{no_mmap_requested, FileTrace, TraceSource};
+use rescheck_trace::{FileTrace, TraceSource};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -140,11 +140,14 @@ struct TraceState {
 
 /// Path-keyed cache of opened [`FileTrace`] handles with FIFO eviction.
 ///
-/// The payoff is not the `open` syscall but the **byte map**: the cache
-/// establishes each handle's [`rescheck_trace::TraceMap`] once, and the
-/// clones it hands out share it — a campaign checking one trace file
-/// under several strategies or worker counts maps (or, under
-/// `RESCHECK_NO_MMAP`, reads) the file exactly once.
+/// The payoff is not the `open` syscall but the **byte buffer**: the
+/// cache establishes each handle's [`rescheck_trace::TraceMap`] once,
+/// and the clones it hands out share it — a campaign checking one trace
+/// file under several strategies or worker counts reads it exactly once.
+///
+/// The backing is always the buffered read, never `mmap`: the files are
+/// user-supplied, and truncating a mapped file raises `SIGBUS`, which no
+/// panic boundary can catch. A buffered copy outlives any truncation.
 #[derive(Default)]
 pub struct TraceCache {
     state: Mutex<TraceState>,
@@ -158,8 +161,8 @@ impl TraceCache {
 
     /// Opens `path`, or returns a clone of the cached handle when the
     /// file's length and mtime are unchanged. The clone shares the
-    /// cached handle's established byte map (binary traces; ASCII
-    /// traces have no map and simply skip the establishment).
+    /// cached handle's buffered byte map (binary traces; ASCII traces
+    /// have no map and simply skip the establishment).
     ///
     /// # Errors
     ///
@@ -181,7 +184,7 @@ impl TraceCache {
         // Establish the shared map *before* caching: clones share an
         // already-established map, while one established later would
         // live on that job's clone alone.
-        let _ = trace.trace_map(!no_mmap_requested());
+        let _ = trace.trace_map(false);
         let mut state = self.state.lock().expect("trace cache poisoned");
         state.misses += 1;
         if !state.entries.contains_key(path) {
@@ -303,6 +306,35 @@ mod tests {
         let fresh = cache.open(path.to_str().unwrap()).unwrap();
         assert_eq!(fresh.events_iter().unwrap().count(), 3);
         assert_eq!(cache.stats().1, 2, "rewrite must be a miss");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn truncating_a_cached_trace_cannot_fault_its_handle() {
+        // Reading a mapped page past a truncation raises SIGBUS; the
+        // cache holds a buffered copy instead, so the handle decodes
+        // every event the file had when it was opened.
+        use rescheck_trace::{BinaryWriter, TraceSink};
+        let path = std::env::temp_dir().join(format!(
+            "rescheck-serve-cache-{}-truncated.rtb",
+            std::process::id()
+        ));
+        let mut buf = Vec::new();
+        {
+            let mut w = BinaryWriter::new(&mut buf).unwrap();
+            for id in 2..20_002u64 {
+                w.learned(id, &[0, 1]).unwrap();
+            }
+            w.final_conflict(2).unwrap();
+        }
+        assert!(buf.len() > 16 * 4096, "the trace spans many pages");
+        std::fs::write(&path, buf).unwrap();
+        let trace = TraceCache::new().open(path.to_str().unwrap()).unwrap();
+        // Cut at a page boundary: a mapping would fault on the next page.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(4096).unwrap();
+        let events = trace.events_iter().unwrap().map(Result::unwrap).count();
+        assert_eq!(events, 20_001);
         std::fs::remove_file(&path).ok();
     }
 

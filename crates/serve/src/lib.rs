@@ -24,8 +24,8 @@
 //!   whose identity tokens gate
 //!   [`CheckScratch`](rescheck_checker::CheckScratch) warm-tier reuse.
 //! - [`TraceCache`] — path-keyed sharing of opened trace handles, so a
-//!   campaign re-checking one trace file maps its bytes once instead of
-//!   per job.
+//!   campaign re-checking one trace file reads its bytes once instead of
+//!   per job (into a buffer, never a mapping a truncation could fault).
 //!
 //! Verdicts embed a full `rescheck-metrics-v2` document, and the daemon
 //! itself exports `serve.*` counters, queue-depth and job-wall-time

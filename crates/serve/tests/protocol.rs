@@ -7,6 +7,8 @@ mod common;
 use common::*;
 use rescheck_obs::json::Json;
 use rescheck_serve::{serve_io, LineOutcome, ServeConfig, Server};
+use rescheck_solver::{Solver, SolverConfig};
+use rescheck_trace::BinaryWriter;
 use std::io::Cursor;
 use std::time::{Duration, Instant};
 
@@ -306,4 +308,44 @@ fn verdicts_embed_a_metrics_v2_document() {
     assert_eq!(metrics.get("command").unwrap().as_str(), Some("serve-job"));
     assert!(metrics.path("phases.check:resolve").is_some(), "{metrics}");
     assert!(verdict.path("stats.clauses_built").is_some());
+}
+
+#[test]
+fn truncating_a_cached_trace_between_jobs_still_gets_a_verdict() {
+    // Path-supplied traces are cached as buffered copies, never as live
+    // mappings, so cutting the file under the cache cannot fault the
+    // daemon: the next job sees the cut trace and rejects it.
+    let cnf = pigeonhole(4);
+    let mut writer = BinaryWriter::new(Vec::new()).unwrap();
+    let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
+    assert!(solver.solve_traced(&mut writer).unwrap().is_unsat());
+    let bytes = writer.into_inner();
+    let path = std::env::temp_dir().join(format!(
+        "rescheck-serve-truncate-{}.rtb",
+        std::process::id()
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    let job = |id: &str| {
+        job_frame(
+            id,
+            &[
+                ("cnf", Json::Str(cnf_text(&cnf))),
+                ("trace_path", Json::Str(path.display().to_string())),
+                ("strategy", Json::from("dfd")),
+            ],
+        )
+    };
+    let server = Server::start(one_worker());
+    let buf = SharedBuf::new();
+    let reply = buf.reply();
+    server.handle_line(&job("whole"), &reply);
+    buf.wait_frames(1);
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.set_len(bytes.len() as u64 / 2).unwrap();
+    server.handle_line(&job("cut"), &reply);
+    let frames = buf.wait_frames(2);
+    assert_eq!(status_of(verdict_for(&frames, "whole")), "valid");
+    assert_eq!(status_of(verdict_for(&frames, "cut")), "proof-defect");
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
 }

@@ -17,9 +17,12 @@
 //! ways:
 //!
 //! - **The file must not be truncated while mapped.** Reading a mapped
-//!   page past a shrunken file raises `SIGBUS`. rescheck only maps
-//!   traces it was handed as finished evidence; nothing in the workspace
-//!   writes to a trace after opening it for checking.
+//!   page past a shrunken file raises `SIGBUS`, which no panic boundary
+//!   can catch. rescheck only maps traces a one-shot check was handed as
+//!   finished evidence; nothing in the workspace writes to a trace after
+//!   opening it for checking. The `rescheck serve` daemon, whose trace
+//!   files outlive any one job, never maps: its trace cache establishes
+//!   the buffered backing.
 //! - **Length is captured once, at map time.** [`TraceMap::open`] reads
 //!   the file length via `fstat` and maps exactly that many bytes; a
 //!   file that grows afterwards is ignored beyond the mapped prefix, so

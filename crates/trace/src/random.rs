@@ -21,7 +21,9 @@
 //! while mapped, the length is captured at map time, and the magic is
 //! re-verified on the mapped bytes before any decode.
 
-use crate::{varint, FileTrace, MemorySink, TraceEvent, TraceFormat, TraceSource, BINARY_MAGIC};
+use crate::{
+    varint, FileTrace, MemorySink, SliceDecoder, TraceEvent, TraceFormat, TraceSource, BINARY_MAGIC,
+};
 use rescheck_cnf::{Lit, READ_BUFFER_BYTES};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
@@ -156,13 +158,20 @@ pub(crate) fn parse_binary_body<R: BufRead>(reader: &mut R, tag: u8) -> io::Resu
         0x01 => {
             let id = varint::read_u64(&mut *reader)?;
             let count = varint::read_u64(&mut *reader)?;
-            if !(2..=(1 << 32)).contains(&count) {
+            if count < 2 {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    "bad resolve-source count",
+                    "learned clause needs at least two resolve sources",
                 ));
             }
-            let mut sources = Vec::with_capacity(count as usize);
+            if count > (1 << 32) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "implausible resolve-source count",
+                ));
+            }
+            // `count` is attacker-controlled until the sources decode.
+            let mut sources = Vec::with_capacity(count.min(65_536) as usize);
             for _ in 0..count {
                 sources.push(varint::read_u64(&mut *reader)?);
             }
@@ -236,12 +245,11 @@ impl TraceCursor for FileCursor {
     }
 }
 
-/// Offset iteration over mapped bytes: decodes with the same
-/// `parse_binary_body` the positioned-read path uses, so diagnostics on
-/// malformed records are byte-for-byte identical to [`BinaryOffsetIter`].
+/// Offset iteration over mapped bytes, decoded by the same
+/// [`SliceDecoder`] as every other mapped pass, so diagnostics on
+/// malformed records match them byte for byte.
 struct MapOffsetIter<'a> {
-    data: &'a [u8],
-    pos: usize,
+    decoder: SliceDecoder<'a>,
     done: bool,
 }
 
@@ -249,17 +257,12 @@ impl Iterator for MapOffsetIter<'_> {
     type Item = io::Result<(u64, TraceEvent)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done || self.pos >= self.data.len() {
+        if self.done {
             return None;
         }
-        let start = self.pos;
-        let tag = self.data[self.pos];
-        let mut rest = &self.data[self.pos + 1..];
-        match parse_binary_body(&mut rest, tag) {
-            Ok(event) => {
-                self.pos = start + binary_event_len(&event) as usize;
-                Some(Ok((start as u64, event)))
-            }
+        let start = self.decoder.offset() as u64;
+        match self.decoder.next_event() {
+            Ok(event) => event.map(|event| Ok((start, event.to_owned()))),
             Err(e) => {
                 self.done = true;
                 Some(Err(e))
@@ -268,22 +271,20 @@ impl Iterator for MapOffsetIter<'_> {
     }
 }
 
-/// Positioned reads as slice indexing into the mapped bytes.
+/// Positioned reads as a [`SliceDecoder`] resumed at the offset.
 struct MapCursor<'a> {
     data: &'a [u8],
 }
 
 impl TraceCursor for MapCursor<'_> {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
-        let pos = usize::try_from(offset)
-            .ok()
-            .filter(|&p| p < self.data.len())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "trace offset out of range")
-            })?;
-        let tag = self.data[pos];
-        let mut rest = &self.data[pos + 1..];
-        parse_binary_body(&mut rest, tag)
+        // An offset past the end decodes as the end of the slice.
+        let pos = usize::try_from(offset).unwrap_or(usize::MAX);
+        let mut decoder = SliceDecoder::resume_at(self.data, pos);
+        decoder
+            .next_event()?
+            .map(|event| event.to_owned())
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "trace offset out of range"))
     }
 }
 
@@ -292,8 +293,7 @@ impl RandomAccessTrace for FileTrace {
         if self.format() == TraceFormat::Binary {
             if let Some(map) = self.established_map() {
                 return Ok(Box::new(MapOffsetIter {
-                    data: map.bytes(),
-                    pos: BINARY_MAGIC.len(),
+                    decoder: SliceDecoder::resume_at(map.bytes(), BINARY_MAGIC.len()),
                     done: false,
                 }));
             }
