@@ -9,11 +9,9 @@
 //! Traces go through the production file path — solved once into a
 //! binary temp file and checked through a [`FileTrace`] with its byte
 //! map established up front (the `rescheck serve` reuse pattern) — so
-//! the parallel rows exercise the mapped sharded ingestion front end.
-//! The `pdag` rows override the `parallel_min_learned` threshold to 0 to
-//! force the parallel path, and a `nommap` row re-checks under the
-//! buffered backing; its work counters must match the mapped row
-//! bit-for-bit.
+//! the parallel rows exercise the sharded ingestion front end over the
+//! map. The `pdag` rows override the `parallel_min_learned` threshold
+//! to 0 to force the parallel path.
 //!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
@@ -45,18 +43,17 @@ fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
     assert!(solver.solve_traced(&mut writer).unwrap().is_unsat());
     writer.flush().expect("flush trace fixture");
     let trace = FileTrace::open(&path).expect("open trace fixture");
-    trace.trace_map(true).expect("binary traces map");
+    trace.trace_map().expect("binary traces map");
     (trace, path)
 }
 
 /// The pdag rows force the parallel path: both bench instances sit
-/// below the default `parallel_min_learned` threshold, which the mapped
+/// below the default `parallel_min_learned` threshold, which the map's
 /// block index now enforces with exact counts.
-fn pdag_config(jobs: usize, no_mmap: bool) -> CheckConfig {
+fn pdag_config(jobs: usize) -> CheckConfig {
     CheckConfig {
         jobs,
         parallel_min_learned: 0,
-        no_mmap,
         ..CheckConfig::default()
     }
 }
@@ -109,9 +106,9 @@ fn main() {
         });
         push_row("bf", seq.median.as_secs_f64(), None);
 
-        let mut mapped_key = None;
+        let mut pdag_key = None;
         for jobs in [1usize, 2, 4, 8] {
-            let config = pdag_config(jobs, false);
+            let config = pdag_config(jobs);
             let stats = check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
                 .expect("genuine trace")
                 .stats;
@@ -120,46 +117,16 @@ fn main() {
                 stats.resolutions,
                 stats.peak_memory_bytes,
             );
-            if let Some(prev) = mapped_key {
+            if let Some(prev) = pdag_key {
                 assert_eq!(prev, key, "pdag stats drift across worker counts");
             }
-            mapped_key = Some(key);
+            pdag_key = Some(key);
             let summary = bench(&format!("check/pdag-jobs{jobs}/{}", inst.name), || {
                 check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
                     .expect("genuine trace");
             });
             push_row(
                 &format!("pdag-jobs{jobs}"),
-                summary.median.as_secs_f64(),
-                Some(&stats),
-            );
-        }
-
-        // The buffered-backing comparison row: a fresh handle (a
-        // FileTrace keeps the first backing it establishes) checked
-        // with `no_mmap`, which must reproduce the mapped rows' work
-        // counters bit-for-bit.
-        {
-            let config = pdag_config(4, true);
-            let unmapped = FileTrace::open(&trace_path).expect("open trace fixture");
-            let stats = check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &config)
-                .expect("genuine trace")
-                .stats;
-            assert_eq!(
-                mapped_key,
-                Some((
-                    stats.clauses_built,
-                    stats.resolutions,
-                    stats.peak_memory_bytes,
-                )),
-                "no_mmap pdag stats diverge from the mapped rows"
-            );
-            let summary = bench(&format!("check/pdag-jobs4-nommap/{}", inst.name), || {
-                check_unsat_claim(&inst.cnf, &unmapped, Strategy::ParallelDag, &config)
-                    .expect("genuine trace");
-            });
-            push_row(
-                "pdag-jobs4-nommap",
                 summary.median.as_secs_f64(),
                 Some(&stats),
             );

@@ -5,19 +5,19 @@
 //!   into a `String`, then [`dimacs::parse_str_lines`], which allocates
 //!   an owned `String` per line and tokenizes with `split_whitespace`)
 //!   against [`dimacs::read_file`], the block-buffered byte scanner.
-//! * Binary trace decoding — the retained per-record [`BinaryReader`]
+//! * Binary trace decoding — the per-record reference [`BinaryReader`]
 //!   behind the pre-change default 8 KiB `BufReader` (a `read_exact`
 //!   per tag/varint byte, an owned `sources` vector per event) against
 //!   [`BlockDecoder`] refilling one 256 KiB block buffer and lending
 //!   borrowed [`EventRef`]s.
-//! * Mapped ingestion — the buffered sequential block decode against
-//!   the parallel checkers' pass-1 front end: disjoint block-index
-//!   shards of an established [`TraceMap`] decoded on worker threads
-//!   through [`SliceDecoder`]s, zero read syscalls and zero copies.
+//! * Trace-map ingestion — the per-record reader against the parallel
+//!   checkers' pass-1 front end: disjoint block-index shards of an
+//!   established [`TraceMap`] decoded on worker threads through
+//!   [`SliceDecoder`]s, with no read syscall and no copy.
 //! * Random-access fetch — the disk-depth-first access pattern
 //!   (`event_at` over shuffled offsets) through the positioned-read
-//!   file cursor (one `pread` per fetch) against the map-backed cursor
-//!   (plain slice indexing).
+//!   file cursor (a window read at each offset) against the map cursor
+//!   (the record decoded in place).
 //! * Proof emission — the same exported LRAT refutation encoded as text
 //!   against the binary LRAT encoding (smaller and cheaper to write).
 //! * Proof ingestion — hint-free DRAT reconstruction (two-watched-literal
@@ -127,8 +127,8 @@ fn parse_lines_path(path: &Path) -> Cnf {
     dimacs::parse_reader_lines(reader).expect("valid dimacs")
 }
 
-/// The retained per-record production path: `BinaryReader` behind the
-/// old default-capacity `BufReader`, one owned `TraceEvent` per record.
+/// The per-record reference reader: `BinaryReader` behind the old
+/// default-capacity `BufReader`, one owned `TraceEvent` per record.
 /// Returns an event/source tally used for the equality check.
 fn decode_record_path(path: &Path) -> (u64, u64) {
     let reader = BufReader::with_capacity(OLD_BUF_BYTES, File::open(path).expect("open trace"));
@@ -179,7 +179,7 @@ fn decode_block_path(path: &Path) -> (u64, u64) {
     (events, source_sum)
 }
 
-/// Workers for the mapped sharded decode: one per available core, the
+/// Workers for the sharded map decode: one per available core, the
 /// same cap the parallel checkers derive, at most 4.
 fn map_shards() -> usize {
     std::thread::available_parallelism()
@@ -188,7 +188,7 @@ fn map_shards() -> usize {
         .min(4)
 }
 
-/// The mapped ingestion path of the parallel checkers: decode disjoint
+/// The map ingestion path of the parallel checkers: decode disjoint
 /// block-index shards of an established map on worker threads — or, on
 /// a single-core host, the whole slice in place (the checkers' `jobs 1`
 /// path), where the win over the buffered reader is the absence of
@@ -255,8 +255,8 @@ fn decode_map_sharded(map: &TraceMap, shards: usize) -> (u64, u64) {
 }
 
 /// Fetches every offset through the trace's random-access cursor —
-/// `pread`-backed on a bare [`FileTrace`], slice-backed once its map is
-/// established — and returns a content checksum.
+/// window reads on a bare [`FileTrace`], the map's bytes once its map
+/// is established — and returns a content checksum.
 fn fetch_all(trace: &FileTrace, offsets: &[u64]) -> u64 {
     let mut cursor = trace.open_cursor().expect("cursor");
     let mut sum = 0u64;
@@ -328,15 +328,15 @@ fn main() {
         .set("speedup", decode_speedup);
     rows.push(row);
 
-    // ---- Mapped ingestion: the buffered per-record reader (the same
-    // baseline as the decode row) vs the mapped decode over an
-    // established byte map, sharded across the available cores.
+    // ---- Map ingestion: the buffered per-record reader (the same
+    // baseline as the decode row) vs the decode over an established
+    // byte map, sharded across the available cores.
     let map = TraceMap::open(&trace_path).expect("map fixture");
     let shards = map_shards();
     assert_eq!(
         decode_map_sharded(&map, shards),
         expected,
-        "sharded mapped decode disagrees with the fixture"
+        "sharded map decode disagrees with the fixture"
     );
     let map_decode = bench("io/decode/map-sharded", || {
         std::hint::black_box(decode_map_sharded(&map, shards));
@@ -348,7 +348,6 @@ fn main() {
         .set("input_bytes", trace_bytes)
         .set("events", expected.0)
         .set("shards", shards as u64)
-        .set("mmap", map.is_mmap())
         .set("old_min_seconds", old_decode.min.as_secs_f64())
         .set("new_min_seconds", map_decode.min.as_secs_f64())
         .set("old_median_seconds", old_decode.median.as_secs_f64())
@@ -357,7 +356,7 @@ fn main() {
     rows.push(row);
     drop(map);
 
-    // ---- Random-access fetch: pread cursor vs map-backed cursor over
+    // ---- Random-access fetch: windowed file cursor vs map cursor over
     // the same shuffled offsets (the disk-depth-first access pattern).
     let unmapped = FileTrace::open(&trace_path).expect("open trace");
     let mut offsets: Vec<u64> = unmapped
@@ -371,14 +370,14 @@ fn main() {
     }
     offsets.truncate(30_000);
     let mapped = FileTrace::open(&trace_path).expect("open trace");
-    mapped.trace_map(true).expect("binary traces map");
+    mapped.trace_map().expect("binary traces map");
     let checksum = fetch_all(&unmapped, &offsets);
     assert_eq!(
         fetch_all(&mapped, &offsets),
         checksum,
         "cursors disagree on the fixture"
     );
-    let old_fetch = bench("io/fetch/pread", || {
+    let old_fetch = bench("io/fetch/window", || {
         std::hint::black_box(fetch_all(&unmapped, &offsets));
     });
     let new_fetch = bench("io/fetch/map", || {

@@ -568,23 +568,19 @@ mod tests {
         verdict
     }
 
-    /// The verdict all six strategies share on a binary trace file, the
-    /// same with the mapping on and off.
+    /// The verdict all six strategies share on a binary trace file.
     fn unanimous_on_file(cnf: &Cnf, name: &str, bytes: &[u8]) -> String {
         let dir = std::env::temp_dir().join("rescheck-agreement");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("{name}-{}.rtb", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
-        let verdicts = [false, true].map(|no_mmap| {
-            let config = CheckConfig {
-                no_mmap,
-                ..CheckConfig::default()
-            };
-            unanimous(cnf, &FileTrace::open(&path).unwrap(), &config)
-        });
+        let verdict = unanimous(
+            cnf,
+            &FileTrace::open(&path).unwrap(),
+            &CheckConfig::default(),
+        );
         std::fs::remove_file(&path).ok();
-        assert_eq!(verdicts[0], verdicts[1], "mmap vs buffered");
-        verdicts[0].clone()
+        verdict
     }
 
     fn binary(events: &[TraceEvent]) -> Vec<u8> {

@@ -47,15 +47,6 @@ pub struct CheckConfig {
     /// parallel. The estimate comes from the encoded trace size; an
     /// unsized trace source never falls back.
     pub parallel_min_learned: usize,
-    /// Request the buffered read-whole-file backing instead of `mmap`
-    /// for file traces (the `--no-mmap` CLI flag; the
-    /// `RESCHECK_NO_MMAP` environment variable has the same effect).
-    /// This controls only how the bytes are *backed* — every map-based
-    /// code path (slice decoding, sharded parallel pass 1, cursor
-    /// fetches by pointer arithmetic) stays on, so verdicts and stats
-    /// are bit-identical across the two settings. The map is charged to
-    /// the memory meter identically in both modes.
-    pub no_mmap: bool,
     /// Cooperative cancellation handle, polled at progress strides. The
     /// default flag is inert; arm one ([`CancelFlag::armed`]) to be able
     /// to stop a check from another thread.
@@ -70,7 +61,6 @@ impl Default for CheckConfig {
             memory_limit: None,
             jobs: 0,
             parallel_min_learned: 4096,
-            no_mmap: false,
             cancel: CancelFlag::default(),
         }
     }
@@ -140,13 +130,11 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// accounting: `check.dfd.index_entries` (flat offset-index size),
 /// `check.dfd.cursor_reads` (positioned trace reads performed),
 /// `check.dfd.cache_hits` and `check.dfd.cache_bytes` (source-list cache
-/// effectiveness and residency). Strategies that establish a
-/// memory-mapped trace backing ([`Strategy::DiskDepthFirst`] and
-/// [`Strategy::ParallelDag`] on binary file traces) run it inside a
-/// `trace-map` phase and emit `check.map.bytes` (accounted map length)
-/// and `check.map.mmap` (1 for the `mmap` backing, 0 for the buffered
-/// fallback); the sharded mapped pass 1 additionally reports
-/// `check.pass1.shards`.
+/// effectiveness and residency). Strategies that read a binary file
+/// trace into an in-memory byte map ([`Strategy::DiskDepthFirst`] and
+/// [`Strategy::ParallelDag`]) do so inside a `trace-map` phase and emit
+/// `check.map.bytes` (accounted map length); the sharded pass 1 over
+/// the map additionally reports `check.pass1.shards`.
 ///
 /// It is [`check_unsat_claim_scoped`] on a fresh [`CheckScratch`].
 ///
@@ -630,7 +618,6 @@ mod tests {
         assert_eq!(cfg.memory_limit, None);
         assert_eq!(cfg.jobs, 0);
         assert_eq!(cfg.parallel_min_learned, 4096);
-        assert!(!cfg.no_mmap);
         assert!(!cfg.cancel.is_cancelled());
     }
 }

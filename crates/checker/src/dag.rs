@@ -393,7 +393,7 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     // cannot raise throughput (the stats are identical either way), so
     // oversubscribed requests silently run with fewer workers.
     let jobs = effective_jobs(config.jobs).min(crate::parallel::max_useful_workers());
-    let map = crate::parallel::establish_map(trace, config, obs);
+    let map = crate::parallel::establish_map(trace, obs);
     if crate::parallel::small_trace_fallback(trace, map, config, obs) {
         let mut outcome =
             crate::breadth_first::run(cnf, trace, config, &mut CheckScratch::new(), obs)?;
@@ -402,9 +402,8 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     }
     let mut meter = MemoryMeter::new(config.memory_limit);
     if let Some(map) = map {
-        // The encoded trace stays resident (mapped or buffered) for the
-        // whole check; charging it under both backings keeps the peak
-        // independent of `--no-mmap` and of the worker count.
+        // The encoded trace stays resident for the whole check; charging
+        // it up front keeps the peak independent of the worker count.
         meter.alloc(map.accounted_bytes())?;
     }
 

@@ -22,7 +22,7 @@
 //!   source lists through a [`TraceCursor`], keeping hot ones in a
 //!   memory-accounted [`SourceCache`]. Binary file traces run through
 //!   the established [`TraceMap`], whose encoded bytes are charged up
-//!   front under both backings.
+//!   front.
 //!
 //! Built clauses are never freed, so the two report bit-identical
 //! `clauses_built`, `resolutions` and unsat cores; only the peak differs.
@@ -85,11 +85,10 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
-    let map = crate::parallel::establish_map(trace, config, obs);
+    let map = crate::parallel::establish_map(trace, obs);
     if let Some(map) = map {
-        // The encoded trace stays resident (mapped or buffered) behind
-        // the cursor for the whole check; charge it under both backings
-        // so the peak is independent of `--no-mmap`.
+        // The encoded trace stays resident behind the cursor for the
+        // whole check.
         meter.alloc(map.accounted_bytes())?;
     }
 

@@ -14,7 +14,8 @@
 //!    clauses consume it. Source lists are re-read from the trace on
 //!    demand and never kept.
 //! 3. **Build pass** (random access): construct only the needed clauses,
-//!    depth-first; a clause is freed the moment its last needed consumer
+//!    in the order the reachability walk finished them (sources before
+//!    consumers); a clause is freed the moment its last needed consumer
 //!    has been built (breadth-first's memory discipline applied to
 //!    depth-first's clause subset).
 //! 4. The final empty-clause derivation runs over the pinned clauses.
@@ -103,6 +104,8 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     };
 
     // ---- Pass 2: reachability + use counts over the needed subgraph.
+    // The walk marks a clause visited once all its sources are, so the
+    // visit order is a reverse topological order: the build order.
     let resolve_phase = Phase::start("check:resolve", obs);
     let pinned_set: FxHashSet<u64> = pinned
         .iter()
@@ -112,6 +115,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
     let mut use_counts: FxHashMap<u64, u32> = FxHashMap::default();
     let mut visited: FxHashSet<u64> = FxHashSet::default();
     let mut gray: FxHashSet<u64> = FxHashSet::default();
+    let mut build_order: Vec<u64> = Vec::new();
     let mut steps: u64 = 0;
     for &root in &pinned_set {
         if visited.contains(&root) {
@@ -132,6 +136,7 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
                 // Children expanded: mark done.
                 gray.remove(&cur);
                 visited.insert(cur);
+                build_order.push(cur);
                 stack.pop();
                 continue;
             }
@@ -150,40 +155,10 @@ pub(crate) fn run<S: RandomAccessTrace + ?Sized>(
             }
         }
     }
-    let needed = visited.len();
-    meter.alloc(needed as u64 * USE_COUNT_BYTES)?;
+    meter.alloc(build_order.len() as u64 * USE_COUNT_BYTES)?;
 
     // ---- Pass 3: depth-first build over the needed subgraph, freeing
     // clauses as their last use completes.
-    // Build in reverse topological order discovered by a second DFS (the
-    // graph is now known to be acyclic).
-    let mut build_order: Vec<u64> = Vec::with_capacity(needed);
-    {
-        let mut expanded: FxHashSet<u64> = FxHashSet::default();
-        let mut placed: FxHashSet<u64> = FxHashSet::default();
-        for &root in &pinned_set {
-            let mut stack: Vec<u64> = vec![root];
-            while let Some(&cur) = stack.last() {
-                if cur < num_original as u64 || placed.contains(&cur) {
-                    stack.pop();
-                    continue;
-                }
-                if expanded.contains(&cur) {
-                    placed.insert(cur);
-                    build_order.push(cur);
-                    stack.pop();
-                    continue;
-                }
-                expanded.insert(cur);
-                for &s in &sources_of(&mut *cursor, &index, cur, Some(cur))? {
-                    if s >= num_original as u64 && !placed.contains(&s) {
-                        stack.push(s);
-                    }
-                }
-            }
-        }
-    }
-
     let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
     for id in build_order {
         let sources = sources_of(&mut *cursor, &index, id, None)?;

@@ -118,22 +118,17 @@ pub(crate) fn small_trace_fallback<S: TraceSource + ?Sized>(
 }
 
 /// Establishes the trace's shared byte map (when the source supports
-/// one) inside a `trace-map` phase and reports what backs it.
+/// one) inside a `trace-map` phase and reports its size.
 pub(crate) fn establish_map<'a, S: TraceSource + ?Sized>(
     trace: &'a S,
-    config: &CheckConfig,
     obs: &mut dyn Observer,
 ) -> Option<&'a TraceMap> {
     let phase = Phase::start("trace-map", obs);
-    let map = trace.trace_map(!config.no_mmap);
+    let map = trace.trace_map();
     if let Some(map) = map {
         obs.observe(&Event::GaugeSet {
             name: "check.map.bytes",
             value: map.accounted_bytes() as f64,
-        });
-        obs.observe(&Event::GaugeSet {
-            name: "check.map.mmap",
-            value: map.is_mmap() as u8 as f64,
         });
     }
     phase.finish(obs);
@@ -524,9 +519,7 @@ mod tests {
             // An empty source list does not even decode, so its map has
             // no block index and pdag streams it; every other case takes
             // the sharded merge.
-            let indexed = trace
-                .trace_map(true)
-                .is_some_and(|m| m.block_index().is_some());
+            let indexed = trace.trace_map().is_some_and(|m| m.block_index().is_some());
             assert_eq!(indexed, i != 3, "case {i}");
             let (bf, pdag) = first_error(&trace);
             assert_eq!(pdag, bf, "case {i}, mapped");

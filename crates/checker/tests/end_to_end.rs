@@ -292,16 +292,14 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
     assert!(sub_solver.solve().is_unsat());
 }
 
-/// The `no_mmap` escape hatch swaps only the trace *backing*: every
-/// verdict and every stat must be bit-identical with the mapping on and
-/// off, for every map-consuming strategy, at every worker count — and
-/// the parallel strategies must also agree across worker counts.
+/// Checks that read a binary trace through its byte map report
+/// bit-identical stats at every worker count.
 #[test]
-fn no_mmap_checks_are_bit_identical() {
+fn map_checks_are_bit_identical_across_jobs() {
     let cnf = pigeonhole(5);
     let dir = std::env::temp_dir().join("rescheck-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("php5-nommap-{}.rtb", std::process::id()));
+    let path = dir.join(format!("php5-map-{}.rtb", std::process::id()));
     {
         let file = std::fs::File::create(&path).unwrap();
         let mut writer = BinaryWriter::new(std::io::BufWriter::new(file)).unwrap();
@@ -316,41 +314,24 @@ fn no_mmap_checks_are_bit_identical() {
     ] {
         let mut across_jobs: Option<(u64, u64, u64, u64)> = None;
         for &jobs in job_counts {
-            let mut across_backings: Option<(u64, u64, u64, u64)> = None;
-            for no_mmap in [false, true] {
-                // Fresh handle per run: a FileTrace caches the first
-                // backing it establishes.
-                let trace = FileTrace::open(&path).unwrap();
-                let config = CheckConfig {
-                    jobs,
-                    parallel_min_learned: 0,
-                    no_mmap,
-                    ..CheckConfig::default()
-                };
-                let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)
-                    .unwrap_or_else(|e| panic!("{strategy} jobs={jobs} no_mmap={no_mmap}: {e}"));
-                let key = (
-                    outcome.stats.learned_in_trace,
-                    outcome.stats.clauses_built,
-                    outcome.stats.resolutions,
-                    outcome.stats.peak_memory_bytes,
-                );
-                if let Some(prev) = across_backings {
-                    assert_eq!(
-                        prev, key,
-                        "{strategy} jobs={jobs}: stats differ across mmap on/off"
-                    );
-                }
-                across_backings = Some(key);
-            }
+            let trace = FileTrace::open(&path).unwrap();
+            let config = CheckConfig {
+                jobs,
+                parallel_min_learned: 0,
+                ..CheckConfig::default()
+            };
+            let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)
+                .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}"));
+            let key = (
+                outcome.stats.learned_in_trace,
+                outcome.stats.clauses_built,
+                outcome.stats.resolutions,
+                outcome.stats.peak_memory_bytes,
+            );
             if let Some(prev) = across_jobs {
-                assert_eq!(
-                    prev,
-                    across_backings.unwrap(),
-                    "{strategy}: stats differ across worker counts"
-                );
+                assert_eq!(prev, key, "{strategy}: stats differ across worker counts");
             }
-            across_jobs = across_backings;
+            across_jobs = Some(key);
         }
     }
     std::fs::remove_file(&path).ok();

@@ -6,11 +6,11 @@
 //! the printed seed); `heavy-tests` raises the case count.
 
 use rescheck_checker::{
-    check_unsat_claim, proof_stats, trim_trace, CheckConfig, Strategy as CheckStrategy,
+    check_unsat_claim, proof_stats, trim_trace, CheckConfig, FailureKind, Strategy as CheckStrategy,
 };
 use rescheck_cnf::{Cnf, Lit, SplitMix64, Var};
 use rescheck_solver::{Solver, SolverConfig};
-use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink};
+use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink, TraceSource};
 
 const CASES: u64 = if cfg!(feature = "heavy-tests") {
     512
@@ -261,6 +261,45 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
                 result.is_err(),
                 "seed {seed} cut {cut}: {strategy} accepted a truncated binary trace"
             );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A trace file cut short *after* a check has established its byte map
+/// (as `dfd`, `pdag` and the daemon's trace cache do) must not end the
+/// process: every strategy returns a verdict or a classified error.
+#[test]
+fn truncating_the_file_after_its_map_is_established_never_kills_a_check() {
+    let cnf = pigeonhole(7);
+    let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
+    let mut encoded: Vec<u8> = Vec::new();
+    {
+        let mut writer = BinaryWriter::new(&mut encoded).unwrap();
+        assert!(solver.solve_traced(&mut writer).unwrap().is_unsat());
+    }
+    assert!(encoded.len() > 4 * 4096, "the trace spans many pages");
+    let dir = std::env::temp_dir();
+    for strategy in ALL_STRATEGIES {
+        let path = dir.join(format!(
+            "rescheck-robustness-{}-cut-{strategy}.rtb",
+            std::process::id()
+        ));
+        std::fs::write(&path, &encoded).unwrap();
+        let trace = FileTrace::open(&path).unwrap();
+        assert!(trace.trace_map().is_some());
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(4096)
+            .unwrap();
+        match check_unsat_claim(&cnf, &trace, strategy, &CheckConfig::default()) {
+            Ok(_) => {}
+            Err(e) => assert!(
+                matches!(e.kind(), FailureKind::ProofDefect | FailureKind::Io),
+                "{strategy}: unclassified failure {e}"
+            ),
         }
         std::fs::remove_file(&path).ok();
     }

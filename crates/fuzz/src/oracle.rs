@@ -34,10 +34,9 @@ use rescheck_interop::{
     apply_proof, export_lrat, ingest_bytes, lrat, ProofFormat, ProofMutation, ALL_PROOF_MUTATIONS,
 };
 use rescheck_solver::{SolveResult, Solver};
-use rescheck_trace::{mutate, BinaryReader, BinaryWriter, Mutation, TraceEvent};
+use rescheck_trace::{mutate, read_all, BinaryWriter, Mutation, TraceEvent, TraceFormat};
 use rescheck_trace::{MemorySink, TraceSink, ALL_MUTATIONS};
 use std::fmt;
-use std::io::Cursor;
 
 /// The checker configuration the oracle matrix runs under: a fixed
 /// worker count and no small-trace fallback, so the parallel-dag
@@ -260,7 +259,7 @@ pub fn encode_binary(events: &[TraceEvent]) -> Vec<u8> {
 
 /// Decodes a binary trace, `Err` on any malformation.
 pub fn decode_binary(bytes: &[u8]) -> std::io::Result<Vec<TraceEvent>> {
-    BinaryReader::new(Cursor::new(bytes))?.collect()
+    read_all(bytes, TraceFormat::Binary)
 }
 
 /// Ground truth for `cnf` where we can know it: brute force on small

@@ -29,6 +29,8 @@
 //! wrong, exit 1). Neither path may panic, no matter the bytes — the
 //! conformance suite and the fuzz corpus (via [`corrupt`]) enforce it.
 
+#![forbid(unsafe_code)]
+
 pub mod corrupt;
 pub mod drat;
 pub mod error;

@@ -144,10 +144,8 @@ struct TraceState {
 /// cache establishes each handle's [`rescheck_trace::TraceMap`] once,
 /// and the clones it hands out share it — a campaign checking one trace
 /// file under several strategies or worker counts reads it exactly once.
-///
-/// The backing is always the buffered read, never `mmap`: the files are
-/// user-supplied, and truncating a mapped file raises `SIGBUS`, which no
-/// panic boundary can catch. A buffered copy outlives any truncation.
+/// The buffer is a copy, so a trace file truncated or rewritten while a
+/// job runs changes nothing that job sees.
 #[derive(Default)]
 pub struct TraceCache {
     state: Mutex<TraceState>,
@@ -184,7 +182,7 @@ impl TraceCache {
         // Establish the shared map *before* caching: clones share an
         // already-established map, while one established later would
         // live on that job's clone alone.
-        let _ = trace.trace_map(false);
+        let _ = trace.trace_map();
         let mut state = self.state.lock().expect("trace cache poisoned");
         state.misses += 1;
         if !state.entries.contains_key(path) {
@@ -311,9 +309,8 @@ mod tests {
 
     #[test]
     fn truncating_a_cached_trace_cannot_fault_its_handle() {
-        // Reading a mapped page past a truncation raises SIGBUS; the
-        // cache holds a buffered copy instead, so the handle decodes
-        // every event the file had when it was opened.
+        // The cache holds a buffered copy, so the handle decodes every
+        // event the file had when it was opened.
         use rescheck_trace::{BinaryWriter, TraceSink};
         let path = std::env::temp_dir().join(format!(
             "rescheck-serve-cache-{}-truncated.rtb",
@@ -330,7 +327,7 @@ mod tests {
         assert!(buf.len() > 16 * 4096, "the trace spans many pages");
         std::fs::write(&path, buf).unwrap();
         let trace = TraceCache::new().open(path.to_str().unwrap()).unwrap();
-        // Cut at a page boundary: a mapping would fault on the next page.
+        // Cut at a page boundary.
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(4096).unwrap();
         let events = trace.events_iter().unwrap().map(Result::unwrap).count();

@@ -17,8 +17,9 @@ use rescheck_checker::{
 };
 use rescheck_cnf::{Assignment, Lit};
 use rescheck_obs::{Json, MetricsSink, Registry};
-use rescheck_trace::{read_all, FileTrace, MemorySink, TraceFormat};
+use rescheck_trace::{read_all, require_regular_file, FileTrace, MemorySink, TraceFormat};
 use std::io::Cursor;
+use std::path::Path;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -59,9 +60,14 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
             .arm(started + Duration::from_millis(ms), cancel.clone())
     });
 
+    // Every path is stat'ed before it is opened: opening a FIFO with no
+    // writer would block the worker past any deadline. The trace cache
+    // gets the same check from `FileTrace::open`.
     let formula = match &spec.formula {
         Payload::Inline(text) => env.cache.load_text(text),
-        Payload::Path(path) => match std::fs::read_to_string(path) {
+        Payload::Path(path) => match require_regular_file(Path::new(path))
+            .and_then(|()| std::fs::read_to_string(path))
+        {
             Ok(text) => env.cache.load_text(&text),
             Err(e) => {
                 return finish(
@@ -126,7 +132,9 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                 // trace first, then check that trace like any other.
                 let bytes = match evidence {
                     Payload::Inline(text) => text.as_bytes().to_vec(),
-                    Payload::Path(path) => match std::fs::read(path) {
+                    Payload::Path(path) => match require_regular_file(Path::new(path))
+                        .and_then(|()| std::fs::read(path))
+                    {
                         Ok(bytes) => bytes,
                         Err(e) => {
                             return finish(

@@ -312,9 +312,9 @@ fn verdicts_embed_a_metrics_v2_document() {
 
 #[test]
 fn truncating_a_cached_trace_between_jobs_still_gets_a_verdict() {
-    // Path-supplied traces are cached as buffered copies, never as live
-    // mappings, so cutting the file under the cache cannot fault the
-    // daemon: the next job sees the cut trace and rejects it.
+    // Path-supplied traces are cached as buffered copies, so cutting the
+    // file under the cache cannot fault the daemon: the next job sees the
+    // cut trace and rejects it.
     let cnf = pigeonhole(4);
     let mut writer = BinaryWriter::new(Vec::new()).unwrap();
     let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
@@ -348,4 +348,93 @@ fn truncating_a_cached_trace_between_jobs_still_gets_a_verdict() {
     assert_eq!(status_of(verdict_for(&frames, "cut")), "proof-defect");
     server.shutdown();
     std::fs::remove_file(&path).ok();
+}
+
+#[cfg(unix)]
+#[test]
+fn fifo_paths_get_io_errors_and_shutdown_completes() {
+    // Opening a FIFO that has no writer blocks in open(2); a daemon that
+    // opened one would wedge a worker past any deadline and never finish
+    // its shutdown. Every path field is refused before it is opened.
+    let dir = std::env::temp_dir().join(format!("rescheck-serve-fifo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("no-writer");
+    std::fs::remove_file(&fifo).ok();
+    match std::process::Command::new("mkfifo").arg(&fifo).status() {
+        Ok(status) if status.success() => {}
+        _ => {
+            eprintln!("mkfifo unavailable; skipping");
+            return;
+        }
+    }
+    let cnf = pigeonhole(2);
+    let fifo_path = Json::Str(fifo.display().to_string());
+    let deadline = ("timeout_ms", Json::Int(500));
+    let jobs = [
+        job_frame(
+            "cnf_path",
+            &[
+                ("cnf_path", fifo_path.clone()),
+                ("trace", Json::Str(unsat_trace_text(&cnf))),
+                deadline.clone(),
+            ],
+        ),
+        job_frame(
+            "trace_path",
+            &[
+                ("cnf", Json::Str(cnf_text(&cnf))),
+                ("trace_path", fifo_path.clone()),
+                deadline.clone(),
+            ],
+        ),
+        job_frame(
+            "proof_path",
+            &[
+                ("cnf", Json::Str(cnf_text(&cnf))),
+                ("trace_path", fifo_path),
+                ("proof_format", Json::from("drat")),
+                deadline,
+            ],
+        ),
+    ];
+    let input = format!("{}\n{{\"op\":\"shutdown\"}}\n", jobs.join("\n"));
+
+    // The daemon runs on its own thread and every frame has a bounded
+    // wait, so a wedged worker fails this test instead of hanging it.
+    let buf = SharedBuf::new();
+    let out = buf.clone();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let daemon = std::thread::spawn(move || {
+        let config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let summary = serve_io(config, Cursor::new(input), Box::new(out));
+        done_tx.send(summary.is_ok()).ok();
+    });
+    for n in 1..=3 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while buf.frames().len() < n {
+            assert!(
+                Instant::now() < deadline,
+                "no verdict {n} within 10 s:\n{}",
+                buf.text()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    assert_eq!(
+        done_rx.recv_timeout(Duration::from_secs(10)),
+        Ok(true),
+        "shutdown did not complete"
+    );
+    daemon.join().expect("daemon thread");
+    let frames = buf.frames();
+    for id in ["cnf_path", "trace_path", "proof_path"] {
+        let verdict = verdict_for(&frames, id);
+        assert_eq!(status_of(verdict), "io-error", "{verdict}");
+        let error = verdict.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("not a regular file"), "{error}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,7 +30,7 @@ pub(crate) const TAG_FINAL: u8 = 0x03;
 /// # Examples
 ///
 /// ```
-/// use rescheck_trace::{BinaryReader, BinaryWriter, TraceEvent, TraceSink};
+/// use rescheck_trace::{read_all, BinaryWriter, TraceFormat, TraceSink};
 ///
 /// let mut buf = Vec::new();
 /// let mut w = BinaryWriter::new(&mut buf)?;
@@ -38,9 +38,8 @@ pub(crate) const TAG_FINAL: u8 = 0x03;
 /// w.final_conflict(2)?;
 /// w.flush()?;
 ///
-/// let events: Result<Vec<_>, _> =
-///     BinaryReader::new(std::io::Cursor::new(buf))?.collect();
-/// assert_eq!(events?.len(), 2);
+/// let events = read_all(&buf[..], TraceFormat::Binary)?;
+/// assert_eq!(events.len(), 2);
 /// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
@@ -121,7 +120,13 @@ impl<W: Write> TraceSink for BinaryWriter<W> {
     }
 }
 
-/// Streams trace events from binary input.
+/// Streams trace events from binary input, one `read_exact` per tag
+/// and varint byte.
+///
+/// This is the reference decoder: written independently of the
+/// crate's record decoder, it is what the differential tests and
+/// `benches/io.rs` hold [`crate::SliceDecoder`], [`crate::BlockDecoder`]
+/// and the random-access paths to. No shipped path reads through it.
 #[derive(Debug)]
 pub struct BinaryReader<R> {
     reader: R,

@@ -22,6 +22,14 @@
 //! up parsing), and a [`TraceSource`] trait for readers that supports the
 //! two-pass streaming the breadth-first checker needs.
 //!
+//! Every shipped reader decodes binary records through one decoder over
+//! a byte slice: [`SliceDecoder`] over a trace held in memory (a
+//! [`TraceMap`], which reads a trace file into a buffer once),
+//! [`BlockDecoder`] over a stream refilled block by block, and the
+//! offset iteration and cursor fetches of [`RandomAccessTrace`] on top
+//! of those two. [`BinaryReader`] is kept only as the independent
+//! reference the differential tests and benches compare against.
+//!
 //! [CDCL solver]: https://en.wikipedia.org/wiki/Conflict-driven_clause_learning
 //!
 //! # Examples
@@ -50,8 +58,7 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-// `map` needs three raw syscall bindings; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod ascii;
@@ -69,8 +76,11 @@ pub use ascii::{AsciiReader, AsciiWriter};
 pub use binary::{BinaryReader, BinaryWriter, BINARY_MAGIC};
 pub use block::{BlockDecoder, BlockEvents, SliceDecoder};
 pub use event::{EventRef, TraceEvent};
-pub use map::{no_mmap_requested, BlockIndex, ShardRange, TraceMap, NO_MMAP_ENV};
+pub use map::{BlockIndex, ShardRange, TraceMap};
 pub use mutate::{Mutation, ALL_MUTATIONS};
 pub use random::{OffsetEventsIter, RandomAccessTrace, TraceCursor};
 pub use sink::{CountingSink, MemorySink, NullSink, TeeSink, TraceSink};
-pub use source::{collect_events, read_all, FileTrace, ReadTraceError, TraceFormat, TraceSource};
+pub use source::{
+    collect_events, read_all, require_regular_file, FileTrace, ReadTraceError, TraceFormat,
+    TraceSource,
+};

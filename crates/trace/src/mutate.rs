@@ -18,10 +18,9 @@
 //! (e.g. swapping source lists needs two learned records); it never
 //! returns bytes equal to its input.
 
-use crate::binary::{BinaryReader, BinaryWriter};
-use crate::{TraceEvent, TraceSink};
+use crate::binary::BinaryWriter;
+use crate::{read_all, TraceEvent, TraceFormat, TraceSink};
 use rescheck_cnf::SplitMix64;
-use std::io::Cursor;
 
 /// One mutation operator over encoded binary trace bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -115,10 +114,7 @@ fn truncate_tail(bytes: &[u8], rng: &mut SplitMix64) -> Option<Vec<u8>> {
 /// Decodes the stream; `None` if it is not a well-formed binary trace
 /// (structural mutators need record boundaries).
 fn decode(bytes: &[u8]) -> Option<Vec<TraceEvent>> {
-    BinaryReader::new(Cursor::new(bytes))
-        .ok()?
-        .collect::<std::io::Result<Vec<_>>>()
-        .ok()
+    read_all(bytes, TraceFormat::Binary).ok()
 }
 
 fn encode(events: &[TraceEvent]) -> Vec<u8> {
@@ -197,7 +193,9 @@ fn corrupt_varint(bytes: &[u8], rng: &mut SplitMix64) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BinaryReader;
     use rescheck_cnf::Lit;
+    use std::io::Cursor;
 
     fn sample_trace() -> Vec<u8> {
         let mut bytes = Vec::new();

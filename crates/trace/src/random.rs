@@ -9,22 +9,21 @@
 //! traces), learnable from [`RandomAccessTrace::offset_events`] and
 //! dereferenceable through a [`TraceCursor`].
 //!
-//! There are two random-access paths for file traces. The original one
-//! issues a positioned read (seek + `read_exact`) per fetch. When a
-//! [`crate::TraceMap`] has been established on the [`FileTrace`], the
-//! cursor instead indexes the mapped bytes directly — a fetch is
-//! pointer arithmetic plus a record decode, no syscall. Offsets are
-//! identical across both paths (the byte position of the record), so
-//! the id → offset indexes the checkers build are valid against either.
-//! The mapped path inherits the map's safety invariants (see
-//! [`crate::map`](crate::TraceMap)): the file must not be truncated
-//! while mapped, the length is captured at map time, and the magic is
-//! re-verified on the mapped bytes before any decode.
+//! A binary file trace has two random-access paths, both decoding
+//! through the crate's one record decoder. Once a [`crate::TraceMap`]
+//! is established on the [`FileTrace`], offset iteration and cursor
+//! fetches decode the map's bytes in place. Without one, offset
+//! iteration streams the file through a [`BlockDecoder`], and a cursor
+//! fetch reads a small window at the offset into a reused buffer.
+//! Offsets (the byte position of the record) and diagnostics are the
+//! same on both paths, so the id → offset indexes the checkers build
+//! are valid against either.
 
+use crate::block::{decode_record, read_full};
 use crate::{
-    varint, FileTrace, MemorySink, SliceDecoder, TraceEvent, TraceFormat, TraceSource, BINARY_MAGIC,
+    BlockDecoder, FileTrace, MemorySink, SliceDecoder, TraceEvent, TraceFormat, TraceSource,
 };
-use rescheck_cnf::{Lit, READ_BUFFER_BYTES};
+use rescheck_cnf::READ_BUFFER_BYTES;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 
@@ -146,270 +145,164 @@ impl<T: RandomAccessTrace + ?Sized> RandomAccessTrace for &T {
 // File traces: the offset is a byte position.
 // ---------------------------------------------------------------------
 
-/// Reads one binary event from the current position of `reader`.
-pub(crate) fn read_binary_event_here<R: BufRead>(reader: &mut R) -> io::Result<TraceEvent> {
-    let mut tag = [0u8];
-    reader.read_exact(&mut tag)?;
-    parse_binary_body(reader, tag[0])
+/// Bytes a windowed cursor reads per fetch before it grows: above every
+/// learned record of the Table 2 traces (at most 2.3 KB), small enough
+/// that a fetch copies little beyond its record.
+const CURSOR_WINDOW_BYTES: usize = 4096;
+
+/// Offset iteration over a record reader: `step` yields the next record
+/// with its start offset. Iteration ends after the first error.
+fn offset_iter<'a, D: 'a>(
+    mut reader: D,
+    mut step: impl FnMut(&mut D) -> io::Result<Option<(u64, TraceEvent)>> + 'a,
+) -> OffsetEventsIter<'a> {
+    let mut done = false;
+    Box::new(std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        let item = step(&mut reader).transpose();
+        done = !matches!(item, Some(Ok(_)));
+        item
+    }))
 }
 
-pub(crate) fn parse_binary_body<R: BufRead>(reader: &mut R, tag: u8) -> io::Result<TraceEvent> {
-    match tag {
-        0x01 => {
-            let id = varint::read_u64(&mut *reader)?;
-            let count = varint::read_u64(&mut *reader)?;
-            if count < 2 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "learned clause needs at least two resolve sources",
-                ));
-            }
-            if count > (1 << 32) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "implausible resolve-source count",
-                ));
-            }
-            // `count` is attacker-controlled until the sources decode.
-            let mut sources = Vec::with_capacity(count.min(65_536) as usize);
-            for _ in 0..count {
-                sources.push(varint::read_u64(&mut *reader)?);
-            }
-            Ok(TraceEvent::Learned { id, sources })
-        }
-        0x02 => {
-            let code = varint::read_u64(&mut *reader)?;
-            if code > u32::MAX as u64 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "literal code out of range",
-                ));
-            }
-            let antecedent = varint::read_u64(&mut *reader)?;
-            Ok(TraceEvent::LevelZero {
-                lit: Lit::from_code(code as usize),
-                antecedent,
-            })
-        }
-        0x03 => {
-            let id = varint::read_u64(&mut *reader)?;
-            Ok(TraceEvent::FinalConflict { id })
-        }
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown binary trace tag 0x{other:02x}"),
+/// Unmapped binary offset iteration: the block decoder, plus each
+/// record's start offset.
+pub(crate) fn block_offsets<'a, R: Read + 'a>(decoder: BlockDecoder<R>) -> OffsetEventsIter<'a> {
+    offset_iter(decoder, |decoder| {
+        let offset = decoder.offset();
+        Ok(decoder
+            .next_event()?
+            .map(|event| (offset, event.to_owned())))
+    })
+}
+
+/// Decodes the record at byte `pos` of `data` into an owned event; an
+/// offset at or past the end is out of range.
+fn owned_record_at(data: &[u8], mut pos: usize, sources: &mut Vec<u64>) -> io::Result<TraceEvent> {
+    match decode_record(data, &mut pos, sources)? {
+        Some(record) => Ok(record.event(sources).to_owned()),
+        None => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "trace offset out of range",
         )),
     }
 }
 
-/// Number of bytes an event occupies in the binary encoding.
-fn binary_event_len(event: &TraceEvent) -> u64 {
-    1 + match event {
-        TraceEvent::Learned { id, sources } => {
-            varint::encoded_len(*id) as u64
-                + varint::encoded_len(sources.len() as u64) as u64
-                + sources
-                    .iter()
-                    .map(|&s| varint::encoded_len(s) as u64)
-                    .sum::<u64>()
-        }
-        TraceEvent::LevelZero { lit, antecedent } => {
-            varint::encoded_len(lit.code() as u64) as u64 + varint::encoded_len(*antecedent) as u64
-        }
-        TraceEvent::FinalConflict { id } => varint::encoded_len(*id) as u64,
-    }
-}
-
-struct FileCursor {
-    reader: BufReader<File>,
-    format: TraceFormat,
-}
-
-impl TraceCursor for FileCursor {
-    fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
-        self.reader.seek(SeekFrom::Start(offset))?;
-        match self.format {
-            TraceFormat::Binary => read_binary_event_here(&mut self.reader),
-            TraceFormat::Ascii => {
-                let mut line = String::new();
-                self.reader.read_line(&mut line)?;
-                let mut reader = crate::AsciiReader::new(io::Cursor::new(line));
-                reader.next().unwrap_or_else(|| {
-                    Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "offset does not address an event record",
-                    ))
-                })
-            }
-        }
-    }
-}
-
-/// Offset iteration over mapped bytes, decoded by the same
-/// [`SliceDecoder`] as every other mapped pass, so diagnostics on
-/// malformed records match them byte for byte.
-struct MapOffsetIter<'a> {
-    decoder: SliceDecoder<'a>,
-    done: bool,
-}
-
-impl Iterator for MapOffsetIter<'_> {
-    type Item = io::Result<(u64, TraceEvent)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let start = self.decoder.offset() as u64;
-        match self.decoder.next_event() {
-            Ok(event) => event.map(|event| Ok((start, event.to_owned()))),
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Positioned reads as a [`SliceDecoder`] resumed at the offset.
+/// Positioned reads of an established map: the record decoded in place.
 struct MapCursor<'a> {
     data: &'a [u8],
+    sources: Vec<u64>,
 }
 
 impl TraceCursor for MapCursor<'_> {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
-        // An offset past the end decodes as the end of the slice.
         let pos = usize::try_from(offset).unwrap_or(usize::MAX);
-        let mut decoder = SliceDecoder::resume_at(self.data, pos);
-        decoder
-            .next_event()?
-            .map(|event| event.to_owned())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "trace offset out of range"))
+        owned_record_at(self.data, pos, &mut self.sources)
+    }
+}
+
+/// Positioned reads of an unmapped binary trace: a window read at the
+/// offset into a reused buffer, the record decoded from it, and the
+/// window doubled for a record that outruns it.
+pub(crate) struct WindowCursor<R> {
+    reader: R,
+    window: Vec<u8>,
+    sources: Vec<u64>,
+}
+
+impl<R> WindowCursor<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        WindowCursor {
+            reader,
+            window: vec![0; CURSOR_WINDOW_BYTES],
+            sources: Vec::new(),
+        }
+    }
+}
+
+impl<R: Read + Seek> TraceCursor for WindowCursor<R> {
+    fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
+        loop {
+            self.reader.seek(SeekFrom::Start(offset))?;
+            let filled = read_full(&mut self.reader, &mut self.window)?;
+            match owned_record_at(&self.window[..filled], 0, &mut self.sources) {
+                Err(e)
+                    if e.kind() == io::ErrorKind::UnexpectedEof && filled == self.window.len() =>
+                {
+                    self.window.resize(2 * filled, 0);
+                }
+                result => return result,
+            }
+        }
+    }
+}
+
+/// Positioned reads of an ASCII trace: the line at the offset, parsed.
+struct AsciiCursor(BufReader<File>);
+
+impl TraceCursor for AsciiCursor {
+    fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
+        self.0.seek(SeekFrom::Start(offset))?;
+        let mut line = String::new();
+        self.0.read_line(&mut line)?;
+        crate::AsciiReader::new(io::Cursor::new(line))
+            .next()
+            .unwrap_or_else(|| {
+                Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "offset does not address an event record",
+                ))
+            })
     }
 }
 
 impl RandomAccessTrace for FileTrace {
     fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        if self.format() == TraceFormat::Binary {
-            if let Some(map) = self.established_map() {
-                return Ok(Box::new(MapOffsetIter {
-                    decoder: SliceDecoder::resume_at(map.bytes(), BINARY_MAGIC.len()),
-                    done: false,
-                }));
-            }
+        if let Some(map) = self.established_map() {
+            return Ok(offset_iter(SliceDecoder::new(map.bytes())?, |decoder| {
+                let offset = decoder.offset() as u64;
+                Ok(decoder
+                    .next_event()?
+                    .map(|event| (offset, event.to_owned())))
+            }));
         }
-        let reader = BufReader::with_capacity(READ_BUFFER_BYTES, File::open(self.path())?);
+        let file = File::open(self.path())?;
         match self.format() {
-            TraceFormat::Ascii => Ok(Box::new(AsciiOffsetIter {
-                reader,
-                pos: 0,
-                done: false,
-            })),
-            TraceFormat::Binary => {
-                let mut iter = BinaryOffsetIter {
-                    reader,
-                    pos: BINARY_MAGIC.len() as u64,
-                    done: false,
-                };
-                // Consume and validate the magic.
-                let mut magic = [0u8; 4];
-                iter.reader.read_exact(&mut magic)?;
-                if magic != BINARY_MAGIC {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "not a rescheck binary trace (bad magic)",
-                    ));
-                }
-                Ok(Box::new(iter))
+            TraceFormat::Binary => Ok(block_offsets(BlockDecoder::new(file)?)),
+            TraceFormat::Ascii => {
+                let reader = BufReader::with_capacity(READ_BUFFER_BYTES, file);
+                Ok(offset_iter((reader, 0u64), |(reader, pos)| loop {
+                    let start = *pos;
+                    let mut line = String::new();
+                    match reader.read_line(&mut line)? {
+                        0 => return Ok(None),
+                        n => *pos += n as u64,
+                    }
+                    // A comment or blank line parses to no event.
+                    if let Some(event) = crate::AsciiReader::new(io::Cursor::new(&line)).next() {
+                        return Ok(Some((start, event?)));
+                    }
+                }))
             }
         }
     }
 
     fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        if self.format() == TraceFormat::Binary {
-            if let Some(map) = self.established_map() {
-                return Ok(Box::new(MapCursor { data: map.bytes() }));
-            }
+        if let Some(map) = self.established_map() {
+            return Ok(Box::new(MapCursor {
+                data: map.bytes(),
+                sources: Vec::new(),
+            }));
         }
-        // Deliberately the small default capacity: every `event_at` seek
-        // discards the buffer, so a large one would re-read far more than
-        // the single record being fetched.
-        Ok(Box::new(FileCursor {
-            reader: BufReader::new(File::open(self.path())?),
-            format: self.format(),
-        }))
-    }
-}
-
-struct AsciiOffsetIter {
-    reader: BufReader<File>,
-    pos: u64,
-    done: bool,
-}
-
-impl Iterator for AsciiOffsetIter {
-    type Item = io::Result<(u64, TraceEvent)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            let start = self.pos;
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return None,
-                Ok(n) => self.pos += n as u64,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-            let mut parser = crate::AsciiReader::new(io::Cursor::new(&line));
-            match parser.next() {
-                Some(Ok(event)) => return Some(Ok((start, event))),
-                Some(Err(e)) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-                None => continue, // comment or blank line
-            }
-        }
-    }
-}
-
-struct BinaryOffsetIter {
-    reader: BufReader<File>,
-    pos: u64,
-    done: bool,
-}
-
-impl Iterator for BinaryOffsetIter {
-    type Item = io::Result<(u64, TraceEvent)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let start = self.pos;
-        let mut tag = [0u8];
-        match self.reader.read_exact(&mut tag) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return None,
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-        }
-        match parse_binary_body(&mut self.reader, tag[0]) {
-            Ok(event) => {
-                self.pos += binary_event_len(&event);
-                Some(Ok((start, event)))
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
+        let file = File::open(self.path())?;
+        match self.format() {
+            TraceFormat::Binary => Ok(Box::new(WindowCursor::new(file))),
+            // Deliberately the small default capacity: every `event_at`
+            // seek discards the buffer, so a large one would re-read far
+            // more than the single record being fetched.
+            TraceFormat::Ascii => Ok(Box::new(AsciiCursor(BufReader::new(file)))),
         }
     }
 }
@@ -418,6 +311,7 @@ impl Iterator for BinaryOffsetIter {
 mod tests {
     use super::*;
     use crate::{AsciiWriter, BinaryWriter, TraceSink};
+    use rescheck_cnf::Lit;
     use std::path::PathBuf;
 
     fn sample() -> Vec<TraceEvent> {
@@ -522,7 +416,7 @@ mod tests {
         }
         let plain = FileTrace::open(&path).unwrap();
         let mapped = FileTrace::open(&path).unwrap();
-        assert!(mapped.trace_map(true).is_some());
+        assert!(mapped.trace_map().is_some());
 
         let positioned: Vec<(u64, TraceEvent)> = plain
             .offset_events()
@@ -536,11 +430,18 @@ mod tests {
             .unwrap();
         assert_eq!(positioned, via_map);
 
+        // The map cursor and the windowed cursor fetch the same records,
+        // and both reject an offset past the end.
+        let mut windowed = plain.open_cursor().unwrap();
         let mut cursor = mapped.open_cursor().unwrap();
         for &(offset, ref want) in positioned.iter().rev() {
             assert_eq!(&cursor.event_at(offset).unwrap(), want);
+            assert_eq!(&windowed.event_at(offset).unwrap(), want);
         }
-        assert!(cursor.event_at(1 << 40).is_err());
+        for cursor in [&mut cursor, &mut windowed] {
+            let err = cursor.event_at(1 << 40).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
         check_random_access(&mapped, &sample());
 
         // A clone shares the established map.
@@ -548,6 +449,44 @@ mod tests {
         assert!(clone.established_map().is_some());
         check_random_access(&clone, &sample());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn windowed_cursor_grows_for_records_longer_than_its_window() {
+        // Sources of six varint bytes each: the long record spans several
+        // windows, and the short one after it still fits the first.
+        let long: Vec<u64> = (0..2_000).map(|i| (1 << 40) + i).collect();
+        let events = vec![
+            TraceEvent::Learned {
+                id: 1 << 41,
+                sources: long,
+            },
+            TraceEvent::Learned {
+                id: 7,
+                sources: vec![1, 2],
+            },
+        ];
+        let mut bytes = Vec::new();
+        let mut w = BinaryWriter::new(&mut bytes).unwrap();
+        for e in &events {
+            w.event(e).unwrap();
+        }
+        assert!(bytes.len() > 2 * CURSOR_WINDOW_BYTES);
+        let mut cursor = WindowCursor::new(io::Cursor::new(&bytes));
+        let pairs: Vec<(u64, TraceEvent)> =
+            block_offsets(BlockDecoder::with_block_size(io::Cursor::new(&bytes), 64).unwrap())
+                .collect::<io::Result<_>>()
+                .unwrap();
+        assert_eq!(pairs.len(), 2);
+        for (offset, want) in pairs.iter().rev().chain(&pairs) {
+            assert_eq!(&cursor.event_at(*offset).unwrap(), want);
+        }
+        // A long record cut short by the end of the file is still
+        // truncation, however far the window grows.
+        bytes.truncate(bytes.len() - 100);
+        let mut cursor = WindowCursor::new(io::Cursor::new(&bytes));
+        let err = cursor.event_at(pairs[0].0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

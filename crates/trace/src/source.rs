@@ -1,8 +1,8 @@
 //! Re-iterable trace sources for checkers.
 
 use crate::{
-    AsciiReader, BinaryReader, BlockDecoder, EventRef, MemorySink, SliceDecoder, TraceEvent,
-    TraceMap, BINARY_MAGIC,
+    AsciiReader, BlockDecoder, EventRef, MemorySink, SliceDecoder, TraceEvent, TraceMap,
+    BINARY_MAGIC,
 };
 use rescheck_cnf::READ_BUFFER_BYTES;
 use std::fs::File;
@@ -74,19 +74,15 @@ pub trait TraceSource {
         Ok(())
     }
 
-    /// The memory-mapped backing of this source, established on first
-    /// call and shared by every subsequent pass.
+    /// The in-memory byte map of this source, established on first call
+    /// and shared by every subsequent pass.
     ///
     /// Only binary file traces have one; everything else (in-memory
     /// sinks, ASCII files) returns `None` and keeps streaming. `None`
     /// is also the graceful degradation for maps that cannot be
     /// established (unreadable file, malformed header): the streaming
-    /// paths then surface the precise error. `prefer_mmap: false`
-    /// requests the buffered backing, as does the
-    /// [`crate::NO_MMAP_ENV`] environment variable; the decoded events
-    /// are identical either way.
-    fn trace_map(&self, prefer_mmap: bool) -> Option<&TraceMap> {
-        let _ = prefer_mmap;
+    /// paths then surface the precise error.
+    fn trace_map(&self) -> Option<&TraceMap> {
         None
     }
 }
@@ -157,8 +153,8 @@ impl<T: TraceSource + ?Sized> TraceSource for &T {
         (**self).visit_events(visit)
     }
 
-    fn trace_map(&self, prefer_mmap: bool) -> Option<&TraceMap> {
-        (**self).trace_map(prefer_mmap)
+    fn trace_map(&self) -> Option<&TraceMap> {
+        (**self).trace_map()
     }
 }
 
@@ -171,17 +167,16 @@ pub enum TraceFormat {
     Binary,
 }
 
-/// A trace stored in a file, in either format.
+/// A trace stored in a regular file, in either format.
 ///
 /// Without a map, each pass reopens the file, so the breadth-first
 /// checker's two passes never require the whole trace in memory — the
 /// property the paper's breadth-first approach depends on. Once a
 /// checker establishes a [`TraceMap`] via
 /// [`TraceSource::trace_map`], every subsequent pass (streaming,
-/// offset iteration, cursor fetches) reads the shared mapped bytes
-/// instead; clones of the `FileTrace` share the same established map,
-/// which is what lets a daemon's trace cache amortize the mapping
-/// across jobs.
+/// offset iteration, cursor fetches) reads the map's bytes instead;
+/// clones of the `FileTrace` share the same established map, which is
+/// what lets a daemon's trace cache read a trace once for many jobs.
 #[derive(Clone, Debug)]
 pub struct FileTrace {
     path: PathBuf,
@@ -194,9 +189,12 @@ impl FileTrace {
     ///
     /// # Errors
     ///
-    /// Fails if the file cannot be opened or is empty.
+    /// Fails if the file cannot be opened, and with
+    /// [`io::ErrorKind::InvalidInput`] if it is not a regular file (see
+    /// [`require_regular_file`]).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
+        require_regular_file(&path)?;
         let mut head = [0u8; 4];
         let mut file = File::open(&path)?;
         let n = file.read(&mut head)?;
@@ -295,22 +293,36 @@ impl TraceSource for FileTrace {
         }
     }
 
-    fn trace_map(&self, prefer_mmap: bool) -> Option<&TraceMap> {
+    fn trace_map(&self) -> Option<&TraceMap> {
         if self.format != TraceFormat::Binary {
             return None;
         }
+        // Failure caches None: callers fall back to the streaming
+        // paths, which report the precise error.
         self.map
-            .get_or_init(|| {
-                let map = if prefer_mmap {
-                    TraceMap::open(&self.path)
-                } else {
-                    TraceMap::open_buffered(&self.path)
-                };
-                // Failure caches None: callers fall back to the
-                // streaming paths, which report the precise error.
-                map.ok().map(Arc::new)
-            })
+            .get_or_init(|| TraceMap::open(&self.path).ok().map(Arc::new))
             .as_deref()
+    }
+}
+
+/// Fails with [`io::ErrorKind::InvalidInput`] unless `path` names a
+/// regular file (symlinks followed).
+///
+/// A checker reads its inputs more than once, and a pipe or FIFO can be
+/// read only once — or, with no writer, blocks `open(2)` forever — so a
+/// trace or formula path is stat'ed before it is opened.
+///
+/// # Errors
+///
+/// Also propagates the `stat` error for a missing or unreadable path.
+pub fn require_regular_file(path: &Path) -> io::Result<()> {
+    if std::fs::metadata(path)?.is_file() {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file",
+        ))
     }
 }
 
@@ -331,7 +343,7 @@ pub fn collect_events<S: TraceSource + ?Sized>(source: &S) -> io::Result<Vec<Tra
 pub fn read_all<R: BufRead>(reader: R, format: TraceFormat) -> io::Result<Vec<TraceEvent>> {
     match format {
         TraceFormat::Ascii => AsciiReader::new(reader).collect(),
-        TraceFormat::Binary => BinaryReader::new(reader)?.collect(),
+        TraceFormat::Binary => BlockDecoder::new(reader)?.into_events().collect(),
     }
 }
 
@@ -451,6 +463,22 @@ mod tests {
         assert!(FileTrace::open("/definitely/not/here.trace").is_err());
     }
 
+    #[test]
+    fn non_regular_files_are_rejected_before_opening() {
+        let dir = tmp_path("");
+        let err = FileTrace::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            require_regular_file(&dir).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        #[cfg(unix)]
+        {
+            let err = FileTrace::open("/dev/null").unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+    }
+
     fn visit_all<S: TraceSource + ?Sized>(source: &S) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         source
@@ -515,22 +543,23 @@ mod tests {
         let trace = FileTrace::open(&path).unwrap();
         assert!(trace.established_map().is_none());
         // ASCII traces and repeated calls behave.
-        let map = trace.trace_map(true).expect("binary file trace maps");
+        let map = trace.trace_map().expect("binary file trace maps");
         assert_eq!(map.accounted_bytes(), trace.encoded_size().unwrap());
-        assert!(trace.trace_map(true).is_some());
+        assert!(trace.trace_map().is_some());
         assert_eq!(collect_events(&trace).unwrap(), sample());
         assert_eq!(visit_all(&trace), sample());
 
-        let buffered = FileTrace::open(&path).unwrap();
-        let map = buffered.trace_map(false).unwrap();
-        assert!(!map.is_mmap());
-        assert_eq!(collect_events(&buffered).unwrap(), sample());
+        // The map holds its own copy: truncating the file afterwards
+        // changes nothing a pass over the trace sees.
+        std::fs::write(&path, BINARY_MAGIC).unwrap();
+        assert_eq!(collect_events(&trace).unwrap(), sample());
+        assert_eq!(visit_all(&trace), sample());
         std::fs::remove_file(&path).ok();
 
         let ascii = tmp_path("mapped.txt");
         std::fs::write(&ascii, "f 1\n").unwrap();
         let trace = FileTrace::open(&ascii).unwrap();
-        assert!(trace.trace_map(true).is_none());
+        assert!(trace.trace_map().is_none());
         std::fs::remove_file(&ascii).ok();
     }
 

@@ -6,9 +6,12 @@
 
 use rescheck_cnf::{Lit, SplitMix64};
 use rescheck_trace::{
-    mutate, read_all, AsciiWriter, BinaryWriter, FileTrace, MemorySink, RandomAccessTrace,
-    SliceDecoder, TraceEvent, TraceFormat, TraceSink, TraceSource,
+    mutate, read_all, AsciiWriter, BinaryReader, BinaryWriter, BlockDecoder, FileTrace, MemorySink,
+    RandomAccessTrace, SliceDecoder, TraceEvent, TraceFormat, TraceSink, TraceSource, BINARY_MAGIC,
 };
+use std::cell::Cell;
+use std::io::{self, Read};
+use std::rc::Rc;
 
 const CASES: u64 = if cfg!(feature = "heavy-tests") {
     1024
@@ -141,9 +144,58 @@ fn corrupted_ascii_never_panics() {
     }
 }
 
-/// Decodes a byte slice the way the mapped backend does, collecting
-/// owned events so the result is comparable to [`read_all`].
-fn slice_decode(bytes: &[u8]) -> std::io::Result<Vec<TraceEvent>> {
+/// A byte-slice reader that counts the bytes it hands out.
+struct Tally<'a> {
+    rest: &'a [u8],
+    taken: Rc<Cell<u64>>,
+}
+
+impl Read for Tally<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.rest.read(buf)?;
+        self.taken.set(self.taken.get() + n as u64);
+        Ok(n)
+    }
+}
+
+impl io::BufRead for Tally<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        Ok(self.rest)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.rest = &self.rest[n..];
+        self.taken.set(self.taken.get() + n as u64);
+    }
+}
+
+type Decoded = (Vec<(u64, TraceEvent)>, Option<(u64, io::Error)>);
+
+/// The reference decode: [`BinaryReader`]'s events, each with the
+/// offset it starts at, and its error with the offset of the record
+/// that failed (0 when the magic did).
+fn reference(bytes: &[u8]) -> Decoded {
+    let taken = Rc::new(Cell::new(0));
+    let tally = Tally {
+        rest: bytes,
+        taken: Rc::clone(&taken),
+    };
+    let mut reader = match BinaryReader::new(tally) {
+        Ok(reader) => reader,
+        Err(e) => return (Vec::new(), Some((0, e))),
+    };
+    let mut pairs = Vec::new();
+    loop {
+        let offset = taken.get();
+        match reader.next() {
+            None => return (pairs, None),
+            Some(Ok(event)) => pairs.push((offset, event)),
+            Some(Err(e)) => return (pairs, Some((offset, e))),
+        }
+    }
+}
+
+fn slice_decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
     let mut decoder = SliceDecoder::new(bytes)?;
     let mut out = Vec::new();
     while let Some(event) = decoder.next_event()? {
@@ -152,12 +204,39 @@ fn slice_decode(bytes: &[u8]) -> std::io::Result<Vec<TraceEvent>> {
     Ok(out)
 }
 
-/// Differential fuzz of the mapped decoder: every [`mutate`] operator
-/// applied to every seeded trace must draw the same verdict (and the
-/// same events, when accepted) from [`SliceDecoder`] as from the
-/// buffered [`read_all`] path — and neither may panic.
+fn block_decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
+    BlockDecoder::with_block_size(bytes, 16)?
+        .into_events()
+        .collect()
+}
+
+/// Compares one reader's result with the reference's events and error
+/// (kind and message).
+fn assert_matches<T: PartialEq + std::fmt::Debug>(
+    want: (&T, &Option<(u64, io::Error)>),
+    got: io::Result<T>,
+    what: &str,
+) {
+    match (want, got) {
+        ((want, None), Ok(got)) => assert_eq!(&got, want, "{what}"),
+        ((_, Some((_, want))), Err(got)) => {
+            assert_eq!(want.kind(), got.kind(), "{what}");
+            assert_eq!(want.to_string(), got.to_string(), "{what}");
+        }
+        ((_, want), got) => panic!("{what}: reference {want:?} vs {got:?}"),
+    }
+}
+
+/// Differential fuzz of every shipped binary reader: each [`mutate`]
+/// operator applied to each seeded trace must draw from the slice
+/// decoder, the block decoder (16-byte blocks), a file trace's offset
+/// iterator and its windowed cursor the same events and the same error
+/// kind and message as from the independent [`BinaryReader`] — and
+/// none may panic.
 #[test]
 fn mutants_decode_identically_mapped_and_buffered() {
+    let path =
+        std::env::temp_dir().join(format!("rescheck-prop-mutant-{}.rtb", std::process::id()));
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
         let events = random_events(&mut rng, 1, 20);
@@ -169,61 +248,38 @@ fn mutants_decode_identically_mapped_and_buffered() {
             }
         }
         for (i, bytes) in cases.iter().enumerate() {
-            let buffered = read_all(std::io::Cursor::new(bytes.clone()), TraceFormat::Binary);
-            let mapped = slice_decode(bytes);
-            match (buffered, mapped) {
-                (Ok(b), Ok(m)) => assert_eq!(b, m, "seed {seed} case {i}"),
-                (Err(_), Err(_)) => {}
-                (b, m) => panic!(
-                    "seed {seed} case {i}: verdicts diverge (buffered {:?}, mapped {:?})",
-                    b.map(|e| e.len()),
-                    m.map(|e| e.len()),
-                ),
+            let what = |path: &str| format!("seed {seed} case {i} ({path})");
+            let (pairs, error) = reference(bytes);
+            let events: Vec<TraceEvent> = pairs.iter().map(|(_, e)| e.clone()).collect();
+            assert_matches((&events, &error), slice_decode(bytes), &what("slice"));
+            assert_matches((&events, &error), block_decode(bytes), &what("block"));
+
+            // Mutants keep the magic, so the file always opens as binary.
+            std::fs::write(&path, bytes).unwrap();
+            let trace = FileTrace::open(&path).unwrap();
+            assert_eq!(trace.format(), TraceFormat::Binary);
+            let offsets = trace
+                .offset_events()
+                .and_then(|iter| iter.collect::<io::Result<Vec<_>>>());
+            assert_matches((&pairs, &error), offsets, &what("offsets"));
+            let mut cursor = trace.open_cursor().unwrap();
+            for (offset, event) in &pairs {
+                assert_eq!(
+                    &cursor.event_at(*offset).unwrap(),
+                    event,
+                    "{}",
+                    what("cursor")
+                );
+            }
+            if let Some((offset, want)) = &error {
+                assert!(*offset >= BINARY_MAGIC.len() as u64);
+                let got = cursor.event_at(*offset).unwrap_err();
+                assert_eq!(want.kind(), got.kind(), "{}", what("cursor"));
+                assert_eq!(want.to_string(), got.to_string(), "{}", what("cursor"));
             }
         }
     }
-}
-
-/// The two [`rescheck_trace::TraceMap`] backings — `mmap` and the
-/// buffered `RESCHECK_NO_MMAP` fallback — expose identical bytes and
-/// decode to identical events for seeded file traces.
-#[test]
-fn map_backings_decode_identical_events() {
-    let dir = std::env::temp_dir();
-    for seed in 0..CASES.min(32) {
-        let mut rng = SplitMix64::new(seed);
-        let events = random_events(&mut rng, 1, 30);
-        let bytes = encode_binary(&events);
-        let path = dir.join(format!(
-            "rescheck-prop-map-{}-{seed}.rtb",
-            std::process::id()
-        ));
-        std::fs::write(&path, &bytes).unwrap();
-
-        // One handle per backing: a FileTrace caches the first map it
-        // establishes, so parity needs two independent opens.
-        let mapped = FileTrace::open(&path).unwrap();
-        let buffered = FileTrace::open(&path).unwrap();
-        let a = mapped.trace_map(true).expect("binary traces map");
-        let b = buffered.trace_map(false).expect("buffered backing");
-        assert!(!b.is_mmap());
-        assert_eq!(a.bytes(), b.bytes(), "seed {seed}");
-        assert_eq!(a.accounted_bytes(), b.accounted_bytes(), "seed {seed}");
-
-        let ea: Vec<TraceEvent> = mapped
-            .events_iter()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let eb: Vec<TraceEvent> = buffered
-            .events_iter()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(ea, events, "seed {seed}");
-        assert_eq!(eb, events, "seed {seed}");
-        std::fs::remove_file(&path).ok();
-    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Random byte corruption of binary traces never panics the decoder.

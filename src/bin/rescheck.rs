@@ -71,9 +71,10 @@ USAGE:
   rescheck solve <file.cnf> [--trace <out>] [--binary]
                  [--no-learning] [--no-deletion] [--no-restarts]
   rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pdag]
-                 [--mem-limit <bytes>] [--jobs <n>] [--no-mmap]
-                 (pass `-` as <trace> to read the trace from stdin,
-                 ASCII or binary, sniffed by magic)
+                 [--mem-limit <bytes>] [--jobs <n>]
+                 (a native <trace> must be a regular file: it is read
+                 more than once; pass `-` to read the trace from stdin
+                 instead, ASCII or binary, sniffed by magic)
                  (dfd is depth-first with the trace left on disk — same
                  verdict, core and resolution stats as df under a far
                  smaller memory budget; portfolio runs dfd and, only if
@@ -82,11 +83,8 @@ USAGE:
                  across <n> work-stealing workers with bit-identical
                  stats for any worker count — --jobs 0 = auto; pbf and
                  parallel-bf are accepted as names for pdag)
-                 (binary file traces are memory-mapped and decoded in
-                 place by dfd/pdag; --no-mmap, or RESCHECK_NO_MMAP=1
-                 in the environment, swaps the mapping for a buffered
-                 read of the whole file — verdict and every stat are
-                 bit-identical either way)
+                 (dfd and pdag read a binary file trace into memory
+                 once and decode it in place)
                  [--proof-format native|drat|drup|lrat]
                  (native is the resolve-trace format above; drat/drup and
                  lrat ingest a clausal proof instead, re-deriving a
@@ -438,7 +436,6 @@ fn cmd_check(rest: &[String]) -> CliResult {
         .map(|s| s.parse::<usize>())
         .transpose()?
         .unwrap_or(0);
-    let no_mmap = take_flag(&mut args, "--no-mmap") || rescheck::trace::no_mmap_requested();
     let flight_out = take_opt(&mut args, "--flight-out")?;
     let proof_format = match take_opt(&mut args, "--proof-format")?.as_deref() {
         None | Some("native") => None,
@@ -556,6 +553,10 @@ fn cmd_check(rest: &[String]) -> CliResult {
     } else {
         match FileTrace::open(trace_path) {
             Ok(trace) => TraceInput::File(trace),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                let hint = format!("{e}; pass `-` as the trace to stream it from stdin");
+                return Ok(open_failed(trace_path, &hint));
+            }
             Err(e) => return Ok(open_failed(trace_path, &e)),
         }
     };
@@ -577,7 +578,6 @@ fn cmd_check(rest: &[String]) -> CliResult {
     let config = CheckConfig {
         memory_limit,
         jobs,
-        no_mmap,
         ..CheckConfig::default()
     };
     let result = match &trace {

@@ -813,7 +813,10 @@ fn run_with_stdin(dir: &PathBuf, args: &[&str], input: &[u8]) -> (Option<i32>, S
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    child.stdin.take().unwrap().write_all(input).unwrap();
+    if let Err(e) = child.stdin.take().unwrap().write_all(input) {
+        // A child that refuses its input unread may close the pipe first.
+        assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
+    }
     let out = child.wait_with_output().unwrap();
     (
         out.status.code(),
@@ -857,6 +860,38 @@ fn check_reads_trace_from_stdin_and_flight_dump_lands_in_cwd() {
         doc.path("schema").and_then(|j| j.as_str()),
         Some("rescheck-flight-v1")
     );
+}
+
+/// A trace path that is a pipe (`/dev/stdin` fed by one) is an input
+/// error naming `-`, not a bogus "INVALID proof": the trace is read
+/// more than once, and a pipe can be read only once.
+#[cfg(unix)]
+#[test]
+fn piped_trace_paths_are_input_errors_that_point_to_stdin() {
+    let dir = tmp_dir("pipe-path");
+    let out = bin().args(["gen", "pigeonhole", "3"]).output().unwrap();
+    std::fs::write(dir.join("php.cnf"), out.stdout).unwrap();
+    for (name, binary) in [("php.rt", false), ("php.rtb", true)] {
+        let mut solve = bin();
+        solve
+            .current_dir(&dir)
+            .args(["solve", "php.cnf", "--trace", name]);
+        if binary {
+            solve.arg("--binary");
+        }
+        assert_eq!(solve.output().unwrap().status.code(), Some(20));
+        let trace = std::fs::read(dir.join(name)).unwrap();
+        for strategy in ["df", "bf", "dfd", "hybrid", "portfolio", "pdag"] {
+            let args = ["check", "php.cnf", "/dev/stdin", "--strategy", strategy];
+            let (code, stdout, stderr) = run_with_stdin(&dir, &args, &trace);
+            assert_eq!(code, Some(4), "{name} {strategy}: {stdout}{stderr}");
+            assert!(stderr.contains("not a regular file"), "{stderr}");
+            assert!(stderr.contains("pass `-`"), "{stderr}");
+        }
+        // The same bytes through `-` check fine.
+        let (code, stdout, _) = run_with_stdin(&dir, &["check", "php.cnf", "-"], &trace);
+        assert_eq!(code, Some(0), "{name}: {stdout}");
+    }
 }
 
 #[test]
