@@ -111,7 +111,8 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 }
 
 /// [`check_unsat_claim`] with an [`Observer`] receiving phase timers
-/// (`check:pass1`, `check:resolve`, `final-phase`) nested under a
+/// (`check:pass1`, `check:resolve`, `final-phase`, and hybrid's
+/// `check:walk` between the first two) nested under a
 /// per-strategy span (`check:df`, `check:bf`, `check:hybrid`,
 /// `check:portfolio`, `check:dfd`, `check:pdag`), resolution-shape
 /// histograms (`check.resolve.chain_len` — resolve sources per learned
@@ -127,10 +128,9 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// store (`scratch_grows` stalling at a constant while `chains` keeps
 /// rising is the observable form of the allocation-free steady state).
 /// [`Strategy::DiskDepthFirst`] additionally reports its disk-access
-/// accounting: `check.dfd.index_entries` (flat offset-index size),
-/// `check.dfd.cursor_reads` (positioned trace reads performed),
-/// `check.dfd.cache_hits` and `check.dfd.cache_bytes` (source-list cache
-/// effectiveness and residency). Strategies that read a binary file
+/// accounting: `check.dfd.index_entries` (flat offset-index size) and
+/// `check.dfd.cursor_reads` (positioned trace reads performed, one per
+/// clause built). Strategies that read a binary file
 /// trace into an in-memory byte map ([`Strategy::DiskDepthFirst`] and
 /// [`Strategy::ParallelDag`]) do so inside a `trace-map` phase and emit
 /// `check.map.bytes` (accounted map length); the sharded pass 1 over
@@ -250,7 +250,7 @@ pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
     let result = match strategy {
         Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, scratch, obs),
         Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, scratch, obs),
-        Strategy::Hybrid => crate::hybrid::run(cnf, trace, config, scratch, obs),
+        Strategy::Hybrid => crate::depth_first::run_hybrid(cnf, trace, config, scratch, obs),
         Strategy::Portfolio => run_portfolio(cnf, trace, config, scratch, obs),
         Strategy::DiskDepthFirst => crate::depth_first::run_disk(cnf, trace, config, scratch, obs),
         Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
@@ -302,7 +302,9 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
 /// Validates an UNSAT claim with the hybrid (on-disk depth-first)
 /// strategy — the paper's future-work design: needed-clauses-only like
 /// depth-first, bounded clause memory like breadth-first, with the trace
-/// left on disk and consulted by random access.
+/// left on disk and consulted by random access. It is the depth-first
+/// walk on [`check_disk_depth_first`]'s offset index, followed by a build
+/// pass that frees each clause after its last needed consumer.
 ///
 /// On success the outcome carries the unsatisfiable core.
 ///
@@ -314,7 +316,7 @@ pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::hybrid::run(
+    crate::depth_first::run_hybrid(
         cnf,
         trace,
         config,
@@ -326,9 +328,9 @@ pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
 /// Validates an UNSAT claim with the disk-backed depth-first strategy:
 /// depth-first's on-demand traversal (needed clauses only, unsat core as
 /// a by-product) with the trace left on disk — one streaming pass builds
-/// a flat id → byte-offset index, and resolve-source lists are fetched
-/// through a trace cursor when the walk reaches them, with hot lists kept
-/// in a memory-accounted cache.
+/// a flat id → byte-offset index, and each needed clause's resolve
+/// sources are read once through a trace cursor, when the walk reaches
+/// the clause, and kept until the clause is built.
 ///
 /// Produces bit-identical `clauses_built` / `resolutions` and the same
 /// unsat core as [`check_depth_first`], while the peak accounted memory
@@ -443,8 +445,8 @@ mod tests {
     }
 
     /// One byte short of the tightest budget disk-backed depth-first
-    /// passes under: its caches have given everything back there, so
-    /// what does not fit is its index and clauses.
+    /// passes under: its original-clause cache has given everything back
+    /// there, so what does not fit is its index and clauses.
     fn just_below_dfd(cnf: &Cnf, sink: &MemorySink) -> CheckConfig {
         let limited = |memory_limit| CheckConfig {
             memory_limit,

@@ -244,7 +244,7 @@ pub(crate) fn rebuild(
     // Store the new clause unless it is already dead on arrival (the
     // clause-length histogram samples only stored resolvents).
     if use_counts.get(&id).copied().unwrap_or(0) > 0 || pinned.contains(&id) {
-        chain.store(id, |_| false)?;
+        chain.store(id)?;
     }
     Ok(())
 }

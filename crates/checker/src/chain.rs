@@ -47,7 +47,7 @@ pub(crate) struct ChainStep<'a> {
     /// that report one.
     used_originals: Option<Vec<bool>>,
     pub(crate) meter: MemoryMeter,
-    cancel: CancelFlag,
+    pub(crate) cancel: CancelFlag,
     pub(crate) obs: &'a mut dyn Observer,
     resolutions: u64,
     clauses_built: u64,
@@ -173,18 +173,14 @@ impl<'a> ChainStep<'a> {
     }
 
     /// Stores the resolvent of the last [`resolve`](Self::resolve) as
-    /// clause `id`. Caches only ever hold spare budget: when the resolvent
-    /// does not fit, cached originals give way first, then whatever
-    /// `evict` frees, before the memory-out stands.
-    pub(crate) fn store(
-        &mut self,
-        id: u64,
-        mut evict: impl FnMut(&mut MemoryMeter) -> bool,
-    ) -> Result<(), CheckError> {
+    /// clause `id`. The original-clause cache only ever holds spare
+    /// budget: when the resolvent does not fit, cached originals give way
+    /// before the memory-out stands.
+    pub(crate) fn store(&mut self, id: u64) -> Result<(), CheckError> {
         let lits = self.kernel.finish();
         let clause_len = lits.len() as u64;
         while let Err(err) = self.arena.insert(id, lits, &mut self.meter) {
-            if !self.originals.evict_one(&mut self.meter) && !evict(&mut self.meter) {
+            if !self.originals.evict_one(&mut self.meter) {
                 return Err(err);
             }
         }

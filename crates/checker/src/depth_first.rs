@@ -1,5 +1,6 @@
-//! The depth-first checking strategy (paper §3.2, Fig. 3), with the
-//! trace resident (`df`) or left on disk (`dfd`).
+//! The depth-first engine (paper §3.2, Fig. 3): `df` with the trace
+//! resident, `dfd` with it left on disk, and `hybrid`, the paper's
+//! future work, on `dfd`'s disk store.
 //!
 //! Starting from the final conflicting clause, learned clauses are built
 //! by resolution *on demand*, recursively following resolve sources. Only
@@ -8,41 +9,44 @@
 //! paper's experiments — and the original clauses touched along the way
 //! form an unsatisfiable core.
 //!
-//! One builder serves both strategies. They differ only in where a
-//! learned clause's resolve sources come from, its [`SourceStore`]:
+//! One post-order [`walk`] serves all three. Where it finds a learned
+//! clause's resolve sources is its [`SourceStore`]:
 //!
 //! - **`df`** reads the whole trace into a resident table first
 //!   ([`load_full`]), charged per record. That residency is why the
 //!   paper's depth-first checker memory-outs on the two hardest
 //!   instances, reproducible here via
 //!   [`CheckConfig::memory_limit`](crate::CheckConfig::memory_limit).
-//! - **`dfd`** leaves the trace on disk. Its pass 1 records each learned
-//!   clause's byte offset in a flat sorted index (16 accounted bytes per
-//!   learned clause instead of its source list), and the walk fetches
-//!   source lists through a [`TraceCursor`], keeping hot ones in a
-//!   memory-accounted [`SourceCache`]. Binary file traces run through
-//!   the established [`TraceMap`], whose encoded bytes are charged up
-//!   front.
+//! - **`dfd`** and **`hybrid`** leave the trace on disk. Their pass 1
+//!   records each learned clause's byte offset in a flat sorted index
+//!   (16 accounted bytes per learned clause instead of its source list),
+//!   and the walk fetches source lists through a [`TraceCursor`]. `dfd`
+//!   runs binary file traces through the established [`TraceMap`], whose
+//!   encoded bytes are charged up front.
 //!
-//! Built clauses are never freed, so the two report bit-identical
-//! `clauses_built`, `resolutions` and unsat cores; only the peak differs.
+//! What finishing a clause means is the walk's [`Visitor`]. `df` and
+//! `dfd` resolve and store it and never free a built clause, so the two
+//! report bit-identical `clauses_built`, `resolutions` and unsat cores;
+//! only the peak differs. `hybrid`'s walk only records the order in which
+//! clauses finish and how many needed clauses consume each; its build
+//! pass then rebuilds them in that order and frees each after its last
+//! needed consumer (breadth-first's discipline on depth-first's subset).
 
 use crate::api::CheckConfig;
+use crate::breadth_first::rebuild;
 use crate::cancel::CancelFlag;
 use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::memory::{trace_record_bytes, MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES};
-use crate::model::{load_full, table_capacity_hint, validate_learned, FullTrace, LevelZeroMap};
+use crate::memory::{MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
+use crate::model::{load_full, validate_learned, FullTrace, LevelZeroMap};
 use crate::outcome::{CheckOutcome, Strategy};
 use crate::scratch::CheckScratch;
 use rescheck_cnf::Cnf;
 use rescheck_obs::{Event, Observer, Phase};
 use rescheck_trace::{RandomAccessTrace, TraceCursor, TraceEvent, TraceMap, TraceSource};
-use std::collections::VecDeque;
 use std::io;
 use std::ops::Deref;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// `df`: depth-first over the trace loaded into memory.
@@ -64,7 +68,7 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 
     let start_id = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
     let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
-    walk(&mut &full, &mut chain, start_id, &full.level_zero)?;
+    build_and_derive(&mut &full, &mut chain, start_id, &full.level_zero)?;
     let entries = chain.resident_clauses();
     Ok(chain.finish(
         Strategy::DepthFirst,
@@ -101,11 +105,10 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
     let mut store = DiskSources {
         index,
         cursor: trace.open_cursor()?,
-        cache: SourceCache::default(),
         reads: 0,
     };
     let mut chain = ChainStep::new(cnf, meter, config, scratch, true, &mut *obs);
-    walk(&mut store, &mut chain, start_id, &level_zero)?;
+    build_and_derive(&mut store, &mut chain, start_id, &level_zero)?;
     let entries = chain.resident_clauses();
     let learned = store.index.entries.len() as u64;
     let outcome = chain.finish(
@@ -118,8 +121,6 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
     for (name, value) in [
         ("check.dfd.index_entries", learned),
         ("check.dfd.cursor_reads", store.reads),
-        ("check.dfd.cache_hits", store.cache.hits),
-        ("check.dfd.cache_bytes", store.cache.bytes),
     ] {
         obs.observe(&Event::GaugeSet {
             name,
@@ -129,100 +130,216 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
     Ok(outcome)
 }
 
-/// Builds the final conflict's dependency cone, then derives the empty
-/// clause, building the level-0 antecedents it consumes on demand.
-fn walk<S: SourceStore>(
+/// `hybrid`: depth-first's needed clauses under breadth-first's freeing
+/// rule, on `dfd`'s disk store without the byte map. The walk runs from
+/// every clause the final phase reads and records the build order and
+/// the needed use counts; the build pass rebuilds the needed clauses in
+/// that order, freeing each after its last needed consumer, and the
+/// final phase reads the pinned ones.
+pub(crate) fn run_hybrid<S: RandomAccessTrace + ?Sized>(
+    cnf: &Cnf,
+    trace: &S,
+    config: &CheckConfig,
+    scratch: &mut CheckScratch,
+    obs: &mut dyn Observer,
+) -> Result<CheckOutcome, CheckError> {
+    let started = Instant::now();
+    let num_original = cnf.num_clauses() as u64;
+    let mut meter = MemoryMeter::new(config.memory_limit);
+
+    let pass1 = Phase::start("check:pass1", obs);
+    let (index, level_zero, final_ids) =
+        indexed_pass1(trace, None, cnf.num_clauses(), &mut meter, &config.cancel)?;
+    pass1.finish(obs);
+
+    let start_id = *final_ids.first().ok_or(CheckError::NoFinalConflict)?;
+    // The pins: the level-0 antecedents in trace order, then the start
+    // clause. The set's iteration order is the walk's root order, which
+    // fixes the build order and so the peak.
+    let mut records: Vec<_> = level_zero.records().collect();
+    records.sort_unstable_by_key(|record| record.order);
+    let pinned: FxHashSet<u64> = records
+        .iter()
+        .map(|record| record.antecedent)
+        .chain([start_id])
+        .filter(|&id| id >= num_original)
+        .collect();
+
+    let mut store = DiskSources {
+        index,
+        cursor: trace.open_cursor()?,
+        reads: 0,
+    };
+    let walk_phase = Phase::start("check:walk", obs);
+    let mut needed = Needed {
+        num_original,
+        finished: FxHashSet::default(),
+        order: Vec::new(),
+        use_counts: FxHashMap::default(),
+    };
+    for &root in &pinned {
+        walk(&mut store, &mut needed, root, &config.cancel)?;
+    }
+    meter.alloc(needed.order.len() as u64 * USE_COUNT_BYTES)?;
+    walk_phase.finish(obs);
+
+    let resolve_phase = Phase::start("check:resolve", obs);
+    let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
+    for &id in &needed.order {
+        let sources = store.sources(id, None)?;
+        rebuild(&mut chain, id, &sources, &mut needed.use_counts, &pinned)?;
+    }
+    resolve_phase.finish(&mut *chain.obs);
+
+    chain.final_phase(start_id, &level_zero, |_, _| Ok(()))?;
+    Ok(chain.finish(
+        Strategy::Hybrid,
+        store.index.entries.len() as u64,
+        needed.use_counts.len() as u64,
+        started,
+        trace.encoded_size(),
+    ))
+}
+
+/// `df`/`dfd`: builds the final conflict's dependency cone, then derives
+/// the empty clause, building the level-0 antecedents it consumes on
+/// demand.
+fn build_and_derive<S: SourceStore>(
     store: &mut S,
     chain: &mut ChainStep<'_>,
     start_id: u64,
     level_zero: &LevelZeroMap,
 ) -> Result<(), CheckError> {
+    let cancel = chain.cancel.clone();
     // The cone is the bulk of the resolution work; the remaining level-0
     // antecedents are built lazily inside the final phase.
     let resolve_phase = Phase::start("check:resolve", &mut *chain.obs);
-    build(store, chain, start_id)?;
+    walk(store, chain, start_id, &cancel)?;
     resolve_phase.finish(&mut *chain.obs);
-    chain.final_phase(start_id, level_zero, |chain, id| build(store, chain, id))
+    chain.final_phase(start_id, level_zero, |chain, id| {
+        walk(store, chain, id, &cancel)
+    })
 }
 
-/// Ensures clause `id` (and transitively its sources) is built: the
-/// iterative equivalent of Fig. 3's `recursive_build`, with explicit
-/// gray marking, so deep proofs cannot overflow the native stack and
-/// cycles are detected rather than looping.
-fn build<S: SourceStore>(
+/// Visits clause `root` and every clause it depends on that is not done
+/// yet, finishing each after all its sources: the iterative form of
+/// Fig. 3's `recursive_build`, so deep proofs cannot overflow the native
+/// stack. A clause's sources are fetched once, when it is opened, and
+/// stay in its open frame until it finishes; the open frames lie on one
+/// path of the proof and are uncharged, like the work stack. The gray
+/// set holds the open clauses, so a source that is still open is a
+/// cycle, rejected instead of looping.
+fn walk<S: SourceStore, V: Visitor>(
     store: &mut S,
-    chain: &mut ChainStep<'_>,
-    id: u64,
+    visitor: &mut V,
+    root: u64,
+    cancel: &CancelFlag,
 ) -> Result<(), CheckError> {
-    if chain.is_resident(id) {
+    if visitor.is_done(root) {
         return Ok(());
     }
     let mut gray: FxHashSet<u64> = FxHashSet::default();
-    let mut stack: Vec<(u64, Option<u64>)> = vec![(id, None)];
-    while let Some(&(cur, parent)) = stack.last() {
-        if chain.is_resident(cur) {
-            stack.pop();
+    // Clauses still to open, each with the clause that referenced it.
+    let mut pending: Vec<(u64, Option<u64>)> = vec![(root, None)];
+    // Open clauses: id, sources, and the `pending` length their
+    // children were pushed above.
+    let mut open: Vec<(u64, S::Sources, usize)> = Vec::new();
+    let mut steps: u64 = 0;
+    loop {
+        steps += 1;
+        if steps.is_multiple_of(PROGRESS_STRIDE) {
+            cancel.check()?;
+        }
+        if open.last().map(|frame| frame.2) == Some(pending.len()) {
+            let (id, sources, _) = open.pop().expect("an open frame");
+            visitor.finish(id, &sources)?;
+            gray.remove(&id);
             continue;
         }
-        let sources = store.sources(cur, parent, &mut chain.meter)?;
-        if gray.contains(&cur) {
-            // All dependencies were pushed; if one is still gray the
-            // graph has a cycle, otherwise build now.
-            for &s in sources.iter() {
-                if !chain.is_resident(s) && gray.contains(&s) {
-                    return Err(CheckError::CyclicProof { id: s });
+        let Some((id, referenced_by)) = pending.pop() else {
+            return Ok(());
+        };
+        if visitor.is_done(id) {
+            continue;
+        }
+        let sources = store.sources(id, referenced_by)?;
+        gray.insert(id);
+        let base = pending.len();
+        for &source in sources.iter() {
+            if !visitor.is_done(source) {
+                if gray.contains(&source) {
+                    return Err(CheckError::CyclicProof { id: source });
                 }
-            }
-            chain.resolve(cur, &sources)?;
-            chain.store(cur, |meter| store.evict_one(meter))?;
-            chain.count_built(sources.len())?;
-            stack.pop();
-        } else {
-            gray.insert(cur);
-            for &s in sources.iter() {
-                if !chain.is_resident(s) {
-                    if gray.contains(&s) {
-                        return Err(CheckError::CyclicProof { id: s });
-                    }
-                    stack.push((s, Some(cur)));
-                }
+                pending.push((source, Some(id)));
             }
         }
+        open.push((id, sources, base));
     }
-    Ok(())
 }
 
-/// Where the depth-first builder finds a learned clause's resolve
-/// sources.
+/// What finishing a clause means to one configuration of the walk.
+trait Visitor {
+    /// Whether clause `id` needs no visit: an original, or finished.
+    fn is_done(&self, id: u64) -> bool;
+
+    /// Finishes learned clause `id`, all of whose `sources` are done.
+    fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError>;
+}
+
+/// `df` and `dfd` finish a clause by building it, and never free it.
+impl Visitor for ChainStep<'_> {
+    fn is_done(&self, id: u64) -> bool {
+        self.is_resident(id)
+    }
+
+    fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
+        self.resolve(id, sources)?;
+        self.store(id)?;
+        self.count_built(sources.len())
+    }
+}
+
+/// `hybrid`'s walk: the needed clauses in the order they finish (sources
+/// before consumers, so the build order), and how many needed clauses
+/// consume each.
+struct Needed {
+    num_original: u64,
+    finished: FxHashSet<u64>,
+    order: Vec<u64>,
+    use_counts: FxHashMap<u64, u32>,
+}
+
+impl Visitor for Needed {
+    fn is_done(&self, id: u64) -> bool {
+        id < self.num_original || self.finished.contains(&id)
+    }
+
+    fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
+        self.finished.insert(id);
+        self.order.push(id);
+        for &source in sources {
+            if source >= self.num_original {
+                *self.use_counts.entry(source).or_insert(0) += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where the walk finds a learned clause's resolve sources.
 trait SourceStore {
     type Sources: Deref<Target = [u64]>;
 
-    /// Gives one cached entry's budget back; `false` when nothing is
-    /// cached.
-    fn evict_one(&mut self, _meter: &mut MemoryMeter) -> bool {
-        false
-    }
-
-    /// The resolve sources of learned clause `id`; `meter` pays for any
-    /// caching.
-    fn sources(
-        &mut self,
-        id: u64,
-        referenced_by: Option<u64>,
-        meter: &mut MemoryMeter,
-    ) -> Result<Self::Sources, CheckError>;
+    /// The resolve sources of learned clause `id`.
+    fn sources(&mut self, id: u64, referenced_by: Option<u64>)
+        -> Result<Self::Sources, CheckError>;
 }
 
 /// `df`'s store: the resident table.
 impl<'t> SourceStore for &'t FullTrace {
     type Sources = &'t [u64];
 
-    fn sources(
-        &mut self,
-        id: u64,
-        referenced_by: Option<u64>,
-        _meter: &mut MemoryMeter,
-    ) -> Result<&'t [u64], CheckError> {
+    fn sources(&mut self, id: u64, referenced_by: Option<u64>) -> Result<&'t [u64], CheckError> {
         let full: &'t FullTrace = self;
         full.sources
             .get(&id)
@@ -231,61 +348,37 @@ impl<'t> SourceStore for &'t FullTrace {
     }
 }
 
-/// `dfd`'s store: a cursor fetch through the offset index, from the hot
-/// cache when possible.
+/// `dfd`'s and `hybrid`'s store: a cursor read at the offset the index
+/// holds for the clause.
 struct DiskSources<'t> {
     index: FlatIndex,
     cursor: Box<dyn TraceCursor + 't>,
-    cache: SourceCache,
     /// Positioned trace reads performed.
     reads: u64,
 }
 
 impl SourceStore for DiskSources<'_> {
-    type Sources = Rc<[u64]>;
+    type Sources = Vec<u64>;
 
-    fn evict_one(&mut self, meter: &mut MemoryMeter) -> bool {
-        self.cache.evict_one(meter)
-    }
-
-    fn sources(
-        &mut self,
-        id: u64,
-        referenced_by: Option<u64>,
-        meter: &mut MemoryMeter,
-    ) -> Result<Rc<[u64]>, CheckError> {
-        if let Some(sources) = self.cache.get(id) {
-            return Ok(sources);
-        }
+    fn sources(&mut self, id: u64, referenced_by: Option<u64>) -> Result<Vec<u64>, CheckError> {
         let offset = self
             .index
             .get(id)
             .ok_or(CheckError::UnknownClause { id, referenced_by })?;
-        let sources: Rc<[u64]> = fetch_learned(&mut *self.cursor, id, offset)?.into();
+        let event = self.cursor.event_at(offset).map_err(CheckError::Trace)?;
         self.reads += 1;
-        self.cache.insert(id, &sources, meter);
-        Ok(sources)
+        match event {
+            TraceEvent::Learned { id: got, sources } if got == id => Ok(sources),
+            _ => Err(CheckError::Trace(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace offset for clause #{id} no longer addresses its record"),
+            ))),
+        }
     }
 }
 
-/// Reads the resolve sources of learned clause `id` from its indexed
-/// trace `offset`.
-pub(crate) fn fetch_learned(
-    cursor: &mut dyn TraceCursor,
-    id: u64,
-    offset: u64,
-) -> Result<Vec<u64>, CheckError> {
-    match cursor.event_at(offset).map_err(CheckError::Trace)? {
-        TraceEvent::Learned { id: got, sources } if got == id => Ok(sources),
-        _ => Err(CheckError::Trace(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("trace offset for clause #{id} no longer addresses its record"),
-        ))),
-    }
-}
-
-/// `dfd`'s pass 1: the flat offset index, the level-0 records and the
-/// final-conflict list.
+/// The disk store's pass 1: the flat offset index, the level-0 records
+/// and the final-conflict list.
 ///
 /// It reports the same first error, in trace order, as the resident
 /// table's pass 1 without keeping a per-id set: duplicate ids are found
@@ -299,11 +392,13 @@ fn indexed_pass1<S: RandomAccessTrace + ?Sized>(
     meter: &mut MemoryMeter,
     cancel: &CancelFlag,
 ) -> Result<(FlatIndex, LevelZeroMap, Vec<u64>), CheckError> {
+    // Sized exactly when the byte map has counted the learned records,
+    // otherwise grown on demand: the encoded-size hint assumes 8 bytes a
+    // record, where a binary learned record of a Table 2 row averages
+    // about 180, so it would reserve some 20 times the entries.
     let mut entries: Vec<(u64, u64)> = Vec::new();
     if let Some(index) = map.and_then(TraceMap::block_index) {
         entries.reserve(index.learned() as usize);
-    } else if let Some(encoded) = trace.encoded_size() {
-        entries.reserve(table_capacity_hint(encoded));
     }
     let mut level_zero = LevelZeroMap::default();
     let mut final_ids: Vec<u64> = Vec::new();
@@ -367,61 +462,13 @@ impl FlatIndex {
     }
 }
 
-/// A memory-accounted FIFO cache of fetched source lists (each DFS node
-/// needs its list twice: once to push children, once to build). Like
-/// [`OriginalCache`](crate::cache::OriginalCache) it only uses spare
-/// budget: each list is charged [`trace_record_bytes`], and under
-/// pressure the cache evicts oldest-first or skips.
-#[derive(Default)]
-struct SourceCache {
-    map: FxHashMap<u64, Rc<[u64]>>,
-    order: VecDeque<u64>,
-    bytes: u64,
-    hits: u64,
-}
-
-impl SourceCache {
-    fn get(&mut self, id: u64) -> Option<Rc<[u64]>> {
-        let found = self.map.get(&id).cloned();
-        if found.is_some() {
-            self.hits += 1;
-        }
-        found
-    }
-
-    fn insert(&mut self, id: u64, sources: &Rc<[u64]>, meter: &mut MemoryMeter) {
-        if self.map.contains_key(&id) {
-            return;
-        }
-        let cost = trace_record_bytes(sources.len());
-        while meter.alloc(cost).is_err() {
-            if !self.evict_one(meter) {
-                return;
-            }
-        }
-        self.bytes += cost;
-        self.order.push_back(id);
-        self.map.insert(id, Rc::clone(sources));
-    }
-
-    fn evict_one(&mut self, meter: &mut MemoryMeter) -> bool {
-        let Some(id) = self.order.pop_front() else {
-            return false;
-        };
-        let evicted = self.map.remove(&id).expect("order and map agree");
-        let refund = trace_record_bytes(evicted.len());
-        self.bytes -= refund;
-        meter.free(refund);
-        true
-    }
-}
-
-/// The checks both source stores must pass. Each takes the store to run,
-/// named by its strategy, and [`store_tests`] turns them into tests:
-/// `depth_first::tests` runs them on `df`, `disk_df::tests` on `dfd`.
+/// The checks every configuration of the walk must pass. Each takes the
+/// configuration to run, named by its strategy, and [`store_tests`] turns
+/// them into tests: `depth_first::tests` runs them on `df`,
+/// `disk_df::tests` on `dfd` and `hybrid::tests` on `hybrid`.
 #[cfg(test)]
 pub(crate) mod table {
-    use super::{run, run_disk};
+    use super::{run, run_disk, run_hybrid};
     use crate::api::CheckConfig;
     use crate::error::CheckError;
     use crate::outcome::{CheckOutcome, Strategy};
@@ -442,9 +489,9 @@ pub(crate) mod table {
     }
     pub(crate) use store_tests;
 
-    /// Runs one store on a claim: the resident table for
+    /// Runs one configuration on a claim: the resident table for
     /// `Strategy::DepthFirst`, the offset index for
-    /// `Strategy::DiskDepthFirst`.
+    /// `Strategy::DiskDepthFirst` and `Strategy::Hybrid`.
     pub(crate) fn check(
         store: Strategy,
         cnf: &Cnf,
@@ -455,7 +502,8 @@ pub(crate) mod table {
         match store {
             Strategy::DepthFirst => run(cnf, sink, config, scratch, obs),
             Strategy::DiskDepthFirst => run_disk(cnf, sink, config, scratch, obs),
-            other => unreachable!("{other:?} is not a depth-first store"),
+            Strategy::Hybrid => run_hybrid(cnf, sink, config, scratch, obs),
+            other => unreachable!("{other:?} is not a depth-first walk"),
         }
     }
 

@@ -1,6 +1,6 @@
 //! `dfd`'s unit tests: the depth-first engine's checks run on its disk
 //! source store, plus the tests of what only that store has — its
-//! agreement with `df` and its source cache.
+//! agreement with `df`, its cursor reads and its tightest budget.
 
 use crate::api::CheckConfig;
 use crate::depth_first::run_disk;
@@ -41,24 +41,38 @@ fn stats_match_in_memory_depth_first() {
 }
 
 #[test]
-fn cache_serves_repeated_fetches() {
-    // Each DFS node needs its list twice (expand + build): one read
-    // per needed clause, the rest hit the cache.
-    let (cnf, sink) = table::diamond();
-    let mut metrics = MetricsSink::new();
-    let config = CheckConfig::default();
-    run_disk(&cnf, &sink, &config, &mut CheckScratch::new(), &mut metrics).unwrap();
-    let gauge = |name| metrics.registry().gauge(name).unwrap();
-    assert_eq!(gauge("check.dfd.cursor_reads"), 4.0);
-    assert!(gauge("check.dfd.cache_hits") >= 4.0);
-    assert!(gauge("check.dfd.cache_bytes") > 0.0);
+fn reads_each_needed_clause_once_under_any_budget() {
+    // The walk reads a clause's sources when it opens the clause and
+    // keeps them until the clause is built, so no budget, however
+    // tight, makes it read a record twice.
+    for (cnf, sink) in [table::learned_proof(), table::diamond()] {
+        let dfd = |limit| {
+            let config = CheckConfig {
+                memory_limit: limit,
+                ..CheckConfig::default()
+            };
+            let mut metrics = MetricsSink::new();
+            run_disk(&cnf, &sink, &config, &mut CheckScratch::new(), &mut metrics)
+                .map(|outcome| (outcome, metrics.registry().gauge("check.dfd.cursor_reads")))
+        };
+        let tight = crate::memory::tightest_limit(|limit| dfd(limit).map(|(outcome, _)| outcome));
+        for limit in [None, Some(tight)] {
+            let (outcome, reads) = dfd(limit).unwrap();
+            assert!(outcome.stats.clauses_built > 0);
+            assert_eq!(
+                reads,
+                Some(outcome.stats.clauses_built as f64),
+                "limit {limit:?}"
+            );
+        }
+    }
 }
 
 #[test]
 fn caches_yield_to_a_tight_memory_limit() {
     // The tightest limit dfd passes under is below its unlimited
-    // peak: the caches gave their bytes back instead of failing the
-    // check, and the proof is unchanged.
+    // peak: the original-clause cache gave its bytes back instead of
+    // failing the check, and the proof is unchanged.
     let (cnf, sink) = table::diamond();
     let dfd = |limit| {
         let config = CheckConfig {

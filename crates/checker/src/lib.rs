@@ -22,14 +22,15 @@
 //!   is done. Slower (it verifies *every* learned clause), but its clause
 //!   memory never exceeds what the solver itself used.
 //!
-//! Beyond the paper, [`check_disk_depth_first`] is the same depth-first
-//! engine with the trace left on disk behind a 16-byte-per-clause offset
-//! index, [`check_hybrid`] builds depth-first's clauses under
-//! breadth-first's freeing discipline (the paper's proposed future work),
-//! and [`Strategy::ParallelDag`] schedules breadth-first's work over
-//! threads. Every sequential engine rebuilds clauses through one shared
-//! chain step on a reusable [`CheckScratch`]; an engine contributes only
-//! its first pass, its rebuild order and when it frees a clause.
+//! Beyond the paper, one depth-first walk runs in three configurations:
+//! [`check_depth_first`] on the resident trace, [`check_disk_depth_first`]
+//! with the trace left on disk behind a 16-byte-per-clause offset index,
+//! and [`check_hybrid`] on that same index, rebuilding depth-first's
+//! clauses under breadth-first's freeing discipline (the paper's proposed
+//! future work). [`Strategy::ParallelDag`] schedules breadth-first's work
+//! over threads. Every sequential engine rebuilds clauses through one
+//! shared chain step on a reusable [`CheckScratch`]; an engine contributes
+//! only its first pass, its rebuild order and when it frees a clause.
 //!
 //! SAT claims are checked by [`check_sat_claim`] in linear time.
 //!
@@ -86,7 +87,12 @@ mod error;
 mod executor;
 mod final_phase;
 mod fxhash;
-mod hybrid;
+#[cfg(test)]
+mod hybrid {
+    //! `hybrid`, the depth-first engine's freeing configuration, lives in
+    //! `depth_first`; only its tests are kept apart, in `hybrid/tests.rs`.
+    mod tests;
+}
 pub mod kernel;
 mod memory;
 mod model;

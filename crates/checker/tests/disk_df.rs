@@ -91,9 +91,9 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     let dfd = check_disk_depth_first(&cnf, &trace, &CheckConfig::default()).unwrap();
     assert_same_proof(&dfd, &df);
 
-    // Under the tightest budget the disk-backed walk passes, its caches
-    // must give way to the mandatory structures (index + arena + level-0),
-    // and in-memory depth-first memory-outs.
+    // Under the tightest budget the disk-backed walk passes, its
+    // original-clause cache must give way to the mandatory structures
+    // (index + arena + level-0), and in-memory depth-first memory-outs.
     let limit = tightest_dfd_limit(&cnf, &trace);
     assert!(
         limit < dfd.stats.peak_memory_bytes && limit < df.stats.peak_memory_bytes,
@@ -113,6 +113,8 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     assert!(dfd_limited.stats.peak_memory_bytes <= limit);
 }
 
+/// The budget decides only how much the original-clause cache holds,
+/// never the proof.
 #[test]
 fn source_cache_does_not_change_the_proof() {
     let (cnf, sink) = chain(128);

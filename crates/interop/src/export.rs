@@ -23,7 +23,7 @@
 
 use crate::error::InteropError;
 use crate::lrat::LratStep;
-use rescheck_checker::{normalize_literals, resolve_sorted};
+use rescheck_checker::{normalize_literals, ResolutionKernel};
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_trace::TraceEvent;
 use std::collections::HashMap;
@@ -106,6 +106,7 @@ pub fn export_lrat(cnf: &Cnf, events: &[TraceEvent]) -> Result<ExportReport, Int
     let mut var_record: HashMap<usize, usize> = HashMap::new();
     let mut final_id: Option<u64> = None;
     let mut stats = ExportStats::default();
+    let mut kernel = ResolutionKernel::new();
 
     for (evno, event) in events.iter().enumerate() {
         let at = Some(evno as u64 + 1);
@@ -128,9 +129,8 @@ pub fn export_lrat(cnf: &Cnf, events: &[TraceEvent]) -> Result<ExportReport, Int
                         format!("learned clause {id} has fewer than two sources"),
                     ));
                 }
-                let mut lits: Option<Vec<Lit>> = None;
                 let mut hints = Vec::with_capacity(sources.len());
-                for &src in sources {
+                for (step, &src) in sources.iter().enumerate() {
                     let info = clauses.get(&src).ok_or_else(|| {
                         InteropError::defect(
                             at,
@@ -138,19 +138,20 @@ pub fn export_lrat(cnf: &Cnf, events: &[TraceEvent]) -> Result<ExportReport, Int
                         )
                     })?;
                     hints.push(info.lrat_id);
-                    lits = Some(match lits {
-                        None => info.lits.clone(),
-                        Some(acc) => resolve_sorted(&acc, &info.lits).map_err(|e| {
+                    if step == 0 {
+                        kernel.begin(&info.lits);
+                    } else {
+                        kernel.fold(&info.lits).map_err(|e| {
                             InteropError::defect(
                                 at,
                                 format!("learned clause {id} does not fold: {e}"),
                             )
-                        })?,
-                    });
+                        })?;
+                    }
                 }
                 // Chain order is conflict-first; RUP replays it backwards.
                 hints.reverse();
-                let lits = lits.expect("at least two sources");
+                let lits = kernel.finish().to_vec();
                 let lrat_id = next_lrat;
                 next_lrat += 1;
                 stats.learned += 1;

@@ -77,12 +77,15 @@ USAGE:
                  instead, ASCII or binary, sniffed by magic)
                  (dfd is depth-first with the trace left on disk — same
                  verdict, core and resolution stats as df under a far
-                 smaller memory budget; portfolio runs dfd and, only if
-                 it runs out of memory, bf; pdag verifies what bf does
-                 but schedules the resolution pass as a dependency DAG
-                 across <n> work-stealing workers with bit-identical
-                 stats for any worker count — --jobs 0 = auto; pbf and
-                 parallel-bf are accepted as names for pdag)
+                 smaller memory budget, reading each needed clause's
+                 record once; hybrid is the same walk, freeing each
+                 clause after its last needed use; portfolio runs dfd
+                 and, only if it runs out of memory, bf; pdag verifies
+                 what bf does but schedules the resolution pass as a
+                 dependency DAG across <n> work-stealing workers with
+                 bit-identical stats for any worker count — --jobs 0 =
+                 auto; pbf and parallel-bf are accepted as names for
+                 pdag)
                  (dfd and pdag read a binary file trace into memory
                  once and decode it in place)
                  [--proof-format native|drat|drup|lrat]
@@ -619,7 +622,13 @@ fn cmd_check(rest: &[String]) -> CliResult {
         Err(e) => {
             use rescheck::checker::FailureKind;
             let kind = e.kind();
-            println!("INVALID proof: {e}");
+            // Only a proof defect refutes the proof; every other class
+            // ended the check before a verdict.
+            if kind == FailureKind::ProofDefect {
+                println!("INVALID proof: {e}");
+            } else {
+                println!("NOT CHECKED ({kind}): {e}");
+            }
             // A stdin trace has no adjacent file to name the dump after;
             // use the current directory instead of `-.flight.json`.
             let flight_path = flight_out.unwrap_or_else(|| {

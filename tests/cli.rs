@@ -659,9 +659,17 @@ fn mem_limit_reproduces_memory_out() {
         .args(["--mem-limit", "64"])
         .output()
         .unwrap();
-    // Resource exhaustion exits 3, distinct from a proof defect (1).
+    // Resource exhaustion exits 3, distinct from a proof defect (1),
+    // and the verdict line says the proof was not checked, not that it
+    // is invalid.
     assert_eq!(out.status.code(), Some(3));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("memory limit"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("memory limit"), "{stdout}");
+    assert!(
+        stdout.contains("NOT CHECKED (resource-limit): memory limit exceeded"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("INVALID"), "{stdout}");
 }
 
 #[test]
