@@ -1,17 +1,15 @@
-//! Check-throughput benchmark: end-to-end validation time on
-//! Table-2-class instances, sequential breadth-first against the
-//! work-stealing parallel-dag executor at increasing worker counts, plus
-//! the observability overhead
-//! of running the same check under a recording [`MetricsSink`] instead
-//! of the [`NullObserver`] (the hot path is allocation-free, so the gap
-//! should be noise).
+//! Check-throughput benchmark: end-to-end validation time on a
+//! Table-2-class instance (`pipe(18, 6)`, Table 2's `6pipe`, about 24k
+//! learned clauses), sequential breadth-first against the work-stealing
+//! parallel-dag executor at increasing worker counts, plus the
+//! observability overhead of running the same check under a recording
+//! [`MetricsSink`] instead of the [`NullObserver`] (the hot path is
+//! allocation-free, so the gap should be noise).
 //!
-//! Traces go through the production file path — solved once into a
+//! The trace goes through the production file path — solved once into a
 //! binary temp file and checked through a [`FileTrace`] with its byte
-//! map established up front (the `rescheck serve` reuse pattern) — so
-//! the parallel rows exercise the sharded ingestion front end over the
-//! map. The `pdag` rows override the `parallel_min_learned` threshold
-//! to 0 to force the parallel path.
+//! map established up front (the `rescheck serve` reuse pattern), which
+//! every row then decodes in place.
 //!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
@@ -28,7 +26,7 @@ use rescheck_checker::{
 use rescheck_obs::{Json, MetricsSink};
 use rescheck_solver::{Solver, SolverConfig};
 use rescheck_trace::{BinaryWriter, FileTrace, TraceSink, TraceSource};
-use rescheck_workloads::{bmc, pigeonhole, Instance};
+use rescheck_workloads::{pipeline, Instance};
 use std::path::{Path, PathBuf};
 
 /// Solves `inst` into a binary trace file and opens it with the byte
@@ -47,111 +45,102 @@ fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
     (trace, path)
 }
 
-/// The pdag rows force the parallel path: both bench instances sit
-/// below the default `parallel_min_learned` threshold, which the map's
-/// block index now enforces with exact counts.
-fn pdag_config(jobs: usize) -> CheckConfig {
-    CheckConfig {
-        jobs,
-        parallel_min_learned: 0,
-        ..CheckConfig::default()
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let json_path = take_json_flag(&mut args);
 
     let mut rows: Vec<Json> = Vec::new();
-    for inst in [pigeonhole::instance(6), bmc::longmult(4)] {
-        let (trace, trace_path) = trace_of(&inst);
-        let learned = check_unsat_claim(
+    let inst = pipeline::pipe(18, 6);
+    let (trace, trace_path) = trace_of(&inst);
+    let learned = check_unsat_claim(
+        &inst.cnf,
+        &trace,
+        Strategy::BreadthFirst,
+        &CheckConfig::default(),
+    )
+    .expect("genuine trace")
+    .stats
+    .learned_in_trace;
+
+    let mut push_row = |config: &str, median_seconds: f64, stats: Option<&CheckStats>| {
+        let mut row = Json::object();
+        row.set("name", inst.name.as_str())
+            .set("config", config)
+            .set("learned_in_trace", learned)
+            .set("median_seconds", median_seconds)
+            .set(
+                "learned_per_second",
+                learned as f64 / median_seconds.max(1e-12),
+            );
+        // Work counters, for the determinism-across-jobs criterion
+        // (compared bit-for-bit between pdag rows in CI).
+        if let Some(stats) = stats {
+            row.set("clauses_built", stats.clauses_built)
+                .set("resolutions", stats.resolutions)
+                .set("peak_memory_bytes", stats.peak_memory_bytes);
+        }
+        rows.push(row);
+    };
+
+    let seq = bench(&format!("check/bf/{}", inst.name), || {
+        check_unsat_claim(
             &inst.cnf,
             &trace,
             Strategy::BreadthFirst,
             &CheckConfig::default(),
         )
-        .expect("genuine trace")
-        .stats
-        .learned_in_trace;
+        .expect("genuine trace");
+    });
+    push_row("bf", seq.median.as_secs_f64(), None);
 
-        let mut push_row = |config: &str, median_seconds: f64, stats: Option<&CheckStats>| {
-            let mut row = Json::object();
-            row.set("name", inst.name.as_str())
-                .set("config", config)
-                .set("learned_in_trace", learned)
-                .set("median_seconds", median_seconds)
-                .set(
-                    "learned_per_second",
-                    learned as f64 / median_seconds.max(1e-12),
-                );
-            // Work counters, for the determinism-across-jobs criterion
-            // (compared bit-for-bit between pdag rows in CI).
-            if let Some(stats) = stats {
-                row.set("clauses_built", stats.clauses_built)
-                    .set("resolutions", stats.resolutions)
-                    .set("peak_memory_bytes", stats.peak_memory_bytes);
-            }
-            rows.push(row);
+    let mut pdag_key = None;
+    for jobs in [1usize, 2, 4, 8] {
+        let config = CheckConfig {
+            jobs,
+            ..CheckConfig::default()
         };
-
-        let seq = bench(&format!("check/bf/{}", inst.name), || {
-            check_unsat_claim(
-                &inst.cnf,
-                &trace,
-                Strategy::BreadthFirst,
-                &CheckConfig::default(),
-            )
-            .expect("genuine trace");
-        });
-        push_row("bf", seq.median.as_secs_f64(), None);
-
-        let mut pdag_key = None;
-        for jobs in [1usize, 2, 4, 8] {
-            let config = pdag_config(jobs);
-            let stats = check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-                .expect("genuine trace")
-                .stats;
-            let key = (
-                stats.clauses_built,
-                stats.resolutions,
-                stats.peak_memory_bytes,
-            );
-            if let Some(prev) = pdag_key {
-                assert_eq!(prev, key, "pdag stats drift across worker counts");
-            }
-            pdag_key = Some(key);
-            let summary = bench(&format!("check/pdag-jobs{jobs}/{}", inst.name), || {
-                check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-                    .expect("genuine trace");
-            });
-            push_row(
-                &format!("pdag-jobs{jobs}"),
-                summary.median.as_secs_f64(),
-                Some(&stats),
-            );
+        let stats = check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
+            .expect("genuine trace")
+            .stats;
+        let key = (
+            stats.clauses_built,
+            stats.resolutions,
+            stats.peak_memory_bytes,
+        );
+        if let Some(prev) = pdag_key {
+            assert_eq!(prev, key, "pdag stats drift across worker counts");
         }
-
-        // Observability overhead: the same breadth-first check with a
-        // recording metrics sink (spans, counters, histograms) against
-        // the NullObserver baseline measured above.
-        let mut sink = MetricsSink::new();
-        let observed = bench(&format!("check/bf-metrics/{}", inst.name), || {
-            check_unsat_claim_observed(
-                &inst.cnf,
-                &trace,
-                Strategy::BreadthFirst,
-                &CheckConfig::default(),
-                &mut sink,
-            )
-            .expect("genuine trace");
+        pdag_key = Some(key);
+        let summary = bench(&format!("check/pdag-jobs{jobs}/{}", inst.name), || {
+            check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
+                .expect("genuine trace");
         });
-        push_row("bf-metrics", observed.median.as_secs_f64(), None);
-        let overhead =
-            (observed.median.as_secs_f64() / seq.median.as_secs_f64().max(1e-12) - 1.0) * 100.0;
-        println!("check/observer-overhead/{}: {overhead:+.2}%", inst.name);
-        std::fs::remove_file(&trace_path).ok();
+        push_row(
+            &format!("pdag-jobs{jobs}"),
+            summary.median.as_secs_f64(),
+            Some(&stats),
+        );
     }
+
+    // Observability overhead: the same breadth-first check with a
+    // recording metrics sink (spans, counters, histograms) against
+    // the NullObserver baseline measured above.
+    let mut sink = MetricsSink::new();
+    let observed = bench(&format!("check/bf-metrics/{}", inst.name), || {
+        check_unsat_claim_observed(
+            &inst.cnf,
+            &trace,
+            Strategy::BreadthFirst,
+            &CheckConfig::default(),
+            &mut sink,
+        )
+        .expect("genuine trace");
+    });
+    push_row("bf-metrics", observed.median.as_secs_f64(), None);
+    let overhead =
+        (observed.median.as_secs_f64() / seq.median.as_secs_f64().max(1e-12) - 1.0) * 100.0;
+    println!("check/observer-overhead/{}: {overhead:+.2}%", inst.name);
+    std::fs::remove_file(&trace_path).ok();
 
     if let Some(path) = json_path {
         let mut doc = Json::object();

@@ -10,10 +10,9 @@
 //!   per tag/varint byte, an owned `sources` vector per event) against
 //!   [`BlockDecoder`] refilling one 256 KiB block buffer and lending
 //!   borrowed [`EventRef`]s.
-//! * Trace-map ingestion — the per-record reader against the parallel
-//!   checkers' pass-1 front end: disjoint block-index shards of an
-//!   established [`TraceMap`] decoded on worker threads through
-//!   [`SliceDecoder`]s, with no read syscall and no copy.
+//! * Trace-map ingestion — the per-record reader against an established
+//!   [`TraceMap`] decoded in place on one thread through a
+//!   [`SliceDecoder`], with no read syscall and no copy.
 //! * Random-access fetch — the disk-depth-first access pattern
 //!   (`event_at` over shuffled offsets) through the positioned-read
 //!   file cursor (a window read at each offset) against the map cursor
@@ -154,104 +153,38 @@ fn decode_record_path(path: &Path) -> (u64, u64) {
     (events, source_sum)
 }
 
+/// Folds one borrowed event into the (events, source checksum) tally
+/// the decode rows compare against the fixture.
+fn tally((events, source_sum): &mut (u64, u64), event: EventRef<'_>) {
+    *events += 1;
+    *source_sum += match event {
+        EventRef::Learned { sources, .. } => sources.iter().sum::<u64>(),
+        EventRef::LevelZero { antecedent, .. } => antecedent,
+        EventRef::FinalConflict { id } => id,
+    };
+}
+
 /// The block decoder over the raw file through the borrowed lending
 /// API — no per-event heap allocation.
 fn decode_block_path(path: &Path) -> (u64, u64) {
     let mut decoder = BlockDecoder::new(File::open(path).expect("open trace")).expect("magic");
-    let mut events = 0u64;
-    let mut source_sum = 0u64;
+    let mut totals = (0, 0);
     while let Some(event) = decoder.next_event().expect("valid trace") {
-        match event {
-            EventRef::Learned { sources, .. } => {
-                events += 1;
-                source_sum += sources.iter().sum::<u64>();
-            }
-            EventRef::LevelZero { antecedent, .. } => {
-                events += 1;
-                source_sum += antecedent;
-            }
-            EventRef::FinalConflict { id } => {
-                events += 1;
-                source_sum += id;
-            }
-        }
+        tally(&mut totals, event);
     }
-    (events, source_sum)
+    totals
 }
 
-/// Workers for the sharded map decode: one per available core, the
-/// same cap the parallel checkers derive, at most 4.
-fn map_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// The map ingestion path of the parallel checkers: decode disjoint
-/// block-index shards of an established map on worker threads — or, on
-/// a single-core host, the whole slice in place (the checkers' `jobs 1`
-/// path), where the win over the buffered reader is the absence of
-/// read syscalls and per-event allocation rather than parallelism.
-fn decode_map_sharded(map: &TraceMap, shards: usize) -> (u64, u64) {
-    let index = map.block_index().expect("well-formed fixture");
-    let bytes = map.bytes();
-    if shards <= 1 {
-        let mut decoder = SliceDecoder::new(bytes).expect("magic");
-        let mut events = 0u64;
-        let mut source_sum = 0u64;
-        while let Some(event) = decoder.next_event().expect("valid trace") {
-            match event {
-                EventRef::Learned { sources, .. } => {
-                    events += 1;
-                    source_sum += sources.iter().sum::<u64>();
-                }
-                EventRef::LevelZero { antecedent, .. } => {
-                    events += 1;
-                    source_sum += antecedent;
-                }
-                EventRef::FinalConflict { id } => {
-                    events += 1;
-                    source_sum += id;
-                }
-            }
-        }
-        return (events, source_sum);
+/// The map ingestion path: the whole slice of an established map
+/// decoded in place on one thread, where the win over the buffered
+/// reader is the absence of read syscalls and per-event allocation.
+fn decode_map(map: &TraceMap) -> (u64, u64) {
+    let mut decoder = SliceDecoder::new(map.bytes()).expect("magic");
+    let mut totals = (0, 0);
+    while let Some(event) = decoder.next_event().expect("valid trace") {
+        tally(&mut totals, event);
     }
-    let ranges = index.shard_ranges(shards);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut decoder = SliceDecoder::resume_at(&bytes[..range.end], range.start);
-                    let mut events = 0u64;
-                    let mut source_sum = 0u64;
-                    while let Some(event) = decoder.next_event().expect("valid trace") {
-                        match event {
-                            EventRef::Learned { sources, .. } => {
-                                events += 1;
-                                source_sum += sources.iter().sum::<u64>();
-                            }
-                            EventRef::LevelZero { antecedent, .. } => {
-                                events += 1;
-                                source_sum += antecedent;
-                            }
-                            EventRef::FinalConflict { id } => {
-                                events += 1;
-                                source_sum += id;
-                            }
-                        }
-                    }
-                    (events, source_sum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard decode"))
-            .fold((0, 0), |(e, s), (de, ds)| (e + de, s + ds))
-    })
+    totals
 }
 
 /// Fetches every offset through the trace's random-access cursor —
@@ -329,25 +262,23 @@ fn main() {
     rows.push(row);
 
     // ---- Map ingestion: the buffered per-record reader (the same
-    // baseline as the decode row) vs the decode over an established
-    // byte map, sharded across the available cores.
+    // baseline as the decode row) vs the in-place decode of an
+    // established byte map.
     let map = TraceMap::open(&trace_path).expect("map fixture");
-    let shards = map_shards();
     assert_eq!(
-        decode_map_sharded(&map, shards),
+        decode_map(&map),
         expected,
-        "sharded map decode disagrees with the fixture"
+        "map decode disagrees with the fixture"
     );
-    let map_decode = bench("io/decode/map-sharded", || {
-        std::hint::black_box(decode_map_sharded(&map, shards));
+    let map_decode = bench("io/decode/map", || {
+        std::hint::black_box(decode_map(&map));
     });
     let map_speedup = old_decode.min.as_secs_f64() / map_decode.min.as_secs_f64().max(1e-12);
-    println!("io/speedup/decode-map: {map_speedup:.2}x ({shards} shard(s))");
+    println!("io/speedup/decode-map: {map_speedup:.2}x");
     let mut row = Json::object();
     row.set("name", "decode-map")
         .set("input_bytes", trace_bytes)
         .set("events", expected.0)
-        .set("shards", shards as u64)
         .set("old_min_seconds", old_decode.min.as_secs_f64())
         .set("new_min_seconds", map_decode.min.as_secs_f64())
         .set("old_median_seconds", old_decode.median.as_secs_f64())

@@ -100,7 +100,7 @@ pub struct StrategyReport {
 /// The strategies run sequentially in [`ALL_STRATEGIES`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
 /// artifact of one run cannot leak into the next.
-pub fn run_all_strategies<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn run_all_strategies<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -554,7 +554,7 @@ mod tests {
 
     /// Runs every strategy, checks the oracle's pairs, and returns the
     /// one verdict all six must share.
-    fn unanimous<S: RandomAccessTrace + Sync + ?Sized>(
+    fn unanimous<S: RandomAccessTrace + ?Sized>(
         cnf: &Cnf,
         trace: &S,
         config: &CheckConfig,

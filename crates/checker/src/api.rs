@@ -33,20 +33,13 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Worker threads for [`Strategy::ParallelDag`]'s sharded pass 1 and
-    /// executor; `0` picks the available parallelism (capped at 8). The
-    /// value is a cap: pdag never runs more workers than the machine has
-    /// cores, since extra threads cannot raise throughput and its stats
-    /// are identical for any worker count. Every other strategy runs on
-    /// the calling thread and ignores it.
+    /// Worker threads for [`Strategy::ParallelDag`]'s executor; `0`
+    /// picks the available parallelism (capped at 8). The value is a cap:
+    /// pdag never runs more workers than the machine has cores, since
+    /// extra threads cannot raise throughput and its stats are identical
+    /// for any worker count. pdag reads the trace on the calling thread,
+    /// and every other strategy runs there entirely and ignores it.
     pub jobs: usize,
-    /// Learned-clause estimate below which [`Strategy::ParallelDag`] falls
-    /// back to plain sequential breadth-first: thread spin-up and
-    /// cross-shard merging cost more than they save on small traces
-    /// (the reported strategy then says so). Set to `0` to always run
-    /// parallel. The estimate comes from the encoded trace size; an
-    /// unsized trace source never falls back.
-    pub parallel_min_learned: usize,
     /// Cooperative cancellation handle, polled at progress strides. The
     /// default flag is inert; arm one ([`CancelFlag::armed`]) to be able
     /// to stop a check from another thread.
@@ -54,13 +47,11 @@ pub struct CheckConfig {
 }
 
 impl Default for CheckConfig {
-    /// Unlimited memory, automatic job count, an inert cancel flag, and
-    /// the tuned small-trace fallback threshold.
+    /// Unlimited memory, automatic job count and an inert cancel flag.
     fn default() -> Self {
         CheckConfig {
             memory_limit: None,
             jobs: 0,
-            parallel_min_learned: 4096,
             cancel: CancelFlag::default(),
         }
     }
@@ -101,7 +92,7 @@ impl Default for CheckConfig {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -130,11 +121,15 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// [`Strategy::DiskDepthFirst`] additionally reports its disk-access
 /// accounting: `check.dfd.index_entries` (flat offset-index size) and
 /// `check.dfd.cursor_reads` (positioned trace reads performed, one per
-/// clause built). Strategies that read a binary file
-/// trace into an in-memory byte map ([`Strategy::DiskDepthFirst`] and
-/// [`Strategy::ParallelDag`]) do so inside a `trace-map` phase and emit
-/// `check.map.bytes` (accounted map length); the sharded pass 1 over
-/// the map additionally reports `check.pass1.shards`.
+/// clause built). [`Strategy::DiskDepthFirst`] (and so the portfolio)
+/// reads a binary file trace into an in-memory byte map inside a
+/// `trace-map` phase and emits `check.map.bytes` (accounted map length).
+/// [`Strategy::ParallelDag`] streams the trace like breadth-first, builds
+/// its dependency graph in a `check:dag-build` phase between
+/// `check:pass1` and `check:resolve`, and reports the graph's
+/// parallelism bound: `check.dag.work` (resolutions over all learned
+/// clauses) and `check.dag.span` (the most resolutions on one dependency
+/// path), beside `check.jobs` and the executor's per-worker histograms.
 ///
 /// It is [`check_unsat_claim_scoped`] on a fresh [`CheckScratch`].
 ///
@@ -165,7 +160,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + Sync + ?Sized>(
 /// assert!(sink.registry().phase_seconds("check:pass1").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim_observed<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim_observed<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -235,7 +230,7 @@ fn run_portfolio<S: RandomAccessTrace + ?Sized>(
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_unsat_claim_scoped<S: RandomAccessTrace + Sync + ?Sized>(
+pub fn check_unsat_claim_scoped<S: RandomAccessTrace + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -619,7 +614,6 @@ mod tests {
         let cfg = CheckConfig::default();
         assert_eq!(cfg.memory_limit, None);
         assert_eq!(cfg.jobs, 0);
-        assert_eq!(cfg.parallel_min_learned, 4096);
         assert!(!cfg.cancel.is_cancelled());
     }
 }

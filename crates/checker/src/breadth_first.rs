@@ -12,10 +12,9 @@
 //! As a side effect, the breadth-first strategy verifies *every* learned
 //! clause, not just those on the proof path.
 //!
-//! Pass 1's [`Pass1Tables`] are shared verbatim with the parallel-dag
-//! checker ([`crate::dag`]), whose mapped sharded pass 1 in
-//! [`crate::parallel`] replays the same per-event validation, so both
-//! reject a malformed trace with the identical first error.
+//! Pass 1 ([`sequential_pass1`]) is shared verbatim with the
+//! parallel-dag checker ([`crate::dag`]), so both reject a malformed
+//! trace with the identical first error.
 
 use crate::api::CheckConfig;
 use crate::cancel::CancelFlag;
@@ -23,12 +22,10 @@ use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::memory::{MemoryMeter, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
-use crate::model::{
-    finish_visit, park_check_error, table_capacity_hint, validate_learned, LevelZeroMap,
-};
+use crate::model::{finish_visit, park_check_error, validate_learned, LevelZeroMap};
 use crate::outcome::{CheckOutcome, Strategy};
 use crate::scratch::CheckScratch;
-use rescheck_cnf::{Cnf, Lit};
+use rescheck_cnf::Cnf;
 use rescheck_obs::{Observer, Phase};
 use rescheck_trace::{EventRef, TraceSource};
 use std::time::Instant;
@@ -36,12 +33,6 @@ use std::time::Instant;
 /// Everything pass 1 learns from the trace: use counts, the set of
 /// defined learned ids, the level-0 assignment, the final-conflict list
 /// and the pin set.
-///
-/// The `absorb_*` methods perform the per-event validation in trace
-/// order. The sequential pass calls them directly; the mapped sharded
-/// pass of [`crate::parallel`] replays compact per-event records through
-/// the same methods after merging, so both reject a malformed trace with
-/// the identical first error.
 #[derive(Default)]
 pub(crate) struct Pass1Tables {
     pub use_counts: FxHashMap<u64, u32>,
@@ -52,52 +43,6 @@ pub(crate) struct Pass1Tables {
 }
 
 impl Pass1Tables {
-    /// Pre-sizes the per-clause tables for roughly `additional` more
-    /// learned-clause entries (a hint derived from the encoded trace
-    /// size; see [`table_capacity_hint`]).
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.use_counts.reserve(additional);
-        self.defined.reserve(additional);
-    }
-
-    /// Absorbs a learned-clause record (without its source counting —
-    /// counting is the shardable part and is done by the caller).
-    pub(crate) fn absorb_learned(
-        &mut self,
-        id: u64,
-        num_sources: usize,
-        num_original: usize,
-    ) -> Result<(), CheckError> {
-        validate_learned(id, num_sources, num_original, |c| self.defined.contains(&c))?;
-        self.defined.insert(id);
-        self.use_counts.entry(id).or_insert(0);
-        Ok(())
-    }
-
-    /// Absorbs a level-0 assignment record, pinning its antecedent.
-    pub(crate) fn absorb_level_zero(
-        &mut self,
-        lit: Lit,
-        antecedent: u64,
-        num_original: usize,
-    ) -> Result<(), CheckError> {
-        self.level_zero.insert(lit, antecedent)?;
-        if antecedent >= num_original as u64 {
-            self.pinned.insert(antecedent);
-        }
-        Ok(())
-    }
-
-    /// Absorbs a final-conflict record. Deliberately does **not** pin the
-    /// id: only the first final conflict starts the empty-clause
-    /// derivation, and pinning the others would keep dead clauses
-    /// resident for the whole resolution pass (see [`finish`]).
-    ///
-    /// [`finish`]: Pass1Tables::finish
-    pub(crate) fn absorb_final(&mut self, id: u64) {
-        self.final_ids.push(id);
-    }
-
     /// Closes pass 1: selects the derivation's start clause and pins it.
     ///
     /// Earlier versions pinned *every* `FinalConflict` id even though the
@@ -121,16 +66,14 @@ impl Pass1Tables {
     }
 }
 
-/// Runs pass 1 sequentially over a streaming source.
+/// Runs pass 1 sequentially over a streaming source, validating each
+/// event in trace order.
 pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
     cancel: &CancelFlag,
 ) -> Result<(Pass1Tables, u64), CheckError> {
     let mut tables = Pass1Tables::default();
-    if let Some(encoded) = trace.encoded_size() {
-        tables.reserve(table_capacity_hint(encoded));
-    }
     let mut seen: u64 = 0;
     let mut parked = None;
     let result = trace.visit_events(&mut |event| {
@@ -141,7 +84,11 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
             }
             match event {
                 EventRef::Learned { id, sources } => {
-                    tables.absorb_learned(id, sources.len(), num_original)?;
+                    validate_learned(id, sources.len(), num_original, |c| {
+                        tables.defined.contains(&c)
+                    })?;
+                    tables.defined.insert(id);
+                    tables.use_counts.entry(id).or_insert(0);
                     for &s in sources {
                         if s >= num_original as u64 {
                             *tables.use_counts.entry(s).or_insert(0) += 1;
@@ -149,9 +96,13 @@ pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
                     }
                 }
                 EventRef::LevelZero { lit, antecedent } => {
-                    tables.absorb_level_zero(lit, antecedent, num_original)?;
+                    tables.level_zero.insert(lit, antecedent)?;
+                    if antecedent >= num_original as u64 {
+                        tables.pinned.insert(antecedent);
+                    }
                 }
-                EventRef::FinalConflict { id } => tables.absorb_final(id),
+                // Not pinned: see `Pass1Tables::finish`.
+                EventRef::FinalConflict { id } => tables.final_ids.push(id),
             }
             Ok(())
         })();
@@ -253,6 +204,7 @@ pub(crate) fn rebuild(
 mod tests {
     use super::*;
     use crate::memory::clause_bytes;
+    use rescheck_cnf::Lit;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
 

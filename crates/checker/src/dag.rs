@@ -16,11 +16,15 @@
 //! the decisive difference from the breadth-first pass 2, which pays
 //! three to four hash operations per resolve source.
 //!
+//! The trace is read the way breadth-first reads it: pass 1 is
+//! [`sequential_pass1`] verbatim and the build is one more streaming
+//! pass, so pdag never holds the encoded trace itself and its stats do
+//! not depend on how the trace is encoded.
+//!
 //! ## Error parity with breadth-first
 //!
-//! Pass 1 is shared verbatim ([`sequential_pass1`] / the mapped sharded
-//! variant in [`crate::parallel`]), so malformed-trace errors are
-//! identical by construction. The build pass stops at the first
+//! Pass 1 is shared verbatim, so malformed-trace errors are identical
+//! by construction. The build pass stops at the first
 //! *structurally* missing source (a forward reference or an unknown
 //! clause — exactly the condition under which breadth-first's pass 2
 //! would fail), records which node and step stopped it, and builds no
@@ -33,18 +37,16 @@ use crate::api::CheckConfig;
 use crate::breadth_first::{sequential_pass1, Pass1Tables};
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
-use crate::executor::ExecResult;
+use crate::executor::{effective_jobs, max_useful_workers, ExecResult};
 use crate::final_phase::{derive_empty_clause, ClauseProvider};
 use crate::fxhash::FxHashMap;
 use crate::memory::{clause_bytes, MemoryMeter, DAG_NODE_BYTES, DAG_SOURCE_BYTES};
-use crate::model::{finish_visit, park_check_error, table_capacity_hint};
+use crate::model::{finish_visit, park_check_error};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
-use crate::parallel::{effective_jobs, mapped_sharded_pass1};
 use crate::resolve::normalize_literals;
-use crate::scratch::CheckScratch;
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{BlockIndex, EventRef, RandomAccessTrace, TraceMap, TraceSource};
+use rescheck_trace::{EventRef, TraceSource};
 use std::time::Instant;
 
 /// Tag bit marking a source entry as an index into [`Dag::originals`]
@@ -160,6 +162,28 @@ impl Dag {
             self.nodes[src as usize].id
         }
     }
+
+    /// The graph's parallelism bound: its work (resolutions over all
+    /// nodes) and its span (the most resolutions on any one dependency
+    /// path). Sources always precede their node, so one pass in trace
+    /// order sees every source's path before the node's own.
+    pub fn work_and_span(&self) -> (u64, u64) {
+        let mut path: Vec<u64> = Vec::with_capacity(self.nodes.len());
+        let (mut work, mut span) = (0u64, 0u64);
+        for (i, node) in self.nodes.iter().enumerate() {
+            let longest_source = self
+                .sources(i as u32)
+                .iter()
+                .filter(|&&s| s & ORIGINAL_TAG == 0)
+                .map(|&s| path[s as usize])
+                .max()
+                .unwrap_or(0);
+            path.push(longest_source + node.resolutions());
+            work += node.resolutions();
+            span = span.max(path[i]);
+        }
+        (work, span)
+    }
 }
 
 /// Normalizes and interns one original clause, charging the meter once.
@@ -195,7 +219,6 @@ fn intern_original(
 /// per node and per source entry. All charges depend only on the trace,
 /// never on the worker count — the first half of the bit-identical
 /// `peak_memory_bytes` guarantee.
-#[cfg(test)]
 pub(crate) fn build<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
@@ -204,43 +227,12 @@ pub(crate) fn build<S: TraceSource + ?Sized>(
     meter: &mut MemoryMeter,
     cancel: &CancelFlag,
 ) -> Result<Dag, CheckError> {
-    build_from(cnf, trace, tables, start_id, meter, cancel, None)
-}
-
-/// [`build`], with the trace decode optionally fanned out over the
-/// mapped bytes: when `mapped` carries the established map, its block
-/// index and a worker count above one, the event stream is produced by
-/// [`crate::parallel::mapped_visit_ordered`] — `jobs` workers decode
-/// disjoint chunks while this thread replays them in exact trace order
-/// through the identical per-event handler. The built graph, every
-/// meter charge and every error are byte-for-byte the same as the
-/// streaming build's.
-pub(crate) fn build_from<S: TraceSource + ?Sized>(
-    cnf: &Cnf,
-    trace: &S,
-    tables: &Pass1Tables,
-    start_id: u64,
-    meter: &mut MemoryMeter,
-    cancel: &CancelFlag,
-    mapped: Option<(&TraceMap, &BlockIndex, usize)>,
-) -> Result<Dag, CheckError> {
     let num_original = cnf.num_clauses();
     let mut dag = Dag::default();
-    // A clean block index knows the exact learned-clause count; the
-    // encoded size only estimates it.
-    let hint = match mapped {
-        Some((_, index, _)) => Some(index.learned() as usize),
-        None => trace.encoded_size().map(table_capacity_hint),
-    };
-    if let Some(hint) = hint {
-        dag.nodes.reserve(hint);
-        dag.id_to_node.reserve(hint);
-    }
-
     let mut rev_pairs: Vec<(u32, u32)> = Vec::new();
     let mut seen: u64 = 0;
     let mut parked = None;
-    let mut handler = |event: EventRef<'_>| {
+    let result = trace.visit_events(&mut |event: EventRef<'_>| {
         let step = (|| -> Result<(), CheckError> {
             let EventRef::Learned { id, sources } = event else {
                 return Ok(());
@@ -298,13 +290,7 @@ pub(crate) fn build_from<S: TraceSource + ?Sized>(
             Ok(())
         })();
         step.map_err(|e| park_check_error(&mut parked, e))
-    };
-    let result = match mapped {
-        Some((map, index, jobs)) if jobs > 1 => {
-            crate::parallel::mapped_visit_ordered(map.bytes(), index, jobs, &mut handler)
-        }
-        _ => trace.visit_events(&mut handler),
-    };
+    });
     finish_visit(parked, result)?;
 
     // The final phase fetches the level-0 antecedents and the start
@@ -377,11 +363,10 @@ impl ClauseProvider for DagProvider<'_> {
     }
 }
 
-/// The parallel-dag checker: shared pass 1 (sharded over a mapped trace
-/// when `jobs > 1`, sequential otherwise), a dense dependency-graph
-/// build, the work-stealing resolution pass, and the final empty-clause
-/// derivation over the surviving slots.
-pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
+/// The parallel-dag checker: breadth-first's pass 1, a streaming build
+/// of the dense dependency graph, the work-stealing resolution pass, and
+/// the final empty-clause derivation over the surviving slots.
+pub(crate) fn run<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -392,47 +377,27 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
     // `--jobs` is a cap: workers beyond the machine's available cores
     // cannot raise throughput (the stats are identical either way), so
     // oversubscribed requests silently run with fewer workers.
-    let jobs = effective_jobs(config.jobs).min(crate::parallel::max_useful_workers());
-    let map = crate::parallel::establish_map(trace, obs);
-    if crate::parallel::small_trace_fallback(trace, map, config, obs) {
-        let mut outcome =
-            crate::breadth_first::run(cnf, trace, config, &mut CheckScratch::new(), obs)?;
-        outcome.stats.strategy = Strategy::ParallelDag;
-        return Ok(outcome);
-    }
+    let jobs = effective_jobs(config.jobs).min(max_useful_workers());
     let mut meter = MemoryMeter::new(config.memory_limit);
-    if let Some(map) = map {
-        // The encoded trace stays resident for the whole check; charging
-        // it up front keeps the peak independent of the worker count.
-        meter.alloc(map.accounted_bytes())?;
-    }
 
     let pass1 = Phase::start("check:pass1", obs);
     obs.observe(&Event::GaugeSet {
         name: "check.jobs",
         value: jobs as f64,
     });
-    let index = map.and_then(TraceMap::block_index);
-    let (tables, start_id) = match (map, index) {
-        (Some(map), Some(index)) if jobs > 1 => {
-            mapped_sharded_pass1(map, index, num_original, jobs, &config.cancel, obs)?
-        }
-        _ => sequential_pass1(trace, num_original, &config.cancel)?,
-    };
+    let (tables, start_id) = sequential_pass1(trace, num_original, &config.cancel)?;
     meter.alloc(tables.resident_bytes())?;
     pass1.finish(obs);
 
     let build_phase = Phase::start("check:dag-build", obs);
-    let mapped = map.zip(index).map(|(m, i)| (m, i, jobs));
-    let dag = build_from(
-        cnf,
-        trace,
-        &tables,
-        start_id,
-        &mut meter,
-        &config.cancel,
-        mapped,
-    )?;
+    let dag = build(cnf, trace, &tables, start_id, &mut meter, &config.cancel)?;
+    let (work, span) = dag.work_and_span();
+    for (name, value) in [("check.dag.work", work), ("check.dag.span", span)] {
+        obs.observe(&Event::GaugeSet {
+            name,
+            value: value as f64,
+        });
+    }
     build_phase.finish(obs);
 
     let resolve_phase = Phase::start("check:resolve", obs);
@@ -470,7 +435,8 @@ pub(crate) fn run<S: RandomAccessTrace + Sync + ?Sized>(
 mod tests {
     use super::*;
     use crate::breadth_first::sequential_pass1;
-    use rescheck_trace::{MemorySink, TraceSink};
+    use rescheck_obs::NullObserver;
+    use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink};
 
     fn chain(n: i64) -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
@@ -491,26 +457,24 @@ mod tests {
         (cnf, sink)
     }
 
-    fn build_chain(n: i64) -> (Dag, Pass1Tables) {
-        let (cnf, sink) = chain(n);
+    /// Pass 1 and the build on an unlimited meter, which is returned.
+    fn built(cnf: &Cnf, sink: &MemorySink) -> (Dag, MemoryMeter) {
         let (tables, start_id) =
-            sequential_pass1(&sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
+            sequential_pass1(sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
         let mut meter = MemoryMeter::unlimited();
-        let dag = build(
-            &cnf,
-            &sink,
-            &tables,
-            start_id,
-            &mut meter,
-            &CancelFlag::default(),
-        )
-        .unwrap();
-        (dag, tables)
+        let cancel = CancelFlag::default();
+        let dag = build(cnf, sink, &tables, start_id, &mut meter, &cancel).unwrap();
+        (dag, meter)
+    }
+
+    fn build_chain(n: i64) -> Dag {
+        let (cnf, sink) = chain(n);
+        built(&cnf, &sink).0
     }
 
     #[test]
     fn chain_trace_builds_a_path_graph() {
-        let (dag, _) = build_chain(16);
+        let dag = build_chain(16);
         assert_eq!(dag.nodes.len(), 15);
         // First node resolves two originals: in-degree 0.
         assert_eq!(dag.nodes[0].indeg, 0);
@@ -532,8 +496,104 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_has_no_parallelism() {
+        let dag = build_chain(16);
+        assert_eq!(dag.work_and_span(), (15, 15));
+    }
+
+    #[test]
+    fn a_diamond_runs_its_two_arms_side_by_side() {
+        let (cnf, sink) = crate::depth_first::table::diamond();
+        let (dag, _) = built(&cnf, &sink);
+        // #5, then #6 and #7 side by side, then #8: four resolutions,
+        // three of them on the longest path.
+        assert_eq!(dag.work_and_span(), (4, 3));
+    }
+
+    #[test]
+    fn parallel_dag_rejects_malformed_traces_like_breadth_first() {
+        // Malformed traces must fail with breadth-first's first error,
+        // both from an in-memory trace and from a binary file: pdag's
+        // pass 1 is breadth-first's, and it reads a file the same way.
+        fn duplicate(events: &mut Vec<TraceEvent>) {
+            let dup = events[100].clone();
+            events.insert(4000, dup);
+        }
+        fn forward(events: &mut [TraceEvent]) {
+            if let TraceEvent::Learned { sources, .. } = &mut events[10] {
+                sources[0] = 1_000_000;
+            }
+        }
+        fn forward_then_duplicate(events: &mut Vec<TraceEvent>) {
+            forward(events);
+            duplicate(events);
+        }
+        type Mutation = fn(&mut Vec<TraceEvent>);
+        let cases: [(Mutation, Option<u64>); 6] = [
+            (duplicate, None),
+            (|events| forward(events), None),
+            // Self-referencing clause.
+            (
+                |events| {
+                    if let TraceEvent::Learned { id, sources } = &mut events[3000] {
+                        sources[0] = *id;
+                    }
+                },
+                None,
+            ),
+            // Empty source list.
+            (
+                |events| {
+                    if let TraceEvent::Learned { sources, .. } = &mut events[4500] {
+                        sources.clear();
+                    }
+                },
+                None,
+            ),
+            // Pass 1 finds the duplicate before pass 2 could reach the
+            // forward reference, under any memory limit.
+            (forward_then_duplicate, None),
+            (forward_then_duplicate, Some(1)),
+        ];
+        let path =
+            std::env::temp_dir().join(format!("rescheck-dag-malformed-{}.rtb", std::process::id()));
+        for (i, (mutate, memory_limit)) in cases.into_iter().enumerate() {
+            let config = CheckConfig {
+                memory_limit,
+                jobs: 4,
+                ..CheckConfig::default()
+            };
+            let (cnf, sink) = chain(6000);
+            let mut events = sink.into_events();
+            mutate(&mut events);
+            let first_error = |trace: &dyn TraceSource| {
+                let bf = crate::api::check_breadth_first(&cnf, trace, &config).unwrap_err();
+                let pdag = run(&cnf, trace, &config, &mut NullObserver).unwrap_err();
+                if i >= 4 {
+                    assert!(matches!(bf, CheckError::DuplicateLearnedId { .. }), "{bf}");
+                }
+                (bf.to_string(), pdag.to_string())
+            };
+            let (bf, pdag) = first_error(&events);
+            assert_eq!(pdag, bf, "case {i}, in memory");
+
+            {
+                let file = std::fs::File::create(&path).unwrap();
+                let mut writer = BinaryWriter::new(std::io::BufWriter::new(file)).unwrap();
+                for e in &events {
+                    writer.event(e).unwrap();
+                }
+                writer.flush().unwrap();
+            }
+            let (bf, pdag) = first_error(&FileTrace::open(&path).unwrap());
+            assert_eq!(pdag, bf, "case {i}, binary file");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn source_ids_round_trip_through_the_tags() {
-        let (dag, _) = build_chain(8);
+        let dag = build_chain(8);
         // Node 0's sources are originals 0 and 1.
         let srcs = dag.sources(0);
         assert!(srcs.iter().all(|&s| s & ORIGINAL_TAG != 0));
@@ -556,17 +616,7 @@ mod tests {
         sink.learned(4, &[0, 5]).unwrap(); // #5 not yet defined
         sink.learned(5, &[2, 3]).unwrap();
         sink.final_conflict(4).unwrap();
-        let (tables, start_id) = sequential_pass1(&sink, 4, &CancelFlag::default()).unwrap();
-        let mut meter = MemoryMeter::unlimited();
-        let dag = build(
-            &cnf,
-            &sink,
-            &tables,
-            start_id,
-            &mut meter,
-            &CancelFlag::default(),
-        )
-        .unwrap();
+        let (dag, _) = built(&cnf, &sink);
         let stop = dag.structural.expect("structural stop");
         assert_eq!(stop.node, 0);
         assert_eq!(stop.missing, 5);
@@ -587,17 +637,7 @@ mod tests {
         let mut sink = MemorySink::new();
         sink.learned(1, &[0, 42]).unwrap();
         sink.final_conflict(1).unwrap();
-        let (tables, start_id) = sequential_pass1(&sink, 1, &CancelFlag::default()).unwrap();
-        let mut meter = MemoryMeter::unlimited();
-        let dag = build(
-            &cnf,
-            &sink,
-            &tables,
-            start_id,
-            &mut meter,
-            &CancelFlag::default(),
-        )
-        .unwrap();
+        let (dag, _) = built(&cnf, &sink);
         let stop = dag.structural.expect("structural stop");
         assert!(!stop.forward);
         assert!(matches!(
@@ -612,18 +652,7 @@ mod tests {
     #[test]
     fn originals_are_interned_once_and_charged() {
         let (cnf, sink) = chain(8);
-        let (tables, start_id) =
-            sequential_pass1(&sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
-        let mut meter = MemoryMeter::unlimited();
-        let dag = build(
-            &cnf,
-            &sink,
-            &tables,
-            start_id,
-            &mut meter,
-            &CancelFlag::default(),
-        )
-        .unwrap();
+        let (dag, meter) = built(&cnf, &sink);
         // Chain antecedents 0..8 plus the final conflict (-n) = 9
         // distinct originals; the level-0 antecedent is learned.
         assert_eq!(dag.originals.len(), 9);

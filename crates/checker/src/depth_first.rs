@@ -89,8 +89,7 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
-    let map = crate::parallel::establish_map(trace, obs);
-    if let Some(map) = map {
+    if let Some(map) = establish_map(trace, obs) {
         // The encoded trace stays resident behind the cursor for the
         // whole check.
         meter.alloc(map.accounted_bytes())?;
@@ -98,7 +97,7 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
 
     let pass1 = Phase::start("check:pass1", obs);
     let (index, level_zero, final_ids) =
-        indexed_pass1(trace, map, cnf.num_clauses(), &mut meter, &config.cancel)?;
+        indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
     pass1.finish(obs);
 
     let start_id = *final_ids.first().ok_or(CheckError::NoFinalConflict)?;
@@ -149,19 +148,13 @@ pub(crate) fn run_hybrid<S: RandomAccessTrace + ?Sized>(
 
     let pass1 = Phase::start("check:pass1", obs);
     let (index, level_zero, final_ids) =
-        indexed_pass1(trace, None, cnf.num_clauses(), &mut meter, &config.cancel)?;
+        indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
     pass1.finish(obs);
 
     let start_id = *final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-    // The pins: the level-0 antecedents in trace order, then the start
-    // clause. The set's iteration order is the walk's root order, which
-    // fixes the build order and so the peak.
-    let mut records: Vec<_> = level_zero.records().collect();
-    records.sort_unstable_by_key(|record| record.order);
-    let pinned: FxHashSet<u64> = records
-        .iter()
-        .map(|record| record.antecedent)
-        .chain([start_id])
+    // The set's iteration order is the walk's root order, which fixes
+    // the build order and so the peak.
+    let pinned: FxHashSet<u64> = final_phase_roots(&level_zero, start_id)
         .filter(|&id| id >= num_original)
         .collect();
 
@@ -201,6 +194,39 @@ pub(crate) fn run_hybrid<S: RandomAccessTrace + ?Sized>(
     ))
 }
 
+/// Establishes the trace's byte map (when the source supports one)
+/// inside a `trace-map` phase and reports its size.
+fn establish_map<'a, S: TraceSource + ?Sized>(
+    trace: &'a S,
+    obs: &mut dyn Observer,
+) -> Option<&'a TraceMap> {
+    let phase = Phase::start("trace-map", obs);
+    let map = trace.trace_map();
+    if let Some(map) = map {
+        obs.observe(&Event::GaugeSet {
+            name: "check.map.bytes",
+            value: map.accounted_bytes() as f64,
+        });
+    }
+    phase.finish(obs);
+    map
+}
+
+/// The clauses the final phase reads: the level-0 antecedents in trace
+/// order, then the start clause. They are hybrid's pins and the roots of
+/// the walks of `trim` and `stats`.
+pub(crate) fn final_phase_roots(
+    level_zero: &LevelZeroMap,
+    start_id: u64,
+) -> impl Iterator<Item = u64> + '_ {
+    let mut records: Vec<_> = level_zero.records().collect();
+    records.sort_unstable_by_key(|record| record.order);
+    records
+        .into_iter()
+        .map(|record| record.antecedent)
+        .chain([start_id])
+}
+
 /// `df`/`dfd`: builds the final conflict's dependency cone, then derives
 /// the empty clause, building the level-0 antecedents it consumes on
 /// demand.
@@ -229,7 +255,7 @@ fn build_and_derive<S: SourceStore>(
 /// path of the proof and are uncharged, like the work stack. The gray
 /// set holds the open clauses, so a source that is still open is a
 /// cycle, rejected instead of looping.
-fn walk<S: SourceStore, V: Visitor>(
+pub(crate) fn walk<S: SourceStore, V: Visitor>(
     store: &mut S,
     visitor: &mut V,
     root: u64,
@@ -278,7 +304,7 @@ fn walk<S: SourceStore, V: Visitor>(
 }
 
 /// What finishing a clause means to one configuration of the walk.
-trait Visitor {
+pub(crate) trait Visitor {
     /// Whether clause `id` needs no visit: an original, or finished.
     fn is_done(&self, id: u64) -> bool;
 
@@ -327,7 +353,7 @@ impl Visitor for Needed {
 }
 
 /// Where the walk finds a learned clause's resolve sources.
-trait SourceStore {
+pub(crate) trait SourceStore {
     type Sources: Deref<Target = [u64]>;
 
     /// The resolve sources of learned clause `id`.
@@ -387,19 +413,11 @@ impl SourceStore for DiskSources<'_> {
 /// error.
 fn indexed_pass1<S: RandomAccessTrace + ?Sized>(
     trace: &S,
-    map: Option<&TraceMap>,
     num_original: usize,
     meter: &mut MemoryMeter,
     cancel: &CancelFlag,
 ) -> Result<(FlatIndex, LevelZeroMap, Vec<u64>), CheckError> {
-    // Sized exactly when the byte map has counted the learned records,
-    // otherwise grown on demand: the encoded-size hint assumes 8 bytes a
-    // record, where a binary learned record of a Table 2 row averages
-    // about 180, so it would reserve some 20 times the entries.
     let mut entries: Vec<(u64, u64)> = Vec::new();
-    if let Some(index) = map.and_then(TraceMap::block_index) {
-        entries.reserve(index.learned() as usize);
-    }
     let mut level_zero = LevelZeroMap::default();
     let mut final_ids: Vec<u64> = Vec::new();
     let scan = (|| -> Result<(), CheckError> {

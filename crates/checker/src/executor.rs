@@ -44,11 +44,58 @@ use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::{clause_bytes, MemoryMeter};
 use rescheck_cnf::Lit;
 use rescheck_obs::{Event, EventBuffer, Observer};
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
+
+/// Renders a caught panic payload into a printable message. Panics carry
+/// `&str` or `String` payloads from `panic!`; anything else (a custom
+/// `panic_any`) is reported opaquely rather than dropped.
+pub(crate) fn panic_message(who: &str, payload: &(dyn Any + Send)) -> String {
+    let what = payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string());
+    format!("{who} panicked: {what}")
+}
+
+/// Converts a thread join result into a structured [`CheckError`]: a
+/// panicked worker becomes [`CheckError::WorkerPanic`] (kind
+/// [`FailureKind::Internal`](crate::FailureKind::Internal)) instead of
+/// aborting the whole process, so callers that manage many checks — the
+/// serve daemon above all — can fail one job and keep running.
+pub(crate) fn join_or_internal<T>(who: &str, joined: thread::Result<T>) -> Result<T, CheckError> {
+    joined.map_err(|payload| CheckError::WorkerPanic {
+        what: panic_message(who, payload.as_ref()),
+    })
+}
+
+/// Resolves `config.jobs` to an actual worker count.
+pub(crate) fn effective_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    } else {
+        jobs
+    }
+}
+
+/// The most workers that can possibly help on this machine. `--jobs` is
+/// a cap, not a demand: threads beyond the available cores only add
+/// scheduling overhead, never throughput, and the parallel-dag stats
+/// are a pure function of the trace anyway, so clamping is observable
+/// only as speed.
+pub(crate) fn max_useful_workers() -> usize {
+    thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
 
 /// Everything the executor hands back on success.
 pub(crate) struct ExecResult {
@@ -354,10 +401,7 @@ fn process_node(
             shared.record_error(
                 node,
                 CheckError::WorkerPanic {
-                    what: crate::parallel::panic_message(
-                        &format!("parallel-dag worker {w}"),
-                        payload.as_ref(),
-                    ),
+                    what: panic_message(&format!("parallel-dag worker {w}"), payload.as_ref()),
                 },
             );
             return;
@@ -444,7 +488,7 @@ fn execute_inline(
             Ok(Err(e)) => return Err(e),
             Err(payload) => {
                 return Err(CheckError::WorkerPanic {
-                    what: crate::parallel::panic_message("parallel-dag worker 0", payload.as_ref()),
+                    what: panic_message("parallel-dag worker 0", payload.as_ref()),
                 })
             }
         };
@@ -579,9 +623,7 @@ pub(crate) fn execute(
         handles
             .into_iter()
             .enumerate()
-            .map(|(w, h)| {
-                crate::parallel::join_or_internal(&format!("parallel-dag worker {w}"), h.join())
-            })
+            .map(|(w, h)| join_or_internal(&format!("parallel-dag worker {w}"), h.join()))
             .collect::<Result<Vec<_>, _>>()
     })?;
 

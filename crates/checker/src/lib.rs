@@ -97,7 +97,12 @@ pub mod kernel;
 mod memory;
 mod model;
 mod outcome;
-mod parallel;
+#[cfg(test)]
+mod parallel {
+    //! pdag's threading plumbing lives in `executor`; only its tests are
+    //! kept apart, in `parallel/tests.rs`.
+    mod tests;
+}
 mod proof;
 pub mod resolve;
 mod scratch;

@@ -31,15 +31,6 @@ pub(crate) fn finish_visit(
     result.map_err(CheckError::Trace)
 }
 
-/// Rough entry-count hint for pre-sizing id-keyed tables from the encoded
-/// trace size. Binary learned records average well above 8 bytes each, so
-/// this only mildly over-reserves; the cap keeps a short trace that lies
-/// about its size (or a future giant one) from reserving gigabytes up
-/// front.
-pub(crate) fn table_capacity_hint(encoded_bytes: u64) -> usize {
-    (encoded_bytes / 8).min(1 << 21) as usize
-}
-
 /// The recorded level-0 assignment of one variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct VarRecord {
@@ -115,9 +106,6 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
     cancel: &CancelFlag,
 ) -> Result<FullTrace, CheckError> {
     let mut full = FullTrace::default();
-    if let Some(encoded) = source.encoded_size() {
-        full.sources.reserve(table_capacity_hint(encoded));
-    }
     let mut seen: u64 = 0;
     let mut parked: Option<CheckError> = None;
     let result = source.visit_events(&mut |event| {
@@ -149,10 +137,6 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
 }
 
 /// Validates one learned-clause record against the shared rules.
-///
-/// Takes only the source *count*, not the list — the mapped sharded
-/// pass 1 of the parallel-dag checker validates from compact per-event
-/// records that do not retain source lists.
 pub(crate) fn validate_learned(
     id: u64,
     num_sources: usize,

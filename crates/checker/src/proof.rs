@@ -7,11 +7,13 @@
 //! `longmult` proofs are long, §4) and are cheap to compute — a
 //! structural pass, no clause construction.
 
+use crate::cancel::CancelFlag;
+use crate::depth_first::{final_phase_roots, walk, Visitor};
 use crate::error::CheckError;
-use crate::model::load_full;
+use crate::fxhash::FxHashMap;
+use crate::model::{load_full, FullTrace};
 use rescheck_cnf::Cnf;
 use rescheck_trace::TraceSource;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Structural measurements of a resolution proof.
@@ -99,87 +101,87 @@ pub fn proof_stats<S: TraceSource + ?Sized>(
     trace: &S,
 ) -> Result<ProofStats, CheckError> {
     let num_original = cnf.num_clauses();
-    let full = load_full(trace, num_original, &crate::cancel::CancelFlag::default())?;
+    let full = load_full(trace, num_original, &CancelFlag::default())?;
     let start = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
+    let cone = needed_cone(&full, num_original, start)?;
 
-    // Roots: the final conflicting clause plus every level-0 antecedent.
-    let mut roots: Vec<u64> = vec![start];
-    for record in full.level_zero.records() {
-        roots.push(record.antecedent);
-    }
-
-    // Iterative post-order DFS computing heights.
-    let mut height: HashMap<u64, u64> = HashMap::new();
-    let mut gray: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut used_originals = vec![false; num_original];
-    let mut derivation_resolutions = 0u64;
-    let mut max_sources = 0usize;
-    let mut source_sum = 0u64;
-
-    for &root in &roots {
-        if root < num_original as u64 {
-            used_originals[root as usize] = true;
-            continue;
-        }
-        if height.contains_key(&root) {
-            continue;
-        }
-        let mut stack: Vec<(u64, Option<u64>)> = vec![(root, None)];
-        while let Some(&(cur, parent)) = stack.last() {
-            if cur < num_original as u64 || height.contains_key(&cur) {
-                stack.pop();
-                continue;
-            }
-            let sources = full.sources.get(&cur).ok_or(CheckError::UnknownClause {
-                id: cur,
-                referenced_by: parent,
-            })?;
-            if gray.contains(&cur) {
-                // Children done: fold.
-                let mut h = 0u64;
-                for &s in sources {
-                    if s < num_original as u64 {
-                        used_originals[s as usize] = true;
-                    } else {
-                        h = h.max(*height.get(&s).expect("child finished"));
-                    }
-                }
-                height.insert(cur, h + 1);
-                gray.remove(&cur);
-                derivation_resolutions += sources.len() as u64 - 1;
-                max_sources = max_sources.max(sources.len());
-                source_sum += sources.len() as u64;
-                stack.pop();
-                continue;
-            }
-            gray.insert(cur);
-            for &s in sources {
-                if s >= num_original as u64 && !height.contains_key(&s) {
-                    if gray.contains(&s) {
-                        return Err(CheckError::CyclicProof { id: s });
-                    }
-                    stack.push((s, Some(cur)));
-                }
-            }
-        }
-    }
-
-    let needed = height.len() as u64;
-    let depth = height.values().copied().max().unwrap_or(0);
+    let needed = cone.height.len() as u64;
     Ok(ProofStats {
         learned_total: full.sources.len() as u64,
         needed,
-        derivation_resolutions,
+        derivation_resolutions: cone.derivation_resolutions,
         final_phase_bound: full.level_zero.len() as u64,
-        depth,
-        max_sources,
+        depth: cone.height.values().copied().max().unwrap_or(0),
+        max_sources: cone.max_sources,
         avg_sources: if needed == 0 {
             0.0
         } else {
-            source_sum as f64 / needed as f64
+            cone.source_sum as f64 / needed as f64
         },
-        core_clauses: used_originals.iter().filter(|&&u| u).count(),
+        core_clauses: cone.used_originals.iter().filter(|&&u| u).count(),
     })
+}
+
+/// The learned clauses the empty-clause derivation needs, as the walk
+/// from what the final phase reads finds them: each one's height
+/// (originals are height 0), the originals they and the final phase
+/// resolve with, and tallies of their source lists.
+pub(crate) struct NeededCone {
+    num_original: u64,
+    /// Needed learned clause → height.
+    pub height: FxHashMap<u64, u64>,
+    /// Which original clauses the needed cone uses.
+    pub used_originals: Vec<bool>,
+    derivation_resolutions: u64,
+    max_sources: usize,
+    source_sum: u64,
+}
+
+/// Walks `full` from the level-0 antecedents and the start clause,
+/// rejecting unknown clauses and cycles as the depth-first checker does.
+pub(crate) fn needed_cone(
+    full: &FullTrace,
+    num_original: usize,
+    start_id: u64,
+) -> Result<NeededCone, CheckError> {
+    let mut cone = NeededCone {
+        num_original: num_original as u64,
+        height: FxHashMap::default(),
+        used_originals: vec![false; num_original],
+        derivation_resolutions: 0,
+        max_sources: 0,
+        source_sum: 0,
+    };
+    for root in final_phase_roots(&full.level_zero, start_id) {
+        if root < cone.num_original {
+            cone.used_originals[root as usize] = true;
+        } else {
+            walk(&mut &*full, &mut cone, root, &CancelFlag::default())?;
+        }
+    }
+    Ok(cone)
+}
+
+impl Visitor for NeededCone {
+    fn is_done(&self, id: u64) -> bool {
+        id < self.num_original || self.height.contains_key(&id)
+    }
+
+    fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
+        let mut h = 0u64;
+        for &s in sources {
+            if s < self.num_original {
+                self.used_originals[s as usize] = true;
+            } else {
+                h = h.max(self.height[&s]);
+            }
+        }
+        self.height.insert(id, h + 1);
+        self.derivation_resolutions += sources.len() as u64 - 1;
+        self.max_sources = self.max_sources.max(sources.len());
+        self.source_sum += sources.len() as u64;
+        Ok(())
+    }
 }
 
 #[cfg(test)]

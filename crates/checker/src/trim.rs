@@ -9,13 +9,14 @@
 //! under every strategy. Trimmed traces are what you archive: the same
 //! proof, minus the learned clauses the search produced but never used.
 
+use crate::cancel::CancelFlag;
 use crate::error::CheckError;
-use crate::model::validate_learned;
+use crate::model::load_full;
 use crate::outcome::UnsatCore;
+use crate::proof::{needed_cone, NeededCone};
 use rescheck_cnf::Cnf;
 use rescheck_obs::{Event, NullObserver, Observer, Phase};
 use rescheck_trace::{TraceEvent, TraceSource};
-use std::collections::{HashMap, HashSet};
 
 /// The result of trimming a trace.
 #[derive(Clone, Debug)]
@@ -96,77 +97,20 @@ pub fn trim_trace_observed<S: TraceSource + ?Sized>(
 ) -> Result<TrimmedTrace, CheckError> {
     let num_original = cnf.num_clauses();
     let pass1 = Phase::start("check:pass1", obs);
-
-    // Pass 1: collect the structure.
-    let mut sources: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut roots: Vec<u64> = Vec::new();
-    let mut seen_vars: HashSet<u32> = HashSet::new();
-    let mut final_id: Option<u64> = None;
-    for event in trace.events_iter()? {
-        match event? {
-            TraceEvent::Learned { id, sources: srcs } => {
-                validate_learned(id, srcs.len(), num_original, |c| sources.contains_key(&c))?;
-                sources.insert(id, srcs);
-            }
-            TraceEvent::LevelZero { lit, antecedent } => {
-                if !seen_vars.insert(lit.var().index() as u32) {
-                    return Err(CheckError::DuplicateLevelZero { var: lit.var() });
-                }
-                roots.push(antecedent);
-            }
-            TraceEvent::FinalConflict { id } => {
-                if final_id.is_none() {
-                    final_id = Some(id);
-                    roots.push(id);
-                }
-            }
-        }
-    }
-    let final_id = final_id.ok_or(CheckError::NoFinalConflict)?;
+    let full = load_full(trace, num_original, &CancelFlag::default())?;
+    let final_id = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
     pass1.finish(obs);
 
-    // Pass 2: reachability with cycle detection.
-    let mut needed: HashSet<u64> = HashSet::new();
-    let mut used_originals = vec![false; num_original];
-    let mut gray: HashSet<u64> = HashSet::new();
-    for &root in &roots {
-        if root < num_original as u64 {
-            used_originals[root as usize] = true;
-            continue;
-        }
-        if needed.contains(&root) {
-            continue;
-        }
-        let mut stack: Vec<(u64, Option<u64>)> = vec![(root, None)];
-        while let Some(&(cur, parent)) = stack.last() {
-            if cur < num_original as u64 || needed.contains(&cur) {
-                stack.pop();
-                continue;
-            }
-            if gray.contains(&cur) {
-                gray.remove(&cur);
-                needed.insert(cur);
-                stack.pop();
-                continue;
-            }
-            gray.insert(cur);
-            let srcs = sources.get(&cur).ok_or(CheckError::UnknownClause {
-                id: cur,
-                referenced_by: parent,
-            })?;
-            for &s in srcs {
-                if s < num_original as u64 {
-                    used_originals[s as usize] = true;
-                } else if gray.contains(&s) {
-                    return Err(CheckError::CyclicProof { id: s });
-                } else if !needed.contains(&s) {
-                    stack.push((s, Some(cur)));
-                }
-            }
-        }
-    }
+    // Reachability, with cycle detection, from what the final phase reads.
+    let NeededCone {
+        height: needed,
+        used_originals,
+        ..
+    } = needed_cone(&full, num_original, final_id)?;
+    // The second pass needs only the cone, not the loaded source lists.
+    drop(full);
 
-    // Pass 3: re-stream, keeping what survives.
+    // Second pass: re-stream, keeping what survives.
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut kept = 0u64;
     let mut dropped = 0u64;
@@ -175,7 +119,7 @@ pub fn trim_trace_observed<S: TraceSource + ?Sized>(
         match event? {
             e @ TraceEvent::Learned { .. } => {
                 let id = e.primary_id().expect("learned events have ids");
-                if needed.contains(&id) {
+                if needed.contains_key(&id) {
                     kept += 1;
                     events.push(e);
                 } else {

@@ -292,8 +292,8 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
     assert!(sub_solver.solve().is_unsat());
 }
 
-/// Checks that read a binary trace through its byte map report
-/// bit-identical stats at every worker count.
+/// Checks of a binary trace file report bit-identical stats at every
+/// worker count: pdag streaming the file, dfd through its byte map.
 #[test]
 fn map_checks_are_bit_identical_across_jobs() {
     let cnf = pigeonhole(5);
@@ -317,7 +317,6 @@ fn map_checks_are_bit_identical_across_jobs() {
             let trace = FileTrace::open(&path).unwrap();
             let config = CheckConfig {
                 jobs,
-                parallel_min_learned: 0,
                 ..CheckConfig::default()
             };
             let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)

@@ -191,9 +191,6 @@ fn six_strategies_agree_end_to_end() {
         let run = |strategy: Strategy| -> CheckOutcome {
             let config = CheckConfig {
                 jobs: 3,
-                // Exercise the real parallel paths even on these small
-                // fixtures instead of the sequential-bf fallback.
-                parallel_min_learned: 0,
                 ..CheckConfig::default()
             };
             check_unsat_claim(cnf, trace, strategy, &config)
@@ -276,7 +273,6 @@ fn parallel_dag_stats_are_identical_across_job_counts() {
         for jobs in [1usize, 2, 4] {
             let config = CheckConfig {
                 jobs,
-                parallel_min_learned: 0,
                 ..CheckConfig::default()
             };
             let outcome = check_unsat_claim(cnf, trace, Strategy::ParallelDag, &config)
@@ -332,7 +328,6 @@ fn parallel_dag_checks_pigeonhole_at_four_workers() {
 
     let config = CheckConfig {
         jobs: 4,
-        parallel_min_learned: 0,
         ..CheckConfig::default()
     };
     let bf = check_unsat_claim(&cnf, &trace, Strategy::BreadthFirst, &config).unwrap();

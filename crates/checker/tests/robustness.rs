@@ -327,7 +327,6 @@ fn parallel_dag_leaks_no_threads() {
     };
     let config = CheckConfig {
         jobs: 4,
-        parallel_min_learned: 0,
         ..CheckConfig::default()
     };
     let runs = 16;

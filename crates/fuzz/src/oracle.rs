@@ -39,12 +39,11 @@ use rescheck_trace::{MemorySink, TraceSink, ALL_MUTATIONS};
 use std::fmt;
 
 /// The checker configuration the oracle matrix runs under: a fixed
-/// worker count and no small-trace fallback, so the parallel-dag
-/// executor is exercised even on the tiny traces fuzzing produces.
+/// worker count, so the parallel-dag executor runs its threaded path on
+/// every trace fuzzing produces (on a host with more than one core).
 fn oracle_config() -> CheckConfig {
     CheckConfig {
         jobs: 3,
-        parallel_min_learned: 0,
         ..CheckConfig::default()
     }
 }

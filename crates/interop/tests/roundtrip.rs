@@ -14,12 +14,10 @@ use rescheck_solver::{SolveResult, Solver, SolverConfig};
 use rescheck_trace::{MemorySink, TraceEvent};
 use rescheck_workloads::{graph_color, parity, pigeonhole, Instance};
 
-/// The oracle configuration the fuzz harness uses: small thread count,
-/// no parallel fallback threshold, so every strategy genuinely runs.
+/// The oracle configuration the fuzz harness uses: a small thread count.
 fn oracle_config() -> CheckConfig {
     CheckConfig {
         jobs: 3,
-        parallel_min_learned: 0,
         ..CheckConfig::default()
     }
 }

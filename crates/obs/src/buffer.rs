@@ -2,12 +2,10 @@
 //!
 //! [`Event`] borrows its string fields, so it cannot be sent between
 //! threads or stored beyond the `observe` call. Parallel code (the
-//! parallel-dag pass-1 shard decoders and executor workers) instead
-//! gives each worker its own [`EventBuffer`] — an owned, `Send`
-//! recording of everything the worker emitted — and replays the buffers
-//! into the real observer on the coordinating thread once the workers
-//! are joined, prefixing every replayed name with the worker's id so
-//! downstream consumers can tell the streams apart.
+//! parallel-dag executor's workers) instead gives each worker its own
+//! [`EventBuffer`] — an owned, `Send` recording of everything the worker
+//! emitted — and replays the buffers into the real observer on the
+//! coordinating thread once the workers are joined.
 
 use crate::observer::{Event, Level, Observer};
 use std::time::Duration;
@@ -227,10 +225,10 @@ impl OwnedEvent {
 /// let mut buffer = EventBuffer::new();
 /// buffer.observe(&Event::GaugeSet { name: "check.resolutions", value: 42.0 });
 ///
-/// // …and the coordinator replays it under the worker's namespace.
+/// // …and the coordinator replays it into its own observer.
 /// let mut sink = MetricsSink::new();
-/// buffer.replay_prefixed("check.worker.0.", &mut sink);
-/// assert_eq!(sink.registry().gauge("check.worker.0.check.resolutions"), Some(42.0));
+/// buffer.replay(&mut sink);
+/// assert_eq!(sink.registry().gauge("check.resolutions"), Some(42.0));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct EventBuffer {
@@ -255,59 +253,43 @@ impl EventBuffer {
 
     /// Replays every buffered event into `obs` unchanged.
     pub fn replay(&self, obs: &mut dyn Observer) {
-        self.replay_prefixed("", obs);
-    }
-
-    /// Replays every buffered event into `obs`, prefixing phase,
-    /// counter, gauge, histogram and span names with a literal prefix
-    /// (the caller includes its own separator):
-    /// `replay_prefixed("check.worker.0.", obs)` turns a buffered
-    /// `pass1.events` into `check.worker.0.pass1.events` — the dotted
-    /// per-worker attribution namespace.
-    pub fn replay_prefixed(&self, prefix: &str, obs: &mut dyn Observer) {
-        let apply = |name: &str| format!("{prefix}{name}");
         for event in &self.events {
             match event {
                 OwnedEvent::PhaseStarted { phase } => {
-                    obs.observe(&Event::PhaseStarted {
-                        phase: &apply(phase),
-                    });
+                    obs.observe(&Event::PhaseStarted { phase });
                 }
                 OwnedEvent::PhaseFinished { phase, wall } => {
-                    obs.observe(&Event::PhaseFinished {
-                        phase: &apply(phase),
-                        wall: *wall,
-                    });
+                    obs.observe(&Event::PhaseFinished { phase, wall: *wall });
                 }
                 OwnedEvent::SpanStarted { id, parent, name } => {
                     obs.observe(&Event::SpanStarted {
                         id: *id,
                         parent: *parent,
-                        name: &apply(name),
+                        name,
                     });
                 }
                 OwnedEvent::SpanFinished { id, name, wall } => {
                     obs.observe(&Event::SpanFinished {
                         id: *id,
-                        name: &apply(name),
+                        name,
                         wall: *wall,
                     });
                 }
                 OwnedEvent::CounterAdd { name, delta } => {
                     obs.observe(&Event::CounterAdd {
-                        name: &apply(name),
+                        name,
                         delta: *delta,
                     });
                 }
                 OwnedEvent::GaugeSet { name, value } => {
                     obs.observe(&Event::GaugeSet {
-                        name: &apply(name),
+                        name,
                         value: *value,
                     });
                 }
                 OwnedEvent::HistRecord { name, value } => {
                     obs.observe(&Event::HistRecord {
-                        name: &apply(name),
+                        name,
                         value: *value,
                     });
                 }
@@ -318,7 +300,7 @@ impl EventBuffer {
                     detail,
                 } => {
                     obs.observe(&Event::Progress {
-                        phase: &apply(phase),
+                        phase,
                         done: *done,
                         unit,
                         detail: detail.as_deref(),
@@ -462,31 +444,6 @@ mod tests {
                 name: "c".to_string(),
                 delta: 1
             }
-        );
-    }
-
-    #[test]
-    fn prefixing_uses_caller_separator() {
-        let mut buf = EventBuffer::new();
-        buf.observe(&Event::GaugeSet {
-            name: "pass1.events",
-            value: 5.0,
-        });
-        buf.observe(&Event::HistRecord {
-            name: "pass1.batch_events",
-            value: 256,
-        });
-        let mut sink = MetricsSink::new();
-        buf.replay_prefixed("check.worker.0.", &mut sink);
-        assert_eq!(
-            sink.registry().gauge("check.worker.0.pass1.events"),
-            Some(5.0)
-        );
-        assert_eq!(
-            sink.registry()
-                .histogram("check.worker.0.pass1.batch_events")
-                .map(|h| h.count()),
-            Some(1)
         );
     }
 

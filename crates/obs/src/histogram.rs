@@ -8,8 +8,7 @@
 //! so histograms are safe to feed from checker and solver hot loops.
 //!
 //! Snapshots merge bucket-wise, which is how per-worker histograms from
-//! the parallel checker aggregate into one distribution while the
-//! prefixed per-worker copies (`check.worker.N.*`) keep the breakdown.
+//! the parallel checker aggregate into one distribution.
 
 use crate::json::Json;
 

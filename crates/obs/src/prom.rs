@@ -82,7 +82,7 @@ fn render_histogram(out: &mut String, metric: &str, hist: &Histogram) {
 }
 
 /// Maps a dotted rescheck name into the Prometheus namespace:
-/// `check.pass1.shard0.events` → `rescheck_check_pass1_shard0_events`.
+/// `check.dfd.cursor_reads` → `rescheck_check_dfd_cursor_reads`.
 fn metric_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 9);
     out.push_str("rescheck_");

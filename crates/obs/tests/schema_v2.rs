@@ -160,45 +160,3 @@ fn flight_dump_round_trips_through_text() {
     // Ids renumber densely regardless of the live process counter.
     assert_eq!(events[0].get("id").unwrap().as_u64(), Some(1));
 }
-
-#[test]
-fn merged_worker_registries_keep_per_worker_and_aggregate_views() {
-    let mut coordinator = MetricsSink::new();
-    for worker in 0..3u64 {
-        // Each worker records into its own buffer on its own thread…
-        let buffer = std::thread::spawn(move || {
-            let mut buf = rescheck_obs::EventBuffer::new();
-            buf.observe(&Event::HistRecord {
-                name: "pass1.batch_events",
-                value: 100 + worker,
-            });
-            buf.observe(&Event::GaugeSet {
-                name: "pass1.events",
-                value: worker as f64,
-            });
-            buf
-        })
-        .join()
-        .unwrap();
-        // …and the coordinator replays it under the worker namespace
-        // plus an aggregate histogram.
-        buffer.replay_prefixed(&format!("check.worker.{worker}."), &mut coordinator);
-        coordinator.observe(&Event::HistRecord {
-            name: "check.pass1.batch_events",
-            value: 100 + worker,
-        });
-    }
-    let reg = coordinator.registry();
-    for worker in 0..3 {
-        let name = format!("check.worker.{worker}.pass1.batch_events");
-        assert_eq!(reg.histogram(&name).map(|h| h.count()), Some(1));
-        assert_eq!(
-            reg.gauge(&format!("check.worker.{worker}.pass1.events")),
-            Some(worker as f64)
-        );
-    }
-    let agg = reg.histogram("check.pass1.batch_events").unwrap();
-    assert_eq!(agg.count(), 3);
-    assert_eq!(agg.min(), Some(100));
-    assert_eq!(agg.max(), Some(102));
-}

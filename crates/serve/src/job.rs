@@ -192,7 +192,6 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                 memory_limit: lease.bytes(),
                 jobs: spec.inner_jobs,
                 cancel: cancel.clone(),
-                ..CheckConfig::default()
             };
             let result = match &trace {
                 LoadedTrace::Memory(sinkful) => check_unsat_claim_scoped(

@@ -3,8 +3,8 @@
 //!
 //! [`decode_record`] is the only code in the crate's shipped paths that
 //! turns binary trace bytes into events. [`SliceDecoder`] runs it over a
-//! trace held in memory (a [`crate::TraceMap`], a shard of one, a
-//! record fetched by offset). [`BlockDecoder`] runs it over one reused
+//! trace held in memory (a [`crate::TraceMap`], a record fetched by
+//! offset). [`BlockDecoder`] runs it over one reused
 //! [`READ_BUFFER_BYTES`]-sized block refilled from a reader: when the
 //! block ends mid-record it refills (growing the block for a record
 //! longer than it) and decodes that record again. Source lists land in
@@ -208,8 +208,8 @@ fn decode_varint_chunk(chunk: &[u8; 10]) -> io::Result<(u64, usize)> {
 /// Decodes a trace held in memory, with no read buffer and no copy.
 ///
 /// This is the decoder the [`crate::TraceMap`] paths use — one-shot
-/// strategies, `rescheck serve` jobs and the sharded parallel pass-1
-/// scans all decode straight off the map's bytes.
+/// strategies and `rescheck serve` jobs decode straight off the map's
+/// bytes.
 ///
 /// # Examples
 ///
@@ -245,19 +245,12 @@ impl<'a> SliceDecoder<'a> {
     /// [`io::ErrorKind::UnexpectedEof`] if `data` is shorter than it.
     pub fn new(data: &'a [u8]) -> io::Result<Self> {
         check_magic(data)?;
-        Ok(Self::resume_at(data, BINARY_MAGIC.len()))
-    }
-
-    /// Creates a decoder positioned at byte `pos` of `data`, which must
-    /// be a record boundary (e.g. a [`crate::ShardRange`] start). No
-    /// magic is consumed or checked.
-    pub fn resume_at(data: &'a [u8], pos: usize) -> Self {
-        SliceDecoder {
+        Ok(SliceDecoder {
             data,
-            pos,
+            pos: BINARY_MAGIC.len(),
             scratch: Vec::new(),
             events: 0,
-        }
+        })
     }
 
     /// Current byte offset into the slice (a record boundary between

@@ -76,7 +76,7 @@ pub use ascii::{AsciiReader, AsciiWriter};
 pub use binary::{BinaryReader, BinaryWriter, BINARY_MAGIC};
 pub use block::{BlockDecoder, BlockEvents, SliceDecoder};
 pub use event::{EventRef, TraceEvent};
-pub use map::{BlockIndex, ShardRange, TraceMap};
+pub use map::TraceMap;
 pub use mutate::{Mutation, ALL_MUTATIONS};
 pub use random::{OffsetEventsIter, RandomAccessTrace, TraceCursor};
 pub use sink::{CountingSink, MemorySink, NullSink, TeeSink, TraceSink};

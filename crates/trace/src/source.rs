@@ -544,7 +544,9 @@ mod tests {
         assert!(trace.established_map().is_none());
         // ASCII traces and repeated calls behave.
         let map = trace.trace_map().expect("binary file trace maps");
+        assert_eq!(map.bytes(), std::fs::read(&path).unwrap().as_slice());
         assert_eq!(map.accounted_bytes(), trace.encoded_size().unwrap());
+        assert!(!map.is_mmap());
         assert!(trace.trace_map().is_some());
         assert_eq!(collect_events(&trace).unwrap(), sample());
         assert_eq!(visit_all(&trace), sample());

@@ -86,8 +86,9 @@ USAGE:
                  bit-identical stats for any worker count — --jobs 0 =
                  auto; pbf and parallel-bf are accepted as names for
                  pdag)
-                 (dfd and pdag read a binary file trace into memory
-                 once and decode it in place)
+                 (dfd and portfolio read a binary file trace into
+                 memory once and decode it in place; the other
+                 strategies, pdag included, stream it)
                  [--proof-format native|drat|drup|lrat]
                  (native is the resolve-trace format above; drat/drup and
                  lrat ingest a clausal proof instead, re-deriving a
@@ -143,7 +144,7 @@ Observability (solve, check, core, trim, stats, fuzz):
   --metrics-out <path>   write the metrics document to a file instead
   --metrics-format <f>   json (default): rescheck-metrics-v2 with phase
                          timers, counters, gauges, log-bucketed
-                         histograms (check.resolve.*, check.worker.N.*)
+                         histograms (check.resolve.*, check.executor.*)
                          and the hierarchical span tree;
                          prom: Prometheus text exposition of the
                          counters, gauges, phases and histograms

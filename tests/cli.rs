@@ -611,13 +611,14 @@ fn parallel_check_attributes_per_worker_metrics() {
     let workers = gauge("check.jobs");
     assert!((1..=4).contains(&workers), "{workers} workers");
     assert_eq!(samples("check.executor.resolved_per_worker"), workers);
-    if workers > 1 {
-        // The mapped pass 1 decodes one shard per worker.
-        let shards = gauge("check.pass1.shards");
-        assert_eq!(samples("check.pass1.worker_wall_us"), shards);
-        for w in 0..shards {
-            gauge(&format!("check.worker.{w}.pass1.events"));
-        }
+    // The graph states its own parallelism bound: every resolution of
+    // the trace's learned clauses, and the longest path through them.
+    let (work, span) = (gauge("check.dag.work"), gauge("check.dag.span"));
+    assert!(0 < span && span <= work, "span {span}, work {work}");
+    assert!(work <= gauge("check.resolutions"), "work {work}");
+    // pdag streams the file like bf: no byte map, no sharded pass 1.
+    for absent in ["trace-map", "check.map.bytes", "check.pass1."] {
+        assert!(!text.contains(absent), "{absent}: {text}");
     }
 }
 
