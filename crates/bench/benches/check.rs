@@ -6,10 +6,14 @@
 //! [`MetricsSink`] instead of the [`NullObserver`] (the hot path is
 //! allocation-free, so the gap should be noise).
 //!
-//! The trace goes through the production file path — solved once into a
-//! binary temp file and checked through a [`FileTrace`] with its byte
-//! map established up front (the `rescheck serve` reuse pattern), which
-//! every row then decodes in place.
+//! The trace goes through the daemon's source — solved once into a
+//! binary temp file and read into a [`TraceMap`] (the `rescheck serve`
+//! reuse pattern), which every row then decodes in place.
+//!
+//! pdag runs at most one worker per core, so each requested worker count
+//! is timed once per *effective* count (the `check.jobs` gauge), and its
+//! row is named `pdag-jobs<effective>`: on a 2-core host, requests for 2,
+//! 4 and 8 workers are one row.
 //!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
@@ -25,13 +29,13 @@ use rescheck_checker::{
 };
 use rescheck_obs::{Json, MetricsSink};
 use rescheck_solver::{Solver, SolverConfig};
-use rescheck_trace::{BinaryWriter, FileTrace, TraceSink, TraceSource};
+use rescheck_trace::{BinaryWriter, TraceMap, TraceSink};
 use rescheck_workloads::{pipeline, Instance};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Solves `inst` into a binary trace file and opens it with the byte
-/// map established, as the daemon's trace cache would hand it out.
-fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
+/// Solves `inst` into a binary trace file and reads it into memory, as
+/// the daemon's trace cache would hand it out.
+fn trace_of(inst: &Instance) -> TraceMap {
     let dir = std::env::temp_dir().join("rescheck-bench-check");
     std::fs::create_dir_all(&dir).expect("create fixture dir");
     let path = dir.join(format!("{}-{}.rtb", inst.name, std::process::id()));
@@ -40,9 +44,9 @@ fn trace_of(inst: &Instance) -> (FileTrace, PathBuf) {
     let mut solver = Solver::from_cnf(&inst.cnf, SolverConfig::default());
     assert!(solver.solve_traced(&mut writer).unwrap().is_unsat());
     writer.flush().expect("flush trace fixture");
-    let trace = FileTrace::open(&path).expect("open trace fixture");
-    trace.trace_map().expect("binary traces map");
-    (trace, path)
+    let map = TraceMap::open(&path).expect("read trace fixture");
+    std::fs::remove_file(&path).ok();
+    map
 }
 
 fn main() {
@@ -51,7 +55,7 @@ fn main() {
 
     let mut rows: Vec<Json> = Vec::new();
     let inst = pipeline::pipe(18, 6);
-    let (trace, trace_path) = trace_of(&inst);
+    let trace = trace_of(&inst);
     let learned = check_unsat_claim(
         &inst.cnf,
         &trace,
@@ -94,14 +98,22 @@ fn main() {
     push_row("bf", seq.median.as_secs_f64(), None);
 
     let mut pdag_key = None;
+    let mut timed_workers: Vec<u64> = Vec::new();
     for jobs in [1usize, 2, 4, 8] {
         let config = CheckConfig {
             jobs,
             ..CheckConfig::default()
         };
-        let stats = check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-            .expect("genuine trace")
-            .stats;
+        let mut probe = MetricsSink::new();
+        let stats = check_unsat_claim_observed(
+            &inst.cnf,
+            &trace,
+            Strategy::ParallelDag,
+            &config,
+            &mut probe,
+        )
+        .expect("genuine trace")
+        .stats;
         let key = (
             stats.clauses_built,
             stats.resolutions,
@@ -111,12 +123,24 @@ fn main() {
             assert_eq!(prev, key, "pdag stats drift across worker counts");
         }
         pdag_key = Some(key);
-        let summary = bench(&format!("check/pdag-jobs{jobs}/{}", inst.name), || {
+        let workers = probe
+            .registry()
+            .gauge("check.jobs")
+            .expect("pdag reports its worker count") as u64;
+        if timed_workers.contains(&workers) {
+            println!(
+                "check/pdag-jobs{jobs}/{}: runs as jobs{workers}, already timed",
+                inst.name
+            );
+            continue;
+        }
+        timed_workers.push(workers);
+        let summary = bench(&format!("check/pdag-jobs{workers}/{}", inst.name), || {
             check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
                 .expect("genuine trace");
         });
         push_row(
-            &format!("pdag-jobs{jobs}"),
+            &format!("pdag-jobs{workers}"),
             summary.median.as_secs_f64(),
             Some(&stats),
         );
@@ -140,7 +164,6 @@ fn main() {
     let overhead =
         (observed.median.as_secs_f64() / seq.median.as_secs_f64().max(1e-12) - 1.0) * 100.0;
     println!("check/observer-overhead/{}: {overhead:+.2}%", inst.name);
-    std::fs::remove_file(&trace_path).ok();
 
     if let Some(path) = json_path {
         let mut doc = Json::object();

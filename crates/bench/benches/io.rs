@@ -10,13 +10,14 @@
 //!   per tag/varint byte, an owned `sources` vector per event) against
 //!   [`BlockDecoder`] refilling one 256 KiB block buffer and lending
 //!   borrowed [`EventRef`]s.
-//! * Trace-map ingestion — the per-record reader against an established
-//!   [`TraceMap`] decoded in place on one thread through a
-//!   [`SliceDecoder`], with no read syscall and no copy.
+//! * Trace-map ingestion — the per-record reader against a [`TraceMap`]
+//!   (the daemon's in-memory copy of a trace file) decoded in place on
+//!   one thread through a [`SliceDecoder`], with no read syscall and no
+//!   copy.
 //! * Random-access fetch — the disk-depth-first access pattern
-//!   (`event_at` over shuffled offsets) through the positioned-read
-//!   file cursor (a window read at each offset) against the map cursor
-//!   (the record decoded in place).
+//!   (`event_at` over shuffled offsets) through a [`FileTrace`]'s
+//!   positioned-read cursor (a window read at each offset) against a
+//!   [`TraceMap`]'s cursor (the record decoded in place).
 //! * Proof emission — the same exported LRAT refutation encoded as text
 //!   against the binary LRAT encoding (smaller and cheaper to write).
 //! * Proof ingestion — hint-free DRAT reconstruction (two-watched-literal
@@ -39,8 +40,8 @@ use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
 use rescheck_cnf::{dimacs, Cnf, SplitMix64};
 use rescheck_obs::Json;
 use rescheck_trace::{
-    BinaryReader, BinaryWriter, BlockDecoder, EventRef, FileTrace, RandomAccessTrace, SliceDecoder,
-    TraceEvent, TraceMap, TraceSink, TraceSource,
+    BinaryReader, BinaryWriter, BlockDecoder, EventRef, FileTrace, SliceDecoder, TraceEvent,
+    TraceMap, TraceSink, TraceSource,
 };
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -175,9 +176,9 @@ fn decode_block_path(path: &Path) -> (u64, u64) {
     totals
 }
 
-/// The map ingestion path: the whole slice of an established map
-/// decoded in place on one thread, where the win over the buffered
-/// reader is the absence of read syscalls and per-event allocation.
+/// The map ingestion path: the whole slice of a map decoded in place
+/// on one thread, where the win over the buffered reader is the absence
+/// of read syscalls and per-event allocation.
 fn decode_map(map: &TraceMap) -> (u64, u64) {
     let mut decoder = SliceDecoder::new(map.bytes()).expect("magic");
     let mut totals = (0, 0);
@@ -188,9 +189,9 @@ fn decode_map(map: &TraceMap) -> (u64, u64) {
 }
 
 /// Fetches every offset through the trace's random-access cursor —
-/// window reads on a bare [`FileTrace`], the map's bytes once its map
-/// is established — and returns a content checksum.
-fn fetch_all(trace: &FileTrace, offsets: &[u64]) -> u64 {
+/// window reads on a [`FileTrace`], the bytes in place on a
+/// [`TraceMap`] — and returns a content checksum.
+fn fetch_all(trace: &dyn TraceSource, offsets: &[u64]) -> u64 {
     let mut cursor = trace.open_cursor().expect("cursor");
     let mut sum = 0u64;
     for &off in offsets {
@@ -262,8 +263,7 @@ fn main() {
     rows.push(row);
 
     // ---- Map ingestion: the buffered per-record reader (the same
-    // baseline as the decode row) vs the in-place decode of an
-    // established byte map.
+    // baseline as the decode row) vs the in-place decode of a map.
     let map = TraceMap::open(&trace_path).expect("map fixture");
     assert_eq!(
         decode_map(&map),
@@ -290,18 +290,19 @@ fn main() {
     // ---- Random-access fetch: windowed file cursor vs map cursor over
     // the same shuffled offsets (the disk-depth-first access pattern).
     let unmapped = FileTrace::open(&trace_path).expect("open trace");
-    let mut offsets: Vec<u64> = unmapped
-        .offset_events()
-        .expect("offset iter")
-        .map(|r| r.expect("valid trace").0)
-        .collect();
+    let mut offsets: Vec<u64> = Vec::new();
+    unmapped
+        .visit_offsets(&mut |offset, _| {
+            offsets.push(offset);
+            Ok(())
+        })
+        .expect("valid trace");
     let mut rng = SplitMix64::new(0xfe7c4);
     for i in (1..offsets.len()).rev() {
         offsets.swap(i, rng.range_usize(0..i + 1));
     }
     offsets.truncate(30_000);
-    let mapped = FileTrace::open(&trace_path).expect("open trace");
-    mapped.trace_map().expect("binary traces map");
+    let mapped = TraceMap::open(&trace_path).expect("map fixture");
     let checksum = fetch_all(&unmapped, &offsets);
     assert_eq!(
         fetch_all(&mapped, &offsets),

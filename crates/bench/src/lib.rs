@@ -60,9 +60,11 @@ impl InstanceReport {
 /// Solves one UNSAT instance with tracing off and on and returns the
 /// measurements.
 ///
-/// Each timed configuration runs [`measure_solve_repeats`] times and the
-/// minimum is reported, which suppresses scheduler noise on the small
-/// rows without biasing the comparison (the solver is deterministic).
+/// Each timed configuration runs three times and the minimum is
+/// reported, which suppresses scheduler noise on the small rows without
+/// biasing the comparison (the solver is deterministic). The untraced
+/// and traced solves alternate, so drift of the host between solves
+/// spreads over both sides instead of reading as trace overhead.
 ///
 /// # Panics
 ///
@@ -84,8 +86,13 @@ pub fn measure_solve_repeats(
 ) -> InstanceReport {
     assert!(repeats > 0, "at least one timing run");
 
-    // Trace off: the pristine solver (Table 1's baseline).
+    // Alternating solves, each side keeping its minimum. Trace off is
+    // the pristine solver (Table 1's baseline); trace on encodes to
+    // ASCII while solving, exactly what the paper measured (zchaff
+    // writing its trace file).
     let mut time_trace_off = Duration::MAX;
+    let mut time_trace_on = Duration::MAX;
+    let mut trace_ascii_bytes = 0;
     for _ in 0..repeats {
         let t0 = Instant::now();
         let mut solver = Solver::from_cnf(&instance.cnf, cfg.clone());
@@ -96,13 +103,7 @@ pub fn measure_solve_repeats(
             "{} must be UNSAT",
             instance.name
         );
-    }
 
-    // Trace on: encode to ASCII while solving, exactly what the paper
-    // measured (zchaff writing its trace file).
-    let mut time_trace_on = Duration::MAX;
-    let mut trace_ascii_bytes = 0;
-    for _ in 0..repeats {
         let mut ascii_buf: Vec<u8> = Vec::new();
         let t1 = Instant::now();
         let mut solver = Solver::from_cnf(&instance.cnf, cfg.clone());
@@ -113,7 +114,7 @@ pub fn measure_solve_repeats(
         assert!(matches!(on_result, SolveResult::Unsatisfiable));
     }
 
-    // Untimed third run (the solver is deterministic): collect the
+    // An untimed run (the solver is deterministic) collects the
     // events in memory for the checking phase.
     let mut events = MemorySink::new();
     let mut solver = Solver::from_cnf(&instance.cnf, cfg.clone());

@@ -29,7 +29,7 @@ use crate::api::{check_unsat_claim, CheckConfig, Strategy};
 use crate::error::{CheckError, FailureKind};
 use crate::outcome::CheckOutcome;
 use rescheck_cnf::Cnf;
-use rescheck_trace::RandomAccessTrace;
+use rescheck_trace::TraceSource;
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -100,7 +100,7 @@ pub struct StrategyReport {
 /// The strategies run sequentially in [`ALL_STRATEGIES`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
 /// artifact of one run cannot leak into the next.
-pub fn run_all_strategies<S: RandomAccessTrace + ?Sized>(
+pub fn run_all_strategies<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -463,7 +463,10 @@ mod tests {
     use super::*;
     use rescheck_cnf::Lit;
     use rescheck_solver::{Solver, SolverConfig};
-    use rescheck_trace::{varint, BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink};
+    use rescheck_trace::{
+        varint, AsciiWriter, BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink,
+        BINARY_MAGIC,
+    };
 
     fn unsat_fixture() -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
@@ -554,11 +557,7 @@ mod tests {
 
     /// Runs every strategy, checks the oracle's pairs, and returns the
     /// one verdict all six must share.
-    fn unanimous<S: RandomAccessTrace + ?Sized>(
-        cnf: &Cnf,
-        trace: &S,
-        config: &CheckConfig,
-    ) -> String {
+    fn unanimous<S: TraceSource + ?Sized>(cnf: &Cnf, trace: &S, config: &CheckConfig) -> String {
         let reports = run_all_strategies(cnf, trace, config);
         verify_cross_consistency(&reports).unwrap();
         let verdict = reports[0].run.verdict();
@@ -568,11 +567,17 @@ mod tests {
         verdict
     }
 
-    /// The verdict all six strategies share on a binary trace file.
+    /// The verdict all six strategies share on a trace file, binary or
+    /// ASCII (sniffed from `bytes`, as `FileTrace::open` does).
     fn unanimous_on_file(cnf: &Cnf, name: &str, bytes: &[u8]) -> String {
         let dir = std::env::temp_dir().join("rescheck-agreement");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{name}-{}.rtb", std::process::id()));
+        let ext = if bytes.starts_with(&BINARY_MAGIC) {
+            "rtb"
+        } else {
+            "rt"
+        };
+        let path = dir.join(format!("{name}-{}.{ext}", std::process::id()));
         std::fs::write(&path, bytes).unwrap();
         let verdict = unanimous(
             cnf,
@@ -650,5 +655,53 @@ mod tests {
             unanimous_on_file(&cnf, "huge-count", &huge),
             "proof-defect: cannot read trace: implausible resolve-source count"
         );
+    }
+
+    #[test]
+    fn malformed_ascii_records_name_their_line_under_every_strategy() {
+        // A solver trace of the pigeonhole principle (5 pigeons, 4
+        // holes) as ASCII text, with one record made malformed.
+        let mut cnf = Cnf::new();
+        let var = |p: i64, h: i64| p * 4 + h + 1;
+        for p in 0..5 {
+            cnf.add_dimacs_clause(&(0..4).map(|h| var(p, h)).collect::<Vec<_>>());
+        }
+        for h in 0..4 {
+            for p1 in 0..5 {
+                for p2 in p1 + 1..5 {
+                    cnf.add_dimacs_clause(&[-var(p1, h), -var(p2, h)]);
+                }
+            }
+        }
+        let mut text = Vec::new();
+        let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
+        assert!(solver
+            .solve_traced(&mut AsciiWriter::new(&mut text))
+            .unwrap()
+            .is_unsat());
+        let text = String::from_utf8(text).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let learned_from_40 = 40
+            + lines[39..]
+                .iter()
+                .position(|line| line.starts_with("r "))
+                .expect("a learned record at or after line 40");
+        let cases = [
+            (learned_from_40, "trailing tokens in r record"),
+            (12, "literal in v record must be non-zero"),
+        ];
+        for (line_no, message) in cases {
+            let mut edited: Vec<String> = lines.iter().map(|line| line.to_string()).collect();
+            edited[line_no - 1] = if message.starts_with("trailing") {
+                format!("{} 9", edited[line_no - 1])
+            } else {
+                "v 0 3".to_string()
+            };
+            let bytes = edited.join("\n") + "\n";
+            assert_eq!(
+                unanimous_on_file(&cnf, &format!("ascii-line-{line_no}"), bytes.as_bytes()),
+                format!("proof-defect: cannot read trace: trace line {line_no}: {message}")
+            );
+        }
     }
 }

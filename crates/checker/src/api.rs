@@ -7,7 +7,7 @@ pub use crate::outcome::Strategy;
 use crate::scratch::CheckScratch;
 use rescheck_cnf::{Assignment, Cnf};
 use rescheck_obs::{Event, Level, NullObserver, Observer, Span};
-use rescheck_trace::{RandomAccessTrace, TraceSource};
+use rescheck_trace::TraceSource;
 use std::error::Error;
 use std::fmt;
 use std::time::Instant;
@@ -92,7 +92,7 @@ impl Default for CheckConfig {
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
+pub fn check_unsat_claim<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -121,9 +121,8 @@ pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
 /// [`Strategy::DiskDepthFirst`] additionally reports its disk-access
 /// accounting: `check.dfd.index_entries` (flat offset-index size) and
 /// `check.dfd.cursor_reads` (positioned trace reads performed, one per
-/// clause built). [`Strategy::DiskDepthFirst`] (and so the portfolio)
-/// reads a binary file trace into an in-memory byte map inside a
-/// `trace-map` phase and emits `check.map.bytes` (accounted map length).
+/// clause built); like every strategy, it reads the trace through the
+/// source it is given and charges no copy of it.
 /// [`Strategy::ParallelDag`] streams the trace like breadth-first, builds
 /// its dependency graph in a `check:dag-build` phase between
 /// `check:pass1` and `check:resolve`, and reports the graph's
@@ -160,7 +159,7 @@ pub fn check_unsat_claim<S: RandomAccessTrace + ?Sized>(
 /// assert!(sink.registry().phase_seconds("check:pass1").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_unsat_claim_observed<S: RandomAccessTrace + ?Sized>(
+pub fn check_unsat_claim_observed<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -186,7 +185,7 @@ fn span_name(strategy: Strategy) -> &'static str {
 /// when that runs out of memory. Every other verdict of the first stage
 /// is final, so a proof defect is reported as found and the portfolio
 /// runs out of memory only when both strategies do.
-fn run_portfolio<S: RandomAccessTrace + ?Sized>(
+fn run_portfolio<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -230,7 +229,7 @@ fn run_portfolio<S: RandomAccessTrace + ?Sized>(
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_unsat_claim_scoped<S: RandomAccessTrace + ?Sized>(
+pub fn check_unsat_claim_scoped<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     strategy: Strategy,
@@ -306,7 +305,7 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
+pub fn check_hybrid<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -335,7 +334,7 @@ pub fn check_hybrid<S: RandomAccessTrace + ?Sized>(
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
-pub fn check_disk_depth_first<S: RandomAccessTrace + ?Sized>(
+pub fn check_disk_depth_first<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,

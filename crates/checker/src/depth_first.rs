@@ -20,9 +20,10 @@
 //! - **`dfd`** and **`hybrid`** leave the trace on disk. Their pass 1
 //!   records each learned clause's byte offset in a flat sorted index
 //!   (16 accounted bytes per learned clause instead of its source list),
-//!   and the walk fetches source lists through a [`TraceCursor`]. `dfd`
-//!   runs binary file traces through the established [`TraceMap`], whose
-//!   encoded bytes are charged up front.
+//!   and the walk fetches source lists through a [`TraceCursor`]: a
+//!   window read at the offset for a binary trace file, the line at the
+//!   offset for an ASCII one, the record in place for a trace held in
+//!   memory.
 //!
 //! What finishing a clause means is the walk's [`Visitor`]. `df` and
 //! `dfd` resolve and store it and never free a built clause, so the two
@@ -39,12 +40,14 @@ use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::memory::{MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
-use crate::model::{load_full, validate_learned, FullTrace, LevelZeroMap};
+use crate::model::{
+    finish_visit, load_full, park_check_error, validate_learned, FullTrace, LevelZeroMap,
+};
 use crate::outcome::{CheckOutcome, Strategy};
 use crate::scratch::CheckScratch;
 use rescheck_cnf::Cnf;
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{RandomAccessTrace, TraceCursor, TraceEvent, TraceMap, TraceSource};
+use rescheck_trace::{EventRef, TraceCursor, TraceEvent, TraceSource};
 use std::io;
 use std::ops::Deref;
 use std::time::Instant;
@@ -80,7 +83,7 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 }
 
 /// `dfd`: depth-first over the trace left on disk.
-pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
+pub(crate) fn run_disk<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -89,11 +92,6 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
-    if let Some(map) = establish_map(trace, obs) {
-        // The encoded trace stays resident behind the cursor for the
-        // whole check.
-        meter.alloc(map.accounted_bytes())?;
-    }
 
     let pass1 = Phase::start("check:pass1", obs);
     let (index, level_zero, final_ids) =
@@ -130,12 +128,12 @@ pub(crate) fn run_disk<S: RandomAccessTrace + ?Sized>(
 }
 
 /// `hybrid`: depth-first's needed clauses under breadth-first's freeing
-/// rule, on `dfd`'s disk store without the byte map. The walk runs from
-/// every clause the final phase reads and records the build order and
-/// the needed use counts; the build pass rebuilds the needed clauses in
-/// that order, freeing each after its last needed consumer, and the
-/// final phase reads the pinned ones.
-pub(crate) fn run_hybrid<S: RandomAccessTrace + ?Sized>(
+/// rule, on `dfd`'s disk store. The walk runs from every clause the
+/// final phase reads and records the build order and the needed use
+/// counts; the build pass rebuilds the needed clauses in that order,
+/// freeing each after its last needed consumer, and the final phase
+/// reads the pinned ones.
+pub(crate) fn run_hybrid<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
     config: &CheckConfig,
@@ -192,24 +190,6 @@ pub(crate) fn run_hybrid<S: RandomAccessTrace + ?Sized>(
         started,
         trace.encoded_size(),
     ))
-}
-
-/// Establishes the trace's byte map (when the source supports one)
-/// inside a `trace-map` phase and reports its size.
-fn establish_map<'a, S: TraceSource + ?Sized>(
-    trace: &'a S,
-    obs: &mut dyn Observer,
-) -> Option<&'a TraceMap> {
-    let phase = Phase::start("trace-map", obs);
-    let map = trace.trace_map();
-    if let Some(map) = map {
-        obs.observe(&Event::GaugeSet {
-            name: "check.map.bytes",
-            value: map.accounted_bytes() as f64,
-        });
-    }
-    phase.finish(obs);
-    map
 }
 
 /// The clauses the final phase reads: the level-0 antecedents in trace
@@ -411,7 +391,7 @@ impl SourceStore for DiskSources<'_> {
 /// by sorting the index, on the error path and at the end, and the
 /// duplicate whose second definition comes first wins over any later
 /// error.
-fn indexed_pass1<S: RandomAccessTrace + ?Sized>(
+fn indexed_pass1<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
     meter: &mut MemoryMeter,
@@ -420,15 +400,16 @@ fn indexed_pass1<S: RandomAccessTrace + ?Sized>(
     let mut entries: Vec<(u64, u64)> = Vec::new();
     let mut level_zero = LevelZeroMap::default();
     let mut final_ids: Vec<u64> = Vec::new();
-    let scan = (|| -> Result<(), CheckError> {
-        let mut seen: u64 = 0;
-        for item in trace.offset_events()? {
-            seen += 1;
+    let mut seen: u64 = 0;
+    let mut parked: Option<CheckError> = None;
+    let result = trace.visit_offsets(&mut |offset, event| {
+        seen += 1;
+        let step = (|| -> Result<(), CheckError> {
             if seen.is_multiple_of(PROGRESS_STRIDE) {
                 cancel.check()?;
             }
-            match item? {
-                (offset, TraceEvent::Learned { id, sources }) => {
+            match event {
+                EventRef::Learned { id, sources } => {
                     // Indexed before validation, so a record that is
                     // both a duplicate and short of sources reports
                     // the duplicate, as the resident table does.
@@ -436,17 +417,18 @@ fn indexed_pass1<S: RandomAccessTrace + ?Sized>(
                     validate_learned(id, sources.len(), num_original, |_| false)?;
                     meter.alloc(INDEX_ENTRY_BYTES)?;
                 }
-                (_, TraceEvent::LevelZero { lit, antecedent }) => {
+                EventRef::LevelZero { lit, antecedent } => {
                     level_zero.insert(lit, antecedent)?;
                     meter.alloc(LEVEL_ZERO_RECORD_BYTES)?;
                 }
-                (_, TraceEvent::FinalConflict { id }) => final_ids.push(id),
+                EventRef::FinalConflict { id } => final_ids.push(id),
             }
-        }
-        Ok(())
-    })();
+            Ok(())
+        })();
+        step.map_err(|e| park_check_error(&mut parked, e))
+    });
     let index = FlatIndex::from_entries(entries)?;
-    scan?;
+    finish_visit(parked, result)?;
     Ok((index, level_zero, final_ids))
 }
 

@@ -14,7 +14,7 @@ pub enum Strategy {
     BreadthFirst,
     /// Depth-first over the trace left on disk, freeing clauses after
     /// their last needed use — the combination the paper's conclusion
-    /// calls for (requires a random-access trace).
+    /// calls for, reading records by their offsets.
     Hybrid,
     /// A fallback policy, not an engine: run
     /// [`Strategy::DiskDepthFirst`], and only if it exceeds the memory
@@ -25,8 +25,7 @@ pub enum Strategy {
     /// Depth-first with the trace left on disk: only a flat id → offset
     /// index stays resident and resolve-source lists are fetched on
     /// demand through a trace cursor. Bit-identical statistics and core
-    /// to [`Strategy::DepthFirst`], without the `O(trace)` memory term
-    /// (requires a random-access trace).
+    /// to [`Strategy::DepthFirst`], without the `O(trace)` memory term.
     DiskDepthFirst,
     /// Breadth-first's verification set scheduled as a dependency DAG: a
     /// dense build pass resolves every id to an index once, then a

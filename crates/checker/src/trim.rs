@@ -16,7 +16,7 @@ use crate::outcome::UnsatCore;
 use crate::proof::{needed_cone, NeededCone};
 use rescheck_cnf::Cnf;
 use rescheck_obs::{Event, NullObserver, Observer, Phase};
-use rescheck_trace::{TraceEvent, TraceSource};
+use rescheck_trace::{EventRef, TraceEvent, TraceSource};
 
 /// The result of trimming a trace.
 #[derive(Clone, Debug)]
@@ -115,25 +115,22 @@ pub fn trim_trace_observed<S: TraceSource + ?Sized>(
     let mut kept = 0u64;
     let mut dropped = 0u64;
     let mut emitted_final = false;
-    for event in trace.events_iter()? {
-        match event? {
-            e @ TraceEvent::Learned { .. } => {
-                let id = e.primary_id().expect("learned events have ids");
-                if needed.contains_key(&id) {
-                    kept += 1;
-                    events.push(e);
-                } else {
-                    dropped += 1;
-                }
+    trace.visit_events(&mut |event| {
+        match event {
+            EventRef::Learned { id, .. } if needed.contains_key(&id) => {
+                kept += 1;
+                events.push(event.to_owned());
             }
-            e @ TraceEvent::LevelZero { .. } => events.push(e),
-            TraceEvent::FinalConflict { id } if id == final_id && !emitted_final => {
+            EventRef::Learned { .. } => dropped += 1,
+            EventRef::LevelZero { .. } => events.push(event.to_owned()),
+            EventRef::FinalConflict { id } if id == final_id && !emitted_final => {
                 emitted_final = true;
-                events.push(TraceEvent::FinalConflict { id });
+                events.push(event.to_owned());
             }
-            TraceEvent::FinalConflict { .. } => {}
+            EventRef::FinalConflict { .. } => {}
         }
-    }
+        Ok(())
+    })?;
 
     let core_ids: Vec<usize> = used_originals
         .iter()

@@ -4,7 +4,9 @@
 use rescheck_checker::{check_sat_claim, check_unsat_claim, minimize_core, CheckConfig, Strategy};
 use rescheck_cnf::{Cnf, Lit, Var};
 use rescheck_solver::{SolveResult, Solver, SolverConfig};
-use rescheck_trace::{AsciiWriter, BinaryWriter, FileTrace, MemorySink, TraceSink, TraceSource};
+use rescheck_trace::{
+    AsciiWriter, BinaryWriter, FileTrace, MemorySink, TraceMap, TraceSink, TraceSource,
+};
 
 fn pigeonhole(holes: usize) -> Cnf {
     let pigeons = holes + 1;
@@ -292,8 +294,10 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
     assert!(sub_solver.solve().is_unsat());
 }
 
-/// Checks of a binary trace file report bit-identical stats at every
-/// worker count: pdag streaming the file, dfd through its byte map.
+/// Checks of a binary trace file report bit-identical stats, peak
+/// included, at every worker count and whether the file is read from
+/// disk or from its in-memory [`TraceMap`] copy: no strategy charges a
+/// copy of the trace.
 #[test]
 fn map_checks_are_bit_identical_across_jobs() {
     let cnf = pigeonhole(5);
@@ -313,24 +317,28 @@ fn map_checks_are_bit_identical_across_jobs() {
         (Strategy::DiskDepthFirst, &[1][..]),
     ] {
         let mut across_jobs: Option<(u64, u64, u64, u64)> = None;
+        let file = FileTrace::open(&path).unwrap();
+        let map = TraceMap::open(&path).unwrap();
         for &jobs in job_counts {
-            let trace = FileTrace::open(&path).unwrap();
             let config = CheckConfig {
                 jobs,
                 ..CheckConfig::default()
             };
-            let outcome = check_unsat_claim(&cnf, &trace, strategy, &config)
-                .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}"));
-            let key = (
-                outcome.stats.learned_in_trace,
-                outcome.stats.clauses_built,
-                outcome.stats.resolutions,
-                outcome.stats.peak_memory_bytes,
-            );
-            if let Some(prev) = across_jobs {
-                assert_eq!(prev, key, "{strategy}: stats differ across worker counts");
+            let sources: [(&str, &dyn TraceSource); 2] = [("file", &file), ("map", &map)];
+            for (source, trace) in sources {
+                let outcome = check_unsat_claim(&cnf, trace, strategy, &config)
+                    .unwrap_or_else(|e| panic!("{strategy} jobs={jobs} {source}: {e}"));
+                let key = (
+                    outcome.stats.learned_in_trace,
+                    outcome.stats.clauses_built,
+                    outcome.stats.resolutions,
+                    outcome.stats.peak_memory_bytes,
+                );
+                if let Some(prev) = across_jobs {
+                    assert_eq!(prev, key, "{strategy} jobs={jobs} {source}: stats differ");
+                }
+                across_jobs = Some(key);
             }
-            across_jobs = Some(key);
         }
     }
     std::fs::remove_file(&path).ok();

@@ -10,7 +10,7 @@ use rescheck_checker::{
 };
 use rescheck_cnf::{Cnf, Lit, SplitMix64, Var};
 use rescheck_solver::{Solver, SolverConfig};
-use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink, TraceSource};
+use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceMap, TraceSink};
 
 const CASES: u64 = if cfg!(feature = "heavy-tests") {
     512
@@ -266,9 +266,11 @@ fn truncated_binary_traces_are_rejected_by_every_strategy() {
     }
 }
 
-/// A trace file cut short *after* a check has established its byte map
-/// (as `dfd`, `pdag` and the daemon's trace cache do) must not end the
-/// process: every strategy returns a verdict or a classified error.
+/// A trace file cut short *after* it was opened must not end the
+/// process: every strategy reading it from disk through a [`FileTrace`]
+/// returns a verdict or a classified error. A [`TraceMap`] read before
+/// the cut (the daemon's trace cache holds one) is a copy that outlives
+/// it, so every strategy validates the whole proof from it.
 #[test]
 fn truncating_the_file_after_its_map_is_established_never_kills_a_check() {
     let cnf = pigeonhole(7);
@@ -287,7 +289,7 @@ fn truncating_the_file_after_its_map_is_established_never_kills_a_check() {
         ));
         std::fs::write(&path, &encoded).unwrap();
         let trace = FileTrace::open(&path).unwrap();
-        assert!(trace.trace_map().is_some());
+        let map = TraceMap::open(&path).unwrap();
         std::fs::OpenOptions::new()
             .write(true)
             .open(&path)
@@ -300,6 +302,9 @@ fn truncating_the_file_after_its_map_is_established_never_kills_a_check() {
                 matches!(e.kind(), FailureKind::ProofDefect | FailureKind::Io),
                 "{strategy}: unclassified failure {e}"
             ),
+        }
+        if let Err(e) = check_unsat_claim(&cnf, &map, strategy, &CheckConfig::default()) {
+            panic!("{strategy}: the in-memory copy must outlive the cut: {e}");
         }
         std::fs::remove_file(&path).ok();
     }

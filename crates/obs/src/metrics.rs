@@ -172,10 +172,12 @@ impl Registry {
             && self.spans.is_empty()
     }
 
-    /// Merges another registry into this one (counters add, gauges take
-    /// the other's value, phases accumulate, histograms merge
-    /// bucket-wise, spans append — ids are process-unique, so trees
-    /// from worker registries coexist).
+    /// Merges another registry into this one: counters add, gauges take
+    /// the other's value, phases accumulate and histograms merge
+    /// bucket-wise. Spans are not merged: a span tree describes one run,
+    /// and the merged phases already total every run's wall time per
+    /// span name, so a long-lived registry that merges many runs (the
+    /// daemon's) stays bounded by the names it has seen.
     pub fn merge(&mut self, other: &Registry) {
         for (name, value) in &other.counters {
             self.inc(name, *value);
@@ -193,7 +195,6 @@ impl Registry {
                 self.hists.insert(name.clone(), hist.clone());
             }
         }
-        self.spans.extend(other.spans.iter().cloned());
     }
 
     /// The registry as a JSON object:
@@ -401,7 +402,13 @@ mod tests {
         assert_eq!(a.counter("c"), Some(3));
         assert_eq!(a.gauge("g"), Some(7.0));
         assert_eq!(a.phase_seconds("p"), Some(3.0));
-        assert_eq!(a.spans().len(), 2);
+        // Each registry keeps only its own span tree.
+        assert_eq!(a.spans().len(), 1);
+        assert_eq!(b.spans().len(), 1);
+        let mut empty = Registry::new();
+        empty.merge(&b);
+        assert!(empty.spans().is_empty());
+        assert_eq!(empty.phase_seconds("p"), Some(2.0));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Small caches shared by all workers: parsed formulas and opened
-//! trace handles.
+//! Small caches shared by all workers: parsed formulas and binary
+//! traces read into memory.
 //!
 //! Campaigns routinely submit many jobs against the same CNF (one formula,
 //! many traces). Parsing DIMACS per job would dominate small checks, so
@@ -10,16 +10,16 @@
 //! same token, same formula, warm reuse is sound.
 //!
 //! The same campaigns also re-check one trace *file* under several
-//! strategies or job counts. A [`TraceCache`] keys opened [`FileTrace`]
-//! handles by path (revalidated by length + mtime) and hands out clones
-//! that share the original's established byte buffer — so the daemon
+//! strategies or job counts. A [`TraceCache`] keys the in-memory
+//! [`TraceMap`] copies of binary trace files by path (revalidated by
+//! length + mtime) and hands out shared handles to them — so the daemon
 //! reads a repeatedly checked trace once instead of per job.
 //!
 //! [`CheckScratch::begin_job`]: rescheck_checker::CheckScratch::begin_job
 
 use rescheck_cnf::dimacs;
 use rescheck_cnf::{Cnf, ParseDimacsError};
-use rescheck_trace::{FileTrace, TraceSource};
+use rescheck_trace::{FileTrace, TraceFormat, TraceMap, TraceSource};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -124,10 +124,10 @@ impl FormulaCache {
 
 struct TraceEntry {
     /// Revalidation stamp: a changed length or mtime means the file was
-    /// rewritten and the cached handle (and its map) must not be reused.
+    /// rewritten and the cached copy must not be reused.
     len: u64,
     mtime: Option<SystemTime>,
-    trace: FileTrace,
+    map: Arc<TraceMap>,
 }
 
 #[derive(Default)]
@@ -138,14 +138,35 @@ struct TraceState {
     misses: u64,
 }
 
-/// Path-keyed cache of opened [`FileTrace`] handles with FIFO eviction.
+/// A trace file as [`TraceCache::open`] hands it out.
+#[derive(Clone, Debug)]
+pub enum CachedTrace {
+    /// A binary trace: the in-memory copy every job on the file shares.
+    Map(Arc<TraceMap>),
+    /// An ASCII trace, opened for this job and read from disk.
+    File(FileTrace),
+}
+
+impl CachedTrace {
+    /// The trace as a checker source.
+    pub fn source(&self) -> &dyn TraceSource {
+        match self {
+            CachedTrace::Map(map) => &**map,
+            CachedTrace::File(file) => file,
+        }
+    }
+}
+
+/// Path-keyed cache of binary traces read into memory, with FIFO
+/// eviction.
 ///
 /// The payoff is not the `open` syscall but the **byte buffer**: the
-/// cache establishes each handle's [`rescheck_trace::TraceMap`] once,
-/// and the clones it hands out share it — a campaign checking one trace
-/// file under several strategies or worker counts reads it exactly once.
-/// The buffer is a copy, so a trace file truncated or rewritten while a
-/// job runs changes nothing that job sees.
+/// cache reads each binary trace file into a [`TraceMap`] once and every
+/// job on the file shares it — a campaign checking one trace file under
+/// several strategies or worker counts reads it exactly once. The buffer
+/// is a copy, so a trace file truncated or rewritten while a job runs
+/// changes nothing that job sees. ASCII traces are not cached: each job
+/// reads its own [`FileTrace`] from disk.
 #[derive(Default)]
 pub struct TraceCache {
     state: Mutex<TraceState>,
@@ -157,34 +178,36 @@ impl TraceCache {
         TraceCache::default()
     }
 
-    /// Opens `path`, or returns a clone of the cached handle when the
-    /// file's length and mtime are unchanged. The clone shares the
-    /// cached handle's buffered byte map (binary traces; ASCII traces
-    /// have no map and simply skip the establishment).
+    /// Opens `path`: the cached copy when the file's length and mtime
+    /// are unchanged, else the file read afresh — into memory, and
+    /// cached, when it is a binary trace.
     ///
     /// # Errors
     ///
-    /// Propagates `stat`/`open` failures; failures are not cached.
-    pub fn open(&self, path: &str) -> io::Result<FileTrace> {
+    /// Propagates `stat`/`open`/read failures; failures are not cached.
+    pub fn open(&self, path: &str) -> io::Result<CachedTrace> {
         let meta = std::fs::metadata(path)?;
         let (len, mtime) = (meta.len(), meta.modified().ok());
         {
             let mut state = self.state.lock().expect("trace cache poisoned");
             if let Some(entry) = state.entries.get(path) {
                 if entry.len == len && entry.mtime == mtime {
-                    let trace = entry.trace.clone();
+                    let map = Arc::clone(&entry.map);
                     state.hits += 1;
-                    return Ok(trace);
+                    return Ok(CachedTrace::Map(map));
                 }
             }
         }
-        let trace = FileTrace::open(path)?;
-        // Establish the shared map *before* caching: clones share an
-        // already-established map, while one established later would
-        // live on that job's clone alone.
-        let _ = trace.trace_map();
+        let file = FileTrace::open(path)?;
+        let map = match file.format() {
+            TraceFormat::Binary => Some(Arc::new(TraceMap::open(file.path())?)),
+            TraceFormat::Ascii => None,
+        };
         let mut state = self.state.lock().expect("trace cache poisoned");
         state.misses += 1;
+        let Some(map) = map else {
+            return Ok(CachedTrace::File(file));
+        };
         if !state.entries.contains_key(path) {
             if state.order.len() >= CACHE_CAPACITY {
                 if let Some(oldest) = state.order.pop_front() {
@@ -198,13 +221,14 @@ impl TraceCache {
             TraceEntry {
                 len,
                 mtime,
-                trace: trace.clone(),
+                map: Arc::clone(&map),
             },
         );
-        Ok(trace)
+        Ok(CachedTrace::Map(map))
     }
 
     /// `(hits, misses)` so far — exported as `serve.trace_cache.*`.
+    /// Every open of an ASCII trace, which is never cached, is a miss.
     pub fn stats(&self) -> (u64, u64) {
         let state = self.state.lock().expect("trace cache poisoned");
         (state.hits, state.misses)
@@ -270,28 +294,56 @@ mod tests {
         path
     }
 
+    fn map_of(trace: CachedTrace) -> Arc<TraceMap> {
+        match trace {
+            CachedTrace::Map(map) => map,
+            CachedTrace::File(file) => panic!("binary trace opened as {file:?}"),
+        }
+    }
+
+    fn event_count(trace: &CachedTrace) -> usize {
+        rescheck_trace::collect_events(trace.source())
+            .unwrap()
+            .len()
+    }
+
     #[test]
     fn trace_cache_hits_on_unchanged_files() {
         let path = write_binary_trace("hit");
         let cache = TraceCache::new();
-        let a = cache.open(path.to_str().unwrap()).unwrap();
-        let b = cache.open(path.to_str().unwrap()).unwrap();
+        let a = map_of(cache.open(path.to_str().unwrap()).unwrap());
+        let b = map_of(cache.open(path.to_str().unwrap()).unwrap());
         assert_eq!(cache.stats(), (1, 1));
-        // Both handles decode the same events.
-        use rescheck_trace::TraceSource;
-        let ea: Vec<_> = a.events_iter().unwrap().map(Result::unwrap).collect();
-        let eb: Vec<_> = b.events_iter().unwrap().map(Result::unwrap).collect();
-        assert_eq!(ea, eb);
+        // Both handles share one copy of the file.
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.bytes(), std::fs::read(&path).unwrap().as_slice());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ascii_traces_are_read_from_disk_per_job() {
+        let path = std::env::temp_dir().join(format!(
+            "rescheck-serve-cache-{}-ascii.rt",
+            std::process::id()
+        ));
+        std::fs::write(&path, "r 2 2 0 1\nf 2\n").unwrap();
+        let cache = TraceCache::new();
+        for _ in 0..2 {
+            let trace = cache.open(path.to_str().unwrap()).unwrap();
+            assert!(matches!(trace, CachedTrace::File(_)), "{trace:?}");
+            assert_eq!(event_count(&trace), 2);
+        }
+        assert_eq!(cache.stats(), (0, 2));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn trace_cache_revalidates_on_length_change() {
-        use rescheck_trace::{BinaryWriter, TraceSink, TraceSource};
+        use rescheck_trace::{BinaryWriter, TraceSink};
         let path = write_binary_trace("stale");
         let cache = TraceCache::new();
         cache.open(path.to_str().unwrap()).unwrap();
-        // Rewrite the file with one more event: the stale handle must
+        // Rewrite the file with one more event: the stale copy must
         // not be served.
         let mut buf = Vec::new();
         {
@@ -302,7 +354,7 @@ mod tests {
         }
         std::fs::write(&path, buf).unwrap();
         let fresh = cache.open(path.to_str().unwrap()).unwrap();
-        assert_eq!(fresh.events_iter().unwrap().count(), 3);
+        assert_eq!(event_count(&fresh), 3);
         assert_eq!(cache.stats().1, 2, "rewrite must be a miss");
         std::fs::remove_file(&path).ok();
     }
@@ -330,8 +382,7 @@ mod tests {
         // Cut at a page boundary.
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(4096).unwrap();
-        let events = trace.events_iter().unwrap().map(Result::unwrap).count();
-        assert_eq!(events, 20_001);
+        assert_eq!(event_count(&trace), 20_001);
         std::fs::remove_file(&path).ok();
     }
 

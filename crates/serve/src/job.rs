@@ -8,7 +8,7 @@
 //! discarded on panic (the scratch).
 
 use crate::budget::BudgetLedger;
-use crate::cache::{FormulaCache, TraceCache};
+use crate::cache::{CachedTrace, FormulaCache, TraceCache};
 use crate::protocol::{status, verdict, Claim, Inject, JobSpec, Payload};
 use crate::watchdog::Watchdog;
 use rescheck_bench::report;
@@ -17,7 +17,7 @@ use rescheck_checker::{
 };
 use rescheck_cnf::{Assignment, Lit};
 use rescheck_obs::{Json, MetricsSink, Registry};
-use rescheck_trace::{read_all, require_regular_file, FileTrace, MemorySink, TraceFormat};
+use rescheck_trace::{read_all, require_regular_file, MemorySink, TraceFormat, TraceSource};
 use std::io::Cursor;
 use std::path::Path;
 use std::thread;
@@ -31,7 +31,7 @@ pub struct JobEnv<'a> {
     pub watchdog: &'a Watchdog,
     /// Shared parsed-formula cache.
     pub cache: &'a FormulaCache,
-    /// Shared opened-trace cache (one byte map per distinct trace file).
+    /// Shared trace cache (one in-memory copy per binary trace file).
     pub traces: &'a TraceCache,
     /// Daemon-wide default deadline for jobs that set none.
     pub default_timeout_ms: Option<u64>,
@@ -193,24 +193,18 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                 jobs: spec.inner_jobs,
                 cancel: cancel.clone(),
             };
-            let result = match &trace {
-                LoadedTrace::Memory(sinkful) => check_unsat_claim_scoped(
-                    &formula.cnf,
-                    sinkful,
-                    spec.strategy,
-                    &config,
-                    scratch,
-                    &mut sink,
-                ),
-                LoadedTrace::File(file) => check_unsat_claim_scoped(
-                    &formula.cnf,
-                    file,
-                    spec.strategy,
-                    &config,
-                    scratch,
-                    &mut sink,
-                ),
+            let source: &dyn TraceSource = match &trace {
+                LoadedTrace::Memory(events) => events,
+                LoadedTrace::Path(cached) => cached.source(),
             };
+            let result = check_unsat_claim_scoped(
+                &formula.cnf,
+                source,
+                spec.strategy,
+                &config,
+                scratch,
+                &mut sink,
+            );
             let registry = sink.into_registry();
             let frame = match result {
                 Ok(outcome) => {
@@ -236,7 +230,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
 
 enum LoadedTrace {
     Memory(MemorySink),
-    File(FileTrace),
+    Path(CachedTrace),
 }
 
 fn load_trace(evidence: &Payload, traces: &TraceCache) -> Result<LoadedTrace, String> {
@@ -247,10 +241,10 @@ fn load_trace(evidence: &Payload, traces: &TraceCache) -> Result<LoadedTrace, St
             Ok(LoadedTrace::Memory(MemorySink::from(events)))
         }
         // Path evidence goes through the daemon's trace cache: repeated
-        // jobs against one file share a single established byte map.
+        // jobs against one binary file share a single in-memory copy.
         Payload::Path(path) => traces
             .open(path)
-            .map(LoadedTrace::File)
+            .map(LoadedTrace::Path)
             .map_err(|e| format!("opening trace {path}: {e}")),
     }
 }

@@ -23,9 +23,10 @@
 //! - [`FormulaCache`] — content-addressed `Arc<Cnf>` sharing across jobs,
 //!   whose identity tokens gate
 //!   [`CheckScratch`](rescheck_checker::CheckScratch) warm-tier reuse.
-//! - [`TraceCache`] — path-keyed sharing of opened trace handles, so a
-//!   campaign re-checking one trace file reads its bytes once instead of
-//!   per job (into a buffer, never a mapping a truncation could fault).
+//! - [`TraceCache`] — path-keyed sharing of binary traces read into
+//!   memory ([`TraceMap`](rescheck_trace::TraceMap)s), so a campaign
+//!   re-checking one trace file reads its bytes once instead of per job
+//!   (into a buffer, never a mapping a truncation could fault).
 //!
 //! Verdicts embed a full `rescheck-metrics-v2` document, and the daemon
 //! itself exports `serve.*` counters, queue-depth and job-wall-time
@@ -64,7 +65,7 @@ mod server;
 mod watchdog;
 
 pub use budget::{BudgetLedger, Lease};
-pub use cache::{CachedFormula, FormulaCache, TraceCache};
+pub use cache::{CachedFormula, CachedTrace, FormulaCache, TraceCache};
 pub use front::{serve_io, serve_stdin, serve_tcp};
 pub use server::{write_frame, LineOutcome, Reply, ServeConfig, Server};
 pub use watchdog::{Watchdog, WatchdogGuard};

@@ -311,6 +311,60 @@ fn verdicts_embed_a_metrics_v2_document() {
 }
 
 #[test]
+fn daemon_metrics_stay_bounded_across_many_jobs() {
+    // Per-job verdict frames carry each job's span tree; the daemon-wide
+    // registry keeps only what is bounded by names (counters, gauges,
+    // phase totals, histograms), so its metrics frame stops growing.
+    let cnf = unsat_chain(6);
+    let (cnf_text, trace_text) = (cnf_text(&cnf), unsat_trace_text(&cnf));
+    let server = Server::start(one_worker());
+    let buf = SharedBuf::new();
+    let reply = buf.reply();
+    let run_jobs = |from: usize, to: usize| {
+        for batch in (from..to).collect::<Vec<_>>().chunks(8) {
+            for i in batch {
+                let job = job_frame(
+                    &format!("j{i}"),
+                    &[
+                        ("cnf", Json::Str(cnf_text.clone())),
+                        ("trace", Json::Str(trace_text.clone())),
+                        ("strategy", Json::from("bf")),
+                    ],
+                );
+                assert_eq!(server.handle_line(&job, &reply), LineOutcome::Submitted);
+            }
+            buf.wait_frames(batch[batch.len() - 1] + 1);
+        }
+    };
+    let metrics_frame_len = || {
+        let out = SharedBuf::new();
+        let reply = out.reply();
+        assert_eq!(
+            server.handle_line(r#"{"op":"metrics"}"#, &reply),
+            LineOutcome::Replied
+        );
+        out.text().len()
+    };
+    run_jobs(0, 150);
+    let halfway = metrics_frame_len();
+    run_jobs(150, 300);
+    let end = metrics_frame_len();
+    let frames = buf.frames();
+    assert!(frames.iter().all(|f| status_of(f) == "valid"));
+    let job_spans = verdict_for(&frames, "j299").path("metrics.spans");
+    assert!(
+        matches!(job_spans, Some(Json::Array(spans)) if !spans.is_empty()),
+        "a verdict keeps its job's span tree"
+    );
+    assert!(server.metrics_snapshot().spans().is_empty());
+    assert!(
+        end < halfway + 1024,
+        "metrics frame grew from {halfway} to {end} bytes over 150 jobs"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn truncating_a_cached_trace_between_jobs_still_gets_a_verdict() {
     // Path-supplied traces are cached as buffered copies, so cutting the
     // file under the cache cannot fault the daemon: the next job sees the

@@ -18,7 +18,8 @@
 //! §4); the binary sibling in [`crate::BinaryWriter`] provides the
 //! predicted 2–3x compaction.
 
-use crate::{TraceEvent, TraceSink};
+use crate::block::Record;
+use crate::{EventRef, TraceEvent, TraceSink};
 use rescheck_cnf::Lit;
 use std::io::{self, BufRead, Write};
 
@@ -143,22 +144,34 @@ impl<W: Write> TraceSink for AsciiWriter<W> {
 
 /// Streams trace events from ASCII text.
 ///
+/// [`AsciiReader::next_event`] lends each record as a borrowed
+/// [`EventRef`] together with the byte offset its line starts at,
+/// parsing into buffers the reader reuses; the `Iterator` impl yields
+/// owned events. Diagnostics name the line of the malformed record.
+///
 /// # Examples
 ///
 /// ```
-/// use rescheck_trace::{AsciiReader, TraceEvent};
+/// use rescheck_trace::{AsciiReader, EventRef, TraceEvent};
 ///
 /// let text = "c comment\nr 2 2 0 1\nf 2\n";
-/// let events: Result<Vec<_>, _> =
-///     AsciiReader::new(std::io::Cursor::new(text)).collect();
-/// assert_eq!(events?.len(), 2);
+/// let mut reader = AsciiReader::new(std::io::Cursor::new(text));
+/// assert_eq!(
+///     reader.next_event()?,
+///     Some((10, EventRef::Learned { id: 2, sources: &[0, 1] }))
+/// );
+/// let rest: Result<Vec<_>, _> = reader.collect();
+/// assert_eq!(rest?, vec![TraceEvent::FinalConflict { id: 2 }]);
 /// # Ok::<(), std::io::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct AsciiReader<R> {
     reader: R,
     line_no: usize,
-    buf: String,
+    /// Bytes consumed so far: the offset of the next line.
+    pos: u64,
+    line: String,
+    sources: Vec<u64>,
 }
 
 impl<R: BufRead> AsciiReader<R> {
@@ -167,95 +180,105 @@ impl<R: BufRead> AsciiReader<R> {
         AsciiReader {
             reader,
             line_no: 0,
-            buf: String::new(),
+            pos: 0,
+            line: String::new(),
+            sources: Vec::new(),
         }
     }
 
-    fn bad(&self, msg: impl Into<String>) -> io::Error {
+    /// Parses the next record, skipping comments and blank lines, and
+    /// returns it with the byte offset of its line, or `None` at the end
+    /// of the input.
+    ///
+    /// The returned [`EventRef`] borrows the reader's buffers and is
+    /// invalidated by the next call.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] naming the line of a malformed
+    /// record, and any error from the underlying reader.
+    pub fn next_event(&mut self) -> io::Result<Option<(u64, EventRef<'_>)>> {
+        loop {
+            self.line.clear();
+            self.line_no += 1;
+            let start = self.pos;
+            match self.reader.read_line(&mut self.line)? {
+                0 => return Ok(None),
+                n => self.pos += n as u64,
+            }
+            if let Some(record) = parse_line(&self.line, self.line_no, &mut self.sources)? {
+                return Ok(Some((start, record.event(&self.sources))));
+            }
+        }
+    }
+}
+
+/// Parses one line into a record, with a learned clause's sources left
+/// in `sources`; comments and blank lines are `None`.
+fn parse_line(line: &str, line_no: usize, sources: &mut Vec<u64>) -> io::Result<Option<Record>> {
+    let bad = |msg: String| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("trace line {}: {}", self.line_no, msg.into()),
+            format!("trace line {line_no}: {msg}"),
         )
-    }
-
-    fn parse_line(&self, line: &str) -> io::Result<Option<TraceEvent>> {
-        let mut tokens = line.split_whitespace();
-        let Some(tag) = tokens.next() else {
-            return Ok(None);
-        };
-        match tag {
-            "c" => Ok(None),
-            "r" => {
-                let id = self.parse_u64(tokens.next(), "clause id")?;
-                let count = self.parse_u64(tokens.next(), "source count")? as usize;
-                if count < 2 {
-                    return Err(self.bad("learned clause needs at least two resolve sources"));
-                }
-                let mut sources = Vec::with_capacity(count);
-                for _ in 0..count {
-                    sources.push(self.parse_u64(tokens.next(), "source id")?);
-                }
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in r record"));
-                }
-                Ok(Some(TraceEvent::Learned { id, sources }))
+    };
+    let number = |token: Option<&str>, what: &str| -> io::Result<u64> {
+        let t = token.ok_or_else(|| bad(format!("missing {what}")))?;
+        t.parse().map_err(|_| bad(format!("invalid {what} {t:?}")))
+    };
+    let mut tokens = line.split_whitespace();
+    let Some(tag) = tokens.next() else {
+        return Ok(None);
+    };
+    let record = match tag {
+        "c" => return Ok(None),
+        "r" => {
+            let id = number(tokens.next(), "clause id")?;
+            let count = number(tokens.next(), "source count")? as usize;
+            if count < 2 {
+                return Err(bad(
+                    "learned clause needs at least two resolve sources".into()
+                ));
             }
-            "v" => {
-                let lit_tok = tokens
-                    .next()
-                    .ok_or_else(|| self.bad("missing literal in v record"))?;
-                let d: i64 = lit_tok
-                    .parse()
-                    .map_err(|_| self.bad(format!("invalid literal {lit_tok:?}")))?;
-                if d == 0 {
-                    return Err(self.bad("literal in v record must be non-zero"));
-                }
-                let antecedent = self.parse_u64(tokens.next(), "antecedent id")?;
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in v record"));
-                }
-                Ok(Some(TraceEvent::LevelZero {
-                    lit: Lit::from_dimacs(d),
-                    antecedent,
-                }))
+            sources.clear();
+            for _ in 0..count {
+                sources.push(number(tokens.next(), "source id")?);
             }
-            "f" => {
-                let id = self.parse_u64(tokens.next(), "clause id")?;
-                if tokens.next().is_some() {
-                    return Err(self.bad("trailing tokens in f record"));
-                }
-                Ok(Some(TraceEvent::FinalConflict { id }))
-            }
-            other => Err(self.bad(format!("unknown record tag {other:?}"))),
+            Record::Learned { id }
         }
+        "v" => {
+            let lit_tok = tokens
+                .next()
+                .ok_or_else(|| bad("missing literal in v record".into()))?;
+            let d: i64 = lit_tok
+                .parse()
+                .map_err(|_| bad(format!("invalid literal {lit_tok:?}")))?;
+            if d == 0 {
+                return Err(bad("literal in v record must be non-zero".into()));
+            }
+            Record::LevelZero {
+                lit: Lit::from_dimacs(d),
+                antecedent: number(tokens.next(), "antecedent id")?,
+            }
+        }
+        "f" => Record::Final {
+            id: number(tokens.next(), "clause id")?,
+        },
+        other => return Err(bad(format!("unknown record tag {other:?}"))),
+    };
+    if tokens.next().is_some() {
+        return Err(bad(format!("trailing tokens in {tag} record")));
     }
-
-    fn parse_u64(&self, token: Option<&str>, what: &str) -> io::Result<u64> {
-        let t = token.ok_or_else(|| self.bad(format!("missing {what}")))?;
-        t.parse()
-            .map_err(|_| self.bad(format!("invalid {what} {t:?}")))
-    }
+    Ok(Some(record))
 }
 
 impl<R: BufRead> Iterator for AsciiReader<R> {
     type Item = io::Result<TraceEvent>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.buf.clear();
-            self.line_no += 1;
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e) => return Some(Err(e)),
-            }
-            let line = std::mem::take(&mut self.buf);
-            match self.parse_line(&line) {
-                Ok(Some(event)) => return Some(Ok(event)),
-                Ok(None) => continue,
-                Err(e) => return Some(Err(e)),
-            }
-        }
+        self.next_event()
+            .map(|event| event.map(|(_, event)| event.to_owned()))
+            .transpose()
     }
 }
 
@@ -349,6 +372,9 @@ mod tests {
             "f 1 2\n",       // trailing token
             "q 1\n",         // unknown tag
             "r 1 2 y 0\n",   // bad source
+            // A count far beyond the tokens present: sources grow per
+            // token, so the count sizes no allocation.
+            "r 1 99999999999999 0 1\n",
         ] {
             let result: io::Result<Vec<_>> = AsciiReader::new(io::Cursor::new(bad)).collect();
             assert!(result.is_err(), "should reject {bad:?}");

@@ -18,7 +18,7 @@
 //! [`READ_BUFFER_BYTES`]: rescheck_cnf::READ_BUFFER_BYTES
 
 use crate::binary::{TAG_FINAL, TAG_LEARNED, TAG_LEVEL_ZERO};
-use crate::{EventRef, TraceEvent, BINARY_MAGIC};
+use crate::{EventRef, BINARY_MAGIC};
 use rescheck_cnf::{Lit, READ_BUFFER_BYTES};
 use std::io::{self, Read};
 
@@ -207,9 +207,8 @@ fn decode_varint_chunk(chunk: &[u8; 10]) -> io::Result<(u64, usize)> {
 
 /// Decodes a trace held in memory, with no read buffer and no copy.
 ///
-/// This is the decoder the [`crate::TraceMap`] paths use — one-shot
-/// strategies and `rescheck serve` jobs decode straight off the map's
-/// bytes.
+/// This is the decoder a [`crate::TraceMap`] source runs: the daemon's
+/// jobs on a cached binary trace decode straight off its bytes.
 ///
 /// # Examples
 ///
@@ -288,8 +287,8 @@ impl<'a> SliceDecoder<'a> {
 ///
 /// This is a lending reader: each [`BlockDecoder::next_event`] call
 /// returns an [`EventRef`] borrowing the decoder's scratch space, valid
-/// until the next call. Wrap the decoder in [`BlockDecoder::into_events`]
-/// for an owned-event `Iterator`.
+/// until the next call; [`EventRef::to_owned`] detaches one worth
+/// keeping.
 ///
 /// # Examples
 ///
@@ -380,11 +379,6 @@ impl<R: Read> BlockDecoder<R> {
         self.bytes_read - (self.end - self.start) as u64
     }
 
-    /// Wraps the decoder into an owned-event iterator.
-    pub fn into_events(self) -> BlockEvents<R> {
-        BlockEvents { decoder: self }
-    }
-
     /// Decodes the next record, or `None` at a clean end of input.
     ///
     /// The returned [`EventRef`] borrows the decoder's scratch buffer and
@@ -433,31 +427,15 @@ impl<R: Read> BlockDecoder<R> {
     }
 }
 
-/// Owned-event iterator over a [`BlockDecoder`].
-///
-/// Each item clones the decoder's scratch into a fresh [`TraceEvent`];
-/// use [`BlockDecoder::next_event`] directly to avoid that.
-#[derive(Debug)]
-pub struct BlockEvents<R> {
-    decoder: BlockDecoder<R>,
-}
-
-impl<R: Read> Iterator for BlockEvents<R> {
-    type Item = io::Result<TraceEvent>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.decoder
-            .next_event()
-            .map(|event| event.map(|e| e.to_owned()))
-            .transpose()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::random::{block_offsets, WindowCursor};
-    use crate::{varint, BinaryReader, BinaryWriter, TraceCursor, TraceSink};
+    use crate::random::WindowCursor;
+    use crate::source::visit_binary;
+    use crate::{
+        read_all, varint, BinaryReader, BinaryWriter, TraceCursor, TraceEvent, TraceFormat,
+        TraceSink,
+    };
     use rescheck_cnf::SplitMix64;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -581,7 +559,7 @@ mod tests {
     }
 
     /// Holds every shipped reader — the slice decoder, the block decoder
-    /// at 16-byte blocks, the offset iterator and the windowed cursor —
+    /// at 16-byte blocks, the offset visit and the windowed cursor —
     /// to the reference on `bytes`: same events, same error kind and
     /// message.
     fn assert_readers_match_reference(bytes: &[u8], what: &str) {
@@ -600,8 +578,14 @@ mod tests {
             }
         }
 
-        let offsets = BlockDecoder::new(io::Cursor::new(bytes))
-            .and_then(|decoder| block_offsets(decoder).collect::<io::Result<Vec<_>>>());
+        let offsets = BlockDecoder::new(io::Cursor::new(bytes)).and_then(|decoder| {
+            let mut got = Vec::new();
+            visit_binary(decoder, &mut |offset, event| {
+                got.push((offset, event.to_owned()));
+                Ok(())
+            })?;
+            Ok(got)
+        });
         match (&error, offsets) {
             (None, Ok(got)) => assert_eq!(got, pairs, "{what} (offsets)"),
             (Some((_, want)), Err(got)) => {
@@ -702,13 +686,11 @@ mod tests {
 
     #[test]
     fn owned_iterator_matches_lending_api() {
+        // `read_all` is the owned-event form of the block decoder's
+        // lending loop.
         let events = seeded_events(11, 200);
         let bytes = encode(&events);
-        let owned: Vec<TraceEvent> = BlockDecoder::new(io::Cursor::new(bytes.clone()))
-            .unwrap()
-            .into_events()
-            .collect::<io::Result<Vec<_>>>()
-            .unwrap();
+        let owned = read_all(io::Cursor::new(bytes.clone()), TraceFormat::Binary).unwrap();
         assert_eq!(owned, events);
         assert_eq!(owned, decode_all(&bytes, 32).unwrap());
     }

@@ -19,16 +19,20 @@
 //! The crate provides a [`TraceSink`] trait for writers, with
 //! [`MemorySink`], [`AsciiWriter`] and [`BinaryWriter`] implementations
 //! (the paper notes that a binary encoding compacts traces 2–3x and speeds
-//! up parsing), and a [`TraceSource`] trait for readers that supports the
-//! two-pass streaming the breadth-first checker needs.
+//! up parsing), and a [`TraceSource`] trait for readers: one borrowed
+//! stream of events with their offsets, restartable for the breadth-first
+//! checker's two passes, plus a [`TraceCursor`] that reads one event back
+//! by offset. Its sources are event slices and [`MemorySink`]s, a
+//! [`FileTrace`] read from disk in either format, and a [`TraceMap`], a
+//! binary trace file read into memory once.
 //!
 //! Every shipped reader decodes binary records through one decoder over
-//! a byte slice: [`SliceDecoder`] over a trace held in memory (a
-//! [`TraceMap`], which reads a trace file into a buffer once),
+//! a byte slice: [`SliceDecoder`] over a trace held in memory,
 //! [`BlockDecoder`] over a stream refilled block by block, and the
-//! offset iteration and cursor fetches of [`RandomAccessTrace`] on top
-//! of those two. [`BinaryReader`] is kept only as the independent
-//! reference the differential tests and benches compare against.
+//! cursors on top of those two. ASCII traces are read by
+//! [`AsciiReader`], which reports each record's line and its offset.
+//! [`BinaryReader`] is kept only as the independent reference the
+//! differential tests and benches compare against.
 //!
 //! [CDCL solver]: https://en.wikipedia.org/wiki/Conflict-driven_clause_learning
 //!
@@ -74,11 +78,11 @@ pub mod varint;
 
 pub use ascii::{AsciiReader, AsciiWriter};
 pub use binary::{BinaryReader, BinaryWriter, BINARY_MAGIC};
-pub use block::{BlockDecoder, BlockEvents, SliceDecoder};
+pub use block::{BlockDecoder, SliceDecoder};
 pub use event::{EventRef, TraceEvent};
 pub use map::TraceMap;
 pub use mutate::{Mutation, ALL_MUTATIONS};
-pub use random::{OffsetEventsIter, RandomAccessTrace, TraceCursor};
+pub use random::TraceCursor;
 pub use sink::{CountingSink, MemorySink, NullSink, TeeSink, TraceSink};
 pub use source::{
     collect_events, read_all, require_regular_file, FileTrace, ReadTraceError, TraceFormat,

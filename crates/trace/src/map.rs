@@ -1,21 +1,20 @@
 //! A binary trace held in memory as one byte slice.
 //!
-//! A [`TraceMap`] reads the whole trace file into a buffer once. Every
-//! pass over it — slice decoding, offset iteration and cursor fetches by
-//! offset — then decodes the same bytes in place, with no read syscall
-//! and no copy. Its length is fixed when
+//! A [`TraceMap`] reads the whole trace file into a buffer once and is a
+//! [`TraceSource`] in its own right: every pass decodes the same bytes in
+//! place through a [`SliceDecoder`], and its cursor decodes a record at
+//! its offset, with no read syscall and no copy. Its length is fixed when
 //! it is read, so a file truncated or rewritten afterwards changes
-//! nothing the check sees.
+//! nothing a check on it sees.
 //!
-//! # Accounting
-//!
-//! A map is *resident state* the checker chose to hold, so strategies
-//! that keep one alive charge [`TraceMap::accounted_bytes`] — the full
-//! file length — to their `MemoryMeter`. That keeps the paper's
-//! Table-2-style peak-memory comparison honest: the map really does
-//! hold the bytes.
+//! It is the `rescheck serve` daemon's source for binary trace paths:
+//! the daemon's trace cache reads a file once and shares the copy among
+//! every job that checks it. One-shot checks read trace files from disk
+//! through a [`crate::FileTrace`].
 
 use crate::block::check_magic;
+use crate::random::owned_record_at;
+use crate::{EventRef, SliceDecoder, TraceCursor, TraceEvent, TraceSource};
 use std::io;
 use std::path::Path;
 
@@ -24,7 +23,8 @@ use std::path::Path;
 /// The header magic is validated before `open` returns, with the same
 /// diagnostics as the streaming [`crate::BlockDecoder`]
 /// (`UnexpectedEof` for files shorter than the magic — including
-/// zero-length files — and `InvalidData` for a magic mismatch).
+/// zero-length files — and `InvalidData` for a magic mismatch). Offsets
+/// are byte positions in the file, as for a binary [`crate::FileTrace`].
 ///
 /// # Examples
 ///
@@ -68,16 +68,50 @@ impl TraceMap {
         &self.bytes
     }
 
-    /// Bytes to charge against a `MemoryMeter` while the map is held:
-    /// the full file length.
-    pub fn accounted_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
     /// Always `false`: the map is a buffered copy of the file, never a
     /// memory mapping. Kept for callers that still record the backing.
     pub fn is_mmap(&self) -> bool {
         false
+    }
+}
+
+impl TraceSource for TraceMap {
+    fn visit_offsets(
+        &self,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut decoder = SliceDecoder::new(&self.bytes)?;
+        loop {
+            let offset = decoder.offset() as u64;
+            let Some(event) = decoder.next_event()? else {
+                return Ok(());
+            };
+            visit(offset, event)?;
+        }
+    }
+
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        Ok(Box::new(MapCursor {
+            data: &self.bytes,
+            sources: Vec::new(),
+        }))
+    }
+
+    fn encoded_size(&self) -> Option<u64> {
+        Some(self.bytes.len() as u64)
+    }
+}
+
+/// Positioned reads of a map: the record decoded in place.
+struct MapCursor<'a> {
+    data: &'a [u8],
+    sources: Vec<u64>,
+}
+
+impl TraceCursor for MapCursor<'_> {
+    fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
+        let pos = usize::try_from(offset).unwrap_or(usize::MAX);
+        owned_record_at(self.data, pos, &mut self.sources)
     }
 }
 

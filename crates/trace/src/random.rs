@@ -1,36 +1,47 @@
-//! Random access into encoded traces.
+//! Random access into traces: reads of single events by offset.
 //!
 //! The paper's conclusion asks for a checker "that has the advantage of
 //! both the depth-first and breadth-first approaches … potentially a
 //! depth-first algorithm for the graph on disk". That algorithm needs to
-//! jump to an individual trace record by position instead of streaming,
-//! which is what [`RandomAccessTrace`] provides: every event has a stable
-//! *offset* (a byte position for file traces, an index for in-memory
-//! traces), learnable from [`RandomAccessTrace::offset_events`] and
-//! dereferenceable through a [`TraceCursor`].
+//! jump to an individual trace record by position instead of streaming:
+//! every pass of [`crate::TraceSource::visit_offsets`] reports each
+//! event's *offset*, and a [`TraceCursor`] from
+//! [`crate::TraceSource::open_cursor`] reads the event back from it.
 //!
-//! A binary file trace has two random-access paths, both decoding
-//! through the crate's one record decoder. Once a [`crate::TraceMap`]
-//! is established on the [`FileTrace`], offset iteration and cursor
-//! fetches decode the map's bytes in place. Without one, offset
-//! iteration streams the file through a [`BlockDecoder`], and a cursor
-//! fetch reads a small window at the offset into a reused buffer.
-//! Offsets (the byte position of the record) and diagnostics are the
-//! same on both paths, so the id → offset indexes the checkers build
-//! are valid against either.
+//! A binary trace file's cursor reads a small window at the offset into
+//! a reused buffer and decodes the record with the crate's one record
+//! decoder; an in-memory [`crate::TraceMap`] decodes the record in place.
+//! Offsets and diagnostics are the same on both, so the id → offset
+//! indexes the checkers build are valid against either.
 
 use crate::block::{decode_record, read_full};
-use crate::{
-    BlockDecoder, FileTrace, MemorySink, SliceDecoder, TraceEvent, TraceFormat, TraceSource,
-};
-use rescheck_cnf::READ_BUFFER_BYTES;
+use crate::TraceEvent;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom};
 
 /// Positioned reads of single events.
+///
+/// # Examples
+///
+/// ```
+/// use rescheck_trace::{MemorySink, TraceSink, TraceSource};
+///
+/// let mut sink = MemorySink::new();
+/// sink.learned(5, &[0, 1])?;
+/// sink.final_conflict(5)?;
+///
+/// let mut offsets = Vec::new();
+/// sink.visit_offsets(&mut |offset, _| {
+///     offsets.push(offset);
+///     Ok(())
+/// })?;
+/// let mut cursor = sink.open_cursor()?;
+/// assert_eq!(cursor.event_at(offsets[1])?.primary_id(), Some(5));
+/// # Ok::<(), std::io::Error>(())
+/// ```
 pub trait TraceCursor {
-    /// Reads the event at `offset` (a value previously yielded by
-    /// [`RandomAccessTrace::offset_events`]).
+    /// Reads the event at `offset` (a value previously reported by
+    /// [`crate::TraceSource::visit_offsets`]).
     ///
     /// # Errors
     ///
@@ -38,50 +49,8 @@ pub trait TraceCursor {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent>;
 }
 
-/// Boxed iterator over `(offset, event)` pairs, as yielded by
-/// [`RandomAccessTrace::offset_events`].
-pub type OffsetEventsIter<'a> = Box<dyn Iterator<Item = io::Result<(u64, TraceEvent)>> + 'a>;
-
-/// A trace whose events can be addressed individually.
-///
-/// # Examples
-///
-/// ```
-/// use rescheck_trace::{MemorySink, RandomAccessTrace, TraceSink};
-///
-/// let mut sink = MemorySink::new();
-/// sink.learned(5, &[0, 1])?;
-/// sink.final_conflict(5)?;
-///
-/// let offsets: Vec<u64> = sink
-///     .offset_events()?
-///     .map(|r| r.map(|(o, _)| o))
-///     .collect::<Result<_, _>>()?;
-/// let mut cursor = sink.open_cursor()?;
-/// assert_eq!(cursor.event_at(offsets[1])?.primary_id(), Some(5));
-/// # Ok::<(), std::io::Error>(())
-/// ```
-pub trait RandomAccessTrace: TraceSource {
-    /// Streams `(offset, event)` pairs, in emission order.
-    ///
-    /// # Errors
-    ///
-    /// Like [`TraceSource::events_iter`].
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>>;
-
-    /// Opens a cursor for positioned reads.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the underlying storage cannot be opened.
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>>;
-}
-
-// ---------------------------------------------------------------------
-// In-memory traces: the offset is the event index.
-// ---------------------------------------------------------------------
-
-struct SliceCursor<'a>(&'a [TraceEvent]);
+/// Positioned reads of an event slice: the offset is the event index.
+pub(crate) struct SliceCursor<'a>(pub(crate) &'a [TraceEvent]);
 
 impl TraceCursor for SliceCursor<'_> {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
@@ -92,95 +61,18 @@ impl TraceCursor for SliceCursor<'_> {
     }
 }
 
-fn slice_offsets(events: &[TraceEvent]) -> OffsetEventsIter<'_> {
-    Box::new(
-        events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Ok((i as u64, e.clone()))),
-    )
-}
-
-impl RandomAccessTrace for MemorySink {
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        Ok(slice_offsets(self.events()))
-    }
-
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        Ok(Box::new(SliceCursor(self.events())))
-    }
-}
-
-impl RandomAccessTrace for [TraceEvent] {
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        Ok(slice_offsets(self))
-    }
-
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        Ok(Box::new(SliceCursor(self)))
-    }
-}
-
-impl RandomAccessTrace for Vec<TraceEvent> {
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        Ok(slice_offsets(self))
-    }
-
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        Ok(Box::new(SliceCursor(self)))
-    }
-}
-
-impl<T: RandomAccessTrace + ?Sized> RandomAccessTrace for &T {
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        (**self).offset_events()
-    }
-
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        (**self).open_cursor()
-    }
-}
-
-// ---------------------------------------------------------------------
-// File traces: the offset is a byte position.
-// ---------------------------------------------------------------------
-
 /// Bytes a windowed cursor reads per fetch before it grows: above every
 /// learned record of the Table 2 traces (at most 2.3 KB), small enough
 /// that a fetch copies little beyond its record.
 const CURSOR_WINDOW_BYTES: usize = 4096;
 
-/// Offset iteration over a record reader: `step` yields the next record
-/// with its start offset. Iteration ends after the first error.
-fn offset_iter<'a, D: 'a>(
-    mut reader: D,
-    mut step: impl FnMut(&mut D) -> io::Result<Option<(u64, TraceEvent)>> + 'a,
-) -> OffsetEventsIter<'a> {
-    let mut done = false;
-    Box::new(std::iter::from_fn(move || {
-        if done {
-            return None;
-        }
-        let item = step(&mut reader).transpose();
-        done = !matches!(item, Some(Ok(_)));
-        item
-    }))
-}
-
-/// Unmapped binary offset iteration: the block decoder, plus each
-/// record's start offset.
-pub(crate) fn block_offsets<'a, R: Read + 'a>(decoder: BlockDecoder<R>) -> OffsetEventsIter<'a> {
-    offset_iter(decoder, |decoder| {
-        let offset = decoder.offset();
-        Ok(decoder
-            .next_event()?
-            .map(|event| (offset, event.to_owned())))
-    })
-}
-
 /// Decodes the record at byte `pos` of `data` into an owned event; an
 /// offset at or past the end is out of range.
-fn owned_record_at(data: &[u8], mut pos: usize, sources: &mut Vec<u64>) -> io::Result<TraceEvent> {
+pub(crate) fn owned_record_at(
+    data: &[u8],
+    mut pos: usize,
+    sources: &mut Vec<u64>,
+) -> io::Result<TraceEvent> {
     match decode_record(data, &mut pos, sources)? {
         Some(record) => Ok(record.event(sources).to_owned()),
         None => Err(io::Error::new(
@@ -190,22 +82,9 @@ fn owned_record_at(data: &[u8], mut pos: usize, sources: &mut Vec<u64>) -> io::R
     }
 }
 
-/// Positioned reads of an established map: the record decoded in place.
-struct MapCursor<'a> {
-    data: &'a [u8],
-    sources: Vec<u64>,
-}
-
-impl TraceCursor for MapCursor<'_> {
-    fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
-        let pos = usize::try_from(offset).unwrap_or(usize::MAX);
-        owned_record_at(self.data, pos, &mut self.sources)
-    }
-}
-
-/// Positioned reads of an unmapped binary trace: a window read at the
-/// offset into a reused buffer, the record decoded from it, and the
-/// window doubled for a record that outruns it.
+/// Positioned reads of a binary trace file: a window read at the offset
+/// into a reused buffer, the record decoded from it, and the window
+/// doubled for a record that outruns it.
 pub(crate) struct WindowCursor<R> {
     reader: R,
     window: Vec<u8>,
@@ -239,8 +118,9 @@ impl<R: Read + Seek> TraceCursor for WindowCursor<R> {
     }
 }
 
-/// Positioned reads of an ASCII trace: the line at the offset, parsed.
-struct AsciiCursor(BufReader<File>);
+/// Positioned reads of an ASCII trace file: the line at the offset,
+/// parsed.
+pub(crate) struct AsciiCursor(pub(crate) BufReader<File>);
 
 impl TraceCursor for AsciiCursor {
     fn event_at(&mut self, offset: u64) -> io::Result<TraceEvent> {
@@ -258,59 +138,11 @@ impl TraceCursor for AsciiCursor {
     }
 }
 
-impl RandomAccessTrace for FileTrace {
-    fn offset_events(&self) -> io::Result<OffsetEventsIter<'_>> {
-        if let Some(map) = self.established_map() {
-            return Ok(offset_iter(SliceDecoder::new(map.bytes())?, |decoder| {
-                let offset = decoder.offset() as u64;
-                Ok(decoder
-                    .next_event()?
-                    .map(|event| (offset, event.to_owned())))
-            }));
-        }
-        let file = File::open(self.path())?;
-        match self.format() {
-            TraceFormat::Binary => Ok(block_offsets(BlockDecoder::new(file)?)),
-            TraceFormat::Ascii => {
-                let reader = BufReader::with_capacity(READ_BUFFER_BYTES, file);
-                Ok(offset_iter((reader, 0u64), |(reader, pos)| loop {
-                    let start = *pos;
-                    let mut line = String::new();
-                    match reader.read_line(&mut line)? {
-                        0 => return Ok(None),
-                        n => *pos += n as u64,
-                    }
-                    // A comment or blank line parses to no event.
-                    if let Some(event) = crate::AsciiReader::new(io::Cursor::new(&line)).next() {
-                        return Ok(Some((start, event?)));
-                    }
-                }))
-            }
-        }
-    }
-
-    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
-        if let Some(map) = self.established_map() {
-            return Ok(Box::new(MapCursor {
-                data: map.bytes(),
-                sources: Vec::new(),
-            }));
-        }
-        let file = File::open(self.path())?;
-        match self.format() {
-            TraceFormat::Binary => Ok(Box::new(WindowCursor::new(file))),
-            // Deliberately the small default capacity: every `event_at`
-            // seek discards the buffer, so a large one would re-read far
-            // more than the single record being fetched.
-            TraceFormat::Ascii => Ok(Box::new(AsciiCursor(BufReader::new(file)))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsciiWriter, BinaryWriter, TraceSink};
+    use crate::{BinaryWriter, FileTrace, MemorySink, SliceDecoder, TraceMap, TraceSink};
+    use crate::{TraceSource, BINARY_MAGIC};
     use rescheck_cnf::Lit;
     use std::path::PathBuf;
 
@@ -338,12 +170,29 @@ mod tests {
         dir.join(name)
     }
 
-    fn check_random_access(trace: &dyn RandomAccessTrace, expected: &[TraceEvent]) {
-        let pairs: Vec<(u64, TraceEvent)> = trace
-            .offset_events()
-            .unwrap()
-            .collect::<io::Result<_>>()
+    fn write_binary(name: &str) -> PathBuf {
+        let path = tmp_path(name);
+        let mut w = BinaryWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+        for e in sample() {
+            w.event(&e).unwrap();
+        }
+        w.flush().unwrap();
+        path
+    }
+
+    fn offset_pairs(trace: &dyn TraceSource) -> Vec<(u64, TraceEvent)> {
+        let mut pairs = Vec::new();
+        trace
+            .visit_offsets(&mut |offset, event| {
+                pairs.push((offset, event.to_owned()));
+                Ok(())
+            })
             .unwrap();
+        pairs
+    }
+
+    fn check_random_access(trace: &dyn TraceSource, expected: &[TraceEvent]) {
+        let pairs = offset_pairs(trace);
         assert_eq!(pairs.len(), expected.len());
         for ((_, e), want) in pairs.iter().zip(expected) {
             assert_eq!(e, want);
@@ -365,18 +214,13 @@ mod tests {
         let sink: MemorySink = events.clone().into();
         check_random_access(&sink, &events);
         check_random_access(&events, &events);
+        check_random_access(&events.as_slice(), &events);
     }
 
     #[test]
     fn ascii_files_are_random_access() {
+        // Comments interleaved with the records: offsets skip them.
         let path = tmp_path("ra.rt");
-        {
-            let mut w = AsciiWriter::new(std::fs::File::create(&path).unwrap());
-            // Interleave comments to prove offsets skip them.
-            w.event(&sample()[0]).unwrap();
-            w.flush().unwrap();
-        }
-        // Re-write completely with comments via raw text.
         let mut text = String::from("c header comment\n");
         for e in sample() {
             text.push_str(&e.to_string());
@@ -391,49 +235,28 @@ mod tests {
 
     #[test]
     fn binary_files_are_random_access() {
-        let path = tmp_path("ra.rtb");
-        {
-            let mut w = BinaryWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
-            for e in sample() {
-                w.event(&e).unwrap();
-            }
-            w.flush().unwrap();
-        }
+        let path = write_binary("ra.rtb");
         let trace = FileTrace::open(&path).unwrap();
         check_random_access(&trace, &sample());
+        check_random_access(&TraceMap::open(&path).unwrap(), &sample());
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mapped_random_access_matches_positioned_reads() {
-        let path = tmp_path("ra-map.rtb");
-        {
-            let mut w = BinaryWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
-            for e in sample() {
-                w.event(&e).unwrap();
-            }
-            w.flush().unwrap();
-        }
-        let plain = FileTrace::open(&path).unwrap();
-        let mapped = FileTrace::open(&path).unwrap();
-        assert!(mapped.trace_map().is_some());
+        let path = write_binary("ra-map.rtb");
+        let file = FileTrace::open(&path).unwrap();
+        let map = TraceMap::open(&path).unwrap();
 
-        let positioned: Vec<(u64, TraceEvent)> = plain
-            .offset_events()
-            .unwrap()
-            .collect::<io::Result<_>>()
-            .unwrap();
-        let via_map: Vec<(u64, TraceEvent)> = mapped
-            .offset_events()
-            .unwrap()
-            .collect::<io::Result<_>>()
-            .unwrap();
-        assert_eq!(positioned, via_map);
+        // The same offsets from the file's block decoder and from the
+        // map's slice decoder.
+        let positioned = offset_pairs(&file);
+        assert_eq!(positioned, offset_pairs(&map));
 
         // The map cursor and the windowed cursor fetch the same records,
         // and both reject an offset past the end.
-        let mut windowed = plain.open_cursor().unwrap();
-        let mut cursor = mapped.open_cursor().unwrap();
+        let mut windowed = file.open_cursor().unwrap();
+        let mut cursor = map.open_cursor().unwrap();
         for &(offset, ref want) in positioned.iter().rev() {
             assert_eq!(&cursor.event_at(offset).unwrap(), want);
             assert_eq!(&windowed.event_at(offset).unwrap(), want);
@@ -442,12 +265,6 @@ mod tests {
             let err = cursor.event_at(1 << 40).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
-        check_random_access(&mapped, &sample());
-
-        // A clone shares the established map.
-        let clone = mapped.clone();
-        assert!(clone.established_map().is_some());
-        check_random_access(&clone, &sample());
         std::fs::remove_file(&path).ok();
     }
 
@@ -473,10 +290,15 @@ mod tests {
         }
         assert!(bytes.len() > 2 * CURSOR_WINDOW_BYTES);
         let mut cursor = WindowCursor::new(io::Cursor::new(&bytes));
-        let pairs: Vec<(u64, TraceEvent)> =
-            block_offsets(BlockDecoder::with_block_size(io::Cursor::new(&bytes), 64).unwrap())
-                .collect::<io::Result<_>>()
-                .unwrap();
+        let mut pairs = Vec::new();
+        let mut decoder = SliceDecoder::new(&bytes).unwrap();
+        loop {
+            let offset = decoder.offset() as u64;
+            let Some(event) = decoder.next_event().unwrap() else {
+                break;
+            };
+            pairs.push((offset, event.to_owned()));
+        }
         assert_eq!(pairs.len(), 2);
         for (offset, want) in pairs.iter().rev().chain(&pairs) {
             assert_eq!(&cursor.event_at(*offset).unwrap(), want);
@@ -499,11 +321,17 @@ mod tests {
         let mut w = BinaryWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
         w.event(&events[0]).unwrap();
         w.flush().unwrap();
+        // Offset 1 points into the middle of the magic: an error or a
+        // wrong-tag failure, never a panic, from the file and the map.
         let trace = FileTrace::open(&path).unwrap();
-        let mut cursor = trace.open_cursor().unwrap();
-        // Offset 1 points into the middle of the magic/record: either an
-        // error or a wrong-tag failure, never a panic.
-        assert!(cursor.event_at(1).is_err());
+        assert!(trace.open_cursor().unwrap().event_at(1).is_err());
+        let map = TraceMap::open(&path).unwrap();
+        assert!(map.open_cursor().unwrap().event_at(1).is_err());
+        assert!(map
+            .open_cursor()
+            .unwrap()
+            .event_at(BINARY_MAGIC.len() as u64)
+            .is_ok());
         std::fs::remove_file(&path).ok();
     }
 }

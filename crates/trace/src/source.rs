@@ -1,25 +1,31 @@
-//! Re-iterable trace sources for checkers.
+//! The one trace-reading trait, and the sources that stream from memory
+//! and from files.
 
+use crate::random::{AsciiCursor, SliceCursor, WindowCursor};
 use crate::{
-    AsciiReader, BlockDecoder, EventRef, MemorySink, SliceDecoder, TraceEvent, TraceMap,
-    BINARY_MAGIC,
+    AsciiReader, BlockDecoder, EventRef, MemorySink, TraceCursor, TraceEvent, BINARY_MAGIC,
 };
 use rescheck_cnf::READ_BUFFER_BYTES;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
 
 /// Convenience alias: trace reading reports [`io::Error`]s, with parse
 /// problems wrapped as [`io::ErrorKind::InvalidData`].
 pub type ReadTraceError = io::Error;
 
-/// A source of trace events that can be streamed **more than once**.
+/// A source of trace events that can be streamed **more than once** and
+/// read record by record.
 ///
 /// The breadth-first checker makes two passes over the trace — a counting
 /// pass and the resolution pass (paper §3.3) — so a source must be able to
 /// restart. In-memory traces restart trivially; file traces reopen the
-/// file.
+/// file. Every pass is one borrowed stream, [`TraceSource::visit_offsets`]:
+/// each event is lent as an [`EventRef`] together with its *offset* (a
+/// byte position for encoded traces, an index for in-memory ones), which
+/// a [`TraceCursor`] from [`TraceSource::open_cursor`] dereferences — the
+/// random access the paper's "depth-first algorithm for the graph on
+/// disk" needs.
 ///
 /// # Examples
 ///
@@ -28,19 +34,51 @@ pub type ReadTraceError = io::Error;
 ///
 /// let mut sink = MemorySink::new();
 /// sink.final_conflict(3)?;
-/// let pass1 = sink.events_iter()?.count();
-/// let pass2 = sink.events_iter()?.count();
+/// let mut pass1 = 0;
+/// sink.visit_events(&mut |_| {
+///     pass1 += 1;
+///     Ok(())
+/// })?;
+/// let mut pass2 = 0;
+/// sink.visit_events(&mut |_| {
+///     pass2 += 1;
+///     Ok(())
+/// })?;
 /// assert_eq!(pass1, pass2);
 /// # Ok::<(), std::io::Error>(())
 /// ```
 pub trait TraceSource {
-    /// Starts a fresh pass over the events, in emission order.
+    /// Streams every event through `visit` with its offset, in emission
+    /// order. The [`EventRef`] borrows storage the source reuses, valid
+    /// for the one call.
     ///
     /// # Errors
     ///
-    /// Returns an error if the underlying storage cannot be (re)opened.
-    /// Individual items are `Err` when a record is malformed.
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>>;
+    /// Propagates open, read and parse errors, and whatever error `visit`
+    /// returns — the traversal stops at the first `Err`.
+    fn visit_offsets(
+        &self,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()>;
+
+    /// [`TraceSource::visit_offsets`] without the offsets.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceSource::visit_offsets`].
+    fn visit_events(
+        &self,
+        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.visit_offsets(&mut |_, event| visit(event))
+    }
+
+    /// Opens a cursor for reads of single events by offset.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the underlying storage cannot be opened.
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>>;
 
     /// Size of the encoded trace in bytes, when known.
     ///
@@ -48,113 +86,65 @@ pub trait TraceSource {
     fn encoded_size(&self) -> Option<u64> {
         None
     }
+}
 
-    /// Streams every event through `visit` as a borrowed [`EventRef`], in
-    /// emission order.
-    ///
-    /// This is the zero-copy counterpart of [`TraceSource::events_iter`]:
-    /// sources that can avoid it (in-memory slices, binary files through
-    /// [`BlockDecoder`]) hand out views into existing or reused storage
-    /// instead of allocating an owned [`TraceEvent`] per record. The
-    /// default implementation adapts `events_iter`, so implementing it is
-    /// optional.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read/parse errors, and whatever error `visit` returns —
-    /// the traversal stops at the first `Err`.
-    fn visit_events(
+/// An event slice: the offset is the event's index.
+impl TraceSource for [TraceEvent] {
+    fn visit_offsets(
         &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
     ) -> io::Result<()> {
-        for event in self.events_iter()? {
-            let event = event?;
-            visit(event.as_ref())?;
+        for (index, event) in self.iter().enumerate() {
+            visit(index as u64, event.as_ref())?;
         }
         Ok(())
     }
 
-    /// The in-memory byte map of this source, established on first call
-    /// and shared by every subsequent pass.
-    ///
-    /// Only binary file traces have one; everything else (in-memory
-    /// sinks, ASCII files) returns `None` and keeps streaming. `None`
-    /// is also the graceful degradation for maps that cannot be
-    /// established (unreadable file, malformed header): the streaming
-    /// paths then surface the precise error.
-    fn trace_map(&self) -> Option<&TraceMap> {
-        None
-    }
-}
-
-/// Shared zero-copy visit for sources backed by an event slice.
-fn visit_slice(
-    events: &[TraceEvent],
-    visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
-) -> io::Result<()> {
-    for event in events {
-        visit(event.as_ref())?;
-    }
-    Ok(())
-}
-
-impl TraceSource for MemorySink {
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-        Ok(Box::new(self.events().iter().cloned().map(Ok)))
-    }
-
-    fn visit_events(
-        &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        visit_slice(self.events(), visit)
-    }
-}
-
-impl TraceSource for [TraceEvent] {
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-        Ok(Box::new(self.iter().cloned().map(Ok)))
-    }
-
-    fn visit_events(
-        &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        visit_slice(self, visit)
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        Ok(Box::new(SliceCursor(self)))
     }
 }
 
 impl TraceSource for Vec<TraceEvent> {
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-        Ok(Box::new(self.iter().cloned().map(Ok)))
+    fn visit_offsets(
+        &self,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.as_slice().visit_offsets(visit)
     }
 
-    fn visit_events(
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        self.as_slice().open_cursor()
+    }
+}
+
+impl TraceSource for MemorySink {
+    fn visit_offsets(
         &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
     ) -> io::Result<()> {
-        visit_slice(self, visit)
+        self.events().visit_offsets(visit)
+    }
+
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        self.events().open_cursor()
     }
 }
 
 impl<T: TraceSource + ?Sized> TraceSource for &T {
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-        (**self).events_iter()
+    fn visit_offsets(
+        &self,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        (**self).visit_offsets(visit)
+    }
+
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        (**self).open_cursor()
     }
 
     fn encoded_size(&self) -> Option<u64> {
         (**self).encoded_size()
-    }
-
-    fn visit_events(
-        &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        (**self).visit_events(visit)
-    }
-
-    fn trace_map(&self) -> Option<&TraceMap> {
-        (**self).trace_map()
     }
 }
 
@@ -167,21 +157,17 @@ pub enum TraceFormat {
     Binary,
 }
 
-/// A trace stored in a regular file, in either format.
+/// A trace stored in a regular file, in either format, read from disk.
 ///
-/// Without a map, each pass reopens the file, so the breadth-first
-/// checker's two passes never require the whole trace in memory — the
-/// property the paper's breadth-first approach depends on. Once a
-/// checker establishes a [`TraceMap`] via
-/// [`TraceSource::trace_map`], every subsequent pass (streaming,
-/// offset iteration, cursor fetches) reads the map's bytes instead;
-/// clones of the `FileTrace` share the same established map, which is
-/// what lets a daemon's trace cache read a trace once for many jobs.
+/// Each pass reopens the file, so the breadth-first checker's two passes
+/// never require the whole trace in memory — the property the paper's
+/// breadth-first approach depends on. Offsets are byte positions: of the
+/// record in a binary trace, of the record's line in an ASCII one. A
+/// [`crate::TraceMap`] is the same binary trace read into memory once.
 #[derive(Clone, Debug)]
 pub struct FileTrace {
     path: PathBuf,
     format: TraceFormat,
-    map: OnceLock<Option<Arc<TraceMap>>>,
 }
 
 impl FileTrace {
@@ -203,11 +189,7 @@ impl FileTrace {
         } else {
             TraceFormat::Ascii
         };
-        Ok(FileTrace {
-            path,
-            format,
-            map: OnceLock::new(),
-        })
+        Ok(FileTrace { path, format })
     }
 
     /// Opens a trace file with an explicit format (no sniffing).
@@ -215,7 +197,6 @@ impl FileTrace {
         FileTrace {
             path: path.as_ref().to_path_buf(),
             format,
-            map: OnceLock::new(),
         }
     }
 
@@ -228,80 +209,65 @@ impl FileTrace {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// The already-established map, if any — never establishes one.
-    pub(crate) fn established_map(&self) -> Option<&TraceMap> {
-        self.map.get().and_then(|m| m.as_deref())
-    }
 }
 
 impl TraceSource for FileTrace {
-    fn events_iter(&self) -> io::Result<Box<dyn Iterator<Item = io::Result<TraceEvent>> + '_>> {
-        if let Some(map) = self.established_map() {
-            let mut decoder = SliceDecoder::new(map.bytes())?;
-            return Ok(Box::new(std::iter::from_fn(move || {
-                match decoder.next_event() {
-                    Ok(Some(event)) => Some(Ok(event.to_owned())),
-                    Ok(None) => None,
-                    Err(e) => Some(Err(e)),
-                }
-            })));
-        }
+    fn visit_offsets(
+        &self,
+        visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
         let file = File::open(&self.path)?;
         match self.format {
-            TraceFormat::Ascii => Ok(Box::new(AsciiReader::new(BufReader::with_capacity(
-                READ_BUFFER_BYTES,
-                file,
-            )))),
+            TraceFormat::Ascii => visit_ascii(
+                AsciiReader::new(BufReader::with_capacity(READ_BUFFER_BYTES, file)),
+                visit,
+            ),
             // The block decoder buffers internally, so the file handle is
             // passed through unwrapped.
-            TraceFormat::Binary => Ok(Box::new(BlockDecoder::new(file)?.into_events())),
+            TraceFormat::Binary => visit_binary(BlockDecoder::new(file)?, visit),
+        }
+    }
+
+    fn open_cursor(&self) -> io::Result<Box<dyn TraceCursor + '_>> {
+        let file = File::open(&self.path)?;
+        match self.format {
+            TraceFormat::Binary => Ok(Box::new(WindowCursor::new(file))),
+            // Deliberately the small default capacity: every `event_at`
+            // seek discards the buffer, so a large one would re-read far
+            // more than the single record being fetched.
+            TraceFormat::Ascii => Ok(Box::new(AsciiCursor(BufReader::new(file)))),
         }
     }
 
     fn encoded_size(&self) -> Option<u64> {
         std::fs::metadata(&self.path).ok().map(|m| m.len())
     }
+}
 
-    fn visit_events(
-        &self,
-        visit: &mut dyn FnMut(EventRef<'_>) -> io::Result<()>,
-    ) -> io::Result<()> {
-        match self.format {
-            // ASCII parsing allocates per line anyway; reuse the iterator.
-            TraceFormat::Ascii => {
-                for event in self.events_iter()? {
-                    let event = event?;
-                    visit(event.as_ref())?;
-                }
-                Ok(())
-            }
-            TraceFormat::Binary => {
-                if let Some(map) = self.established_map() {
-                    let mut decoder = SliceDecoder::new(map.bytes())?;
-                    while let Some(event) = decoder.next_event()? {
-                        visit(event)?;
-                    }
-                    return Ok(());
-                }
-                let mut decoder = BlockDecoder::new(File::open(&self.path)?)?;
-                while let Some(event) = decoder.next_event()? {
-                    visit(event)?;
-                }
-                Ok(())
-            }
-        }
+/// Streams an ASCII trace through `visit`, each event with the byte
+/// offset of its line.
+fn visit_ascii<R: BufRead>(
+    mut reader: AsciiReader<R>,
+    visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+) -> io::Result<()> {
+    while let Some((offset, event)) = reader.next_event()? {
+        visit(offset, event)?;
     }
+    Ok(())
+}
 
-    fn trace_map(&self) -> Option<&TraceMap> {
-        if self.format != TraceFormat::Binary {
-            return None;
-        }
-        // Failure caches None: callers fall back to the streaming
-        // paths, which report the precise error.
-        self.map
-            .get_or_init(|| TraceMap::open(&self.path).ok().map(Arc::new))
-            .as_deref()
+/// Streams a binary trace through `visit`, each event with the byte
+/// offset of its record.
+pub(crate) fn visit_binary<R: Read>(
+    mut decoder: BlockDecoder<R>,
+    visit: &mut dyn FnMut(u64, EventRef<'_>) -> io::Result<()>,
+) -> io::Result<()> {
+    loop {
+        let offset = decoder.offset();
+        let Some(event) = decoder.next_event()? else {
+            return Ok(());
+        };
+        visit(offset, event)?;
     }
 }
 
@@ -332,7 +298,12 @@ pub fn require_regular_file(path: &Path) -> io::Result<()> {
 ///
 /// Propagates the first read or parse error.
 pub fn collect_events<S: TraceSource + ?Sized>(source: &S) -> io::Result<Vec<TraceEvent>> {
-    source.events_iter()?.collect()
+    let mut events = Vec::new();
+    source.visit_events(&mut |event| {
+        events.push(event.to_owned());
+        Ok(())
+    })?;
+    Ok(events)
 }
 
 /// Reads a whole trace from any [`BufRead`] in the given format.
@@ -341,16 +312,22 @@ pub fn collect_events<S: TraceSource + ?Sized>(source: &S) -> io::Result<Vec<Tra
 ///
 /// Propagates read and parse errors.
 pub fn read_all<R: BufRead>(reader: R, format: TraceFormat) -> io::Result<Vec<TraceEvent>> {
+    let mut events = Vec::new();
+    let mut push = |_, event: EventRef<'_>| {
+        events.push(event.to_owned());
+        Ok(())
+    };
     match format {
-        TraceFormat::Ascii => AsciiReader::new(reader).collect(),
-        TraceFormat::Binary => BlockDecoder::new(reader)?.into_events().collect(),
+        TraceFormat::Ascii => visit_ascii(AsciiReader::new(reader), &mut push)?,
+        TraceFormat::Binary => visit_binary(BlockDecoder::new(reader)?, &mut push)?,
     }
+    Ok(events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsciiWriter, BinaryWriter, TraceSink};
+    use crate::{AsciiWriter, BinaryWriter, TraceMap, TraceSink};
     use rescheck_cnf::Lit;
 
     fn sample() -> Vec<TraceEvent> {
@@ -490,8 +467,31 @@ mod tests {
         events
     }
 
+    fn write_file(name: &str, format: TraceFormat, events: &[TraceEvent]) -> PathBuf {
+        let path = tmp_path(name);
+        let mut bytes = Vec::new();
+        match format {
+            TraceFormat::Ascii => {
+                let mut w = AsciiWriter::new(&mut bytes);
+                for e in events {
+                    w.event(e).unwrap();
+                }
+            }
+            TraceFormat::Binary => {
+                let mut w = BinaryWriter::new(&mut bytes).unwrap();
+                for e in events {
+                    w.event(e).unwrap();
+                }
+            }
+        }
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
     #[test]
     fn visit_events_matches_owned_iterator_on_all_sources() {
+        // Every source's borrowed stream yields what the owned readers
+        // decode from the same encoding.
         let events = sample();
         let sink: MemorySink = events.clone().into();
         assert_eq!(visit_all(&sink), events);
@@ -503,66 +503,66 @@ mod tests {
             ("visit.txt", TraceFormat::Ascii),
             ("visit.rtb", TraceFormat::Binary),
         ] {
-            let path = tmp_path(name);
-            let file = File::create(&path).unwrap();
-            match format {
-                TraceFormat::Ascii => {
-                    let mut w = AsciiWriter::new(file);
-                    for e in &events {
-                        w.event(e).unwrap();
-                    }
-                    w.flush().unwrap();
-                }
-                TraceFormat::Binary => {
-                    let mut w = BinaryWriter::new(file).unwrap();
-                    for e in &events {
-                        w.event(e).unwrap();
-                    }
-                    w.flush().unwrap();
-                }
-            }
+            let path = write_file(name, format, &events);
+            let owned = read_all(BufReader::new(File::open(&path).unwrap()), format).unwrap();
+            assert_eq!(owned, events, "{format:?}");
             let trace = FileTrace::open(&path).unwrap();
             assert_eq!(trace.format(), format);
-            assert_eq!(visit_all(&trace), events, "{format:?}");
-            assert_eq!(collect_events(&trace).unwrap(), events, "{format:?}");
+            assert_eq!(visit_all(&trace), owned, "{format:?}");
+            assert_eq!(collect_events(&trace).unwrap(), owned, "{format:?}");
+            if format == TraceFormat::Binary {
+                assert_eq!(visit_all(&TraceMap::open(&path).unwrap()), owned);
+            }
             std::fs::remove_file(&path).ok();
         }
     }
 
     #[test]
     fn established_map_matches_streaming_decode() {
-        let path = tmp_path("mapped.rtb");
-        {
-            let file = File::create(&path).unwrap();
-            let mut w = BinaryWriter::new(file).unwrap();
-            for e in &sample() {
-                w.event(e).unwrap();
-            }
-            w.flush().unwrap();
-        }
+        let path = write_file("mapped.rtb", TraceFormat::Binary, &sample());
         let trace = FileTrace::open(&path).unwrap();
-        assert!(trace.established_map().is_none());
-        // ASCII traces and repeated calls behave.
-        let map = trace.trace_map().expect("binary file trace maps");
+        let map = TraceMap::open(&path).unwrap();
         assert_eq!(map.bytes(), std::fs::read(&path).unwrap().as_slice());
-        assert_eq!(map.accounted_bytes(), trace.encoded_size().unwrap());
+        assert_eq!(map.encoded_size(), trace.encoded_size());
         assert!(!map.is_mmap());
-        assert!(trace.trace_map().is_some());
-        assert_eq!(collect_events(&trace).unwrap(), sample());
-        assert_eq!(visit_all(&trace), sample());
+        let offsets = |source: &dyn TraceSource| {
+            let mut pairs = Vec::new();
+            source
+                .visit_offsets(&mut |offset, event| {
+                    pairs.push((offset, event.to_owned()));
+                    Ok(())
+                })
+                .unwrap();
+            pairs
+        };
+        assert_eq!(offsets(&map), offsets(&trace));
+        assert_eq!(visit_all(&map), sample());
 
         // The map holds its own copy: truncating the file afterwards
-        // changes nothing a pass over the trace sees.
+        // changes nothing a pass over the map sees, while the file
+        // trace reads the cut file.
         std::fs::write(&path, BINARY_MAGIC).unwrap();
-        assert_eq!(collect_events(&trace).unwrap(), sample());
-        assert_eq!(visit_all(&trace), sample());
+        assert_eq!(visit_all(&map), sample());
+        assert_eq!(visit_all(&trace), Vec::new());
         std::fs::remove_file(&path).ok();
+    }
 
-        let ascii = tmp_path("mapped.txt");
-        std::fs::write(&ascii, "f 1\n").unwrap();
-        let trace = FileTrace::open(&ascii).unwrap();
-        assert!(trace.trace_map().is_none());
-        std::fs::remove_file(&ascii).ok();
+    #[test]
+    fn ascii_offsets_are_line_starts_and_errors_name_the_line() {
+        let path = tmp_path("lines.txt");
+        std::fs::write(&path, "c header\nr 4 2 0 1\n\nf 4\nf 4 9\n").unwrap();
+        let trace = FileTrace::open(&path).unwrap();
+        let mut offsets = Vec::new();
+        let err = trace
+            .visit_offsets(&mut |offset, _| {
+                offsets.push(offset);
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(offsets, vec![9, 20]);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "trace line 5: trailing tokens in f record");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use rescheck_cnf::{Lit, SplitMix64};
 use rescheck_trace::{
     mutate, read_all, AsciiWriter, BinaryReader, BinaryWriter, BlockDecoder, FileTrace, MemorySink,
-    RandomAccessTrace, SliceDecoder, TraceEvent, TraceFormat, TraceSink, TraceSource, BINARY_MAGIC,
+    SliceDecoder, TraceEvent, TraceFormat, TraceMap, TraceSink, TraceSource, BINARY_MAGIC,
 };
 use std::cell::Cell;
 use std::io::{self, Read};
@@ -92,19 +92,10 @@ fn memory_random_access_matches_streaming() {
         let mut rng = SplitMix64::new(seed);
         let events = random_events(&mut rng, 1, 30);
         let sink: MemorySink = events.clone().into();
-        let pairs: Vec<(u64, TraceEvent)> = sink
-            .offset_events()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        let streamed: Vec<TraceEvent> = sink
-            .events_iter()
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let pairs = offset_pairs(&sink).unwrap();
         assert_eq!(
             pairs.iter().map(|(_, e)| e.clone()).collect::<Vec<_>>(),
-            streamed,
+            events,
             "seed {seed}"
         );
         let mut cursor = sink.open_cursor().unwrap();
@@ -112,6 +103,16 @@ fn memory_random_access_matches_streaming() {
             assert_eq!(cursor.event_at(offset).unwrap(), event, "seed {seed}");
         }
     }
+}
+
+/// Every `(offset, event)` pair of one pass over `source`.
+fn offset_pairs(source: &dyn TraceSource) -> io::Result<Vec<(u64, TraceEvent)>> {
+    let mut pairs = Vec::new();
+    source.visit_offsets(&mut |offset, event| {
+        pairs.push((offset, event.to_owned()));
+        Ok(())
+    })?;
+    Ok(pairs)
 }
 
 /// Decoding truncated binary never panics; it errors or yields a
@@ -205,9 +206,12 @@ fn slice_decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
 }
 
 fn block_decode(bytes: &[u8]) -> io::Result<Vec<TraceEvent>> {
-    BlockDecoder::with_block_size(bytes, 16)?
-        .into_events()
-        .collect()
+    let mut decoder = BlockDecoder::with_block_size(bytes, 16)?;
+    let mut out = Vec::new();
+    while let Some(event) = decoder.next_event()? {
+        out.push(event.to_owned());
+    }
+    Ok(out)
 }
 
 /// Compares one reader's result with the reference's events and error
@@ -229,10 +233,10 @@ fn assert_matches<T: PartialEq + std::fmt::Debug>(
 
 /// Differential fuzz of every shipped binary reader: each [`mutate`]
 /// operator applied to each seeded trace must draw from the slice
-/// decoder, the block decoder (16-byte blocks), a file trace's offset
-/// iterator and its windowed cursor the same events and the same error
-/// kind and message as from the independent [`BinaryReader`] — and
-/// none may panic.
+/// decoder, the block decoder (16-byte blocks), the offset visits of a
+/// file trace and of its in-memory [`TraceMap`], and the windowed and
+/// map cursors the same events and the same error kind and message as
+/// from the independent [`BinaryReader`] — and none may panic.
 #[test]
 fn mutants_decode_identically_mapped_and_buffered() {
     let path =
@@ -258,24 +262,23 @@ fn mutants_decode_identically_mapped_and_buffered() {
             std::fs::write(&path, bytes).unwrap();
             let trace = FileTrace::open(&path).unwrap();
             assert_eq!(trace.format(), TraceFormat::Binary);
-            let offsets = trace
-                .offset_events()
-                .and_then(|iter| iter.collect::<io::Result<Vec<_>>>());
-            assert_matches((&pairs, &error), offsets, &what("offsets"));
-            let mut cursor = trace.open_cursor().unwrap();
-            for (offset, event) in &pairs {
-                assert_eq!(
-                    &cursor.event_at(*offset).unwrap(),
-                    event,
-                    "{}",
-                    what("cursor")
-                );
-            }
-            if let Some((offset, want)) = &error {
-                assert!(*offset >= BINARY_MAGIC.len() as u64);
-                let got = cursor.event_at(*offset).unwrap_err();
-                assert_eq!(want.kind(), got.kind(), "{}", what("cursor"));
-                assert_eq!(want.to_string(), got.to_string(), "{}", what("cursor"));
+            let map = TraceMap::open(&path).unwrap();
+            let sources: [(&str, &dyn TraceSource); 2] = [("file", &trace), ("map", &map)];
+            for (name, source) in sources {
+                let offsets = offset_pairs(source);
+                assert_matches((&pairs, &error), offsets, &what(&format!("{name} offsets")));
+                let mut cursor = source.open_cursor().unwrap();
+                for (offset, event) in &pairs {
+                    let got = cursor.event_at(*offset).unwrap();
+                    assert_eq!(&got, event, "{}", what(&format!("{name} cursor")));
+                }
+                if let Some((offset, want)) = &error {
+                    assert!(*offset >= BINARY_MAGIC.len() as u64);
+                    let got = cursor.event_at(*offset).unwrap_err();
+                    let what = what(&format!("{name} cursor"));
+                    assert_eq!(want.kind(), got.kind(), "{what}");
+                    assert_eq!(want.to_string(), got.to_string(), "{what}");
+                }
             }
         }
     }

@@ -86,9 +86,9 @@ USAGE:
                  bit-identical stats for any worker count — --jobs 0 =
                  auto; pbf and parallel-bf are accepted as names for
                  pdag)
-                 (dfd and portfolio read a binary file trace into
-                 memory once and decode it in place; the other
-                 strategies, pdag included, stream it)
+                 (no strategy copies a trace file into memory: each
+                 reads it from disk, so its stat line is the same for
+                 an ASCII file, a binary file and stdin)
                  [--proof-format native|drat|drup|lrat]
                  (native is the resolve-trace format above; drat/drup and
                  lrat ingest a clausal proof instead, re-deriving a
