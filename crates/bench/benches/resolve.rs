@@ -2,21 +2,27 @@
 //! [`ResolutionKernel`] against the sorted-merge oracle
 //! ([`resolve_sorted`]) on synthetic resolution chains.
 //!
-//! The chain shape stresses exactly what separates the two: each
-//! antecedent resolves away one pivot and deposits `width` fresh
-//! literals, so the accumulator grows linearly with chain length. The
-//! sorted-merge fold re-materializes the whole accumulator every step —
-//! O(k·|acc|) total work — while the kernel touches each antecedent
-//! literal once and materializes the resolvent once, O(L) total.
+//! Four rows stress what separates the two: each antecedent resolves
+//! away one pivot and deposits `width` fresh literals, so the
+//! accumulator grows linearly with chain length. The sorted-merge fold
+//! re-materializes the whole accumulator every step — O(k·|acc|) total
+//! work — while the kernel touches each antecedent literal once and
+//! materializes the resolvent once, O(L) total.
+//!
+//! The fifth row is shaped like a real trace instead, and so measures
+//! the kernel's per-literal cost: a `7pipe` chain averages 85 sources of
+//! about 4 literals, most of them clashing or merging, into a resolvent
+//! of about 60 literals over a large variable space.
 //!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
-//! one row per scenario plus the kernel/oracle speedup, for the CI
+//! one row per scenario (its medians time all of the scenario's chains)
+//! plus the kernel/oracle speedup and the core count, for the CI
 //! bench-smoke job (which checks shape, never timing).
 
 use rescheck_bench::micro::bench;
 use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
 use rescheck_checker::{normalize_literals, resolve_sorted, ResolutionKernel};
-use rescheck_cnf::Lit;
+use rescheck_cnf::{Lit, SplitMix64, Var};
 use rescheck_obs::Json;
 use std::path::Path;
 
@@ -67,6 +73,47 @@ fn make_chain(k: usize, width: usize, stride: i64) -> Chain {
     }
 }
 
+/// A chain shaped like a real trace's: a 60-literal seed, then `k`
+/// antecedents of 4 literals — one clash, two merges and one fresh
+/// literal each — so the accumulator stays 60 literals wide, over
+/// variables scattered across 20,000. `seed` picks the chain; the row
+/// cycles through many, as a check does, so no branch pattern repeats
+/// from one chain to the next.
+fn make_trace_shaped(k: usize, seed: u64) -> Chain {
+    let mut rng = SplitMix64::new(seed);
+    let mut used = vec![false; 20_000];
+    let mut fresh = |rng: &mut SplitMix64| loop {
+        let v = rng.range_usize(1..used.len());
+        if !used[v] {
+            used[v] = true;
+            return Var::new(v).lit(rng.gen_bool(0.5));
+        }
+    };
+    let seed: Vec<Lit> = (0..60).map(|_| fresh(&mut rng)).collect();
+    let mut acc = seed.clone();
+    let mut ants = Vec::with_capacity(k);
+    for _ in 0..k {
+        let pivot = acc.swap_remove(rng.range_usize(0..acc.len()));
+        let deposit = fresh(&mut rng);
+        let mut lits = vec![!pivot, deposit];
+        while lits.len() < 4 {
+            let merge = acc[rng.range_usize(0..acc.len())];
+            if !lits.contains(&merge) {
+                lits.push(merge);
+            }
+        }
+        acc.push(deposit);
+        ants.push(normalize_literals(lits));
+    }
+    Chain {
+        name: format!("trace{k}x4"),
+        antecedents: k,
+        width: 4,
+        seed: normalize_literals(seed),
+        ants,
+    }
+}
+
 fn run_oracle(chain: &Chain) -> Vec<Lit> {
     let mut acc = chain.seed.clone();
     for ant in &chain.ants {
@@ -88,42 +135,50 @@ fn main() {
     let json_path = take_json_flag(&mut args);
 
     // Long chains with narrow and wide clauses: the acceptance scenario
-    // (≥ 64 antecedents) plus a longer and a wider variant, and a
-    // scattered-variable variant whose mark store exceeds the fast
-    // caches.
-    let scenarios = [
-        (64usize, 8usize, 1i64),
-        (256, 8, 1),
-        (64, 32, 1),
-        (256, 8, 512),
+    // (≥ 64 antecedents) plus a longer and a wider variant, a
+    // scattered-variable variant whose stamp store exceeds the fast
+    // caches, and 256 distinct trace-shaped chains timed together.
+    let scenarios: [Vec<Chain>; 5] = [
+        vec![make_chain(64, 8, 1)],
+        vec![make_chain(256, 8, 1)],
+        vec![make_chain(64, 32, 1)],
+        vec![make_chain(256, 8, 512)],
+        (0..256).map(|seed| make_trace_shaped(85, seed)).collect(),
     ];
     let mut rows: Vec<Json> = Vec::new();
     let mut kernel = ResolutionKernel::new();
 
-    for (k, width, stride) in scenarios {
-        let chain = make_chain(k, width, stride);
+    for chains in &scenarios {
         // Sanity: both paths agree before anything is timed.
-        let expected = run_oracle(&chain);
-        kernel.begin(&chain.seed);
-        for ant in &chain.ants {
-            kernel.fold(ant).expect("chain resolves");
+        let expected: Vec<Vec<Lit>> = chains.iter().map(run_oracle).collect();
+        for (chain, want) in chains.iter().zip(&expected) {
+            kernel.begin(&chain.seed);
+            for ant in &chain.ants {
+                kernel.fold(ant).expect("chain resolves");
+            }
+            assert_eq!(kernel.finish(), want.as_slice(), "{}", chain.name);
         }
-        assert_eq!(kernel.finish(), expected.as_slice(), "{}", chain.name);
 
-        let oracle = bench(&format!("resolve/oracle/{}", chain.name), || {
-            std::hint::black_box(run_oracle(&chain));
+        let name = &chains[0].name;
+        let oracle = bench(&format!("resolve/oracle/{name}"), || {
+            for chain in chains {
+                std::hint::black_box(run_oracle(chain));
+            }
         });
-        let kernel_summary = bench(&format!("resolve/kernel/{}", chain.name), || {
-            std::hint::black_box(run_kernel(&mut kernel, &chain));
+        let kernel_summary = bench(&format!("resolve/kernel/{name}"), || {
+            for chain in chains {
+                std::hint::black_box(run_kernel(&mut kernel, chain));
+            }
         });
         let speedup = oracle.median.as_secs_f64() / kernel_summary.median.as_secs_f64().max(1e-12);
-        println!("resolve/speedup/{}: {speedup:.2}x", chain.name);
+        println!("resolve/speedup/{name}: {speedup:.2}x");
 
         let mut row = Json::object();
-        row.set("name", chain.name.as_str())
-            .set("antecedents", chain.antecedents)
-            .set("width", chain.width)
-            .set("resolvent_len", expected.len())
+        row.set("name", name.as_str())
+            .set("chains", chains.len())
+            .set("antecedents", chains[0].antecedents)
+            .set("width", chains[0].width)
+            .set("resolvent_len", expected[0].len())
             .set("oracle_median_seconds", oracle.median.as_secs_f64())
             .set("kernel_median_seconds", kernel_summary.median.as_secs_f64())
             .set("speedup", speedup);
@@ -134,6 +189,12 @@ fn main() {
         let mut doc = Json::object();
         doc.set("schema", SCHEMA)
             .set("command", "bench:resolve")
+            .set(
+                "available_parallelism",
+                std::thread::available_parallelism()
+                    .map(|n| n.get() as u64)
+                    .unwrap_or(1),
+            )
             .set("rows", Json::Array(rows));
         write_json(Path::new(&path), &doc).expect("write json");
         println!("wrote {path}");

@@ -640,6 +640,120 @@ mod tests {
         }
     }
 
+    /// The stat line without its trailing wall-clock time and its peak.
+    fn work_line(outcome: &CheckOutcome) -> String {
+        let line = outcome.stats.to_string();
+        line[..line.find(", peak").unwrap()].to_string()
+    }
+
+    /// `events` with every learned id rewritten through `to`: records,
+    /// resolve sources, level-0 antecedents and final conflicts.
+    fn renumbered(
+        events: &[TraceEvent],
+        num_original: u64,
+        to: &dyn Fn(u64) -> u64,
+    ) -> Vec<TraceEvent> {
+        let map = |id: u64| if id < num_original { id } else { to(id) };
+        events
+            .iter()
+            .map(|event| match event {
+                TraceEvent::Learned { id, sources } => TraceEvent::Learned {
+                    id: map(*id),
+                    sources: sources.iter().map(|&s| map(s)).collect(),
+                },
+                TraceEvent::LevelZero { lit, antecedent } => TraceEvent::LevelZero {
+                    lit: *lit,
+                    antecedent: map(*antecedent),
+                },
+                TraceEvent::FinalConflict { id } => TraceEvent::FinalConflict { id: map(*id) },
+            })
+            .collect()
+    }
+
+    /// A trace whose learned ids break the sequence `n, n + 1, …` is
+    /// renumbered through one map: its twins with gaps, with ids past
+    /// 2^62 and with ids in descending order check exactly like the dense
+    /// original under all six strategies. Their peaks carry the map's
+    /// per-record charge and nothing that depends on an id's value.
+    #[test]
+    fn renumbered_twins_check_like_the_dense_trace() {
+        // The pigeonhole principle, 6 pigeons into 5 holes.
+        let mut cnf = Cnf::new();
+        let var = |p: i64, h: i64| p * 5 + h + 1;
+        for p in 0..6 {
+            cnf.add_dimacs_clause(&(0..5).map(|h| var(p, h)).collect::<Vec<_>>());
+        }
+        for h in 0..5 {
+            for p1 in 0..6 {
+                for p2 in p1 + 1..6 {
+                    cnf.add_dimacs_clause(&[-var(p1, h), -var(p2, h)]);
+                }
+            }
+        }
+        let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
+        let mut sink = MemorySink::new();
+        assert!(solver.solve_traced(&mut sink).unwrap().is_unsat());
+        let dense = sink.into_events();
+        let n = cnf.num_clauses() as u64;
+        let learned = dense
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Learned { .. }))
+            .count() as u64;
+        assert!(learned > 100, "a fixture with real work: {learned} learned");
+        let twins: [(&str, &dyn Fn(u64) -> u64); 3] = [
+            ("gaps", &|id| n + 3 * (id - n) + 1),
+            ("past 2^62", &|id| (1 << 62) + 7 * (id - n)),
+            ("descending", &|id| n + 2 * learned - (id - n)),
+        ];
+        let config = CheckConfig {
+            jobs: 2,
+            ..CheckConfig::default()
+        };
+        for strategy in ALL_STRATEGIES {
+            let base = check_unsat_claim(&cnf, &dense, strategy, &config).unwrap();
+            let mut peaks = Vec::new();
+            for (name, to) in twins {
+                let twin = renumbered(&dense, n, to);
+                let outcome = check_unsat_claim(&cnf, &twin, strategy, &config)
+                    .unwrap_or_else(|e| panic!("{strategy} on the {name} twin: {e}"));
+                assert_eq!(work_line(&outcome), work_line(&base), "{strategy}, {name}");
+                assert_eq!(outcome.core, base.core, "{strategy}, {name}");
+                let (peak, base_peak) = (
+                    outcome.stats.peak_memory_bytes,
+                    base.stats.peak_memory_bytes,
+                );
+                assert!(
+                    base_peak <= peak
+                        && peak <= base_peak + learned * crate::memory::RENUMBER_ENTRY_BYTES,
+                    "{strategy}, {name}: peak {peak} against {base_peak}"
+                );
+                peaks.push(peak);
+            }
+            assert!(
+                peaks.windows(2).all(|w| w[0] == w[1]),
+                "{strategy}: {peaks:?}"
+            );
+        }
+
+        // A duplicated id in a renumbered twin is still the first error.
+        let mut twin = renumbered(&dense, n, &|id| (1 << 62) + 7 * (id - n));
+        let (at, copy) = twin
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| matches!(e, TraceEvent::Learned { .. }))
+            .nth(20)
+            .map(|(i, e)| (i, e.clone()))
+            .unwrap();
+        let TraceEvent::Learned { id, .. } = copy else {
+            unreachable!()
+        };
+        twin.insert(at + 30, copy);
+        assert_eq!(
+            unanimous(&cnf, twin.as_slice(), &config),
+            format!("proof-defect: learned clause #{id} is defined twice")
+        );
+    }
+
     #[test]
     fn bad_source_counts_get_one_diagnostic_on_every_path() {
         let (cnf, _) = unsat_fixture();

@@ -105,7 +105,9 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// (`check:pass1`, `check:resolve`, `final-phase`, and hybrid's
 /// `check:walk` between the first two) nested under a
 /// per-strategy span (`check:df`, `check:bf`, `check:hybrid`,
-/// `check:portfolio`, `check:dfd`, `check:pdag`), resolution-shape
+/// `check:portfolio`, `check:dfd`, `check:pdag`); clauses the depth-first
+/// walk builds on demand inside the final phase are timed as one
+/// `check:resolve` span within `final-phase`. Also resolution-shape
 /// histograms (`check.resolve.chain_len` — resolve sources per learned
 /// clause — and `check.resolve.clause_len` — literals in each stored
 /// resolvent), progress heartbeats
@@ -113,7 +115,7 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// `check.use_count_entries`, `check.peak_memory_bytes`), plus the
 /// resolution hot path's own accounting: `check.kernel.chains`,
 /// `check.kernel.literals_folded`, `check.kernel.scratch_grows`,
-/// `check.kernel.scratch_high_water` from the mark-array
+/// `check.kernel.scratch_high_water` from the literal-stamp
 /// [`ResolutionKernel`](crate::kernel::ResolutionKernel), and
 /// `check.arena.bytes`, `check.arena.reuse_hits` from the arena clause
 /// store (`scratch_grows` stalling at a constant while `chains` keeps
@@ -124,8 +126,8 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// clause built); like every strategy, it reads the trace through the
 /// source it is given and charges no copy of it.
 /// [`Strategy::ParallelDag`] streams the trace like breadth-first, builds
-/// its dependency graph in a `check:dag-build` phase between
-/// `check:pass1` and `check:resolve`, and reports the graph's
+/// its dependency graph during its pass 1, timed as a `check:dag-build`
+/// phase before `check:resolve`, and reports the graph's
 /// parallelism bound: `check.dag.work` (resolutions over all learned
 /// clauses) and `check.dag.span` (the most resolutions on one dependency
 /// path), beside `check.jobs` and the executor's per-worker histograms.

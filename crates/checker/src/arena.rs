@@ -4,8 +4,9 @@
 //! `Rc<[Lit]>` behind a SipHash `HashMap` — one heap allocation, one
 //! refcount, and pointer-chasing cache misses per clause. The arena
 //! replaces that with one flat `Vec<Lit>` holding all resident clauses
-//! back to back, plus a dense id → (offset, len) index, so fetching a
-//! clause is a hash probe and a contiguous slice.
+//! back to back, plus a slot table indexed by the clause's dense id
+//! ([`crate::ids`]), so fetching a clause is one indexed load and a
+//! contiguous slice.
 //!
 //! The breadth-first strategy's defining trick — freeing a clause the
 //! moment its use count hits zero — maps onto a **free list of extents**:
@@ -16,11 +17,11 @@
 //! Accounting: the [`MemoryMeter`] is charged in whole
 //! [`ARENA_PAGE_BYTES`] pages as the literal tail grows (never refunded —
 //! an arena retains its capacity) plus [`ARENA_SLOT_BYTES`] per resident
-//! slot (refunded on removal). Both charges are pure functions of the
+//! clause (refunded on removal). Both charges are pure functions of the
 //! insert/remove sequence, preserving the bit-identical-stats guarantee
-//! across `--jobs` values.
+//! across `--jobs` values. The slot table itself, 8 bytes per learned
+//! clause, is charged by each engine's per-clause bookkeeping.
 
-use crate::fxhash::FxHashMap;
 use crate::memory::{MemoryMeter, ARENA_PAGE_BYTES, ARENA_SLOT_BYTES};
 use crate::CheckError;
 use rescheck_cnf::Lit;
@@ -33,7 +34,14 @@ struct Slot {
     len: u32,
 }
 
-/// A flat clause store indexed by trace clause id.
+/// The slot of a clause that is not resident: no clause is `u32::MAX`
+/// literals long.
+const ABSENT: Slot = Slot {
+    offset: 0,
+    len: u32::MAX,
+};
+
+/// A flat clause store indexed by learned-clause table index.
 ///
 /// Offsets are `u32`, capping the arena at 4 Gi literals — far beyond
 /// the accounting budgets any strategy runs with.
@@ -41,8 +49,10 @@ struct Slot {
 pub(crate) struct ClauseArena {
     /// All resident clauses' literals, back to back.
     lits: Vec<Lit>,
-    /// id → slot index for resident clauses.
-    slots: FxHashMap<u64, Slot>,
+    /// Table index → slot; [`ABSENT`] for clauses not resident.
+    slots: Vec<Slot>,
+    /// Resident clauses.
+    resident: usize,
     /// Free extents, keyed by length → start offsets (LIFO per length).
     free: BTreeMap<u32, Vec<u32>>,
     /// Literal-page bytes already charged to the meter.
@@ -58,8 +68,12 @@ fn page_bytes(lit_count: usize) -> u64 {
 }
 
 impl ClauseArena {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// An empty arena over `learned` learned clauses.
+    #[cfg(test)]
+    pub(crate) fn new(learned: usize) -> Self {
+        let mut arena = Self::default();
+        arena.reset(learned);
+        arena
     }
 
     /// Stores `clause` under `id`, charging the meter for any new pages
@@ -70,11 +84,11 @@ impl ClauseArena {
     /// extent is split and its remainder returned to the free list.
     pub(crate) fn insert(
         &mut self,
-        id: u64,
+        index: usize,
         clause: &[Lit],
         meter: &mut MemoryMeter,
     ) -> Result<(), CheckError> {
-        debug_assert!(!self.slots.contains_key(&id), "duplicate arena id {id}");
+        debug_assert!(!self.contains(index), "clause {index} stored twice");
         let len = clause.len() as u32;
         let reuse = len > 0 && self.free.range(len..).next().is_some();
         let pages = if reuse {
@@ -102,27 +116,32 @@ impl ClauseArena {
                 self.lits.len() as u32 - len
             }
         };
-        self.slots.insert(id, Slot { offset, len });
+        self.slots[index] = Slot { offset, len };
+        self.resident += 1;
         Ok(())
     }
 
-    /// Returns the clause stored under `id`, if resident.
-    pub(crate) fn get(&self, id: u64) -> Option<&[Lit]> {
-        self.slots.get(&id).map(|s| {
+    /// Returns the clause stored under `index`, if resident.
+    #[inline]
+    pub(crate) fn get(&self, index: usize) -> Option<&[Lit]> {
+        let s = self.slots[index];
+        (s.len != ABSENT.len).then(|| {
             let start = s.offset as usize;
             &self.lits[start..start + s.len as usize]
         })
     }
 
-    /// Returns `true` if `id` is resident.
-    pub(crate) fn contains(&self, id: u64) -> bool {
-        self.slots.contains_key(&id)
+    /// Returns `true` if `index` is resident.
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.slots[index].len != ABSENT.len
     }
 
-    /// Frees the clause stored under `id` (a no-op for absent ids):
+    /// Frees the clause stored under `index` (a no-op for absent ones):
     /// refunds its slot bytes and recycles its extent.
-    pub(crate) fn remove(&mut self, id: u64, meter: &mut MemoryMeter) {
-        if let Some(slot) = self.slots.remove(&id) {
+    pub(crate) fn remove(&mut self, index: usize, meter: &mut MemoryMeter) {
+        let slot = std::mem::replace(&mut self.slots[index], ABSENT);
+        if slot.len != ABSENT.len {
+            self.resident -= 1;
             meter.free(ARENA_SLOT_BYTES);
             if slot.len > 0 {
                 self.free.entry(slot.len).or_default().push(slot.offset);
@@ -132,7 +151,7 @@ impl ClauseArena {
 
     /// Number of resident clauses.
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.resident
     }
 
     /// Bytes of literal pages charged to the meter (the arena footprint
@@ -147,17 +166,20 @@ impl ClauseArena {
         self.reuse_hits
     }
 
-    /// Empties the arena for reuse by a new job, keeping the literal
-    /// tail's allocated capacity but zeroing every accounting field.
+    /// Empties the arena for reuse by a new job over `learned` learned
+    /// clauses, keeping the buffers' allocated capacity but zeroing every
+    /// accounting field.
     ///
     /// Because `charged_pages` restarts at 0, the next job re-charges
     /// pages to *its* meter exactly as a cold arena would — accounting
     /// stays a pure function of the insert/remove sequence, so per-job
     /// peaks are bit-identical whether the arena came from a warm scratch
     /// pool or was freshly built.
-    pub(crate) fn reset(&mut self) {
+    pub(crate) fn reset(&mut self, learned: usize) {
         self.lits.clear();
         self.slots.clear();
+        self.slots.resize(learned, ABSENT);
+        self.resident = 0;
         self.free.clear();
         self.charged_pages = 0;
         self.reuse_hits = 0;
@@ -199,7 +221,7 @@ mod tests {
 
     #[test]
     fn stores_and_fetches_clauses() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &lits(&[1, 2, 3]), &mut meter).unwrap();
         arena.insert(2, &lits(&[-4]), &mut meter).unwrap();
@@ -212,7 +234,7 @@ mod tests {
 
     #[test]
     fn charges_one_page_plus_slots() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &lits(&[1, 2]), &mut meter).unwrap();
         // 8 literal bytes round up to one 1024-byte page, plus one slot.
@@ -225,7 +247,7 @@ mod tests {
 
     #[test]
     fn remove_refunds_slots_but_not_pages() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &lits(&[1, 2]), &mut meter).unwrap();
         arena.remove(1, &mut meter);
@@ -238,7 +260,7 @@ mod tests {
 
     #[test]
     fn freed_extents_are_reused_before_the_tail_grows() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &lits(&[1, 2, 3]), &mut meter).unwrap();
         arena.remove(1, &mut meter);
@@ -254,7 +276,7 @@ mod tests {
 
     #[test]
     fn best_fit_prefers_the_smallest_sufficient_extent() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena
             .insert(1, &lits(&[1, 2, 3, 4, 5]), &mut meter)
@@ -275,7 +297,7 @@ mod tests {
 
     #[test]
     fn page_boundary_growth_charges_incrementally() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         // 200 literals = 800 bytes: one page.
         let wide: Vec<Lit> = (1..=200).map(Lit::from_dimacs).collect();
@@ -289,7 +311,7 @@ mod tests {
 
     #[test]
     fn empty_clauses_are_representable() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &[], &mut meter).unwrap();
         assert_eq!(arena.get(1).unwrap(), &[] as &[Lit]);
@@ -300,13 +322,13 @@ mod tests {
 
     #[test]
     fn reset_recharges_like_a_cold_arena() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::unlimited();
         arena.insert(1, &lits(&[1, 2, 3]), &mut meter).unwrap();
         arena.remove(1, &mut meter);
         let cold_peak = meter.peak();
 
-        arena.reset();
+        arena.reset(100);
         assert_eq!(arena.len(), 0);
         assert_eq!(arena.charged_bytes(), 0);
         assert_eq!(arena.reuse_hits(), 0);
@@ -322,7 +344,7 @@ mod tests {
 
     #[test]
     fn memory_limit_stops_page_growth() {
-        let mut arena = ClauseArena::new();
+        let mut arena = ClauseArena::new(100);
         let mut meter = MemoryMeter::with_limit(ARENA_PAGE_BYTES / 2);
         let err = arena.insert(1, &lits(&[1]), &mut meter).unwrap_err();
         assert!(matches!(err, CheckError::MemoryLimitExceeded { .. }));

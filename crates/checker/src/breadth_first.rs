@@ -12,17 +12,17 @@
 //! As a side effect, the breadth-first strategy verifies *every* learned
 //! clause, not just those on the proof path.
 //!
-//! Pass 1 ([`sequential_pass1`]) is shared verbatim with the
-//! parallel-dag checker ([`crate::dag`]), so both reject a malformed
-//! trace with the identical first error.
+//! Pass 1 ([`count_uses`]) counts uses into a table indexed by
+//! each clause's dense id ([`crate::ids`]), so pass 2's bookkeeping per
+//! resolve source is one indexed load.
 
 use crate::api::CheckConfig;
 use crate::cancel::CancelFlag;
-use crate::chain::{ChainStep, PROGRESS_STRIDE};
+use crate::chain::ChainStep;
+use crate::depth_first::final_phase_roots;
 use crate::error::CheckError;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::memory::{MemoryMeter, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
-use crate::model::{finish_visit, park_check_error, validate_learned, LevelZeroMap};
+use crate::model::{finish_visit, park_check_error, pass1, Pass1, Record};
 use crate::outcome::{CheckOutcome, Strategy};
 use crate::scratch::CheckScratch;
 use rescheck_cnf::Cnf;
@@ -30,87 +30,43 @@ use rescheck_obs::{Observer, Phase};
 use rescheck_trace::{EventRef, TraceSource};
 use std::time::Instant;
 
-/// Everything pass 1 learns from the trace: use counts, the set of
-/// defined learned ids, the level-0 assignment, the final-conflict list
-/// and the pin set.
-#[derive(Default)]
-pub(crate) struct Pass1Tables {
-    pub use_counts: FxHashMap<u64, u32>,
-    pub defined: FxHashSet<u64>,
-    pub level_zero: LevelZeroMap,
-    pub pinned: FxHashSet<u64>,
-    pub final_ids: Vec<u64>,
-}
+/// The use count of a clause the final derivation reads: it is never
+/// freed.
+pub(crate) const PINNED: u32 = u32::MAX;
 
-impl Pass1Tables {
-    /// Closes pass 1: selects the derivation's start clause and pins it.
-    ///
-    /// Earlier versions pinned *every* `FinalConflict` id even though the
-    /// derivation only ever starts from the first one, so duplicate or
-    /// extra final-conflict records kept dead clauses resident and
-    /// inflated `peak_memory_bytes` — defeating the bounded-memory
-    /// guarantee this strategy exists for. Only the start id is pinned
-    /// now.
-    pub(crate) fn finish(&mut self, num_original: usize) -> Result<u64, CheckError> {
-        let start_id = *self.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-        if start_id >= num_original as u64 {
-            self.pinned.insert(start_id);
-        }
-        Ok(start_id)
-    }
-
-    /// Accounted bytes of the tables this strategy keeps resident.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        self.use_counts.len() as u64 * USE_COUNT_BYTES
-            + self.level_zero.len() as u64 * LEVEL_ZERO_RECORD_BYTES
-    }
-}
-
-/// Runs pass 1 sequentially over a streaming source, validating each
-/// event in trace order.
-pub(crate) fn sequential_pass1<S: TraceSource + ?Sized>(
+/// Pass 1: the shared validation, each learned clause's use count as a
+/// resolve source, and [`PINNED`] for what the final derivation reads —
+/// the level-0 antecedents and the start clause.
+///
+/// Only the first final-conflict record is pinned: the derivation only
+/// ever starts from it, and pinning extra ones kept dead clauses
+/// resident, defeating the bounded-memory guarantee this strategy exists
+/// for.
+fn count_uses<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
     cancel: &CancelFlag,
-) -> Result<(Pass1Tables, u64), CheckError> {
-    let mut tables = Pass1Tables::default();
-    let mut seen: u64 = 0;
-    let mut parked = None;
-    let result = trace.visit_events(&mut |event| {
-        seen += 1;
-        let step = (|| -> Result<(), CheckError> {
-            if seen.is_multiple_of(PROGRESS_STRIDE) {
-                cancel.check()?;
-            }
-            match event {
-                EventRef::Learned { id, sources } => {
-                    validate_learned(id, sources.len(), num_original, |c| {
-                        tables.defined.contains(&c)
-                    })?;
-                    tables.defined.insert(id);
-                    tables.use_counts.entry(id).or_insert(0);
-                    for &s in sources {
-                        if s >= num_original as u64 {
-                            *tables.use_counts.entry(s).or_insert(0) += 1;
-                        }
-                    }
+) -> Result<(Pass1, Vec<u32>), CheckError> {
+    let mut use_counts: Vec<u32> = Vec::new();
+    let pass1 = pass1(trace, num_original, cancel, |record| {
+        if let Record::Learned { ids, sources, .. } = record {
+            use_counts.push(0);
+            // A source defined later is a forward reference, which pass 2
+            // rejects before its count could matter.
+            for &s in sources {
+                if let Some(j) = ids.index(s) {
+                    use_counts[j] = use_counts[j].saturating_add(1);
                 }
-                EventRef::LevelZero { lit, antecedent } => {
-                    tables.level_zero.insert(lit, antecedent)?;
-                    if antecedent >= num_original as u64 {
-                        tables.pinned.insert(antecedent);
-                    }
-                }
-                // Not pinned: see `Pass1Tables::finish`.
-                EventRef::FinalConflict { id } => tables.final_ids.push(id),
             }
-            Ok(())
-        })();
-        step.map_err(|e| park_check_error(&mut parked, e))
-    });
-    finish_visit(parked, result)?;
-    let start_id = tables.finish(num_original)?;
-    Ok((tables, start_id))
+        }
+        Ok(())
+    })?;
+    for root in final_phase_roots(&pass1.level_zero, pass1.start_id()?) {
+        if let Some(j) = pass1.ids.index(root) {
+            use_counts[j] = PINNED;
+        }
+    }
+    Ok((pass1, use_counts))
 }
 
 /// `bf`: rebuilds every learned clause in trace order, freeing each at
@@ -125,44 +81,43 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
     let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
 
-    let pass1 = Phase::start("check:pass1", obs);
-    let (mut tables, start_id) = sequential_pass1(trace, cnf.num_clauses(), &config.cancel)?;
+    let pass1_phase = Phase::start("check:pass1", obs);
+    let (pass1, mut use_counts) = count_uses(trace, cnf.num_clauses(), &config.cancel)?;
     // Accounting for the bookkeeping tables the strategy keeps resident.
-    meter.alloc(tables.resident_bytes())?;
-    pass1.finish(obs);
+    meter.alloc(
+        use_counts.len() as u64 * USE_COUNT_BYTES
+            + pass1.level_zero.len() as u64 * LEVEL_ZERO_RECORD_BYTES
+            + pass1.ids.map_bytes(),
+    )?;
+    pass1_phase.finish(obs);
 
     let resolve_phase = Phase::start("check:resolve", obs);
-    let mut chain = ChainStep::new(cnf, meter, config, scratch, false, obs);
+    let ids = &pass1.ids;
+    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, false, obs);
     let mut parked = None;
     let result = trace.visit_events(&mut |event| {
         let EventRef::Learned { id, sources } = event else {
             return Ok(());
         };
-        rebuild(
-            &mut chain,
-            id,
-            sources,
-            &mut tables.use_counts,
-            &tables.pinned,
-        )
-        .map_err(|e| match e {
-            // A defined source that is not rebuilt yet comes later in
-            // the trace.
-            CheckError::UnknownClause { id: source, .. } if tables.defined.contains(&source) => {
-                CheckError::ForwardReference { id, source }
-            }
-            e => e,
-        })
-        .map_err(|e| park_check_error(&mut parked, e))
+        rebuild(&mut chain, id, sources, &mut use_counts)
+            .map_err(|e| match e {
+                // A defined source that is not rebuilt yet comes later in
+                // the trace.
+                CheckError::UnknownClause { id: source, .. } if ids.index(source).is_some() => {
+                    CheckError::ForwardReference { id, source }
+                }
+                e => e,
+            })
+            .map_err(|e| park_check_error(&mut parked, e))
     });
     finish_visit(parked, result)?;
     resolve_phase.finish(&mut *chain.obs);
 
-    chain.final_phase(start_id, &tables.level_zero, |_, _| Ok(()))?;
+    chain.final_phase(pass1.start_id()?, &pass1.level_zero, |_, _| Ok(()))?;
     Ok(chain.finish(
         Strategy::BreadthFirst,
-        tables.defined.len() as u64,
-        tables.use_counts.len() as u64,
+        ids.len() as u64,
+        use_counts.len() as u64,
         started,
         trace.encoded_size(),
     ))
@@ -170,31 +125,34 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 
 /// Rebuilds learned clause `id` under the use-count freeing policy
 /// breadth-first and hybrid share: each learned source is freed at its
-/// last counted use unless pinned, and the resolvent is stored only if
-/// something will read it.
+/// last counted use unless [`PINNED`], and the resolvent is stored only
+/// if something will read it. `use_counts` is indexed by dense id.
 pub(crate) fn rebuild(
     chain: &mut ChainStep<'_>,
     id: u64,
     sources: &[u64],
-    use_counts: &mut FxHashMap<u64, u32>,
-    pinned: &FxHashSet<u64>,
+    use_counts: &mut [u32],
 ) -> Result<(), CheckError> {
     chain.resolve(id, sources)?;
     chain.count_built(sources.len())?;
     // Release sources whose last use this was — before storing the
     // resolvent, so it can reuse a just-freed arena extent.
+    let ids = chain.ids();
     for &s in sources {
-        if !chain.is_original(s) && !pinned.contains(&s) {
-            let count = use_counts.get_mut(&s).expect("counted");
-            *count -= 1;
-            if *count == 0 {
-                chain.free(s);
+        let Some(j) = ids.index(s) else { continue };
+        match use_counts[j] {
+            // A use pass 1 did not count: the trace changed under us.
+            PINNED | 0 => {}
+            1 => {
+                use_counts[j] = 0;
+                chain.free(j);
             }
+            count => use_counts[j] = count - 1,
         }
     }
     // Store the new clause unless it is already dead on arrival (the
     // clause-length histogram samples only stored resolvents).
-    if use_counts.get(&id).copied().unwrap_or(0) > 0 || pinned.contains(&id) {
+    if ids.index(id).is_some_and(|own| use_counts[own] != 0) {
         chain.store(id)?;
     }
     Ok(())

@@ -1,128 +1,157 @@
-//! A memory-accounted cache of normalized original clauses.
+//! A memory-accounted table of normalized original clauses.
 //!
 //! Every strategy normalizes original clauses (sort + dedup literals)
-//! before resolving with them, and caches the result keyed by clause id.
-//! The cache used to be a plain `HashMap` that was never charged to the
-//! [`MemoryMeter`], so the accounted peak under-reported real residency —
-//! on core-heavy instances by the size of the touched original clauses.
+//! before resolving with them. [`OriginalCache`] holds each normalized
+//! clause at its original id, so a resolve source that is an original
+//! clause is one indexed load and a borrowed slice — no hash probe, no
+//! reference count. Every held clause is charged [`clause_bytes`] to the
+//! [`MemoryMeter`] at first touch, and eviction is FIFO (insertion
+//! order), so the accounted peak is a pure function of the access
+//! sequence.
 //!
-//! [`OriginalCache`] fixes that: every cached clause is charged
-//! [`clause_bytes`] to the meter, and eviction is FIFO (insertion order)
-//! so the accounted peak stays deterministic — `HashMap` iteration order
-//! is randomized per process and must not leak into the byte accounting.
-//!
-//! The cache treats the meter's budget as *spare* capacity: if charging a
-//! clause would exceed the memory limit, entries are evicted to make
-//! room, and if that is not enough the clause is simply not cached. When
-//! a rebuilt clause does not fit, the chain step evicts cached entries
-//! before it gives up. A cache can therefore never cause a
+//! The table treats the meter's budget as *spare* capacity: if charging a
+//! clause would exceed the memory limit, held clauses are evicted to make
+//! room, and if that is not enough the clause is normalized into a spill
+//! buffer for the one fold that needs it and not held. When a rebuilt
+//! clause does not fit, the chain step evicts held originals before it
+//! gives up. The table can therefore never cause a
 //! [`MemoryLimitExceeded`] failure — it only ever trades budget headroom
 //! for speed.
 //!
 //! # The warm tier
 //!
-//! When a cache outlives one job inside a reused
-//! [`CheckScratch`](crate::CheckScratch), its entries are *demoted* to a
-//! warm tier at job start ([`begin_job`]): they keep their normalized
-//! literals but are **uncharged** — the finished job's meter is gone and
-//! the next job's meter has charged nothing. On first touch the next job
-//! takes the clause back out of the warm tier ([`take_warm`]) and
-//! re-inserts it through the ordinary charged path, paying the identical
-//! [`clause_bytes`] at the identical first-touch point a cold run would.
-//! Per-job accounting is therefore a pure function of the access
-//! sequence: peak bytes are bit-identical warm vs cold, and the shared
-//! cache is never double-charged across back-to-back jobs on the same
-//! formula.
+//! When a table outlives one job inside a reused
+//! [`CheckScratch`](crate::CheckScratch), its held clauses are *demoted*
+//! to a warm tier at job start ([`begin_job`]): they keep their
+//! normalized literals but are **uncharged** — the finished job's meter is
+//! gone and the next job's meter has charged nothing. On first touch the
+//! next job promotes the clause through the ordinary charged path, paying
+//! the identical [`clause_bytes`] at the identical first-touch point a
+//! cold run would. Per-job accounting is therefore a pure function of
+//! the access sequence: peak bytes are bit-identical warm vs cold, and
+//! the shared table is never double-charged across back-to-back jobs on
+//! the same formula.
 //!
 //! [`MemoryLimitExceeded`]: crate::CheckError::MemoryLimitExceeded
 //! [`begin_job`]: OriginalCache::begin_job
-//! [`take_warm`]: OriginalCache::take_warm
 
-use crate::fxhash::FxHashMap;
 use crate::memory::{clause_bytes, MemoryMeter};
-use rescheck_cnf::Lit;
+use crate::resolve::normalize_literals;
+use rescheck_cnf::{Cnf, Lit};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-#[derive(Default)]
+/// One original clause's place in the table.
+#[derive(Debug, Default)]
+enum Entry {
+    /// Not normalized, or evicted.
+    #[default]
+    Absent,
+    /// Normalized by an earlier job on the same formula; uncharged.
+    Warm(Box<[Lit]>),
+    /// Normalized and charged to this job's meter.
+    Held(Box<[Lit]>),
+}
+
+#[derive(Debug, Default)]
 pub(crate) struct OriginalCache {
-    map: FxHashMap<u64, Arc<[Lit]>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<u64>,
-    /// Accounted bytes currently held by the cache.
+    /// Indexed by original clause id.
+    entries: Vec<Entry>,
+    /// Held ids in insertion order, for FIFO eviction.
+    order: VecDeque<u32>,
+    /// Accounted bytes currently held.
     bytes: u64,
-    /// Demoted entries from earlier jobs on the same formula: normalized
-    /// but **not charged** to any meter. Promoted back through
-    /// [`OriginalCache::insert`] on first touch.
-    warm: FxHashMap<u64, Arc<[Lit]>>,
     /// Lifetime count of normalizations saved by the warm tier.
     warm_hits: u64,
+    /// The last clause that could not be held within the budget.
+    spill: Vec<Lit>,
 }
 
 impl OriginalCache {
-    pub(crate) fn get(&self, id: u64) -> Option<Arc<[Lit]>> {
-        self.map.get(&id).cloned()
+    /// Sizes the table for `cnf`; a no-op when the table already holds
+    /// this formula's clauses (a warm job).
+    pub(crate) fn size_for(&mut self, cnf: &Cnf) {
+        if self.entries.len() != cnf.num_clauses() {
+            self.reset();
+            self.entries.resize_with(cnf.num_clauses(), Entry::default);
+        }
     }
 
-    /// Offers a freshly normalized clause to the cache, charging the
-    /// meter on success. Never fails: under pressure it evicts oldest
-    /// entries first, and skips caching when the clause cannot fit.
-    pub(crate) fn insert(&mut self, id: u64, clause: &Arc<[Lit]>, meter: &mut MemoryMeter) {
-        if self.map.contains_key(&id) {
-            return;
+    /// Original clause `id` of `cnf`, normalized. Held clauses are a
+    /// borrowed slice; anything else is normalized (or promoted from the
+    /// warm tier) and offered to the table first.
+    #[inline]
+    pub(crate) fn get(&mut self, cnf: &Cnf, id: usize, meter: &mut MemoryMeter) -> &[Lit] {
+        if !matches!(self.entries[id], Entry::Held(_)) {
+            self.admit(cnf, id, meter);
         }
+        match &self.entries[id] {
+            Entry::Held(clause) => clause,
+            _ => &self.spill,
+        }
+    }
+
+    /// Holds clause `id`, charging the meter; under pressure it evicts
+    /// the oldest held clauses first, and spills the clause when it
+    /// cannot fit at all.
+    fn admit(&mut self, cnf: &Cnf, id: usize, meter: &mut MemoryMeter) {
+        let clause = match std::mem::take(&mut self.entries[id]) {
+            Entry::Warm(clause) => {
+                self.warm_hits += 1;
+                clause
+            }
+            _ => {
+                let lits = cnf.clause(id).expect("id < num_original");
+                normalize_literals(lits.iter().copied()).into_boxed_slice()
+            }
+        };
         let cost = clause_bytes(clause.len());
         while meter.alloc(cost).is_err() {
             if !self.evict_one(meter) {
+                self.spill.clear();
+                self.spill.extend_from_slice(&clause);
                 return;
             }
         }
         self.bytes += cost;
-        self.order.push_back(id);
-        self.map.insert(id, Arc::clone(clause));
+        self.order.push_back(id as u32);
+        self.entries[id] = Entry::Held(clause);
     }
 
-    /// Evicts the oldest entry, refunding its bytes. Returns `false` when
-    /// the cache is already empty.
+    /// Evicts the oldest held clause, refunding its bytes. Returns
+    /// `false` when nothing is held.
     pub(crate) fn evict_one(&mut self, meter: &mut MemoryMeter) -> bool {
         let Some(id) = self.order.pop_front() else {
             return false;
         };
-        let clause = self.map.remove(&id).expect("order and map agree");
+        let Entry::Held(clause) = std::mem::take(&mut self.entries[id as usize]) else {
+            unreachable!("the eviction order lists held clauses only");
+        };
         let cost = clause_bytes(clause.len());
         self.bytes -= cost;
         meter.free(cost);
         true
     }
 
-    /// Starts a new job on the **same formula**: demotes every charged
-    /// entry to the warm tier and zeroes the per-job byte accounting.
+    /// Starts a new job on the **same formula**: demotes every held
+    /// clause to the warm tier and zeroes the per-job byte accounting.
     /// The outgoing job's meter is dropped with the job, so nothing is
     /// refunded; the incoming job's meter has charged nothing yet.
     pub(crate) fn begin_job(&mut self) {
-        self.warm.extend(self.map.drain());
-        self.order.clear();
+        for id in self.order.drain(..) {
+            let entry = &mut self.entries[id as usize];
+            if let Entry::Held(clause) = std::mem::take(entry) {
+                *entry = Entry::Warm(clause);
+            }
+        }
         self.bytes = 0;
     }
 
-    /// Drops every entry, warm and charged — the scratch is about to be
+    /// Drops every clause, warm and held — the scratch is about to be
     /// used on a *different* formula, whose clause ids mean other things.
     pub(crate) fn reset(&mut self) {
-        self.map.clear();
+        self.entries.clear();
         self.order.clear();
-        self.warm.clear();
         self.bytes = 0;
-    }
-
-    /// Takes a demoted clause out of the warm tier, if present. The
-    /// caller re-offers it through [`OriginalCache::insert`], which is
-    /// where (and only where) the current job's meter gets charged.
-    pub(crate) fn take_warm(&mut self, id: u64) -> Option<Arc<[Lit]>> {
-        let hit = self.warm.remove(&id);
-        if hit.is_some() {
-            self.warm_hits += 1;
-        }
-        hit
     }
 
     /// Lifetime count of normalizations the warm tier saved.
@@ -131,18 +160,8 @@ impl OriginalCache {
     }
 
     #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    #[cfg(test)]
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    #[cfg(test)]
-    pub(crate) fn warm_len(&self) -> usize {
-        self.warm.len()
+    fn held(&self) -> usize {
+        self.order.len()
     }
 }
 
@@ -150,104 +169,114 @@ impl OriginalCache {
 mod tests {
     use super::*;
 
-    fn clause(lits: &[i64]) -> Arc<[Lit]> {
-        lits.iter()
-            .map(|&d| Lit::from_dimacs(d))
-            .collect::<Vec<_>>()
-            .into()
+    /// Clause `i` is the unit clause (x_{i+1}); clause 3 is (x1 ∨ x2).
+    fn formula() -> Cnf {
+        let mut cnf = Cnf::new();
+        for i in 1..=3 {
+            cnf.add_dimacs_clause(&[i]);
+        }
+        cnf.add_dimacs_clause(&[2, 1]);
+        cnf
+    }
+
+    fn table(cnf: &Cnf) -> OriginalCache {
+        let mut cache = OriginalCache::default();
+        cache.size_for(cnf);
+        cache
     }
 
     #[test]
     fn charges_the_meter() {
+        let cnf = formula();
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::default();
-        let c = clause(&[1, 2]);
-        cache.insert(0, &c, &mut meter);
+        let mut cache = table(&cnf);
+        let expect = normalize_literals([Lit::from_dimacs(1), Lit::from_dimacs(2)]);
+        assert_eq!(cache.get(&cnf, 3, &mut meter), expect.as_slice());
         assert_eq!(meter.current(), clause_bytes(2));
-        assert_eq!(cache.get(0).as_deref(), Some(c.as_ref()));
-        // Reinsertion is a no-op (no double charge).
-        cache.insert(0, &c, &mut meter);
+        // A second fetch borrows the held clause: no second charge.
+        assert_eq!(cache.get(&cnf, 3, &mut meter), expect.as_slice());
         assert_eq!(meter.current(), clause_bytes(2));
     }
 
     #[test]
     fn fifo_eviction_under_cap() {
         // A memory limit that fits exactly two 1-literal clauses caps
-        // the cache.
+        // the table.
+        let cnf = formula();
         let cap = 2 * clause_bytes(1);
         let mut meter = MemoryMeter::with_limit(cap);
-        let mut cache = OriginalCache::default();
-        for id in 0..3u64 {
-            cache.insert(id, &clause(&[id as i64 + 1]), &mut meter);
+        let mut cache = table(&cnf);
+        for id in 0..3 {
+            assert_eq!(cache.get(&cnf, id, &mut meter), cnf.clause(id).unwrap());
         }
-        // Oldest (id 0) was evicted; 1 and 2 remain.
-        assert!(cache.get(0).is_none());
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(2).is_some());
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes(), cap);
+        // The oldest (id 0) was evicted; 1 and 2 remain.
+        assert!(matches!(cache.entries[0], Entry::Absent));
+        assert!(matches!(cache.entries[1], Entry::Held(_)));
+        assert!(matches!(cache.entries[2], Entry::Held(_)));
+        assert_eq!(cache.held(), 2);
+        assert_eq!(cache.bytes, cap);
         assert_eq!(meter.current(), cap);
     }
 
     #[test]
     fn never_exceeds_the_meter_budget() {
-        // Budget fits one clause; the cache must evict rather than fail,
-        // and skip caching entirely when nothing can be evicted.
+        // Budget fits one clause; the table must evict rather than fail,
+        // and spill a clause when nothing is left to evict.
+        let cnf = formula();
         let mut meter = MemoryMeter::with_limit(clause_bytes(1));
-        let mut cache = OriginalCache::default();
-        cache.insert(0, &clause(&[1]), &mut meter);
-        assert!(cache.get(0).is_some());
-        cache.insert(1, &clause(&[2]), &mut meter);
-        assert!(cache.get(0).is_none(), "oldest evicted to make room");
-        assert!(cache.get(1).is_some());
-        // A clause that can never fit is skipped without error.
-        cache.insert(2, &clause(&[1, 2, 3, 4, 5, 6, 7, 8]), &mut meter);
-        assert!(cache.get(2).is_none());
+        let mut cache = table(&cnf);
+        cache.get(&cnf, 0, &mut meter);
+        cache.get(&cnf, 1, &mut meter);
+        assert!(matches!(cache.entries[0], Entry::Absent), "oldest evicted");
+        assert!(matches!(cache.entries[1], Entry::Held(_)));
+        // A clause that can never fit is still served, but not held.
+        assert_eq!(cache.get(&cnf, 3, &mut meter).len(), 2);
+        assert!(matches!(cache.entries[3], Entry::Absent));
         assert!(meter.current() <= clause_bytes(1));
     }
 
     #[test]
     fn oversized_clause_is_not_cached() {
+        let cnf = formula();
         let mut meter = MemoryMeter::with_limit(clause_bytes(1));
-        let mut cache = OriginalCache::default();
-        cache.insert(0, &clause(&[1, 2]), &mut meter);
-        assert!(cache.get(0).is_none());
-        assert_eq!(meter.current(), 0);
+        let mut cache = table(&cnf);
+        cache.get(&cnf, 3, &mut meter);
+        assert_eq!((cache.held(), meter.current()), (0, 0));
     }
 
     #[test]
     fn begin_job_demotes_without_charging() {
+        let cnf = formula();
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::default();
-        cache.insert(0, &clause(&[1, 2]), &mut meter);
-        cache.insert(1, &clause(&[3]), &mut meter);
+        let mut cache = table(&cnf);
+        cache.get(&cnf, 3, &mut meter);
+        cache.get(&cnf, 1, &mut meter);
 
-        // New job, fresh meter: nothing charged, entries demoted.
+        // New job, fresh meter: nothing charged, clauses demoted.
         let mut meter2 = MemoryMeter::unlimited();
         cache.begin_job();
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.bytes(), 0);
-        assert_eq!(cache.warm_len(), 2);
+        cache.size_for(&cnf);
+        assert_eq!((cache.held(), cache.bytes), (0, 0));
+        assert!(matches!(cache.entries[3], Entry::Warm(_)));
 
         // First touch promotes through the charged path — the same cost
         // at the same point a cold run would pay it.
-        let warm = cache.take_warm(0).expect("demoted entry");
-        cache.insert(0, &warm, &mut meter2);
+        cache.get(&cnf, 3, &mut meter2);
         assert_eq!(meter2.current(), clause_bytes(2));
         assert_eq!(cache.warm_hits(), 1);
-        assert_eq!(cache.warm_len(), 1);
-        assert!(cache.take_warm(0).is_none(), "promotion consumes the entry");
+        assert!(matches!(cache.entries[3], Entry::Held(_)));
     }
 
     #[test]
     fn reset_clears_the_warm_tier_too() {
+        let cnf = formula();
         let mut meter = MemoryMeter::unlimited();
-        let mut cache = OriginalCache::default();
-        cache.insert(0, &clause(&[1]), &mut meter);
+        let mut cache = table(&cnf);
+        cache.get(&cnf, 0, &mut meter);
         cache.begin_job();
-        assert_eq!(cache.warm_len(), 1);
         cache.reset();
-        assert_eq!(cache.warm_len(), 0);
-        assert!(cache.take_warm(0).is_none());
+        cache.size_for(&cnf);
+        cache.get(&cnf, 0, &mut meter);
+        assert_eq!(cache.warm_hits(), 0);
     }
 }

@@ -3,9 +3,11 @@
 //! Rebuilding one learned clause is the same job in depth-first,
 //! breadth-first and hybrid checking: seed the [`ResolutionKernel`] with
 //! the first resolve source, fold in the rest, and store the resolvent in
-//! the [`ClauseArena`], fetching original clauses through the accounted
-//! [`OriginalCache`] along the way. [`ChainStep`] does that job on the
-//! kernel, arena and cache of the caller's [`CheckScratch`], and also
+//! the [`ClauseArena`], borrowing original clauses from the accounted
+//! [`OriginalCache`] along the way. Each resolve source costs one indexed
+//! load: an original's id indexes the original table, a learned clause's
+//! dense id ([`IdSpace`]) the arena. [`ChainStep`] does that job on the
+//! kernel, arena and table of the caller's [`CheckScratch`], and also
 //! runs the final empty-clause phase and reports the end-of-run gauges.
 //! Each engine keeps only its pass 1, the order in which it rebuilds
 //! clauses, and when it frees them.
@@ -16,16 +18,15 @@ use crate::cache::OriginalCache;
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
 use crate::final_phase::{derive_empty_clause, ClauseProvider};
+use crate::ids::IdSpace;
 use crate::kernel::{KernelStats, ResolutionKernel};
 use crate::memory::MemoryMeter;
 use crate::model::LevelZeroMap;
 use crate::outcome::{CheckOutcome, CheckStats, Strategy, UnsatCore};
-use crate::resolve::normalize_literals;
 use crate::scratch::{kernel_stats_since, CheckScratch};
 use rescheck_cnf::{Cnf, Lit};
-use rescheck_obs::{Event, Observer, Phase};
-use std::sync::Arc;
-use std::time::Instant;
+use rescheck_obs::{Event, Observer, Phase, Span};
+use std::time::{Duration, Instant};
 
 /// Progress events are emitted once per this many built clauses; the
 /// reporter applies its own (coarser) heartbeat threshold on top.
@@ -34,9 +35,9 @@ pub(crate) const PROGRESS_STRIDE: u64 = 1024;
 /// One job's resolution state, borrowed from a [`CheckScratch`].
 pub(crate) struct ChainStep<'a> {
     cnf: &'a Cnf,
-    num_original: u64,
+    ids: &'a IdSpace,
     kernel: &'a mut ResolutionKernel,
-    /// Resident learned clauses.
+    /// Resident learned clauses, by table index.
     arena: &'a mut ClauseArena,
     /// Normalized original clauses, charged to the meter like every
     /// other resident clause.
@@ -54,21 +55,22 @@ pub(crate) struct ChainStep<'a> {
 }
 
 impl<'a> ChainStep<'a> {
-    /// Starts a run on `scratch`; `with_core` tracks the original
-    /// clauses the proof touches.
+    /// Starts a run on `scratch` over the learned clauses `ids` defines;
+    /// `with_core` tracks the original clauses the proof touches.
     pub(crate) fn new(
         cnf: &'a Cnf,
+        ids: &'a IdSpace,
         meter: MemoryMeter,
         config: &CheckConfig,
         scratch: &'a mut CheckScratch,
         with_core: bool,
         obs: &'a mut dyn Observer,
     ) -> Self {
-        let kernel_base = scratch.start_run();
+        let kernel_base = scratch.start_run(cnf, ids.len());
         let (kernel, arena, originals) = scratch.parts();
         ChainStep {
             cnf,
-            num_original: cnf.num_clauses() as u64,
+            ids,
             kernel,
             arena,
             originals,
@@ -82,13 +84,18 @@ impl<'a> ChainStep<'a> {
         }
     }
 
-    pub(crate) fn is_original(&self, id: u64) -> bool {
-        id < self.num_original
+    /// The id space the run's tables are indexed by.
+    pub(crate) fn ids(&self) -> &'a IdSpace {
+        self.ids
     }
 
     /// Whether clause `id` can be read without building it.
     pub(crate) fn is_resident(&self, id: u64) -> bool {
-        self.is_original(id) || self.arena.contains(id)
+        self.ids.is_original(id)
+            || self
+                .ids
+                .index(id)
+                .is_some_and(|index| self.arena.contains(index))
     }
 
     /// Resident learned clauses.
@@ -96,57 +103,37 @@ impl<'a> ChainStep<'a> {
         self.arena.len() as u64
     }
 
-    fn original(&mut self, id: u64) -> Arc<[Lit]> {
-        if let Some(used) = &mut self.used_originals {
-            used[id as usize] = true;
-        }
-        if let Some(c) = self.originals.get(id) {
-            return c;
-        }
-        // A warm scratch may still hold the normalized clause from the
-        // previous job on this formula; promoting it re-inserts through
-        // the charged path, so this job's meter pays the same bytes at
-        // the same point a cold run would.
-        let lits: Arc<[Lit]> = self.originals.take_warm(id).unwrap_or_else(|| {
-            let clause = self.cnf.clause(id as usize).expect("id < num_original");
-            Arc::from(normalize_literals(clause.iter().copied()))
-        });
-        self.originals.insert(id, &lits, &mut self.meter);
-        lits
-    }
-
     /// Folds `sources` into the kernel as the derivation of `target`. A
     /// learned source that is not resident is an unknown clause.
     pub(crate) fn resolve(&mut self, target: u64, sources: &[u64]) -> Result<(), CheckError> {
         for (step, &source) in sources.iter().enumerate() {
-            let folded = if self.is_original(source) {
-                let clause = self.original(source);
-                if step == 0 {
-                    self.kernel.begin(&clause);
-                    continue;
+            // Split borrows: the table or arena slice is read while the
+            // kernel's disjoint scratch buffers are written.
+            let clause = if self.ids.is_original(source) {
+                if let Some(used) = &mut self.used_originals {
+                    used[source as usize] = true;
                 }
-                self.kernel.fold(&clause)
+                self.originals
+                    .get(self.cnf, source as usize, &mut self.meter)
             } else {
-                // Split borrow: the arena slice is read while the
-                // kernel's disjoint scratch buffers are written.
-                let Some(clause) = self.arena.get(source) else {
-                    return Err(CheckError::UnknownClause {
-                        id: source,
-                        referenced_by: Some(target),
-                    });
-                };
-                if step == 0 {
-                    self.kernel.begin(clause);
-                    continue;
-                }
-                self.kernel.fold(clause)
+                let resident = self.ids.index(source).and_then(|i| self.arena.get(i));
+                resident.ok_or(CheckError::UnknownClause {
+                    id: source,
+                    referenced_by: Some(target),
+                })?
             };
-            folded.map_err(|failure| CheckError::NotResolvable {
-                target: Some(target),
-                step,
-                with: source,
-                failure,
-            })?;
+            if step == 0 {
+                self.kernel.begin(clause);
+                continue;
+            }
+            self.kernel
+                .fold(clause)
+                .map_err(|failure| CheckError::NotResolvable {
+                    target: Some(target),
+                    step,
+                    with: source,
+                    failure,
+                })?;
             self.resolutions += 1;
         }
         Ok(())
@@ -173,13 +160,14 @@ impl<'a> ChainStep<'a> {
     }
 
     /// Stores the resolvent of the last [`resolve`](Self::resolve) as
-    /// clause `id`. The original-clause cache only ever holds spare
-    /// budget: when the resolvent does not fit, cached originals give way
+    /// learned clause `id`. The original table only ever holds spare
+    /// budget: when the resolvent does not fit, held originals give way
     /// before the memory-out stands.
     pub(crate) fn store(&mut self, id: u64) -> Result<(), CheckError> {
+        let index = self.ids.index(id).expect("a rebuilt clause is defined");
         let lits = self.kernel.finish();
         let clause_len = lits.len() as u64;
-        while let Err(err) = self.arena.insert(id, lits, &mut self.meter) {
+        while let Err(err) = self.arena.insert(index, lits, &mut self.meter) {
             if !self.originals.evict_one(&mut self.meter) {
                 return Err(err);
             }
@@ -191,15 +179,20 @@ impl<'a> ChainStep<'a> {
         Ok(())
     }
 
-    /// Frees resident clause `id`.
-    pub(crate) fn free(&mut self, id: u64) {
-        self.arena.remove(id, &mut self.meter);
+    /// Frees the resident learned clause at table index `index`.
+    pub(crate) fn free(&mut self, index: usize) {
+        self.arena.remove(index, &mut self.meter);
     }
 
     /// Derives the empty clause from `start_id`. `build` makes a learned
     /// clause resident before the derivation reads it: depth-first
     /// builds level-0 antecedents on demand, the other engines kept
     /// theirs pinned.
+    ///
+    /// Clauses built on demand are resolution work, so their summed time
+    /// is reported as one `check:resolve` span inside `final-phase` —
+    /// one span however many builds ran, which leaves `final-phase`'s own
+    /// time to the empty-clause derivation.
     pub(crate) fn final_phase(
         &mut self,
         start_id: u64,
@@ -207,8 +200,17 @@ impl<'a> ChainStep<'a> {
         build: impl FnMut(&mut ChainStep<'a>, u64) -> Result<(), CheckError>,
     ) -> Result<(), CheckError> {
         let phase = Phase::start("final-phase", &mut *self.obs);
-        let mut provider = FinalProvider { chain: self, build };
+        let built_before = self.clauses_built;
+        let mut provider = FinalProvider {
+            chain: self,
+            build,
+            building: Duration::ZERO,
+        };
         let stats = derive_empty_clause(start_id, level_zero, &mut provider)?;
+        let building = provider.building;
+        if self.clauses_built > built_before {
+            report_span("check:resolve", building, &mut *self.obs);
+        }
         phase.finish(&mut *self.obs);
         self.resolutions += stats.resolutions;
         Ok(())
@@ -250,11 +252,23 @@ impl<'a> ChainStep<'a> {
     }
 }
 
-/// The final phase's view of a [`ChainStep`]: originals through the
-/// cache, learned clauses from the arena once `build` made them resident.
+/// Reports `wall` as one finished span `name` under the innermost open
+/// span. Opening the span links it into the tree; dropping it unstopped
+/// unlinks it without a finish event, which is then sent with `wall`.
+fn report_span(name: &'static str, wall: Duration, obs: &mut dyn Observer) {
+    let span = Span::start(name, obs);
+    let id = span.id();
+    drop(span);
+    obs.observe(&Event::SpanFinished { id, name, wall });
+}
+
+/// The final phase's view of a [`ChainStep`]: originals from the table,
+/// learned clauses from the arena once `build` made them resident.
 struct FinalProvider<'c, 'a, F> {
     chain: &'c mut ChainStep<'a>,
     build: F,
+    /// Time spent in `build`.
+    building: Duration,
 }
 
 impl<'a, F> ClauseProvider for FinalProvider<'_, 'a, F>
@@ -263,16 +277,27 @@ where
 {
     fn clause_into(&mut self, id: u64, out: &mut Vec<Lit>) -> Result<(), CheckError> {
         out.clear();
-        if self.chain.is_original(id) {
-            out.extend_from_slice(&self.chain.original(id));
+        let chain = &mut *self.chain;
+        if chain.ids.is_original(id) {
+            if let Some(used) = &mut chain.used_originals {
+                used[id as usize] = true;
+            }
+            out.extend_from_slice(
+                chain
+                    .originals
+                    .get(chain.cnf, id as usize, &mut chain.meter),
+            );
             return Ok(());
         }
+        let started = Instant::now();
         (self.build)(self.chain, id)?;
-        let clause = self.chain.arena.get(id).ok_or(CheckError::UnknownClause {
+        self.building += started.elapsed();
+        let chain = &*self.chain;
+        let clause = chain.ids.index(id).and_then(|index| chain.arena.get(index));
+        out.extend_from_slice(clause.ok_or(CheckError::UnknownClause {
             id,
             referenced_by: None,
-        })?;
-        out.extend_from_slice(clause);
+        })?);
         Ok(())
     }
 }

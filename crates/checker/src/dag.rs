@@ -1,5 +1,5 @@
-//! The parallel-dag checking strategy's dependency graph (pass B) and
-//! its top-level driver.
+//! The parallel-dag checking strategy's dependency graph and its
+//! top-level driver.
 //!
 //! The antecedent lists of a resolve trace form a DAG, not a chain: a
 //! learned clause depends only on the learned clauses it actually
@@ -9,50 +9,57 @@
 //! source list, and CSR reverse edges — which the work-stealing executor
 //! in [`crate::executor`] then schedules by in-degree.
 //!
-//! Everything id-shaped is resolved to a dense index *here*, once, on
-//! the build pass: original antecedents become indices into a
-//! pre-normalized clause table, learned antecedents become node indices.
-//! The executor's hot loop therefore performs **zero hash lookups** —
-//! the decisive difference from the breadth-first pass 2, which pays
-//! three to four hash operations per resolve source.
+//! A node's index is its clause's dense id ([`crate::ids`]), so the
+//! graph needs no id map: a learned antecedent is a node index and an
+//! original antecedent an index into a pre-normalized clause table, both
+//! resolved once, here. The executor's hot loop performs **zero hash
+//! lookups** and reads each resolve source with one indexed load.
 //!
-//! The trace is read the way breadth-first reads it: pass 1 is
-//! [`sequential_pass1`] verbatim and the build is one more streaming
-//! pass, so pdag never holds the encoded trace itself and its stats do
-//! not depend on how the trace is encoded.
+//! The graph is built during the shared [`pass1`] itself — one streaming
+//! pass, like breadth-first's pass 1 — so pdag never holds the encoded
+//! trace and its stats do not depend on how the trace is encoded. Each
+//! node's use count is its number of uses anywhere in the trace, as
+//! breadth-first counts them, and its pin is set from the final phase's
+//! roots once the pass is done.
 //!
 //! ## Error parity with breadth-first
 //!
-//! Pass 1 is shared verbatim, so malformed-trace errors are identical
-//! by construction. The build pass stops at the first
-//! *structurally* missing source (a forward reference or an unknown
-//! clause — exactly the condition under which breadth-first's pass 2
-//! would fail), records which node and step stopped it, and builds no
-//! nodes beyond. The executor still resolves the stopped node's prefix
-//! first: a fold failure at an earlier step of the same node outranks
-//! the structural error, just as the sequential per-step loop would
-//! report it.
+//! Pass 1's validation runs over the whole trace before anything is
+//! resolved, so malformed-trace errors are identical by construction.
+//! The build stops adding nodes at the first *structurally* missing
+//! source (a source not defined earlier in the trace — exactly the
+//! condition under which breadth-first's pass 2 would fail), records
+//! which node stopped it, and classifies the stop as a forward reference
+//! or an unknown clause once the pass has seen every id. The executor
+//! still resolves the stopped node's prefix first: a fold failure at an
+//! earlier step of the same node outranks the structural error, just as
+//! the sequential per-step loop would report it.
 
 use crate::api::CheckConfig;
-use crate::breadth_first::{sequential_pass1, Pass1Tables};
 use crate::cancel::CancelFlag;
+use crate::depth_first::final_phase_roots;
 use crate::error::CheckError;
 use crate::executor::{effective_jobs, max_useful_workers, ExecResult};
 use crate::final_phase::{derive_empty_clause, ClauseProvider};
-use crate::fxhash::FxHashMap;
-use crate::memory::{clause_bytes, MemoryMeter, DAG_NODE_BYTES, DAG_SOURCE_BYTES};
-use crate::model::{finish_visit, park_check_error};
+use crate::ids::IdSpace;
+use crate::memory::{
+    clause_bytes, MemoryMeter, DAG_NODE_BYTES, DAG_SOURCE_BYTES, LEVEL_ZERO_RECORD_BYTES,
+};
+use crate::model::{pass1, Pass1, Record};
 use crate::outcome::{CheckOutcome, CheckStats, Strategy};
 use crate::resolve::normalize_literals;
 use rescheck_cnf::{Cnf, Lit};
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{EventRef, TraceSource};
+use rescheck_trace::TraceSource;
 use std::time::Instant;
 
 /// Tag bit marking a source entry as an index into [`Dag::originals`]
 /// rather than a node index. Node counts are validated against this
 /// bound during the build.
 pub(crate) const ORIGINAL_TAG: u32 = 1 << 31;
+
+/// [`Dag::orig_index`] of an original clause no node references.
+const NOT_INTERNED: u32 = u32::MAX;
 
 /// One learned clause of the trace, in trace order.
 #[derive(Clone, Copy, Debug)]
@@ -65,7 +72,7 @@ pub(crate) struct DagNode {
     pub src_end: u32,
     /// Number of learned-source occurrences — the scheduling in-degree.
     pub indeg: u32,
-    /// Times this clause is used as a resolve source later in the trace.
+    /// Times this clause is used as a resolve source in the trace.
     pub use_count: u32,
     /// Whether the final derivation needs this clause kept resident.
     pub pinned: bool,
@@ -81,7 +88,7 @@ impl DagNode {
     }
 }
 
-/// Where and why the build pass stopped early: `node`'s source at `step`
+/// Where and why the build stopped early: `node`'s source at `step`
 /// named a clause that can never be available. Plain data so the
 /// executor can reconstruct the precise [`CheckError`] if the node's
 /// prefix folds cleanly.
@@ -116,7 +123,7 @@ impl StructuralStop {
 /// The dense dependency graph the executor schedules.
 #[derive(Default)]
 pub(crate) struct Dag {
-    /// Learned clauses in trace order.
+    /// Learned clauses in trace order; node `k` is dense id `k`.
     pub nodes: Vec<DagNode>,
     /// Flat tagged source lists ([`ORIGINAL_TAG`] ⇒ original index,
     /// otherwise node index), sliced per node by `src_start..src_end`.
@@ -130,11 +137,9 @@ pub(crate) struct Dag {
     pub originals: Vec<Box<[Lit]>>,
     /// Dense original index → trace clause id (for diagnostics).
     pub orig_ids: Vec<u64>,
-    /// Original clause id → dense index into [`Dag::originals`].
-    pub orig_index: FxHashMap<u64, u32>,
-    /// Learned clause id → node index (final-phase lookups only; the
-    /// resolution pass never consults it).
-    pub id_to_node: FxHashMap<u64, u32>,
+    /// Original clause id → dense index into [`Dag::originals`], or
+    /// [`NOT_INTERNED`].
+    pub orig_index: Vec<u32>,
     /// Set when the build stopped at a structurally missing source.
     pub structural: Option<StructuralStop>,
 }
@@ -184,124 +189,85 @@ impl Dag {
         }
         (work, span)
     }
-}
 
-/// Normalizes and interns one original clause, charging the meter once.
-fn intern_original(
-    dag: &mut Dag,
-    cnf: &Cnf,
-    id: u64,
-    meter: &mut MemoryMeter,
-) -> Result<u32, CheckError> {
-    if let Some(&ix) = dag.orig_index.get(&id) {
-        return Ok(ix);
+    /// Normalizes and interns original clause `id` on first reference.
+    fn intern_original(&mut self, cnf: &Cnf, id: u64) -> u32 {
+        let slot = &mut self.orig_index[id as usize];
+        if *slot == NOT_INTERNED {
+            *slot = self.originals.len() as u32;
+            let clause = cnf.clause(id as usize).expect("id < num_original");
+            self.originals
+                .push(normalize_literals(clause.iter().copied()).into());
+            self.orig_ids.push(id);
+        }
+        *slot
     }
-    let lits: Box<[Lit]> = normalize_literals(
-        cnf.clause(id as usize)
-            .expect("id < num_original")
-            .iter()
-            .copied(),
-    )
-    .into();
-    meter.alloc(clause_bytes(lits.len()))?;
-    let ix = dag.originals.len() as u32;
-    dag.originals.push(lits);
-    dag.orig_ids.push(id);
-    dag.orig_index.insert(id, ix);
-    Ok(ix)
 }
 
-/// Builds the dense DAG from a second streaming pass over the trace.
+/// Builds the dense DAG during the shared pass 1.
 ///
-/// Original antecedents are normalized once and charged to the meter
-/// up front (first-reference order, then the level-0 antecedents and
-/// the start clause for the final phase); the graph metadata is charged
-/// per node and per source entry. All charges depend only on the trace,
+/// Original antecedents are normalized once, in first-reference order,
+/// then the original level-0 antecedents and start clause the final
+/// phase reads. Nothing is charged while the trace streams, so every
+/// validation error of the pass wins over a memory-out; afterwards the
+/// pass's tables, each interned original (in interning order) and the
+/// graph metadata are charged. All charges depend only on the trace,
 /// never on the worker count — the first half of the bit-identical
 /// `peak_memory_bytes` guarantee.
 pub(crate) fn build<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
-    tables: &Pass1Tables,
-    start_id: u64,
     meter: &mut MemoryMeter,
     cancel: &CancelFlag,
-) -> Result<Dag, CheckError> {
+) -> Result<(Pass1, Dag), CheckError> {
     let num_original = cnf.num_clauses();
-    let mut dag = Dag::default();
+    let mut dag = Dag {
+        orig_index: vec![NOT_INTERNED; num_original],
+        ..Dag::default()
+    };
     let mut rev_pairs: Vec<(u32, u32)> = Vec::new();
-    let mut seen: u64 = 0;
-    let mut parked = None;
-    let result = trace.visit_events(&mut |event: EventRef<'_>| {
-        let step = (|| -> Result<(), CheckError> {
-            let EventRef::Learned { id, sources } = event else {
-                return Ok(());
-            };
-            if dag.structural.is_some() {
-                // Nothing past the stop can run; skip the rest cheaply.
-                return Ok(());
+    let pass = pass1(trace, num_original, cancel, |record| {
+        let Record::Learned {
+            ids,
+            id,
+            index,
+            sources,
+            ..
+        } = record
+        else {
+            return Ok(());
+        };
+        if dag.structural.is_none() {
+            add_node(&mut dag, &mut rev_pairs, cnf, ids, id, index, sources)?;
+        }
+        // Uses count over the whole trace, as breadth-first's pass 1
+        // counts them, stop or no stop.
+        for &s in sources {
+            if let Some(node) = ids.index(s).and_then(|j| dag.nodes.get_mut(j)) {
+                node.use_count = node.use_count.saturating_add(1);
             }
-            seen += 1;
-            if seen.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
-                cancel.check()?;
-            }
-            if dag.nodes.len() as u32 >= ORIGINAL_TAG {
-                return Err(CheckError::Trace(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "trace exceeds the parallel-dag node limit (2^31 learned clauses)",
-                )));
-            }
-            let node = dag.nodes.len() as u32;
-            let src_start = dag.srcs.len() as u32;
-            let mut indeg = 0u32;
-            for &s in sources {
-                if s < num_original as u64 {
-                    let ix = intern_original(&mut dag, cnf, s, meter)?;
-                    dag.srcs.push(ix | ORIGINAL_TAG);
-                } else if let Some(&j) = dag.id_to_node.get(&s) {
-                    dag.srcs.push(j);
-                    rev_pairs.push((j, node));
-                    indeg += 1;
-                } else {
-                    // Truncate at the first structurally missing source;
-                    // the executor folds the prefix, then reports this.
-                    dag.structural = Some(StructuralStop {
-                        node,
-                        missing: s,
-                        forward: tables.defined.contains(&s),
-                    });
-                    break;
-                }
-            }
-            let use_count = tables.use_counts.get(&id).copied().unwrap_or(0);
-            let pinned = tables.pinned.contains(&id);
-            dag.nodes.push(DagNode {
-                id,
-                src_start,
-                src_end: dag.srcs.len() as u32,
-                indeg,
-                use_count,
-                pinned,
-                stored: dag.structural.is_none() && (use_count > 0 || pinned),
-            });
-            if dag.structural.is_none() {
-                dag.id_to_node.insert(id, node);
-            }
-            Ok(())
-        })();
-        step.map_err(|e| park_check_error(&mut parked, e))
-    });
-    finish_visit(parked, result)?;
+        }
+        Ok(())
+    })?;
+    let start_id = pass.start_id()?;
+    if let Some(stop) = &mut dag.structural {
+        stop.forward = pass.ids.index(stop.missing).is_some();
+    }
 
-    // The final phase fetches the level-0 antecedents and the start
-    // clause; intern the original ones now so its lookups are dense too.
-    for rec in tables.level_zero.records() {
-        if rec.antecedent < num_original as u64 {
-            intern_original(&mut dag, cnf, rec.antecedent, meter)?;
+    // The final phase reads the level-0 antecedents and the start
+    // clause: pin the learned ones, intern the original ones.
+    for root in final_phase_roots(&pass.level_zero, start_id) {
+        if pass.ids.is_original(root) {
+            dag.intern_original(cnf, root);
+        } else if let Some(node) = pass.ids.index(root).and_then(|j| dag.nodes.get_mut(j)) {
+            node.pinned = true;
         }
     }
-    if start_id < num_original as u64 {
-        intern_original(&mut dag, cnf, start_id, meter)?;
+    let built = dag
+        .structural
+        .map_or(dag.nodes.len(), |stop| stop.node as usize);
+    for (j, node) in dag.nodes.iter_mut().enumerate() {
+        node.stored = j < built && (node.use_count > 0 || node.pinned);
     }
 
     // Reverse adjacency as CSR: counting sort over the collected pairs.
@@ -320,10 +286,65 @@ pub(crate) fn build<S: TraceSource + ?Sized>(
         fill[j as usize] += 1;
     }
 
+    meter.alloc(pass.level_zero.len() as u64 * LEVEL_ZERO_RECORD_BYTES + pass.ids.map_bytes())?;
+    for clause in &dag.originals {
+        meter.alloc(clause_bytes(clause.len()))?;
+    }
     meter.alloc(
         dag.nodes.len() as u64 * DAG_NODE_BYTES + dag.srcs.len() as u64 * DAG_SOURCE_BYTES,
     )?;
-    Ok(dag)
+    Ok((pass, dag))
+}
+
+/// Adds learned clause `id` as node `index`, or records the structural
+/// stop at its first source not defined earlier in the trace.
+fn add_node(
+    dag: &mut Dag,
+    rev_pairs: &mut Vec<(u32, u32)>,
+    cnf: &Cnf,
+    ids: &IdSpace,
+    id: u64,
+    index: usize,
+    sources: &[u64],
+) -> Result<(), CheckError> {
+    if index >= ORIGINAL_TAG as usize {
+        return Err(CheckError::Trace(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "trace exceeds the parallel-dag node limit (2^31 learned clauses)",
+        )));
+    }
+    let node = index as u32;
+    let src_start = dag.srcs.len() as u32;
+    let mut indeg = 0u32;
+    for &s in sources {
+        if ids.is_original(s) {
+            let ix = dag.intern_original(cnf, s);
+            dag.srcs.push(ix | ORIGINAL_TAG);
+        } else if let Some(j) = ids.index(s).filter(|&j| j < index) {
+            dag.srcs.push(j as u32);
+            rev_pairs.push((j as u32, node));
+            indeg += 1;
+        } else {
+            // Truncate at the first structurally missing source; the
+            // executor folds the prefix, then reports this.
+            dag.structural = Some(StructuralStop {
+                node,
+                missing: s,
+                forward: false,
+            });
+            break;
+        }
+    }
+    dag.nodes.push(DagNode {
+        id,
+        src_start,
+        src_end: dag.srcs.len() as u32,
+        indeg,
+        use_count: 0,
+        pinned: false,
+        stored: false,
+    });
+    Ok(())
 }
 
 /// A [`ClauseProvider`] over the built DAG and the executor's surviving
@@ -331,41 +352,33 @@ pub(crate) fn build<S: TraceSource + ?Sized>(
 /// pinned learned clauses through their node slots.
 struct DagProvider<'a> {
     dag: &'a Dag,
-    num_original: usize,
+    ids: &'a IdSpace,
     slots: Vec<Option<Box<[Lit]>>>,
 }
 
 impl ClauseProvider for DagProvider<'_> {
     fn clause_into(&mut self, id: u64, out: &mut Vec<Lit>) -> Result<(), CheckError> {
-        let missing = |id| CheckError::UnknownClause {
+        let lits: Option<&[Lit]> = if self.ids.is_original(id) {
+            let ix = self.dag.orig_index[id as usize];
+            (ix != NOT_INTERNED).then(|| &*self.dag.originals[ix as usize])
+        } else {
+            self.ids
+                .index(id)
+                .and_then(|j| self.slots.get(j)?.as_deref())
+        };
+        let lits = lits.ok_or(CheckError::UnknownClause {
             id,
             referenced_by: None,
-        };
-        let lits: &[Lit] = if id < self.num_original as u64 {
-            match self.dag.orig_index.get(&id) {
-                Some(&ix) => &self.dag.originals[ix as usize],
-                None => return Err(missing(id)),
-            }
-        } else {
-            match self
-                .dag
-                .id_to_node
-                .get(&id)
-                .and_then(|&n| self.slots[n as usize].as_deref())
-            {
-                Some(clause) => clause,
-                None => return Err(missing(id)),
-            }
-        };
+        })?;
         out.clear();
         out.extend_from_slice(lits);
         Ok(())
     }
 }
 
-/// The parallel-dag checker: breadth-first's pass 1, a streaming build
-/// of the dense dependency graph, the work-stealing resolution pass, and
-/// the final empty-clause derivation over the surviving slots.
+/// The parallel-dag checker: the streaming build of the dense
+/// dependency graph during pass 1, the work-stealing resolution pass,
+/// and the final empty-clause derivation over the surviving slots.
 pub(crate) fn run<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
@@ -373,24 +386,19 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
-    let num_original = cnf.num_clauses();
     // `--jobs` is a cap: workers beyond the machine's available cores
     // cannot raise throughput (the stats are identical either way), so
     // oversubscribed requests silently run with fewer workers.
     let jobs = effective_jobs(config.jobs).min(max_useful_workers());
     let mut meter = MemoryMeter::new(config.memory_limit);
 
-    let pass1 = Phase::start("check:pass1", obs);
+    let build_phase = Phase::start("check:dag-build", obs);
     obs.observe(&Event::GaugeSet {
         name: "check.jobs",
         value: jobs as f64,
     });
-    let (tables, start_id) = sequential_pass1(trace, num_original, &config.cancel)?;
-    meter.alloc(tables.resident_bytes())?;
-    pass1.finish(obs);
-
-    let build_phase = Phase::start("check:dag-build", obs);
-    let dag = build(cnf, trace, &tables, start_id, &mut meter, &config.cancel)?;
+    let (pass, dag) = build(cnf, trace, &mut meter, &config.cancel)?;
+    let start_id = pass.start_id()?;
     let (work, span) = dag.work_and_span();
     for (name, value) in [("check.dag.work", work), ("check.dag.span", span)] {
         obs.observe(&Event::GaugeSet {
@@ -412,29 +420,28 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
     let final_phase = Phase::start("final-phase", obs);
     let mut provider = DagProvider {
         dag: &dag,
-        num_original,
+        ids: &pass.ids,
         slots,
     };
-    let final_stats = derive_empty_clause(start_id, &tables.level_zero, &mut provider)?;
+    let final_stats = derive_empty_clause(start_id, &pass.level_zero, &mut provider)?;
     final_phase.finish(obs);
 
     let stats = CheckStats {
         strategy: Strategy::ParallelDag,
-        learned_in_trace: tables.defined.len() as u64,
+        learned_in_trace: pass.ids.len() as u64,
         clauses_built,
         resolutions: resolutions + final_stats.resolutions,
         peak_memory_bytes: meter.peak(),
         runtime: started.elapsed(),
         trace_bytes: trace.encoded_size(),
     };
-    crate::chain::emit_check_gauges(obs, &stats, tables.use_counts.len() as u64);
+    crate::chain::emit_check_gauges(obs, &stats, pass.ids.len() as u64);
     Ok(CheckOutcome { core: None, stats })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breadth_first::sequential_pass1;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceSink};
 
@@ -457,13 +464,10 @@ mod tests {
         (cnf, sink)
     }
 
-    /// Pass 1 and the build on an unlimited meter, which is returned.
+    /// The build on an unlimited meter, which is returned.
     fn built(cnf: &Cnf, sink: &MemorySink) -> (Dag, MemoryMeter) {
-        let (tables, start_id) =
-            sequential_pass1(sink, cnf.num_clauses(), &CancelFlag::default()).unwrap();
         let mut meter = MemoryMeter::unlimited();
-        let cancel = CancelFlag::default();
-        let dag = build(cnf, sink, &tables, start_id, &mut meter, &cancel).unwrap();
+        let (_, dag) = build(cnf, sink, &mut meter, &CancelFlag::default()).unwrap();
         (dag, meter)
     }
 
@@ -654,11 +658,14 @@ mod tests {
         let (cnf, sink) = chain(8);
         let (dag, meter) = built(&cnf, &sink);
         // Chain antecedents 0..8 plus the final conflict (-n) = 9
-        // distinct originals; the level-0 antecedent is learned.
+        // distinct originals; the one level-0 antecedent is learned.
         assert_eq!(dag.originals.len(), 9);
         let clause_cost: u64 = dag.originals.iter().map(|c| clause_bytes(c.len())).sum();
         let meta_cost =
             dag.nodes.len() as u64 * DAG_NODE_BYTES + dag.srcs.len() as u64 * DAG_SOURCE_BYTES;
-        assert_eq!(meter.current(), clause_cost + meta_cost);
+        assert_eq!(
+            meter.current(),
+            LEVEL_ZERO_RECORD_BYTES + clause_cost + meta_cost
+        );
     }
 }

@@ -9,21 +9,21 @@
 //! paper's experiments — and the original clauses touched along the way
 //! form an unsatisfiable core.
 //!
-//! One post-order [`walk`] serves all three. Where it finds a learned
-//! clause's resolve sources is its [`SourceStore`]:
+//! One post-order [`Walker::walk`] serves all three. Where it finds a
+//! learned clause's resolve sources is its [`SourceStore`]:
 //!
 //! - **`df`** reads the whole trace into a resident table first
-//!   ([`load_full`]), charged per record. That residency is why the
-//!   paper's depth-first checker memory-outs on the two hardest
-//!   instances, reproducible here via
-//!   [`CheckConfig::memory_limit`](crate::CheckConfig::memory_limit).
+//!   ([`load_full`]: one flat source list with a start per clause),
+//!   charged per record. That residency is why the paper's depth-first
+//!   checker memory-outs on the two hardest instances, reproducible here
+//!   via [`CheckConfig::memory_limit`](crate::CheckConfig::memory_limit).
 //! - **`dfd`** and **`hybrid`** leave the trace on disk. Their pass 1
-//!   records each learned clause's byte offset in a flat sorted index
-//!   (16 accounted bytes per learned clause instead of its source list),
-//!   and the walk fetches source lists through a [`TraceCursor`]: a
-//!   window read at the offset for a binary trace file, the line at the
-//!   offset for an ASCII one, the record in place for a trace held in
-//!   memory.
+//!   records each learned clause's byte offset in a table indexed by its
+//!   dense id (16 accounted bytes per learned clause instead of its
+//!   source list), and the walk fetches source lists through a
+//!   [`TraceCursor`]: a window read at the offset for a binary trace
+//!   file, the line at the offset for an ASCII one, the record in place
+//!   for a trace held in memory.
 //!
 //! What finishing a clause means is the walk's [`Visitor`]. `df` and
 //! `dfd` resolve and store it and never free a built clause, so the two
@@ -34,20 +34,18 @@
 //! needed consumer (breadth-first's discipline on depth-first's subset).
 
 use crate::api::CheckConfig;
-use crate::breadth_first::rebuild;
+use crate::breadth_first::{rebuild, PINNED};
 use crate::cancel::CancelFlag;
 use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
-use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::ids::IdSpace;
 use crate::memory::{MemoryMeter, INDEX_ENTRY_BYTES, LEVEL_ZERO_RECORD_BYTES, USE_COUNT_BYTES};
-use crate::model::{
-    finish_visit, load_full, park_check_error, validate_learned, FullTrace, LevelZeroMap,
-};
+use crate::model::{load_full, pass1, FullTrace, LevelZeroMap, Pass1, Record};
 use crate::outcome::{CheckOutcome, Strategy};
 use crate::scratch::CheckScratch;
 use rescheck_cnf::Cnf;
 use rescheck_obs::{Event, Observer, Phase};
-use rescheck_trace::{EventRef, TraceCursor, TraceEvent, TraceSource};
+use rescheck_trace::{TraceCursor, TraceEvent, TraceSource};
 use std::io;
 use std::ops::Deref;
 use std::time::Instant;
@@ -64,18 +62,19 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
     let mut meter = MemoryMeter::new(config.memory_limit);
 
     // The depth-first approach reads the entire trace into main memory.
-    let pass1 = Phase::start("check:pass1", obs);
+    let pass1_phase = Phase::start("check:pass1", obs);
     let full = load_full(trace, cnf.num_clauses(), &config.cancel)?;
-    meter.alloc(full.trace_bytes)?;
-    pass1.finish(obs);
+    meter.alloc(full.trace_bytes + full.pass1.ids.map_bytes())?;
+    pass1_phase.finish(obs);
 
-    let start_id = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-    let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
-    build_and_derive(&mut &full, &mut chain, start_id, &full.level_zero)?;
+    let start_id = full.pass1.start_id()?;
+    let ids = &full.pass1.ids;
+    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, true, obs);
+    build_and_derive(&mut &full, &full.pass1, &mut chain, start_id)?;
     let entries = chain.resident_clauses();
     Ok(chain.finish(
         Strategy::DepthFirst,
-        full.sources.len() as u64,
+        ids.len() as u64,
         entries,
         started,
         trace.encoded_size(),
@@ -93,21 +92,21 @@ pub(crate) fn run_disk<S: TraceSource + ?Sized>(
     let started = Instant::now();
     let mut meter = MemoryMeter::new(config.memory_limit);
 
-    let pass1 = Phase::start("check:pass1", obs);
-    let (index, level_zero, final_ids) =
-        indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
-    pass1.finish(obs);
+    let pass1_phase = Phase::start("check:pass1", obs);
+    let (pass, offsets) = indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
+    pass1_phase.finish(obs);
 
-    let start_id = *final_ids.first().ok_or(CheckError::NoFinalConflict)?;
+    let start_id = pass.start_id()?;
     let mut store = DiskSources {
-        index,
+        ids: &pass.ids,
+        offsets,
         cursor: trace.open_cursor()?,
         reads: 0,
     };
-    let mut chain = ChainStep::new(cnf, meter, config, scratch, true, &mut *obs);
-    build_and_derive(&mut store, &mut chain, start_id, &level_zero)?;
+    let mut chain = ChainStep::new(cnf, &pass.ids, meter, config, scratch, true, &mut *obs);
+    build_and_derive(&mut store, &pass, &mut chain, start_id)?;
     let entries = chain.resident_clauses();
-    let learned = store.index.entries.len() as u64;
+    let learned = pass.ids.len() as u64;
     let outcome = chain.finish(
         Strategy::DiskDepthFirst,
         learned,
@@ -129,10 +128,10 @@ pub(crate) fn run_disk<S: TraceSource + ?Sized>(
 
 /// `hybrid`: depth-first's needed clauses under breadth-first's freeing
 /// rule, on `dfd`'s disk store. The walk runs from every clause the
-/// final phase reads and records the build order and the needed use
-/// counts; the build pass rebuilds the needed clauses in that order,
-/// freeing each after its last needed consumer, and the final phase
-/// reads the pinned ones.
+/// final phase reads, in [`final_phase_roots`] order, and records the
+/// build order and the needed use counts; the build pass rebuilds the
+/// needed clauses in that order, freeing each after its last needed
+/// consumer, and the final phase reads the pinned roots.
 pub(crate) fn run_hybrid<S: TraceSource + ?Sized>(
     cnf: &Cnf,
     trace: &S,
@@ -141,60 +140,62 @@ pub(crate) fn run_hybrid<S: TraceSource + ?Sized>(
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
-    let num_original = cnf.num_clauses() as u64;
     let mut meter = MemoryMeter::new(config.memory_limit);
 
-    let pass1 = Phase::start("check:pass1", obs);
-    let (index, level_zero, final_ids) =
-        indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
-    pass1.finish(obs);
+    let pass1_phase = Phase::start("check:pass1", obs);
+    let (pass, offsets) = indexed_pass1(trace, cnf.num_clauses(), &mut meter, &config.cancel)?;
+    pass1_phase.finish(obs);
 
-    let start_id = *final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-    // The set's iteration order is the walk's root order, which fixes
-    // the build order and so the peak.
-    let pinned: FxHashSet<u64> = final_phase_roots(&level_zero, start_id)
-        .filter(|&id| id >= num_original)
-        .collect();
-
+    let start_id = pass.start_id()?;
+    let ids = &pass.ids;
     let mut store = DiskSources {
-        index,
+        ids,
+        offsets,
         cursor: trace.open_cursor()?,
         reads: 0,
     };
     let walk_phase = Phase::start("check:walk", obs);
     let mut needed = Needed {
-        num_original,
-        finished: FxHashSet::default(),
+        ids,
+        finished: vec![false; ids.len()],
         order: Vec::new(),
-        use_counts: FxHashMap::default(),
+        use_counts: vec![0; ids.len()],
     };
-    for &root in &pinned {
-        walk(&mut store, &mut needed, root, &config.cancel)?;
+    let mut walker = Walker::new(ids);
+    let roots: Vec<u64> = final_phase_roots(&pass.level_zero, start_id)
+        .filter(|&id| !ids.is_original(id))
+        .collect();
+    for &root in &roots {
+        walker.walk(&mut store, &mut needed, root, &config.cancel)?;
+    }
+    for &root in &roots {
+        let index = ids.index(root).expect("a walked root is defined");
+        needed.use_counts[index] = PINNED;
     }
     meter.alloc(needed.order.len() as u64 * USE_COUNT_BYTES)?;
     walk_phase.finish(obs);
 
     let resolve_phase = Phase::start("check:resolve", obs);
-    let mut chain = ChainStep::new(cnf, meter, config, scratch, true, obs);
+    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, true, obs);
     for &id in &needed.order {
         let sources = store.sources(id, None)?;
-        rebuild(&mut chain, id, &sources, &mut needed.use_counts, &pinned)?;
+        rebuild(&mut chain, id, &sources, &mut needed.use_counts)?;
     }
     resolve_phase.finish(&mut *chain.obs);
 
-    chain.final_phase(start_id, &level_zero, |_, _| Ok(()))?;
+    chain.final_phase(start_id, &pass.level_zero, |_, _| Ok(()))?;
     Ok(chain.finish(
         Strategy::Hybrid,
-        store.index.entries.len() as u64,
-        needed.use_counts.len() as u64,
+        ids.len() as u64,
+        needed.order.len() as u64,
         started,
         trace.encoded_size(),
     ))
 }
 
 /// The clauses the final phase reads: the level-0 antecedents in trace
-/// order, then the start clause. They are hybrid's pins and the roots of
-/// the walks of `trim` and `stats`.
+/// order, then the start clause. They are the pins of `bf` and `hybrid`
+/// and the roots of the walks of `hybrid`, `trim` and `stats`.
 pub(crate) fn final_phase_roots(
     level_zero: &LevelZeroMap,
     start_id: u64,
@@ -212,74 +213,95 @@ pub(crate) fn final_phase_roots(
 /// demand.
 fn build_and_derive<S: SourceStore>(
     store: &mut S,
+    pass: &Pass1,
     chain: &mut ChainStep<'_>,
     start_id: u64,
-    level_zero: &LevelZeroMap,
 ) -> Result<(), CheckError> {
     let cancel = chain.cancel.clone();
+    let mut walker = Walker::new(&pass.ids);
     // The cone is the bulk of the resolution work; the remaining level-0
     // antecedents are built lazily inside the final phase.
     let resolve_phase = Phase::start("check:resolve", &mut *chain.obs);
-    walk(store, chain, start_id, &cancel)?;
+    walker.walk(store, chain, start_id, &cancel)?;
     resolve_phase.finish(&mut *chain.obs);
-    chain.final_phase(start_id, level_zero, |chain, id| {
-        walk(store, chain, id, &cancel)
+    chain.final_phase(start_id, &pass.level_zero, |chain, id| {
+        walker.walk(store, chain, id, &cancel)
     })
 }
 
-/// Visits clause `root` and every clause it depends on that is not done
-/// yet, finishing each after all its sources: the iterative form of
-/// Fig. 3's `recursive_build`, so deep proofs cannot overflow the native
-/// stack. A clause's sources are fetched once, when it is opened, and
-/// stay in its open frame until it finishes; the open frames lie on one
-/// path of the proof and are uncharged, like the work stack. The gray
-/// set holds the open clauses, so a source that is still open is a
-/// cycle, rejected instead of looping.
-pub(crate) fn walk<S: SourceStore, V: Visitor>(
-    store: &mut S,
-    visitor: &mut V,
-    root: u64,
-    cancel: &CancelFlag,
-) -> Result<(), CheckError> {
-    if visitor.is_done(root) {
-        return Ok(());
+/// The depth-first walk and its open (gray) set, indexed by dense id and
+/// reused across the walks of one check.
+pub(crate) struct Walker<'i> {
+    ids: &'i IdSpace,
+    gray: Vec<bool>,
+}
+
+impl<'i> Walker<'i> {
+    pub(crate) fn new(ids: &'i IdSpace) -> Self {
+        Walker {
+            ids,
+            gray: vec![false; ids.len()],
+        }
     }
-    let mut gray: FxHashSet<u64> = FxHashSet::default();
-    // Clauses still to open, each with the clause that referenced it.
-    let mut pending: Vec<(u64, Option<u64>)> = vec![(root, None)];
-    // Open clauses: id, sources, and the `pending` length their
-    // children were pushed above.
-    let mut open: Vec<(u64, S::Sources, usize)> = Vec::new();
-    let mut steps: u64 = 0;
-    loop {
-        steps += 1;
-        if steps.is_multiple_of(PROGRESS_STRIDE) {
-            cancel.check()?;
-        }
-        if open.last().map(|frame| frame.2) == Some(pending.len()) {
-            let (id, sources, _) = open.pop().expect("an open frame");
-            visitor.finish(id, &sources)?;
-            gray.remove(&id);
-            continue;
-        }
-        let Some((id, referenced_by)) = pending.pop() else {
+
+    /// Visits clause `root` and every clause it depends on that is not
+    /// done yet, finishing each after all its sources: the iterative form
+    /// of Fig. 3's `recursive_build`, so deep proofs cannot overflow the
+    /// native stack. A clause's sources are fetched once, when it is
+    /// opened, and stay in its open frame until it finishes; the open
+    /// frames lie on one path of the proof and are uncharged, like the
+    /// work stack. A source that is still open is a cycle, rejected
+    /// instead of looping.
+    pub(crate) fn walk<S: SourceStore, V: Visitor>(
+        &mut self,
+        store: &mut S,
+        visitor: &mut V,
+        root: u64,
+        cancel: &CancelFlag,
+    ) -> Result<(), CheckError> {
+        if visitor.is_done(root) {
             return Ok(());
-        };
-        if visitor.is_done(id) {
-            continue;
         }
-        let sources = store.sources(id, referenced_by)?;
-        gray.insert(id);
-        let base = pending.len();
-        for &source in sources.iter() {
-            if !visitor.is_done(source) {
-                if gray.contains(&source) {
-                    return Err(CheckError::CyclicProof { id: source });
-                }
-                pending.push((source, Some(id)));
+        // Clauses still to open, each with the clause that referenced it.
+        let mut pending: Vec<(u64, Option<u64>)> = vec![(root, None)];
+        // Open clauses: id, dense id, sources, and the `pending` length
+        // their children were pushed above.
+        let mut open: Vec<(u64, usize, S::Sources, usize)> = Vec::new();
+        let mut steps: u64 = 0;
+        loop {
+            steps += 1;
+            if steps.is_multiple_of(PROGRESS_STRIDE) {
+                cancel.check()?;
             }
+            if open.last().map(|frame| frame.3) == Some(pending.len()) {
+                let (id, index, sources, _) = open.pop().expect("an open frame");
+                visitor.finish(id, &sources)?;
+                self.gray[index] = false;
+                continue;
+            }
+            let Some((id, referenced_by)) = pending.pop() else {
+                return Ok(());
+            };
+            if visitor.is_done(id) {
+                continue;
+            }
+            let sources = store.sources(id, referenced_by)?;
+            let index = self
+                .ids
+                .index(id)
+                .expect("a clause with sources is defined");
+            self.gray[index] = true;
+            let base = pending.len();
+            for &source in sources.iter() {
+                if !visitor.is_done(source) {
+                    if self.ids.index(source).is_some_and(|j| self.gray[j]) {
+                        return Err(CheckError::CyclicProof { id: source });
+                    }
+                    pending.push((source, Some(id)));
+                }
+            }
+            open.push((id, index, sources, base));
         }
-        open.push((id, sources, base));
     }
 }
 
@@ -307,25 +329,26 @@ impl Visitor for ChainStep<'_> {
 
 /// `hybrid`'s walk: the needed clauses in the order they finish (sources
 /// before consumers, so the build order), and how many needed clauses
-/// consume each.
-struct Needed {
-    num_original: u64,
-    finished: FxHashSet<u64>,
+/// consume each, by dense id.
+struct Needed<'i> {
+    ids: &'i IdSpace,
+    finished: Vec<bool>,
     order: Vec<u64>,
-    use_counts: FxHashMap<u64, u32>,
+    use_counts: Vec<u32>,
 }
 
-impl Visitor for Needed {
+impl Visitor for Needed<'_> {
     fn is_done(&self, id: u64) -> bool {
-        id < self.num_original || self.finished.contains(&id)
+        self.ids.is_original(id) || self.ids.index(id).is_some_and(|j| self.finished[j])
     }
 
     fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
-        self.finished.insert(id);
+        let index = self.ids.index(id).expect("a finished clause is defined");
+        self.finished[index] = true;
         self.order.push(id);
         for &source in sources {
-            if source >= self.num_original {
-                *self.use_counts.entry(source).or_insert(0) += 1;
+            if let Some(j) = self.ids.index(source) {
+                self.use_counts[j] += 1;
             }
         }
         Ok(())
@@ -347,17 +370,20 @@ impl<'t> SourceStore for &'t FullTrace {
 
     fn sources(&mut self, id: u64, referenced_by: Option<u64>) -> Result<&'t [u64], CheckError> {
         let full: &'t FullTrace = self;
-        full.sources
-            .get(&id)
-            .map(Vec::as_slice)
+        full.pass1
+            .ids
+            .index(id)
+            .map(|index| full.sources(index))
             .ok_or(CheckError::UnknownClause { id, referenced_by })
     }
 }
 
-/// `dfd`'s and `hybrid`'s store: a cursor read at the offset the index
-/// holds for the clause.
+/// `dfd`'s and `hybrid`'s store: a cursor read at the offset pass 1
+/// recorded for the clause.
 struct DiskSources<'t> {
-    index: FlatIndex,
+    ids: &'t IdSpace,
+    /// Byte offset of each learned clause's record, by dense id.
+    offsets: Vec<u64>,
     cursor: Box<dyn TraceCursor + 't>,
     /// Positioned trace reads performed.
     reads: u64,
@@ -367,11 +393,14 @@ impl SourceStore for DiskSources<'_> {
     type Sources = Vec<u64>;
 
     fn sources(&mut self, id: u64, referenced_by: Option<u64>) -> Result<Vec<u64>, CheckError> {
-        let offset = self
-            .index
-            .get(id)
+        let index = self
+            .ids
+            .index(id)
             .ok_or(CheckError::UnknownClause { id, referenced_by })?;
-        let event = self.cursor.event_at(offset).map_err(CheckError::Trace)?;
+        let event = self
+            .cursor
+            .event_at(self.offsets[index])
+            .map_err(CheckError::Trace)?;
         self.reads += 1;
         match event {
             TraceEvent::Learned { id: got, sources } if got == id => Ok(sources),
@@ -383,83 +412,24 @@ impl SourceStore for DiskSources<'_> {
     }
 }
 
-/// The disk store's pass 1: the flat offset index, the level-0 records
-/// and the final-conflict list.
-///
-/// It reports the same first error, in trace order, as the resident
-/// table's pass 1 without keeping a per-id set: duplicate ids are found
-/// by sorting the index, on the error path and at the end, and the
-/// duplicate whose second definition comes first wins over any later
-/// error.
+/// The disk store's pass 1: the shared [`pass1`] plus each learned
+/// clause's byte offset, charged per record as it is read.
 fn indexed_pass1<S: TraceSource + ?Sized>(
     trace: &S,
     num_original: usize,
     meter: &mut MemoryMeter,
     cancel: &CancelFlag,
-) -> Result<(FlatIndex, LevelZeroMap, Vec<u64>), CheckError> {
-    let mut entries: Vec<(u64, u64)> = Vec::new();
-    let mut level_zero = LevelZeroMap::default();
-    let mut final_ids: Vec<u64> = Vec::new();
-    let mut seen: u64 = 0;
-    let mut parked: Option<CheckError> = None;
-    let result = trace.visit_offsets(&mut |offset, event| {
-        seen += 1;
-        let step = (|| -> Result<(), CheckError> {
-            if seen.is_multiple_of(PROGRESS_STRIDE) {
-                cancel.check()?;
-            }
-            match event {
-                EventRef::Learned { id, sources } => {
-                    // Indexed before validation, so a record that is
-                    // both a duplicate and short of sources reports
-                    // the duplicate, as the resident table does.
-                    entries.push((id, offset));
-                    validate_learned(id, sources.len(), num_original, |_| false)?;
-                    meter.alloc(INDEX_ENTRY_BYTES)?;
-                }
-                EventRef::LevelZero { lit, antecedent } => {
-                    level_zero.insert(lit, antecedent)?;
-                    meter.alloc(LEVEL_ZERO_RECORD_BYTES)?;
-                }
-                EventRef::FinalConflict { id } => final_ids.push(id),
-            }
-            Ok(())
-        })();
-        step.map_err(|e| park_check_error(&mut parked, e))
-    });
-    let index = FlatIndex::from_entries(entries)?;
-    finish_visit(parked, result)?;
-    Ok((index, level_zero, final_ids))
-}
-
-/// Learned-clause id → byte offset, stored flat and sorted: half the
-/// resident footprint of a hash map at the same entry count, and the
-/// 16-byte [`INDEX_ENTRY_BYTES`] accounting matches the layout exactly.
-struct FlatIndex {
-    entries: Vec<(u64, u64)>,
-}
-
-impl FlatIndex {
-    /// Sorts the pass-1 entries by (id, offset) and rejects the duplicate
-    /// definition that comes first in trace order.
-    fn from_entries(mut entries: Vec<(u64, u64)>) -> Result<Self, CheckError> {
-        entries.sort_unstable();
-        let first_duplicate = entries
-            .windows(2)
-            .filter(|pair| pair[0].0 == pair[1].0)
-            .min_by_key(|pair| pair[1].1);
-        if let Some(pair) = first_duplicate {
-            return Err(CheckError::DuplicateLearnedId { id: pair[0].0 });
+) -> Result<(Pass1, Vec<u64>), CheckError> {
+    let mut offsets: Vec<u64> = Vec::new();
+    let pass = pass1(trace, num_original, cancel, |record| match record {
+        Record::Learned { offset, .. } => {
+            offsets.push(offset);
+            meter.alloc(INDEX_ENTRY_BYTES)
         }
-        Ok(FlatIndex { entries })
-    }
-
-    fn get(&self, id: u64) -> Option<u64> {
-        self.entries
-            .binary_search_by_key(&id, |&(entry_id, _)| entry_id)
-            .ok()
-            .map(|pos| self.entries[pos].1)
-    }
+        Record::LevelZero => meter.alloc(LEVEL_ZERO_RECORD_BYTES),
+    })?;
+    meter.alloc(pass.ids.map_bytes())?;
+    Ok((pass, offsets))
 }
 
 /// The checks every configuration of the walk must pass. Each takes the
@@ -689,8 +659,50 @@ pub(crate) mod table {
 
 #[cfg(test)]
 mod tests {
-    use super::table::store_tests;
+    use super::table::{self, store_tests};
+    use crate::api::{check_unsat_claim_observed, CheckConfig};
     use crate::outcome::Strategy;
+    use rescheck_obs::MetricsSink;
+    use std::time::Duration;
+
+    /// On the diamond the start clause is an original and every learned
+    /// clause is under the level-0 antecedent, so all four are built on
+    /// demand inside the final phase. Their time is resolution work: one
+    /// `check:resolve` span under `final-phase` carries it, however many
+    /// builds ran. Engines that build nothing there get no such span.
+    #[test]
+    fn lazy_builds_are_timed_as_resolve_work() {
+        let (cnf, sink) = table::diamond();
+        let config = CheckConfig::default();
+        for strategy in [
+            Strategy::DepthFirst,
+            Strategy::DiskDepthFirst,
+            Strategy::Portfolio,
+            Strategy::BreadthFirst,
+            Strategy::Hybrid,
+        ] {
+            let mut metrics = MetricsSink::new();
+            let outcome =
+                check_unsat_claim_observed(&cnf, &sink, strategy, &config, &mut metrics).unwrap();
+            assert_eq!(outcome.stats.clauses_built, 4, "{strategy}");
+            let spans = metrics.registry().spans();
+            let final_phase = spans.iter().find(|s| s.name == "final-phase").unwrap();
+            let lazy: Vec<_> = spans
+                .iter()
+                .filter(|s| s.parent == Some(final_phase.id))
+                .collect();
+            if matches!(strategy, Strategy::BreadthFirst | Strategy::Hybrid) {
+                assert!(lazy.is_empty(), "{strategy}");
+                continue;
+            }
+            assert_eq!(lazy.len(), 1, "{strategy}: one span for every build");
+            assert_eq!(lazy[0].name, "check:resolve");
+            let wall = lazy[0].wall.unwrap();
+            assert!(wall > Duration::ZERO && wall <= final_phase.wall.unwrap());
+            let resolve = metrics.registry().phase_seconds("check:resolve").unwrap();
+            assert!(resolve >= wall.as_secs_f64(), "{strategy}");
+        }
+    }
 
     store_tests! {
         Strategy::DepthFirst;

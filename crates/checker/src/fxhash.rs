@@ -13,7 +13,7 @@
 //! the checker iterates a hot map (e.g. the hybrid strategy's root set)
 //! now behaves identically across runs and `--jobs` values.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// The multiplier from the FxHash family (a 64-bit odd constant with a
@@ -85,9 +85,6 @@ impl BuildHasher for FxBuildHasher {
 /// A `HashMap` keyed through [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed through [`FxHasher`].
-pub(crate) type FxHashSet<K> = HashSet<K, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +116,5 @@ mod tests {
         let mut h2 = FxHasher::default();
         h2.write(b"0123456789ac");
         assert_ne!(h1.finish(), h2.finish());
-    }
-
-    #[test]
-    fn sets_dedup() {
-        let mut set: FxHashSet<u64> = FxHashSet::default();
-        assert!(set.insert(3));
-        assert!(!set.insert(3));
-        assert!(set.contains(&3));
     }
 }

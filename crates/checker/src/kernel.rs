@@ -1,4 +1,4 @@
-//! The mark-array resolution kernel: allocation-free chain resolution.
+//! The literal-stamp resolution kernel: allocation-free chain resolution.
 //!
 //! The checker's hot loop — "resolve the distance clause with each
 //! antecedent in order" (§3.2 of the paper) — previously called
@@ -6,39 +6,51 @@
 //! call allocated a fresh resolvent `Vec` and re-merged the whole
 //! accumulator, so a chain of `k` antecedents cost O(k·|acc|) literal
 //! visits and `k` heap allocations. This kernel resolves the *entire*
-//! chain against a variable-indexed stamp store instead: the seed clause
-//! is marked into the store, every antecedent is folded in
+//! chain against a literal-indexed stamp store instead: the seed clause
+//! is stamped into the store, every antecedent is folded in
 //! O(|antecedent|), and the sorted resolvent is materialized exactly once
 //! at the end. Total work for a chain with literal mass `L` is O(L + |r|
 //! log |r|) for a resolvent `r`, and all scratch buffers are reused
 //! across chains, so steady-state resolution performs **zero heap
 //! allocations** (tracked by [`KernelStats::scratch_grows`]).
 //!
-//! The fold replicates `resolve_sorted`'s two-pointer merge semantics
-//! bit-for-bit — including its behaviour on tautological inputs, where a
-//! clause may contain both phases of a variable. `resolve_sorted` pairs
-//! each antecedent literal with the *smallest-code unpaired* literal of
-//! the same variable in the accumulator: equal literals merge, opposite
-//! literals clash (both are consumed), and unpaired literals pass
-//! through. The kernel reproduces this with two stamps per literal:
-//! `present` (is this literal in the accumulator, stamped with the chain
-//! generation) and `paired` (was this literal already paired during the
-//! current fold, stamped with a fold sequence number). Bumping the
-//! generation or the sequence number invalidates every stamp in O(1), so
-//! nothing is ever cleared eagerly.
+//! # Literal stamps
 //!
-//! # The SWAR stamp layout
+//! `present[code]` holds a `u32` chain stamp: a literal is in the
+//! accumulator exactly when its stamp equals the current generation, so
+//! bumping the generation at [`ResolutionKernel::begin`] empties the
+//! accumulator in O(1). A variable's two phases sit side by side (codes
+//! `2v` and `2v + 1`), so one fold step reads both stamps of its
+//! variable with one bounds check and picks its case by
+//! compare-and-select, not by a branch per case:
 //!
-//! The kernel packs all four stamps of a variable — present/paired for
-//! each phase, 16 bits each — into **one `u64` lane word** per variable.
-//! Probing a variable is then a single load and a couple of XOR/mask
-//! operations on the packed lanes (SIMD-within-a-register) instead of up
-//! to four spread-out loads across two code-indexed arrays, and the lane
-//! store takes 8 bytes per variable. The price is 16-bit stamps: when a
-//! counter wraps, the kernel re-establishes the invariant explicitly — a
-//! full lane-store flush at a chain boundary for the generation, a
-//! targeted un-pairing sweep over the accumulator for a mid-chain fold
-//! sequence wrap — both amortized over 65 534 chains/folds.
+//! - the opposite phase is present: a **clash** — both stamps drop to 0
+//!   and the variable is recorded as this step's pivot candidate;
+//! - otherwise the literal's own stamp becomes the generation: a
+//!   **merge** if it was already present, a **pass-through** (appended to
+//!   the accumulator list) if not.
+//!
+//! # The tautological loop, and why it stays
+//!
+//! That rule is [`resolve_sorted`](crate::resolve_sorted)'s two-pointer
+//! merge only while no clause of the chain holds both phases of a
+//! variable. On a tautological input the merge pairs each antecedent
+//! literal with the *smallest-code unpaired* accumulator literal of its
+//! variable, which a single present/absent stamp cannot express. Solver
+//! traces never contain such clauses, but the checker must reject or
+//! accept a hostile trace exactly as the oracle would, so at the chain's
+//! first tautological input (an adjacent same-variable pair in a sorted
+//! clause — the seed or any antecedent) the kernel switches, for the rest
+//! of the chain, to an exact pairing loop over a second stamp array:
+//! `paired[code]` holds the number of the fold that last paired the
+//! literal. Both loops are linear, and their resolvents and failures are
+//! bit-identical to the oracle's. Switching between two antecedent
+//! literals is exact because the literals a fold has already visited
+//! belong to smaller variables than the ones it has yet to visit.
+//!
+//! Stamps are `u32`: the generation wraps after 2^32 − 1 chains and the
+//! fold number after 2^32 − 1 tautological folds, and each wrap zeroes
+//! its array once — no lane packing, no sweeps.
 //!
 //! `resolve_sorted` is the oracle: `tests/kernel_diff.rs` and the unit
 //! tests below drive random and crafted chains through both and assert
@@ -50,7 +62,7 @@ use rescheck_cnf::{Lit, Var};
 /// Counters describing the kernel's work and scratch-memory behaviour.
 ///
 /// `scratch_grows` is the allocation-freedom witness: it increments only
-/// when the kernel's scratch footprint (mark arrays plus literal
+/// when the kernel's scratch footprint (stamp arrays plus literal
 /// buffers) grows. Once the kernel has seen the widest chain of a run it
 /// stops incrementing, proving the steady state allocates nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,16 +77,10 @@ pub struct KernelStats {
     pub scratch_high_water: u64,
 }
 
-/// Lane offsets inside a packed SWAR word. Phase `pos` is the
-/// smaller-code literal, so it is probed first to preserve
-/// `resolve_sorted`'s smallest-code pairing order.
-const PRESENT_POS: u32 = 0;
-const PRESENT_NEG: u32 = 16;
-const PAIRED_POS: u32 = 32;
-const PAIRED_NEG: u32 = 48;
-const LANE: u64 = 0xFFFF;
+/// A variable's two stamps, indexed by phase (`code & 1`).
+type Stamps = [u32; 2];
 
-/// Resolves chains of clauses against a variable-indexed mark store.
+/// Resolves chains of clauses against a literal-indexed stamp store.
 ///
 /// Usage: [`begin`](Self::begin) with the seed clause, then
 /// [`fold`](Self::fold) each antecedent in order (each fold enforces the
@@ -106,21 +112,28 @@ const LANE: u64 = 0xFFFF;
 /// ```
 #[derive(Debug, Default)]
 pub struct ResolutionKernel {
-    /// Lane store: `marks[var]` packs present/paired for both phases, 16
-    /// bits each (see the module docs for the layout).
-    marks: Vec<u64>,
-    /// Chain stamp; bumping it empties the accumulator. 0 is never valid
-    /// (flushed lanes hold 0).
-    generation: u16,
-    /// Fold stamp; bumping it "unpairs" everything. 0 is never valid.
-    fold_seq: u16,
-    /// Insertion-ordered accumulator literals; may contain entries whose
-    /// `present` lane has since been cleared (lazy deletion).
+    /// `present[var][phase]`: the chain stamp of each literal.
+    present: Vec<Stamps>,
+    /// `paired[var][phase]`: the fold that last paired each literal;
+    /// sized and read only once a chain has turned tautological.
+    paired: Vec<Stamps>,
+    /// Chain stamp; bumping it empties the accumulator. 0 is never valid.
+    generation: u32,
+    /// Number of the current tautological fold. 0 is never valid.
+    fold_seq: u32,
+    /// Whether the current chain has met a tautological clause.
+    exact: bool,
+    /// Accumulator literals in insertion order, `lits[..len]`; entries
+    /// whose stamp has since dropped are skipped at the end (lazy
+    /// deletion). The buffer is kept at least one antecedent longer than
+    /// `len`, so a fold appends without a capacity branch.
     lits: Vec<Lit>,
+    len: usize,
+    /// Clashing variables of the current fold, `clash[..clashes]`.
+    clash: Vec<Var>,
+    clashes: usize,
     /// Resolvent buffer returned by [`finish`](Self::finish).
     out: Vec<Lit>,
-    /// Clashing variables found by the current fold.
-    clash: Vec<Var>,
     stats: KernelStats,
     /// Last observed scratch footprint in bytes, for growth tracking.
     footprint: u64,
@@ -141,40 +154,25 @@ impl ResolutionKernel {
             seed.windows(2).all(|w| w[0] < w[1]),
             "seed clause not normalized"
         );
-        self.lits.clear();
-        // Both 16-bit stamps advance at the chain boundary; a wrap of
-        // either re-establishes "no lane holds the current stamp" the
-        // explicit way — by flushing the lane store.
-        let (gen, fseq) = (
-            self.generation.wrapping_add(1),
-            self.fold_seq.wrapping_add(1),
-        );
-        if gen == 0 || fseq == 0 {
-            self.marks.fill(0);
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // A recycled generation must find no stale stamp.
+            self.present.fill([0; 2]);
             self.generation = 1;
-            self.fold_seq = 1;
-        } else {
-            self.generation = gen;
-            self.fold_seq = fseq;
         }
-        if let Some(max) = seed.iter().map(|l| l.var().index()).max() {
-            if max >= self.marks.len() {
-                self.marks.resize(max + 1, 0);
-            }
+        self.exact = false;
+        self.len = 0;
+        self.reserve(seed);
+        let gen = self.generation;
+        for (slot, &l) in self.lits.iter_mut().zip(seed) {
+            self.present[l.var().index()][phase(l)] = gen;
+            *slot = l;
         }
-        let gen = self.generation as u64;
-        for &l in seed {
-            let v = l.var().index();
-            let (pshift, dshift) = lane_shifts(l);
-            // Mark present with the fresh generation and clear the paired
-            // lane: a stale 16-bit pairing stamp could otherwise collide
-            // with a future fold sequence number (0 never matches).
-            self.marks[v] =
-                (self.marks[v] & !((LANE << pshift) | (LANE << dshift))) | (gen << pshift);
-            self.lits.push(l);
+        self.len = seed.len();
+        if seed.windows(2).any(|w| w[0].code() ^ w[1].code() == 1) {
+            self.enter_exact();
         }
         self.stats.chains += 1;
-        self.note_footprint();
     }
 
     /// Folds one antecedent into the accumulator.
@@ -198,80 +196,107 @@ impl ResolutionKernel {
             antecedent.windows(2).all(|w| w[0] < w[1]),
             "antecedent clause not normalized"
         );
-        self.clash.clear();
-        self.fold_lanes(antecedent);
+        self.reserve(antecedent);
+        if self.exact {
+            self.fold_exact(antecedent);
+        } else {
+            self.fold_stamps(antecedent);
+        }
         self.stats.literals_folded += antecedent.len() as u64;
-        self.note_footprint();
-        if self.clash.len() == 1 {
+        if self.clashes == 1 {
             Ok(self.clash[0])
         } else {
             Err(ResolveFailure {
-                clashing_vars: self.clash.clone(),
+                clashing_vars: self.clash[..self.clashes].to_vec(),
             })
         }
     }
 
-    fn fold_lanes(&mut self, antecedent: &[Lit]) {
-        let fseq = self.fold_seq.wrapping_add(1);
-        self.fold_seq = if fseq == 0 {
-            // Mid-chain wrap: the accumulator must survive, so instead of
-            // flushing we un-pair exactly the lanes a stale stamp could
-            // live in — every variable ever touched by this chain is in
-            // `lits` (lazily-deleted entries included).
-            const PAIRED_LANES: u64 = (LANE << PAIRED_POS) | (LANE << PAIRED_NEG);
-            for i in 0..self.lits.len() {
-                let v = self.lits[i].var().index();
-                self.marks[v] &= !PAIRED_LANES;
+    /// The fold while no clause of the chain is tautological: one
+    /// stamp pair per literal, no branch on the case.
+    fn fold_stamps(&mut self, antecedent: &[Lit]) {
+        let gen = self.generation;
+        let (mut len, mut clashes) = (self.len, 0);
+        for (i, &l) in antecedent.iter().enumerate() {
+            if antecedent
+                .get(i + 1)
+                .is_some_and(|next| next.code() ^ l.code() == 1)
+            {
+                // `l` and the next literal are both phases of one
+                // variable: this literal and the rest take the exact
+                // loop, for the rest of the chain.
+                (self.len, self.clashes) = (len, clashes);
+                self.enter_exact();
+                self.pair_literals(&antecedent[i..]);
+                return;
             }
-            1
-        } else {
-            fseq
-        };
-        if let Some(max) = antecedent.iter().map(|l| l.var().index()).max() {
-            if max >= self.marks.len() {
-                self.marks.resize(max + 1, 0);
-            }
+            let stamps = &mut self.present[l.var().index()];
+            let p = phase(l);
+            let own = stamps[p] == gen;
+            let opposite = stamps[p ^ 1] == gen;
+            // A clash clears both phases; anything else stamps `l`.
+            let keep = u32::from(opposite).wrapping_sub(1);
+            stamps[p ^ 1] &= keep;
+            stamps[p] = gen & keep;
+            self.lits[len] = l;
+            len += usize::from(!own & !opposite);
+            self.clash[clashes] = l.var();
+            clashes += usize::from(opposite);
         }
-        let gen = self.generation as u64;
-        let fseq = self.fold_seq as u64;
-        // Broadcast word: XOR-ing it against a lane word zeroes the
-        // present lanes that match the generation and the paired lanes
-        // that match the fold stamp — one load + one XOR probes all four
-        // stamps of the variable.
-        let broadcast = (gen << PRESENT_POS)
-            | (gen << PRESENT_NEG)
-            | (fseq << PAIRED_POS)
-            | (fseq << PAIRED_NEG);
-        for &l in antecedent {
+        (self.len, self.clashes) = (len, clashes);
+    }
+
+    /// Switches the current chain to the exact pairing loop.
+    fn enter_exact(&mut self) {
+        self.exact = true;
+        if self.paired.len() < self.present.len() {
+            self.paired.resize(self.present.len(), [0; 2]);
+            self.note_footprint();
+        }
+        self.fold_seq = self.fold_seq.wrapping_add(1);
+        if self.fold_seq == 0 {
+            // A recycled fold number must find no stale pairing.
+            self.paired.fill([0; 2]);
+            self.fold_seq = 1;
+        }
+    }
+
+    /// A whole fold in the exact loop.
+    fn fold_exact(&mut self, antecedent: &[Lit]) {
+        self.clashes = 0;
+        self.enter_exact();
+        self.pair_literals(antecedent);
+    }
+
+    /// `resolve_sorted`'s pairing, literal by literal: the variable's
+    /// head is its smallest-code accumulator literal not yet paired in
+    /// this fold.
+    fn pair_literals(&mut self, literals: &[Lit]) {
+        let (gen, fold) = (self.generation, self.fold_seq);
+        for &l in literals {
             let v = l.var().index();
-            let probe = self.marks[v] ^ broadcast;
-            let pos_head = probe & (LANE << PRESENT_POS) == 0 && probe & (LANE << PAIRED_POS) != 0;
-            let neg_head = probe & (LANE << PRESENT_NEG) == 0 && probe & (LANE << PAIRED_NEG) != 0;
-            let own_neg = l.is_negative();
-            // Positive is the smaller code, so it is the head when both
-            // phases are live and unpaired.
-            match (pos_head, neg_head) {
-                (false, false) => {
-                    // No partner: the antecedent literal passes through.
-                    let (pshift, dshift) = lane_shifts(l);
-                    self.marks[v] = (self.marks[v] & !((LANE << pshift) | (LANE << dshift)))
-                        | (gen << pshift)
-                        | (fseq << dshift);
-                    self.lits.push(l);
+            let (present, paired) = (&mut self.present[v], &mut self.paired[v]);
+            let live = |p: usize| present[p] == gen && paired[p] != fold;
+            let head = if live(0) {
+                Some(0)
+            } else if live(1) {
+                Some(1)
+            } else {
+                None
+            };
+            let p = phase(l);
+            match head {
+                None => {
+                    present[p] = gen;
+                    paired[p] = fold;
+                    self.lits[self.len] = l;
+                    self.len += 1;
                 }
-                (true, _) if !own_neg => {
-                    // Head is the positive literal and so is ours: merge.
-                    self.marks[v] = (self.marks[v] & !(LANE << PAIRED_POS)) | (fseq << PAIRED_POS);
-                }
-                (_, true) if own_neg && !pos_head => {
-                    // Head is the negative literal and so is ours: merge.
-                    self.marks[v] = (self.marks[v] & !(LANE << PAIRED_NEG)) | (fseq << PAIRED_NEG);
-                }
-                _ => {
-                    // Head is the opposite phase: a clash, consumed.
-                    let head_shift = if pos_head { PRESENT_POS } else { PRESENT_NEG };
-                    self.marks[v] &= !(LANE << head_shift);
-                    self.clash.push(l.var());
+                Some(h) if h == p => paired[p] = fold,
+                Some(h) => {
+                    present[h] = 0;
+                    self.clash[self.clashes] = l.var();
+                    self.clashes += 1;
                 }
             }
         }
@@ -285,19 +310,20 @@ impl ResolutionKernel {
     /// to start the next chain.
     pub fn finish(&mut self) -> &[Lit] {
         self.out.clear();
-        let gen = self.generation as u64;
-        for i in 0..self.lits.len() {
-            let l = self.lits[i];
-            let v = l.var().index();
-            let (pshift, _) = lane_shifts(l);
-            if (self.marks[v] >> pshift) & LANE == gen {
-                // Unmark on emit so lazily-deleted duplicates are skipped.
-                self.marks[v] &= !(LANE << pshift);
+        let capacity = self.out.capacity();
+        let gen = self.generation;
+        for &l in &self.lits[..self.len] {
+            let stamp = &mut self.present[l.var().index()][phase(l)];
+            if *stamp == gen {
+                // Unstamp on emit so lazily deleted duplicates are skipped.
+                *stamp = 0;
                 self.out.push(l);
             }
         }
         self.out.sort_unstable();
-        self.note_footprint();
+        if self.out.capacity() != capacity {
+            self.note_footprint();
+        }
         &self.out
     }
 
@@ -306,13 +332,41 @@ impl ResolutionKernel {
         self.stats
     }
 
+    /// Makes room for `clause`: stamps for its largest variable (its
+    /// last literal, as it is sorted), and one clause's worth of spare
+    /// accumulator and clash slots.
+    fn reserve(&mut self, clause: &[Lit]) {
+        let mut grew = false;
+        if let Some(last) = clause.last() {
+            let vars = last.var().index() + 1;
+            if self.present.len() < vars {
+                self.present.resize(vars, [0; 2]);
+                if self.exact {
+                    self.paired.resize(vars, [0; 2]);
+                }
+                grew = true;
+            }
+        }
+        let filler = Lit::from_code(0);
+        if self.lits.len() < self.len + clause.len() {
+            self.lits.resize(self.len + clause.len(), filler);
+            grew = true;
+        }
+        if self.clash.len() < clause.len() {
+            self.clash.resize(clause.len(), Var::new(0));
+            grew = true;
+        }
+        if grew {
+            self.note_footprint();
+        }
+    }
+
     /// Updates `scratch_grows`/`scratch_high_water` from current buffer
     /// capacities.
     fn note_footprint(&mut self) {
         use std::mem::size_of;
-        let bytes = (self.marks.capacity() * size_of::<u64>()
-            + self.lits.capacity() * size_of::<Lit>()
-            + self.out.capacity() * size_of::<Lit>()
+        let bytes = ((self.present.capacity() + self.paired.capacity()) * size_of::<Stamps>()
+            + (self.lits.capacity() + self.out.capacity()) * size_of::<Lit>()
             + self.clash.capacity() * size_of::<Var>()) as u64;
         if bytes > self.footprint {
             self.footprint = bytes;
@@ -322,14 +376,10 @@ impl ResolutionKernel {
     }
 }
 
-/// (present, paired) lane shifts for a literal's phase.
+/// A literal's phase, its index within its variable's stamps.
 #[inline]
-fn lane_shifts(l: Lit) -> (u32, u32) {
-    if l.is_negative() {
-        (PRESENT_NEG, PAIRED_NEG)
-    } else {
-        (PRESENT_POS, PAIRED_POS)
-    }
+fn phase(l: Lit) -> usize {
+    l.code() & 1
 }
 
 #[cfg(test)]
@@ -521,5 +571,54 @@ mod tests {
         k2.begin(&acc);
         let ours = k2.fold(&taut).map(|_| k2.finish().to_vec());
         assert_eq!(ours.ok(), oracle.ok());
+    }
+
+    #[test]
+    fn u32_generation_wrap_flushes_stale_stamps() {
+        // x42 keeps the stamp of generation 1: its chain never finished.
+        let mut k = ResolutionKernel::new();
+        k.begin(&lits(&[42]));
+        // Skip ahead to the last generation; the next chain wraps to 1.
+        k.generation = u32::MAX - 1;
+        k.begin(&lits(&[1]));
+        k.begin(&lits(&[7]));
+        assert_eq!(k.generation, 1);
+        // Unflushed, x42 would look present and merge instead of passing
+        // through into the resolvent.
+        k.fold(&lits(&[-7, 42])).unwrap();
+        assert_eq!(k.finish(), lits(&[42]));
+    }
+
+    #[test]
+    fn u32_fold_number_wrap_flushes_stale_pairings() {
+        // A tautological seed puts the chain in the exact loop.
+        let mut k = ResolutionKernel::new();
+        k.begin(&lits(&[1, -1, 5]));
+        // Fold number 1 pairs x1 (a merge) and clashes on x5.
+        k.fold_seq = 0;
+        assert_eq!(k.fold(&lits(&[1, -5])).unwrap(), Var::from_dimacs(5));
+        // The next fold wraps back to number 1. Unflushed, x1 would look
+        // paired already, so ¬x1 would merge with ¬x1 instead of
+        // clashing with x1, the oracle's pairing.
+        k.fold_seq = u32::MAX;
+        let ant = lits(&[-1, 6]);
+        assert_eq!(k.fold(&ant).unwrap(), Var::from_dimacs(1));
+        assert_eq!(k.fold_seq, 1);
+        assert_eq!(k.finish(), resolve_sorted(&lits(&[1, -1]), &ant).unwrap());
+    }
+
+    #[test]
+    fn a_tautological_pair_mid_antecedent_switches_loops_exactly() {
+        // The stamp loop has folded x1 when it meets the x3/¬x3 pair.
+        let cases: &[(&[i64], &[i64])] = &[
+            (&[-1, 2], &[1, 3, -3]),
+            (&[-1, 3], &[1, 3, -3, 4]),
+            (&[-1, -3], &[1, 3, -3]),
+            (&[-1, 2, 3, -3], &[1, 3]),
+        ];
+        for (a, b) in cases {
+            let oracle = resolve_sorted(&lits(a), &lits(b));
+            assert_eq!(kernel_pair(a, b), oracle, "a={a:?} b={b:?}");
+        }
     }
 }

@@ -93,6 +93,7 @@ mod hybrid {
     //! `depth_first`; only its tests are kept apart, in `hybrid/tests.rs`.
     mod tests;
 }
+mod ids;
 pub mod kernel;
 mod memory;
 mod model;

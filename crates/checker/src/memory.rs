@@ -29,16 +29,24 @@ pub(crate) fn trace_record_bytes(num_sources: usize) -> u64 {
 /// Accounted bytes per level-0 variable record.
 pub(crate) const LEVEL_ZERO_RECORD_BYTES: u64 = 16;
 
-/// Accounted bytes per entry of the breadth-first use-count table.
+/// Accounted bytes per learned clause of the breadth-first bookkeeping:
+/// its use count (`u32`) and its arena slot (8 bytes), both in tables
+/// indexed by the clause's dense id.
 pub(crate) const USE_COUNT_BYTES: u64 = 12;
 
-/// Accounted bytes per id → byte-offset index entry (hybrid and
-/// disk-backed depth-first strategies: two `u64`s per learned clause).
+/// Accounted bytes per learned clause of the disk store (disk-backed
+/// depth-first and hybrid): its byte offset and its arena slot, 8 bytes
+/// each, in tables indexed by the clause's dense id.
 pub(crate) const INDEX_ENTRY_BYTES: u64 = 16;
 
+/// Accounted bytes per entry of the map that renumbers a trace whose
+/// learned ids break the sequence `n, n + 1, …` (a `u64` id and a `u32`
+/// index in a hash table at its load factor); a dense trace has no map.
+pub(crate) const RENUMBER_ENTRY_BYTES: u64 = 24;
+
 /// Accounted bytes per node of the parallel-dag executor's dependency
-/// graph: the node record itself plus its completion slot, in-degree
-/// counter and id-map entry.
+/// graph: the node record itself plus its completion slot and in-degree
+/// counter (a node's index is its dense id, so there is no id map).
 pub(crate) const DAG_NODE_BYTES: u64 = 64;
 
 /// Accounted bytes per resolve-source entry of the parallel-dag
@@ -53,8 +61,8 @@ pub(crate) const DAG_SOURCE_BYTES: u64 = 8;
 /// allocator behaviour of an arena, which retains capacity).
 pub(crate) const ARENA_PAGE_BYTES: u64 = 1024;
 
-/// Accounted bytes per resident arena slot (the id → offset/len index
-/// entry), refunded when the clause is freed.
+/// Accounted bytes per resident arena clause (its offset/length record
+/// and free-list extent), refunded when the clause is freed.
 pub(crate) const ARENA_SLOT_BYTES: u64 = 16;
 
 /// A byte meter with an optional hard budget.

@@ -3,6 +3,7 @@
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
 use crate::fxhash::FxHashMap;
+use crate::ids::IdSpace;
 use crate::memory::{trace_record_bytes, LEVEL_ZERO_RECORD_BYTES};
 use rescheck_cnf::{Lit, Var};
 use rescheck_trace::{EventRef, TraceSource};
@@ -80,35 +81,61 @@ impl LevelZeroMap {
     }
 }
 
-/// A fully loaded trace: what the depth-first checker keeps in memory.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct FullTrace {
-    /// Learned clause ID → its resolve sources, in order.
-    pub sources: FxHashMap<u64, Vec<u64>>,
-    /// The recorded level-0 assignment.
+/// What every engine's pass 1 learns: the learned-id space, the
+/// level-0 assignment and the final-conflict list.
+#[derive(Clone, Debug)]
+pub(crate) struct Pass1 {
+    pub ids: IdSpace,
     pub level_zero: LevelZeroMap,
     /// Final conflicting clause IDs (the paper records one; we accept
     /// several and use the first).
     pub final_ids: Vec<u64>,
-    /// Accounted bytes for holding this structure resident.
-    pub trace_bytes: u64,
 }
 
-/// Loads and validates a whole trace.
-///
-/// Checks performed here (shared by both strategies on their first pass):
-/// learned IDs must not collide with original clause IDs or with each
-/// other, each learned clause needs at least two resolve sources, and no
-/// variable may have two level-0 records.
-pub(crate) fn load_full<S: TraceSource + ?Sized>(
-    source: &S,
+impl Pass1 {
+    /// The clause the empty-clause derivation starts from.
+    pub(crate) fn start_id(&self) -> Result<u64, CheckError> {
+        self.final_ids
+            .first()
+            .copied()
+            .ok_or(CheckError::NoFinalConflict)
+    }
+}
+
+/// A valid record, as [`pass1`] hands it to its engine.
+pub(crate) enum Record<'a> {
+    /// A learned record: the id space that now defines it, its id and
+    /// table index, its byte offset and its resolve sources.
+    Learned {
+        ids: &'a IdSpace,
+        id: u64,
+        index: usize,
+        offset: u64,
+        sources: &'a [u64],
+    },
+    /// A level-0 record.
+    LevelZero,
+}
+
+/// Streams `trace` once and validates each record in trace order, so
+/// every engine reports the same first error: learned ids must not
+/// collide with an original or with each other, each learned clause needs
+/// at least two resolve sources, and no variable may have two level-0
+/// records. `engine` sees each valid learned and level-0 record.
+pub(crate) fn pass1<S: TraceSource + ?Sized>(
+    trace: &S,
     num_original: usize,
     cancel: &CancelFlag,
-) -> Result<FullTrace, CheckError> {
-    let mut full = FullTrace::default();
+    mut engine: impl FnMut(Record<'_>) -> Result<(), CheckError>,
+) -> Result<Pass1, CheckError> {
+    let mut pass = Pass1 {
+        ids: IdSpace::new(num_original),
+        level_zero: LevelZeroMap::default(),
+        final_ids: Vec::new(),
+    };
     let mut seen: u64 = 0;
     let mut parked: Option<CheckError> = None;
-    let result = source.visit_events(&mut |event| {
+    let result = trace.visit_offsets(&mut |offset, event| {
         seen += 1;
         let step = (|| -> Result<(), CheckError> {
             if seen.is_multiple_of(crate::chain::PROGRESS_STRIDE) {
@@ -116,46 +143,85 @@ pub(crate) fn load_full<S: TraceSource + ?Sized>(
             }
             match event {
                 EventRef::Learned { id, sources } => {
-                    validate_learned(id, sources.len(), num_original, |candidate| {
-                        full.sources.contains_key(&candidate)
-                    })?;
-                    full.trace_bytes += trace_record_bytes(sources.len());
-                    full.sources.insert(id, sources.to_vec());
+                    let index = pass.ids.define(id)?;
+                    if sources.len() < 2 {
+                        return Err(CheckError::Trace(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!("learned clause #{id} has fewer than two resolve sources"),
+                        )));
+                    }
+                    engine(Record::Learned {
+                        ids: &pass.ids,
+                        id,
+                        index,
+                        offset,
+                        sources,
+                    })
                 }
                 EventRef::LevelZero { lit, antecedent } => {
-                    full.level_zero.insert(lit, antecedent)?;
-                    full.trace_bytes += LEVEL_ZERO_RECORD_BYTES;
+                    pass.level_zero.insert(lit, antecedent)?;
+                    engine(Record::LevelZero)
                 }
-                EventRef::FinalConflict { id } => full.final_ids.push(id),
+                EventRef::FinalConflict { id } => {
+                    pass.final_ids.push(id);
+                    Ok(())
+                }
             }
-            Ok(())
         })();
         step.map_err(|e| park_check_error(&mut parked, e))
     });
     finish_visit(parked, result)?;
-    Ok(full)
+    Ok(pass)
 }
 
-/// Validates one learned-clause record against the shared rules.
-pub(crate) fn validate_learned(
-    id: u64,
-    num_sources: usize,
+/// A fully loaded trace: what the depth-first checker keeps in memory.
+#[derive(Clone, Debug)]
+pub(crate) struct FullTrace {
+    pub pass1: Pass1,
+    /// Learned clause `k`'s resolve sources are
+    /// `sources[starts[k]..starts[k + 1]]`, in order.
+    starts: Vec<usize>,
+    sources: Vec<u64>,
+    /// Accounted bytes for holding this structure resident.
+    pub trace_bytes: u64,
+}
+
+impl FullTrace {
+    /// The resolve sources of the learned clause at table index `index`.
+    pub(crate) fn sources(&self, index: usize) -> &[u64] {
+        &self.sources[self.starts[index]..self.starts[index + 1]]
+    }
+
+    /// Drops the source lists, keeping what pass 1 learned.
+    pub(crate) fn into_pass1(self) -> Pass1 {
+        self.pass1
+    }
+}
+
+/// Loads and validates a whole trace (see [`pass1`] for the checks).
+pub(crate) fn load_full<S: TraceSource + ?Sized>(
+    source: &S,
     num_original: usize,
-    already_defined: impl Fn(u64) -> bool,
-) -> Result<(), CheckError> {
-    if id < num_original as u64 {
-        return Err(CheckError::LearnedIdCollidesWithOriginal { id });
-    }
-    if already_defined(id) {
-        return Err(CheckError::DuplicateLearnedId { id });
-    }
-    if num_sources < 2 {
-        return Err(CheckError::Trace(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("learned clause #{id} has fewer than two resolve sources"),
-        )));
-    }
-    Ok(())
+    cancel: &CancelFlag,
+) -> Result<FullTrace, CheckError> {
+    let (mut starts, mut sources, mut trace_bytes) = (vec![0], Vec::new(), 0);
+    let pass1 = pass1(source, num_original, cancel, |record| {
+        match record {
+            Record::Learned { sources: own, .. } => {
+                trace_bytes += trace_record_bytes(own.len());
+                sources.extend_from_slice(own);
+                starts.push(sources.len());
+            }
+            Record::LevelZero => trace_bytes += LEVEL_ZERO_RECORD_BYTES,
+        }
+        Ok(())
+    })?;
+    Ok(FullTrace {
+        pass1,
+        starts,
+        sources,
+        trace_bytes,
+    })
 }
 
 #[cfg(test)]
@@ -182,13 +248,13 @@ mod tests {
         ];
         let sink: MemorySink = events.into();
         let full = load_full(&sink, 3, &CancelFlag::default()).unwrap();
-        assert_eq!(full.sources.get(&3), Some(&vec![0, 1]));
-        assert_eq!(full.final_ids, vec![2]);
-        let rec = full.level_zero.get(Var::from_dimacs(2)).unwrap();
+        assert_eq!(full.sources(full.pass1.ids.index(3).unwrap()), &[0, 1]);
+        assert_eq!(full.pass1.final_ids, vec![2]);
+        let rec = full.pass1.level_zero.get(Var::from_dimacs(2)).unwrap();
         assert_eq!(rec.lit, lit(-2));
         assert_eq!(rec.antecedent, 3);
         assert_eq!(rec.order, 0);
-        assert_eq!(full.level_zero.len(), 1);
+        assert_eq!(full.pass1.level_zero.len(), 1);
         assert!(full.trace_bytes > 0);
     }
 
@@ -258,8 +324,8 @@ mod tests {
     fn empty_trace_loads_empty() {
         let sink = MemorySink::new();
         let full = load_full(&sink, 0, &CancelFlag::default()).unwrap();
-        assert!(full.sources.is_empty());
-        assert!(full.final_ids.is_empty());
+        assert_eq!(full.pass1.ids.len(), 0);
+        assert!(full.pass1.final_ids.is_empty());
         assert_eq!(full.trace_bytes, 0);
     }
 }

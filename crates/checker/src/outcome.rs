@@ -1,6 +1,6 @@
 //! Results of a successful check.
 
-use rescheck_cnf::Cnf;
+use rescheck_cnf::{Cnf, Var};
 use std::fmt;
 use std::time::Duration;
 
@@ -82,18 +82,21 @@ pub struct UnsatCore {
 impl UnsatCore {
     /// Builds a core from the used clause IDs, computing the number of
     /// distinct variables those clauses mention.
+    ///
+    /// The count comes from the clauses themselves: the variable count a
+    /// DIMACS header declares is a claim, not a size to allocate.
     pub fn new(mut clause_ids: Vec<usize>, cnf: &Cnf) -> Self {
         clause_ids.sort_unstable();
         clause_ids.dedup();
-        let mut used = vec![false; cnf.num_vars()];
-        for &id in &clause_ids {
-            if let Some(clause) = cnf.clause(id) {
-                for lit in clause {
-                    used[lit.var().index()] = true;
-                }
-            }
-        }
-        let num_vars = used.iter().filter(|&&u| u).count();
+        let mut vars: Vec<Var> = clause_ids
+            .iter()
+            .filter_map(|&id| cnf.clause(id))
+            .flatten()
+            .map(|lit| lit.var())
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let num_vars = vars.len();
         UnsatCore {
             clause_ids,
             num_vars,

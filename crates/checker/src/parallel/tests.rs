@@ -63,22 +63,9 @@ fn parallel_dag_reports_worker_panics_as_internal_errors() {
     // internal error (exit 5 at the CLI) instead of aborting.
     for workers in [1usize, 2, 4] {
         let (cnf, sink) = chain(64);
-        let (tables, start_id) = crate::breadth_first::sequential_pass1(
-            &sink,
-            cnf.num_clauses(),
-            &CancelFlag::default(),
-        )
-        .unwrap();
         let mut meter = crate::memory::MemoryMeter::unlimited();
-        let mut dag = crate::dag::build(
-            &cnf,
-            &sink,
-            &tables,
-            start_id,
-            &mut meter,
-            &CancelFlag::default(),
-        )
-        .unwrap();
+        let (_, mut dag) =
+            crate::dag::build(&cnf, &sink, &mut meter, &CancelFlag::default()).unwrap();
         let (victim, slot) = dag
             .nodes
             .iter()

@@ -8,9 +8,9 @@
 //! structural pass, no clause construction.
 
 use crate::cancel::CancelFlag;
-use crate::depth_first::{final_phase_roots, walk, Visitor};
+use crate::depth_first::{final_phase_roots, Visitor, Walker};
 use crate::error::CheckError;
-use crate::fxhash::FxHashMap;
+use crate::ids::IdSpace;
 use crate::model::{load_full, FullTrace};
 use rescheck_cnf::Cnf;
 use rescheck_trace::TraceSource;
@@ -102,21 +102,20 @@ pub fn proof_stats<S: TraceSource + ?Sized>(
 ) -> Result<ProofStats, CheckError> {
     let num_original = cnf.num_clauses();
     let full = load_full(trace, num_original, &CancelFlag::default())?;
-    let start = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
-    let cone = needed_cone(&full, num_original, start)?;
+    let start = full.pass1.start_id()?;
+    let cone = needed_cone(&full, start)?;
 
-    let needed = cone.height.len() as u64;
     Ok(ProofStats {
-        learned_total: full.sources.len() as u64,
-        needed,
+        learned_total: full.pass1.ids.len() as u64,
+        needed: cone.needed,
         derivation_resolutions: cone.derivation_resolutions,
-        final_phase_bound: full.level_zero.len() as u64,
-        depth: cone.height.values().copied().max().unwrap_or(0),
+        final_phase_bound: full.pass1.level_zero.len() as u64,
+        depth: cone.height.iter().copied().max().unwrap_or(0),
         max_sources: cone.max_sources,
-        avg_sources: if needed == 0 {
+        avg_sources: if cone.needed == 0 {
             0.0
         } else {
-            cone.source_sum as f64 / needed as f64
+            cone.source_sum as f64 / cone.needed as f64
         },
         core_clauses: cone.used_originals.iter().filter(|&&u| u).count(),
     })
@@ -126,12 +125,14 @@ pub fn proof_stats<S: TraceSource + ?Sized>(
 /// from what the final phase reads finds them: each one's height
 /// (originals are height 0), the originals they and the final phase
 /// resolve with, and tallies of their source lists.
-pub(crate) struct NeededCone {
-    num_original: u64,
-    /// Needed learned clause → height.
-    pub height: FxHashMap<u64, u64>,
+pub(crate) struct NeededCone<'i> {
+    ids: &'i IdSpace,
+    /// Each learned clause's height by dense id; 0 for one the
+    /// derivation does not need.
+    pub height: Vec<u64>,
     /// Which original clauses the needed cone uses.
     pub used_originals: Vec<bool>,
+    needed: u64,
     derivation_resolutions: u64,
     max_sources: usize,
     source_sum: u64,
@@ -139,44 +140,45 @@ pub(crate) struct NeededCone {
 
 /// Walks `full` from the level-0 antecedents and the start clause,
 /// rejecting unknown clauses and cycles as the depth-first checker does.
-pub(crate) fn needed_cone(
-    full: &FullTrace,
-    num_original: usize,
-    start_id: u64,
-) -> Result<NeededCone, CheckError> {
+pub(crate) fn needed_cone(full: &FullTrace, start_id: u64) -> Result<NeededCone<'_>, CheckError> {
+    let ids = &full.pass1.ids;
     let mut cone = NeededCone {
-        num_original: num_original as u64,
-        height: FxHashMap::default(),
-        used_originals: vec![false; num_original],
+        ids,
+        height: vec![0; ids.len()],
+        used_originals: vec![false; ids.num_original()],
+        needed: 0,
         derivation_resolutions: 0,
         max_sources: 0,
         source_sum: 0,
     };
-    for root in final_phase_roots(&full.level_zero, start_id) {
-        if root < cone.num_original {
+    let mut walker = Walker::new(ids);
+    for root in final_phase_roots(&full.pass1.level_zero, start_id) {
+        if ids.is_original(root) {
             cone.used_originals[root as usize] = true;
         } else {
-            walk(&mut &*full, &mut cone, root, &CancelFlag::default())?;
+            walker.walk(&mut &*full, &mut cone, root, &CancelFlag::default())?;
         }
     }
     Ok(cone)
 }
 
-impl Visitor for NeededCone {
+impl Visitor for NeededCone<'_> {
     fn is_done(&self, id: u64) -> bool {
-        id < self.num_original || self.height.contains_key(&id)
+        self.ids.is_original(id) || self.ids.index(id).is_some_and(|j| self.height[j] > 0)
     }
 
     fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
         let mut h = 0u64;
         for &s in sources {
-            if s < self.num_original {
+            if self.ids.is_original(s) {
                 self.used_originals[s as usize] = true;
-            } else {
-                h = h.max(self.height[&s]);
+            } else if let Some(j) = self.ids.index(s) {
+                h = h.max(self.height[j]);
             }
         }
-        self.height.insert(id, h + 1);
+        let index = self.ids.index(id).expect("a finished clause is defined");
+        self.height[index] = h + 1;
+        self.needed += 1;
         self.derivation_resolutions += sources.len() as u64 - 1;
         self.max_sources = self.max_sources.max(sources.len());
         self.source_sum += sources.len() as u64;

@@ -4,7 +4,7 @@
 //! [`ClauseArena`] and an original-clause cache, uses them once, and
 //! throws them away with the process. A long-lived validation service
 //! (`rescheck serve`) runs thousands of jobs per process, so those
-//! buffers are worth keeping: the kernel's mark arrays stay sized for the
+//! buffers are worth keeping: the kernel's stamp arrays stay sized for the
 //! largest formula seen, the arena's literal tail keeps its capacity, and
 //! — when two consecutive jobs check the *same* formula — the normalized
 //! original clauses survive as a warm tier.
@@ -38,9 +38,10 @@
 use crate::arena::ClauseArena;
 use crate::cache::OriginalCache;
 use crate::kernel::{KernelStats, ResolutionKernel};
+use rescheck_cnf::Cnf;
 use std::sync::Mutex;
 
-/// Reusable per-job checker state: kernel, arena and original cache.
+/// Reusable per-job checker state: kernel, arena and original table.
 ///
 /// See the [module docs](self) for the ownership and accounting rules.
 ///
@@ -71,13 +72,7 @@ pub struct CheckScratch {
 impl CheckScratch {
     /// A cold scratch, equivalent to what a one-shot check builds.
     pub fn new() -> Self {
-        CheckScratch {
-            kernel: ResolutionKernel::new(),
-            arena: ClauseArena::new(),
-            originals: OriginalCache::default(),
-            token: None,
-            next_token: None,
-        }
+        CheckScratch::default()
     }
 
     /// Declares the formula the next run will check, enabling warm reuse
@@ -95,13 +90,13 @@ impl CheckScratch {
         self.originals.warm_hits()
     }
 
-    /// Prepares the scratch for one run and returns the kernel-stats
-    /// baseline (for per-job delta reporting). Called by every chain
-    /// step — defensively, so a caller that forgets
-    /// [`CheckScratch::begin_job`] gets a correct cold run, never stale
-    /// clauses from another formula.
-    pub(crate) fn start_run(&mut self) -> KernelStats {
-        self.arena.reset();
+    /// Prepares the scratch for one run on `cnf` with `learned` learned
+    /// clauses and returns the kernel-stats baseline (for per-job delta
+    /// reporting). Called by every chain step — defensively, so a caller
+    /// that forgets [`CheckScratch::begin_job`] gets a correct cold run,
+    /// never stale clauses from another formula.
+    pub(crate) fn start_run(&mut self, cnf: &Cnf, learned: usize) -> KernelStats {
+        self.arena.reset(learned);
         let declared = self.next_token.take();
         if declared.is_some() && declared == self.token {
             // Same formula back to back: keep normalized originals warm.
@@ -109,6 +104,7 @@ impl CheckScratch {
         } else {
             self.originals.reset();
         }
+        self.originals.size_for(cnf);
         self.token = declared;
         self.kernel.stats()
     }
@@ -179,7 +175,7 @@ mod tests {
     use super::*;
     use crate::api::{check_unsat_claim_scoped, CheckConfig};
     use crate::outcome::Strategy;
-    use rescheck_cnf::{Cnf, Lit};
+    use rescheck_cnf::Lit;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
 

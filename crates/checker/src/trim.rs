@@ -95,20 +95,20 @@ pub fn trim_trace_observed<S: TraceSource + ?Sized>(
     trace: &S,
     obs: &mut dyn Observer,
 ) -> Result<TrimmedTrace, CheckError> {
-    let num_original = cnf.num_clauses();
     let pass1 = Phase::start("check:pass1", obs);
-    let full = load_full(trace, num_original, &CancelFlag::default())?;
-    let final_id = *full.final_ids.first().ok_or(CheckError::NoFinalConflict)?;
+    let full = load_full(trace, cnf.num_clauses(), &CancelFlag::default())?;
+    let final_id = full.pass1.start_id()?;
     pass1.finish(obs);
 
     // Reachability, with cycle detection, from what the final phase reads.
     let NeededCone {
-        height: needed,
+        height,
         used_originals,
         ..
-    } = needed_cone(&full, num_original, final_id)?;
+    } = needed_cone(&full, final_id)?;
     // The second pass needs only the cone, not the loaded source lists.
-    drop(full);
+    let ids = full.into_pass1().ids;
+    let needed = |id| ids.index(id).is_some_and(|j| height[j] > 0);
 
     // Second pass: re-stream, keeping what survives.
     let mut events: Vec<TraceEvent> = Vec::new();
@@ -117,7 +117,7 @@ pub fn trim_trace_observed<S: TraceSource + ?Sized>(
     let mut emitted_final = false;
     trace.visit_events(&mut |event| {
         match event {
-            EventRef::Learned { id, .. } if needed.contains_key(&id) => {
+            EventRef::Learned { id, .. } if needed(id) => {
                 kept += 1;
                 events.push(event.to_owned());
             }

@@ -1,6 +1,6 @@
-//! Differential tests for the mark-array resolution kernel against the
-//! sorted-merge oracle ([`resolve_sorted`]), plus end-to-end agreement
-//! of all six checking strategies on the shared hot path.
+//! Differential tests for the literal-stamp resolution kernel against
+//! the sorted-merge oracle ([`resolve_sorted`]), plus end-to-end
+//! agreement of all six checking strategies on the shared hot path.
 //!
 //! The kernel replaced the oracle inside every strategy; the oracle is
 //! deliberately kept (unchanged two-pointer merge) precisely so these
@@ -8,8 +8,8 @@
 //! paper's own validation idea applied to the checker itself.
 
 use rescheck_checker::{
-    check_unsat_claim, normalize_literals, resolve_sorted, CheckConfig, CheckOutcome,
-    ResolutionKernel, Strategy,
+    check_unsat_claim, normalize_literals, resolve_sorted, resolve_sorted_pivot, CheckConfig,
+    CheckOutcome, ResolutionKernel, Strategy,
 };
 use rescheck_cnf::{Cnf, Lit, SplitMix64};
 use rescheck_solver::{Solver, SolverConfig};
@@ -125,6 +125,164 @@ fn kernel_failure_diagnostics_match_the_oracle_exactly() {
             }
             (oracle, fast) => panic!("case {i}: oracle {oracle:?} vs kernel {fast:?}"),
         }
+    }
+}
+
+fn is_tautological(clause: &[Lit]) -> bool {
+    clause.windows(2).any(|w| w[0].var() == w[1].var())
+}
+
+/// Steps a chain through the kernel and the oracle side by side: every
+/// step's pivot, or its failure's `clashing_vars`, must agree, and so
+/// must the resolvent of every prefix of the chain.
+fn assert_stepwise(seed: &[Lit], ants: &[Vec<Lit>], label: &str) {
+    let (mut kernel, mut prefix) = (ResolutionKernel::new(), ResolutionKernel::new());
+    let mut acc = seed.to_vec();
+    kernel.begin(seed);
+    for (step, ant) in ants.iter().enumerate() {
+        match (resolve_sorted_pivot(&acc, ant), kernel.fold(ant)) {
+            (Ok((resolvent, pivot)), Ok(ours)) => {
+                assert_eq!(ours, pivot, "{label}: pivot at step {step}");
+                acc = resolvent;
+            }
+            (Err(slow), Err(fast)) => {
+                assert_eq!(
+                    slow.clashing_vars, fast.clashing_vars,
+                    "{label}: failure at step {step}"
+                );
+                return;
+            }
+            (slow, fast) => panic!("{label}: step {step}: oracle {slow:?} vs kernel {fast:?}"),
+        }
+        prefix.begin(seed);
+        for earlier in &ants[..=step] {
+            prefix.fold(earlier).unwrap();
+        }
+        assert_eq!(
+            prefix.finish(),
+            acc.as_slice(),
+            "{label}: resolvent after step {step}"
+        );
+    }
+    assert_eq!(kernel.finish(), acc.as_slice(), "{label}: final resolvent");
+}
+
+/// A chain of up to `steps` antecedents that the oracle resolves step by
+/// step, over variables 1..=10. Its first tautological clause is the seed
+/// (`first_taut == 0`) or antecedent `first_taut` (1-based); later
+/// antecedents are tautological at random.
+fn chain_with_tautology(
+    rng: &mut SplitMix64,
+    steps: usize,
+    first_taut: usize,
+) -> (Vec<Lit>, Vec<Vec<Lit>>) {
+    let lit = |rng: &mut SplitMix64| {
+        let v = rng.range_u32(1..11) as i64;
+        Lit::from_dimacs(if rng.gen_bool(0.5) { v } else { -v })
+    };
+    let pair = |rng: &mut SplitMix64| {
+        let v = rng.range_u32(1..11) as i64;
+        [Lit::from_dimacs(v), Lit::from_dimacs(-v)]
+    };
+    let seed = loop {
+        let mut lits: Vec<Lit> = (0..rng.range_usize(2..5)).map(|_| lit(rng)).collect();
+        if first_taut == 0 {
+            lits.extend(pair(rng));
+        }
+        let seed = normalize_literals(lits);
+        if is_tautological(&seed) == (first_taut == 0) {
+            break seed;
+        }
+    };
+    let mut acc = seed.clone();
+    let mut ants = Vec::new();
+    for i in 1..=steps {
+        let found = (0..1000).find_map(|_| {
+            let pivot = *acc.get(rng.range_usize(0..acc.len().max(1)))?;
+            let mut lits = vec![!pivot];
+            lits.extend((0..rng.range_usize(0..4)).map(|_| lit(rng)));
+            if i == first_taut || (i > first_taut && rng.gen_bool(0.3)) {
+                lits.extend(pair(rng));
+            }
+            let ant = normalize_literals(lits);
+            let wanted = i < first_taut && is_tautological(&ant)
+                || i == first_taut && !is_tautological(&ant);
+            let resolvent = resolve_sorted(&acc, &ant).ok().filter(|_| !wanted)?;
+            Some((ant, resolvent))
+        });
+        let Some((ant, resolvent)) = found else { break };
+        ants.push(ant);
+        acc = resolvent;
+    }
+    (seed, ants)
+}
+
+/// The kernel's two loops — literal stamps until a chain's first
+/// tautological clause, exact pairing from there on — agree with the
+/// oracle step by step, whether that clause is the seed, the first, a
+/// middle or the last antecedent.
+#[test]
+fn tautological_clauses_anywhere_in_a_chain_match_the_oracle() {
+    let mut reached = [0u64; 4];
+    for case in 0..CASES {
+        let mut rng = SplitMix64::new(0x7a07 + case);
+        let steps = rng.range_usize(2..12);
+        for (slot, first_taut) in [0, 1, steps / 2 + 1, steps].into_iter().enumerate() {
+            let (seed, ants) = chain_with_tautology(&mut rng, steps, first_taut);
+            let taut = |k: usize| {
+                k.checked_sub(1)
+                    .map_or(Some(&seed), |i| ants.get(i))
+                    .is_some_and(|c| is_tautological(c))
+            };
+            reached[slot] += u64::from(taut(first_taut));
+            assert_stepwise(
+                &seed,
+                &ants,
+                &format!("case {case}, first tautology at {first_taut}"),
+            );
+        }
+    }
+    // The generator must actually place the tautology, not cut the
+    // chain short before it.
+    assert!(reached.iter().all(|&n| n > CASES / 2), "{reached:?}");
+}
+
+/// A chain that turns tautological at its seed and stays so for
+/// dozens of folds: the exact loop carries the accumulator's
+/// complementary pair through every step.
+#[test]
+fn chains_that_stay_tautological_match_the_oracle() {
+    let d = Lit::from_dimacs;
+    for case in 0..CASES / 4 {
+        let mut rng = SplitMix64::new(0x5eed + case);
+        // x20 ∨ ¬x20 rides along; each step resolves away the previous
+        // pivot x(99 + i), deposits the next, and sometimes merges x20
+        // again.
+        let mut seed = vec![d(20), d(-20), d(100)];
+        seed.extend((0..rng.range_usize(0..3)).map(|_| d(rng.range_u32(30..40) as i64)));
+        let seed = normalize_literals(seed);
+        let steps = 40 + rng.range_usize(0..20);
+        let ants: Vec<Vec<Lit>> = (1..=steps as i64)
+            .map(|i| {
+                let mut lits = vec![d(-(99 + i)), d(100 + i)];
+                if rng.gen_bool(0.3) {
+                    lits.push(d(20));
+                }
+                if rng.gen_bool(0.3) {
+                    lits.push(d(rng.range_u32(30..40) as i64));
+                }
+                normalize_literals(lits)
+            })
+            .collect();
+        let mut acc = seed.clone();
+        for ant in &ants {
+            acc = resolve_sorted(&acc, ant).unwrap();
+            assert!(
+                is_tautological(&acc),
+                "case {case}: the chain must stay tautological"
+            );
+        }
+        assert_stepwise(&seed, &ants, &format!("case {case}"));
     }
 }
 

@@ -985,6 +985,65 @@ fn serve_stdin_answers_every_frame_and_winds_down_on_shutdown() {
     assert!(stderr.contains("wound down cleanly"), "{stderr}");
 }
 
+/// A DIMACS header's variable count is a claim, not a size: a
+/// two-clause formula declaring 99,999,999,999 variables checks under
+/// every strategy (the core counts the variables its clauses use), and
+/// the daemon answers it and the jobs around it.
+#[test]
+fn a_huge_declared_variable_count_is_checked_not_allocated() {
+    let dir = tmp_dir("huge-header");
+    std::fs::write(dir.join("big.cnf"), "p cnf 99999999999 2\n1 0\n-1 0\n").unwrap();
+    std::fs::write(dir.join("big.rt"), "v 1 0\nf 1\n").unwrap();
+    for strategy in ["df", "bf", "dfd", "hybrid", "portfolio", "pdag"] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(["check", "big.cnf", "big.rt", "--strategy", strategy])
+            .args(["--jobs", "1"])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{strategy}: {stdout}");
+        assert!(
+            stdout.starts_with("VALID UNSAT proof"),
+            "{strategy}: {stdout}"
+        );
+        if !["bf", "pdag"].contains(&strategy) {
+            assert!(
+                stdout.contains("unsat core: 2 of 2 clauses, 1 variables"),
+                "{strategy}: {stdout}"
+            );
+        }
+    }
+
+    let input = [
+        r#"{"id":"before","cnf":"p cnf 1 1\n1 0\n","model":[1]}"#,
+        r#"{"id":"big","cnf_path":"big.cnf","trace_path":"big.rt","strategy":"df"}"#,
+        r#"{"id":"after","cnf":"p cnf 1 2\n1 0\n-1 0\n","trace":"v 1 0\nf 1\n"}"#,
+        r#"{"op":"shutdown"}"#,
+    ]
+    .join("\n");
+    let (code, stdout, stderr) =
+        run_with_stdin(&dir, &["serve", "--stdin", "--jobs", "1"], input.as_bytes());
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    let frames: Vec<rescheck_obs::Json> = stdout
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| rescheck_obs::json::parse(l).unwrap())
+        .collect();
+    for id in ["before", "big", "after"] {
+        let frame = frames
+            .iter()
+            .find(|f| f.get("id").and_then(|j| j.as_str()) == Some(id))
+            .unwrap_or_else(|| panic!("no verdict for {id}: {stdout}"));
+        assert_eq!(frame.get("status").and_then(|j| j.as_str()), Some("valid"));
+    }
+    let big = frames
+        .iter()
+        .find(|f| f.get("id").and_then(|j| j.as_str()) == Some("big"))
+        .unwrap();
+    assert_eq!(big.get("core_clauses").and_then(|j| j.as_u64()), Some(2));
+}
+
 #[test]
 fn fuzz_metrics_document_counts_iterations() {
     let dir = tmp_dir("fuzz-metrics");
