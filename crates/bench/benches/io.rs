@@ -438,6 +438,12 @@ fn main() {
         let mut doc = Json::object();
         doc.set("schema", SCHEMA)
             .set("command", "bench:io")
+            .set(
+                "available_parallelism",
+                std::thread::available_parallelism()
+                    .map(|n| n.get() as u64)
+                    .unwrap_or(1),
+            )
             .set("rows", Json::Array(rows));
         write_json(Path::new(&path), &doc).expect("write json");
         println!("wrote {path}");

@@ -18,6 +18,7 @@
 //! is not a bad proof, it is not a proof at all.
 
 use crate::error::InteropError;
+use crate::tokens::parse_i64;
 use std::io::Write;
 
 /// One parsed DRAT proof step.
@@ -62,6 +63,9 @@ pub fn looks_binary(bytes: &[u8]) -> bool {
 /// missing its `0` terminator, or a stray `d` with no clause.
 pub fn parse_text(text: &str) -> Result<Vec<DratStep>, InteropError> {
     let mut steps = Vec::new();
+    // One buffer for every line: each step gets an exact-size copy
+    // instead of a vector grown token by token.
+    let mut lits = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let at = Some(lineno as u64 + 1);
         let line = line.trim();
@@ -78,7 +82,7 @@ pub fn parse_text(text: &str) -> Result<Vec<DratStep>, InteropError> {
             }
             None => (false, line),
         };
-        let mut lits = Vec::new();
+        lits.clear();
         let mut terminated = false;
         for tok in rest.split_ascii_whitespace() {
             if terminated {
@@ -87,9 +91,9 @@ pub fn parse_text(text: &str) -> Result<Vec<DratStep>, InteropError> {
                     format!("trailing token {tok:?} after clause terminator"),
                 ));
             }
-            let lit: i64 = tok
-                .parse()
-                .map_err(|_| InteropError::input(at, format!("bad DRAT literal token {tok:?}")))?;
+            let lit = parse_i64(tok).ok_or_else(|| {
+                InteropError::input(at, format!("bad DRAT literal token {tok:?}"))
+            })?;
             if lit == 0 {
                 terminated = true;
             } else {
@@ -100,9 +104,9 @@ pub fn parse_text(text: &str) -> Result<Vec<DratStep>, InteropError> {
             return Err(InteropError::input(at, "clause missing its 0 terminator"));
         }
         steps.push(if is_delete {
-            DratStep::Delete(lits)
+            DratStep::Delete(lits.clone())
         } else {
-            DratStep::Add(lits)
+            DratStep::Add(lits.clone())
         });
     }
     Ok(steps)

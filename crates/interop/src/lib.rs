@@ -37,6 +37,7 @@ pub mod error;
 pub mod export;
 pub mod ingest;
 pub mod lrat;
+mod tokens;
 
 pub use corrupt::{apply_proof, ProofMutation, ALL_PROOF_MUTATIONS};
 pub use drat::DratStep;

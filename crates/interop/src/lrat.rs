@@ -21,6 +21,7 @@
 //! engine's judgement ([`crate::ingest`]).
 
 use crate::error::InteropError;
+use crate::tokens::{parse_i64, parse_u64};
 use std::io::Write;
 
 /// One parsed LRAT proof step.
@@ -58,6 +59,9 @@ pub fn looks_binary(bytes: &[u8]) -> bool {
 /// terminator, a zero/negative clause id, or a deletion id of zero.
 pub fn parse_text(text: &str) -> Result<Vec<LratStep>, InteropError> {
     let mut steps = Vec::new();
+    // Buffers shared by every line: each step gets exact-size copies
+    // instead of vectors grown token by token.
+    let (mut ids, mut lits, mut hints) = (Vec::new(), Vec::new(), Vec::new());
     for (lineno, line) in text.lines().enumerate() {
         let at = Some(lineno as u64 + 1);
         let line = line.trim();
@@ -66,23 +70,21 @@ pub fn parse_text(text: &str) -> Result<Vec<LratStep>, InteropError> {
         }
         let mut toks = line.split_ascii_whitespace();
         let id_tok = toks.next().expect("non-empty line has a first token");
-        let id: u64 = id_tok
-            .parse()
-            .ok()
+        let id = parse_u64(id_tok)
             .filter(|&id| id > 0)
             .ok_or_else(|| InteropError::input(at, format!("bad LRAT clause id {id_tok:?}")))?;
-        let rest: Vec<&str> = toks.collect();
-        if rest.first() == Some(&"d") {
-            let mut ids = Vec::new();
+        let mut toks = toks.peekable();
+        if toks.next_if_eq(&"d").is_some() {
+            ids.clear();
             let mut terminated = false;
-            for tok in &rest[1..] {
+            for tok in toks {
                 if terminated {
                     return Err(InteropError::input(
                         at,
                         format!("trailing token {tok:?} after deletion terminator"),
                     ));
                 }
-                let v: u64 = tok.parse().map_err(|_| {
+                let v = parse_u64(tok).ok_or_else(|| {
                     InteropError::input(at, format!("bad LRAT deletion id {tok:?}"))
                 })?;
                 if v == 0 {
@@ -94,17 +96,16 @@ pub fn parse_text(text: &str) -> Result<Vec<LratStep>, InteropError> {
             if !terminated {
                 return Err(InteropError::input(at, "deletion missing its 0 terminator"));
             }
-            steps.push(LratStep::Delete { ids });
+            steps.push(LratStep::Delete { ids: ids.clone() });
             continue;
         }
         // Addition: literals up to the first 0, hints up to the second.
-        let mut lits = Vec::new();
-        let mut hints = Vec::new();
+        lits.clear();
+        hints.clear();
         let mut section = 0usize;
-        for tok in &rest {
-            let v: i64 = tok
-                .parse()
-                .map_err(|_| InteropError::input(at, format!("bad LRAT token {tok:?}")))?;
+        for tok in toks {
+            let v = parse_i64(tok)
+                .ok_or_else(|| InteropError::input(at, format!("bad LRAT token {tok:?}")))?;
             if v == 0 {
                 section += 1;
                 if section == 2 {
@@ -127,7 +128,11 @@ pub fn parse_text(text: &str) -> Result<Vec<LratStep>, InteropError> {
                 "LRAT addition needs two 0 terminators (literals, hints)",
             ));
         }
-        steps.push(LratStep::Add { id, lits, hints });
+        steps.push(LratStep::Add {
+            id,
+            lits: lits.clone(),
+            hints: hints.clone(),
+        });
     }
     Ok(steps)
 }

@@ -16,7 +16,7 @@ use rescheck_checker::{
     check_sat_claim, check_unsat_claim_scoped, CancelFlag, CheckConfig, CheckScratch, FailureKind,
 };
 use rescheck_cnf::{Assignment, Lit};
-use rescheck_obs::{Json, MetricsSink, Registry};
+use rescheck_obs::{Event, Json, MetricsSink, Observer, Registry};
 use rescheck_trace::{read_all, require_regular_file, MemorySink, TraceFormat, TraceSource};
 use std::io::Cursor;
 use std::path::Path;
@@ -127,6 +127,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
             finish(frame, started, Registry::new())
         }
         Claim::Unsat(evidence) => {
+            let mut sink = MetricsSink::new();
             let trace = if let Some(format) = spec.proof_format {
                 // Clausal proof: ingest it into a synthetic resolve
                 // trace first, then check that trace like any other.
@@ -149,7 +150,16 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                         }
                     },
                 };
-                match rescheck_interop::ingest_bytes(&formula.cnf, &bytes, format) {
+                let report = rescheck_interop::ingest_bytes(&formula.cnf, &bytes, format);
+                if let Ok(report) = &report {
+                    for (name, value) in report.stats.gauges() {
+                        sink.observe(&Event::GaugeSet {
+                            name,
+                            value: value as f64,
+                        });
+                    }
+                }
+                match report {
                     Ok(report) if !report.resolution_checkable() => {
                         // RAT steps have no resolution derivation; the
                         // ingestion engine's forward check is the verdict.
@@ -159,7 +169,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                             .set("proof_format", format.to_string())
                             .set("verified_by", "ingest")
                             .set("rat_steps", report.stats.rat_steps);
-                        return finish(frame, started, Registry::new());
+                        return finish(frame, started, sink.into_registry());
                     }
                     Ok(report) => LoadedTrace::Memory(MemorySink::from(report.events)),
                     Err(e) => {
@@ -186,7 +196,6 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                     }
                 }
             };
-            let mut sink = MetricsSink::new();
             scratch.begin_job(formula.token);
             let config = CheckConfig {
                 memory_limit: lease.bytes(),

@@ -111,11 +111,35 @@ fn clausal_proof_jobs_reach_native_verdicts() {
     assert_eq!(statuses["lrat-missing"], "io-error");
 
     // The valid verdicts ran the real checker on the synthesized trace:
-    // they carry checker stats like any native-trace job.
+    // they carry checker stats like any native-trace job, plus the
+    // ingestion counters as `ingest.*` gauges.
     for frame in &frames {
         let id = frame.get("id").unwrap().as_str().unwrap();
+        let gauge = |name: &str| {
+            frame
+                .path("metrics.gauges")
+                .and_then(|g| g.get(name))
+                .and_then(|j| j.as_f64())
+        };
         if statuses[id] == "valid" {
             assert!(frame.get("stats").is_some(), "{id}: no checker stats");
+            assert!(gauge("ingest.additions") >= Some(1.0), "{id}: {frame:?}");
+            assert!(gauge("ingest.propagations") >= Some(1.0), "{id}: {frame:?}");
+            assert_eq!(gauge("ingest.rat_steps"), Some(0.0), "{id}");
+        } else {
+            assert_eq!(gauge("ingest.additions"), None, "{id}: ingestion failed");
         }
     }
+    let drat = frames
+        .iter()
+        .find(|f| f.get("id").and_then(|j| j.as_str()) == Some("drat-good"))
+        .unwrap();
+    // The first unit lemma already propagates to the final conflict;
+    // the rest of the proof is counted, not replayed.
+    assert_eq!(
+        drat.path("metrics.gauges")
+            .and_then(|g| g.get("ingest.additions"))
+            .and_then(|j| j.as_f64()),
+        Some(1.0)
+    );
 }

@@ -497,8 +497,19 @@ fn cmd_check(rest: &[String]) -> CliResult {
             name: "io.trace.bytes",
             value: bytes.len() as f64,
         });
-        match rescheck::interop::ingest_bytes(&cnf, &bytes, format) {
+        // The proof's parse plus its BCP or hint replay: its own span,
+        // so a slow proof check shows which layer took the time.
+        let mut ingest = Span::start("ingest", &mut obs);
+        let ingested = rescheck::interop::ingest_bytes(&cnf, &bytes, format);
+        ingest.stop(&mut obs);
+        match ingested {
             Ok(report) => {
+                for (name, value) in report.stats.gauges() {
+                    obs.observe(&Event::GaugeSet {
+                        name,
+                        value: value as f64,
+                    });
+                }
                 if !report.resolution_checkable() {
                     // RAT steps have no resolution derivation, so there
                     // is no trace to hand the strategies: the ingestion

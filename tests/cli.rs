@@ -987,13 +987,30 @@ fn serve_stdin_answers_every_frame_and_winds_down_on_shutdown() {
 
 /// A DIMACS header's variable count is a claim, not a size: a
 /// two-clause formula declaring 99,999,999,999 variables checks under
-/// every strategy (the core counts the variables its clauses use), and
-/// the daemon answers it and the jobs around it.
+/// every strategy (the core counts the variables its clauses use) and
+/// as a DRAT or LRAT claim (the ingester sizes its tables by the
+/// variables read), and the daemon answers it and the jobs around it.
 #[test]
 fn a_huge_declared_variable_count_is_checked_not_allocated() {
     let dir = tmp_dir("huge-header");
     std::fs::write(dir.join("big.cnf"), "p cnf 99999999999 2\n1 0\n-1 0\n").unwrap();
     std::fs::write(dir.join("big.rt"), "v 1 0\nf 1\n").unwrap();
+    std::fs::write(dir.join("big.drat"), "0\n").unwrap();
+    std::fs::write(dir.join("big.lrat"), "3 0 1 2 0\n").unwrap();
+    for format in ["drat", "lrat"] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(["check", "big.cnf", &format!("big.{format}")])
+            .args(["--proof-format", format])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{format}: {stdout}");
+        assert!(
+            stdout.starts_with("VALID UNSAT proof"),
+            "{format}: {stdout}"
+        );
+    }
     for strategy in ["df", "bf", "dfd", "hybrid", "portfolio", "pdag"] {
         let out = bin()
             .current_dir(&dir)
@@ -1018,6 +1035,8 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
     let input = [
         r#"{"id":"before","cnf":"p cnf 1 1\n1 0\n","model":[1]}"#,
         r#"{"id":"big","cnf_path":"big.cnf","trace_path":"big.rt","strategy":"df"}"#,
+        r#"{"id":"big-drat","cnf_path":"big.cnf","trace_path":"big.drat","proof_format":"drat"}"#,
+        r#"{"id":"big-lrat","cnf_path":"big.cnf","trace_path":"big.lrat","proof_format":"lrat"}"#,
         r#"{"id":"after","cnf":"p cnf 1 2\n1 0\n-1 0\n","trace":"v 1 0\nf 1\n"}"#,
         r#"{"op":"shutdown"}"#,
     ]
@@ -1030,7 +1049,7 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
         .filter(|l| !l.trim().is_empty())
         .map(|l| rescheck_obs::json::parse(l).unwrap())
         .collect();
-    for id in ["before", "big", "after"] {
+    for id in ["before", "big", "big-drat", "big-lrat", "after"] {
         let frame = frames
             .iter()
             .find(|f| f.get("id").and_then(|j| j.as_str()) == Some(id))
@@ -1142,6 +1161,122 @@ fn drat_fixture_checks_and_missing_deletion_is_a_warning() {
     // The deletion of a never-added clause is warned in the stats, not
     // treated as a defect.
     assert!(text.contains("(1 missing"), "{text}");
+}
+
+/// The numbers of an `ingest:` stat line, in order.
+fn stat_line_numbers(line: &str) -> Vec<u64> {
+    line.split(|c: char| !c.is_ascii_digit())
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse().unwrap())
+        .collect()
+}
+
+#[test]
+fn proof_format_metrics_report_the_ingest_layer() {
+    let dir = tmp_dir("proof-metrics");
+    let cnf_path = dir.join("php.cnf");
+    let trace_path = dir.join("php.rt");
+    let out = bin().args(["gen", "pigeonhole", "5"]).output().unwrap();
+    std::fs::write(&cnf_path, out.stdout).unwrap();
+    let st = bin()
+        .arg("solve")
+        .arg(&cnf_path)
+        .arg("--trace")
+        .arg(&trace_path)
+        .status()
+        .unwrap();
+    assert_eq!(st.code(), Some(20));
+    let out = bin()
+        .arg("export")
+        .arg(&cnf_path)
+        .arg(&trace_path)
+        .arg("--out")
+        .arg(dir.join("php.lrat"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    // The DRAT twin: the additions without ids or hints.
+    let lrat = std::fs::read_to_string(dir.join("php.lrat")).unwrap();
+    let drat: String = lrat
+        .lines()
+        .filter(|l| l.split_whitespace().nth(1) != Some("d"))
+        .map(|l| {
+            let lits: Vec<&str> = l
+                .split_whitespace()
+                .skip(1)
+                .take_while(|&t| t != "0")
+                .collect();
+            format!("{} 0\n", lits.join(" "))
+        })
+        .collect();
+    std::fs::write(dir.join("php.drat"), drat).unwrap();
+
+    for format in ["drat", "lrat"] {
+        let metrics = dir.join(format!("{format}.json"));
+        let out = bin()
+            .arg("check")
+            .arg(&cnf_path)
+            .arg(dir.join(format!("php.{format}")))
+            .args(["--proof-format", format, "--metrics-out"])
+            .arg(&metrics)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+        assert_eq!(out.status.code(), Some(0), "{format}: {stdout}");
+        let text = std::fs::read_to_string(&metrics).unwrap();
+        let doc = rescheck_obs::json::parse(&text).unwrap();
+
+        // check > parse > ingest.
+        let Some(rescheck_obs::Json::Array(roots)) = doc.path("spans") else {
+            panic!("no spans: {text}");
+        };
+        let child = |span: &rescheck_obs::Json, name: &str| {
+            let Some(rescheck_obs::Json::Array(children)) = span.get("children") else {
+                panic!("{name}: no children: {text}");
+            };
+            children
+                .iter()
+                .find(|s| s.get("name").and_then(|j| j.as_str()) == Some(name))
+                .cloned()
+                .unwrap_or_else(|| panic!("no {name} span: {text}"))
+        };
+        let root = roots
+            .iter()
+            .find(|s| s.get("name").and_then(|j| j.as_str()) == Some("check"))
+            .expect("root check span");
+        child(&child(root, "parse"), "ingest");
+
+        // Every stat-line number is its gauge, in field order, and the
+        // propagation count is there too.
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("ingest:"))
+            .expect("ingest stat line");
+        let gauge = |name: &str| {
+            doc.path("gauges")
+                .and_then(|g| g.get(name))
+                .and_then(|j| j.as_f64())
+                .unwrap_or_else(|| panic!("no gauge {name}: {text}")) as u64
+        };
+        let fields = [
+            "additions",
+            "rup_steps",
+            "rat_steps",
+            "aliased",
+            "tautologies",
+            "deletions",
+            "missing_deletions",
+            "locked_deletions",
+            "level_zero",
+        ];
+        let gauges: Vec<u64> = fields
+            .iter()
+            .map(|f| gauge(&format!("ingest.{f}")))
+            .collect();
+        assert_eq!(gauges, stat_line_numbers(line), "{format}: {line}");
+        assert!(gauge("ingest.propagations") > 0, "{format}");
+        gauge("ingest.steps_after_empty");
+    }
 }
 
 #[test]
