@@ -1,33 +1,25 @@
-//! Check-throughput benchmark: end-to-end validation time on a
-//! Table-2-class instance (`pipe(18, 6)`, Table 2's `6pipe`, about 24k
-//! learned clauses), sequential breadth-first against the work-stealing
-//! parallel-dag executor at increasing worker counts, plus the
-//! observability overhead of running the same check under a recording
-//! [`MetricsSink`] instead of the [`NullObserver`] (the hot path is
-//! allocation-free, so the gap should be noise).
+//! Check-throughput benchmark: end-to-end breadth-first validation time
+//! on a Table-2-class instance (`pipe(18, 6)`, Table 2's `6pipe`, about
+//! 24k learned clauses), plus the observability overhead of running the
+//! same check under a recording [`MetricsSink`] instead of the
+//! [`NullObserver`] (the hot path is allocation-free, so the gap should
+//! be noise).
 //!
 //! The trace goes through the daemon's source — solved once into a
 //! binary temp file and read into a [`TraceMap`] (the `rescheck serve`
 //! reuse pattern), which every row then decodes in place.
 //!
-//! pdag runs at most one worker per core, so each requested worker count
-//! is timed once per *effective* count (the `check.jobs` gauge), and its
-//! row is named `pdag-jobs<effective>`: on a 2-core host, requests for 2,
-//! 4 and 8 workers are one row.
-//!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
 //! time and the learned-clauses-per-second throughput, for the CI
 //! bench-smoke job (which checks shape, never timing). The document
-//! records the host's available parallelism: on a single-core runner
-//! the multi-worker rows measure overhead, not scaling.
+//! records the host's available parallelism, the context for comparing
+//! timings across hosts.
 
 use rescheck_bench::micro::bench;
-use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
-use rescheck_checker::{
-    check_unsat_claim, check_unsat_claim_observed, CheckConfig, CheckStats, Strategy,
-};
-use rescheck_obs::{Json, MetricsSink};
+use rescheck_bench::report::{take_json_flag, write_json};
+use rescheck_checker::{check_unsat_claim, check_unsat_claim_observed, CheckConfig, Strategy};
+use rescheck_obs::{Json, MetricsSink, SCHEMA};
 use rescheck_solver::{Solver, SolverConfig};
 use rescheck_trace::{BinaryWriter, TraceMap, TraceSink};
 use rescheck_workloads::{pipeline, Instance};
@@ -66,7 +58,7 @@ fn main() {
     .stats
     .learned_in_trace;
 
-    let mut push_row = |config: &str, median_seconds: f64, stats: Option<&CheckStats>| {
+    let mut push_row = |config: &str, median_seconds: f64| {
         let mut row = Json::object();
         row.set("name", inst.name.as_str())
             .set("config", config)
@@ -76,13 +68,6 @@ fn main() {
                 "learned_per_second",
                 learned as f64 / median_seconds.max(1e-12),
             );
-        // Work counters, for the determinism-across-jobs criterion
-        // (compared bit-for-bit between pdag rows in CI).
-        if let Some(stats) = stats {
-            row.set("clauses_built", stats.clauses_built)
-                .set("resolutions", stats.resolutions)
-                .set("peak_memory_bytes", stats.peak_memory_bytes);
-        }
         rows.push(row);
     };
 
@@ -95,56 +80,7 @@ fn main() {
         )
         .expect("genuine trace");
     });
-    push_row("bf", seq.median.as_secs_f64(), None);
-
-    let mut pdag_key = None;
-    let mut timed_workers: Vec<u64> = Vec::new();
-    for jobs in [1usize, 2, 4, 8] {
-        let config = CheckConfig {
-            jobs,
-            ..CheckConfig::default()
-        };
-        let mut probe = MetricsSink::new();
-        let stats = check_unsat_claim_observed(
-            &inst.cnf,
-            &trace,
-            Strategy::ParallelDag,
-            &config,
-            &mut probe,
-        )
-        .expect("genuine trace")
-        .stats;
-        let key = (
-            stats.clauses_built,
-            stats.resolutions,
-            stats.peak_memory_bytes,
-        );
-        if let Some(prev) = pdag_key {
-            assert_eq!(prev, key, "pdag stats drift across worker counts");
-        }
-        pdag_key = Some(key);
-        let workers = probe
-            .registry()
-            .gauge("check.jobs")
-            .expect("pdag reports its worker count") as u64;
-        if timed_workers.contains(&workers) {
-            println!(
-                "check/pdag-jobs{jobs}/{}: runs as jobs{workers}, already timed",
-                inst.name
-            );
-            continue;
-        }
-        timed_workers.push(workers);
-        let summary = bench(&format!("check/pdag-jobs{workers}/{}", inst.name), || {
-            check_unsat_claim(&inst.cnf, &trace, Strategy::ParallelDag, &config)
-                .expect("genuine trace");
-        });
-        push_row(
-            &format!("pdag-jobs{workers}"),
-            summary.median.as_secs_f64(),
-            Some(&stats),
-        );
-    }
+    push_row("bf", seq.median.as_secs_f64());
 
     // Observability overhead: the same breadth-first check with a
     // recording metrics sink (spans, counters, histograms) against
@@ -160,7 +96,7 @@ fn main() {
         )
         .expect("genuine trace");
     });
-    push_row("bf-metrics", observed.median.as_secs_f64(), None);
+    push_row("bf-metrics", observed.median.as_secs_f64());
     let overhead =
         (observed.median.as_secs_f64() / seq.median.as_secs_f64().max(1e-12) - 1.0) * 100.0;
     println!("check/observer-overhead/{}: {overhead:+.2}%", inst.name);

@@ -36,9 +36,9 @@
 //! job (which checks shape, never timing).
 
 use rescheck_bench::micro::bench;
-use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
+use rescheck_bench::report::{take_json_flag, write_json};
 use rescheck_cnf::{dimacs, Cnf, SplitMix64};
-use rescheck_obs::Json;
+use rescheck_obs::{Json, SCHEMA};
 use rescheck_trace::{
     BinaryReader, BinaryWriter, BlockDecoder, EventRef, FileTrace, SliceDecoder, TraceEvent,
     TraceMap, TraceSink, TraceSource,

@@ -20,10 +20,10 @@
 //! bench-smoke job (which checks shape, never timing).
 
 use rescheck_bench::micro::bench;
-use rescheck_bench::report::{take_json_flag, write_json, SCHEMA};
+use rescheck_bench::report::{take_json_flag, write_json};
 use rescheck_checker::{normalize_literals, resolve_sorted, ResolutionKernel};
 use rescheck_cnf::{Lit, SplitMix64, Var};
-use rescheck_obs::Json;
+use rescheck_obs::{Json, SCHEMA};
 use std::path::Path;
 
 /// One synthetic chain: a seed clause and `antecedents` sorted clauses,

@@ -14,7 +14,7 @@
 //! `rescheck-metrics-v2` document.
 
 use rescheck_bench::{fmt_secs, measure_solve, report};
-use rescheck_obs::{Json, Registry};
+use rescheck_obs::{metrics_document, Json, Registry};
 use rescheck_solver::SolverConfig;
 use rescheck_workloads::paper_suite;
 
@@ -68,7 +68,7 @@ fn main() {
     println!("Paper shape: trace generation costs 1.7%-12%, smaller on harder instances.");
 
     if let Some(path) = json_path {
-        let mut doc = report::metrics_document("table1", &Registry::new());
+        let mut doc = metrics_document("table1", &Registry::new());
         doc.set("rows", Json::Array(rows))
             .set("total_trace_off_seconds", total_off)
             .set("total_trace_on_seconds", total_on);

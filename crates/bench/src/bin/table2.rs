@@ -25,7 +25,7 @@
 
 use rescheck_bench::{fmt_kb, fmt_secs, measure_check, measure_solve, report};
 use rescheck_checker::Strategy;
-use rescheck_obs::{Json, Registry};
+use rescheck_obs::{metrics_document, Json, Registry};
 use rescheck_solver::SolverConfig;
 use rescheck_workloads::paper_suite;
 
@@ -141,7 +141,7 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut doc = report::metrics_document("table2", &Registry::new());
+        let mut doc = metrics_document("table2", &Registry::new());
         let mut limit = Json::object();
         if let Some(m) = mem_limit {
             limit.set("bytes", m);

@@ -12,7 +12,7 @@
 
 use rescheck_bench::report;
 use rescheck_checker::minimize_core;
-use rescheck_obs::{Json, Registry};
+use rescheck_obs::{metrics_document, Json, Registry};
 use rescheck_solver::SolverConfig;
 use rescheck_workloads::table3_suite;
 
@@ -77,7 +77,7 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let mut doc = report::metrics_document("table3", &Registry::new());
+        let mut doc = metrics_document("table3", &Registry::new());
         doc.set("rows", Json::Array(rows))
             .set("max_iterations", max_iterations);
         report::write_json(std::path::Path::new(&path), &doc).expect("write --json output");

@@ -1,62 +1,15 @@
-//! Machine-readable metrics emission — the `rescheck-metrics-v2` schema
-//! shared by the CLI's metrics flags and the table binaries' `--json`
-//! flag.
-//!
-//! The document shape is:
-//!
-//! ```json
-//! {
-//!   "schema": "rescheck-metrics-v2",
-//!   "command": "check",
-//!   "phases": {"parse": 0.01, "solve": 1.2, ...},
-//!   "counters": {"solver.conflicts": 1234, ...},
-//!   "gauges": {"check.peak_memory_bytes": 65536.0, ...},
-//!   "histograms": {"check.resolve.chain_len": {"count": …, "buckets": […]}, ...},
-//!   "spans": [{"name": "check", "wall_seconds": …, "children": […]}, ...],
-//!   ...command-specific sections ("solver", "check", "rows")...
-//! }
-//! ```
-//!
-//! v2 is a strict superset of v1: the two new top-level keys
-//! (`histograms`, `spans`) are additive, so v1 consumers that only read
-//! `phases`/`counters`/`gauges` keep working, and
-//! [`Registry::from_json`] reads both shapes.
+//! JSON sections of the table binaries' `--json` documents and the
+//! CLI's metrics documents: solver, proof, instance and check-report
+//! objects. The document envelope itself,
+//! [`metrics_document`](rescheck_obs::metrics_document), lives in
+//! `rescheck-obs`.
 
 use crate::{CheckReport, InstanceReport};
-use rescheck_checker::{CheckStats, ProofStats};
+use rescheck_checker::{check_stats_json, ProofStats};
 use rescheck_obs::{Json, Registry};
 use rescheck_solver::SolverStats;
 use std::io::Write;
 use std::path::Path;
-
-/// The schema tag stamped on every metrics document.
-pub const SCHEMA: &str = "rescheck-metrics-v2";
-
-/// The previous schema tag, still accepted by readers (checked-in
-/// baselines from earlier PRs carry it).
-pub const SCHEMA_V1: &str = "rescheck-metrics-v1";
-
-/// The skeleton of a metrics document: schema tag, the producing
-/// command, and the registry's phases / counters / gauges / histograms
-/// / span tree at top level.
-pub fn metrics_document(command: &str, registry: &Registry) -> Json {
-    let mut root = Json::object();
-    root.set("schema", SCHEMA).set("command", command);
-    let reg = registry.to_json();
-    for key in ["phases", "counters", "gauges", "histograms", "spans"] {
-        root.set(
-            key,
-            reg.get(key).cloned().unwrap_or_else(|| {
-                if key == "spans" {
-                    Json::Array(Vec::new())
-                } else {
-                    Json::object()
-                }
-            }),
-        );
-    }
-    root
-}
 
 /// Solver statistics as a JSON object (every counter plus the derived
 /// average learned-clause length).
@@ -73,22 +26,6 @@ pub fn solver_stats_json(stats: &SolverStats) -> Json {
         .set("db_reductions", stats.db_reductions)
         .set("reused_conflicts", stats.reused_conflicts)
         .set("minimized_literals", stats.minimized_literals);
-    json
-}
-
-/// Check statistics as a JSON object (the per-run half-row of Table 2).
-pub fn check_stats_json(stats: &CheckStats) -> Json {
-    let mut json = Json::object();
-    json.set("strategy", stats.strategy.to_string())
-        .set("learned_in_trace", stats.learned_in_trace)
-        .set("clauses_built", stats.clauses_built)
-        .set("built_percent", stats.built_percent())
-        .set("resolutions", stats.resolutions)
-        .set("peak_memory_bytes", stats.peak_memory_bytes)
-        .set("runtime_seconds", stats.runtime.as_secs_f64());
-    if let Some(bytes) = stats.trace_bytes {
-        json.set("trace_bytes", bytes);
-    }
     json
 }
 
@@ -118,6 +55,8 @@ pub fn proof_stats_json(stats: &ProofStats) -> Json {
         .set("derivation_resolutions", stats.derivation_resolutions)
         .set("final_phase_bound", stats.final_phase_bound)
         .set("depth", stats.depth)
+        .set("span", stats.span)
+        .set("parallelism", stats.parallelism())
         .set("max_sources", stats.max_sources)
         .set("avg_sources", stats.avg_sources)
         .set("core_clauses", stats.core_clauses);
@@ -186,50 +125,6 @@ pub fn take_json_flag(args: &mut Vec<String>) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rescheck_checker::Strategy;
-    use std::time::Duration;
-
-    #[test]
-    fn document_skeleton_has_stable_keys() {
-        let mut reg = Registry::new();
-        reg.inc("solver.conflicts", 1);
-        reg.record_phase("solve", Duration::from_millis(5));
-        let doc = metrics_document("solve", &reg);
-        assert_eq!(
-            doc.keys(),
-            vec![
-                "schema",
-                "command",
-                "phases",
-                "counters",
-                "gauges",
-                "histograms",
-                "spans"
-            ]
-        );
-        assert_eq!(doc.path("schema").unwrap().as_str(), Some(SCHEMA));
-        assert_eq!(SCHEMA, "rescheck-metrics-v2");
-        assert_eq!(SCHEMA_V1, "rescheck-metrics-v1");
-        assert!(doc.get("phases").unwrap().get("solve").is_some());
-    }
-
-    #[test]
-    fn check_stats_json_roundtrips_through_parser() {
-        let stats = CheckStats {
-            strategy: Strategy::DepthFirst,
-            learned_in_trace: 200,
-            clauses_built: 50,
-            resolutions: 420,
-            peak_memory_bytes: 65536,
-            runtime: Duration::from_millis(12),
-            trace_bytes: Some(1024),
-        };
-        let json = check_stats_json(&stats);
-        let reparsed = rescheck_obs::json::parse(&json.to_pretty_string()).unwrap();
-        assert_eq!(reparsed.get("clauses_built").unwrap().as_u64(), Some(50));
-        assert_eq!(reparsed.get("built_percent").unwrap().as_f64(), Some(25.0));
-        assert_eq!(reparsed.get("trace_bytes").unwrap().as_u64(), Some(1024));
-    }
 
     #[test]
     fn solver_stats_json_has_all_counters() {

@@ -2,10 +2,10 @@
 //! claim and verify they tell a consistent story.
 //!
 //! The paper's trust argument rests on the checker being simpler than the
-//! solver — but this repo ships *six* strategies sharing a hot path, and
+//! solver — but this repo ships *five* strategies sharing a hot path, and
 //! a bug in any one of them would silently weaken that argument. This
 //! module turns the strategies against each other: on a valid trace all
-//! six must accept with class-identical statistics
+//! five must accept with class-identical statistics
 //! ([`verify_valid_agreement`]); on an arbitrary — possibly corrupted —
 //! trace the cross-strategy implications that hold by construction must
 //! still hold ([`verify_cross_consistency`]):
@@ -14,9 +14,6 @@
 //!   must agree bit-for-bit, down to the failure diagnostic;
 //! - without a memory budget the portfolio never falls back, so it is
 //!   disk-backed depth-first and must agree with it bit-for-bit;
-//! - the parallel-dag executor verifies the same full set of learned
-//!   clauses as breadth-first and must agree with it on the verdict and
-//!   the work counters, for any worker count;
 //! - hybrid verifies the same needed subset as depth-first;
 //! - breadth-first validates a superset of what depth-first validates, so
 //!   a breadth-first accept implies a depth-first accept.
@@ -35,13 +32,12 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every checking strategy, in the fixed order the oracle runs them.
-pub const ALL_STRATEGIES: [Strategy; 6] = [
+pub const ALL_STRATEGIES: [Strategy; 5] = [
     Strategy::DepthFirst,
     Strategy::BreadthFirst,
     Strategy::Hybrid,
     Strategy::Portfolio,
     Strategy::DiskDepthFirst,
-    Strategy::ParallelDag,
 ];
 
 /// What one strategy did with the claim.
@@ -95,7 +91,7 @@ pub struct StrategyReport {
     pub run: StrategyRun,
 }
 
-/// Runs all six strategies on the same claim, capturing panics.
+/// Runs every strategy on the same claim, capturing panics.
 ///
 /// The strategies run sequentially in [`ALL_STRATEGIES`] order, each with
 /// a fresh clone of `config`, so a cancellation or memory accounting
@@ -209,7 +205,7 @@ pub fn verify_synthesized_trace(
 /// Verifies the oracle matrix of a trace that *should* be valid: every
 /// strategy accepts, and the statistics agree within each equivalence
 /// class (df = dfd = portfolio on the needed subset, with hybrid between
-/// df and bf; bf = pdag on the full trace).
+/// df and bf, which builds the full trace).
 ///
 /// # Errors
 ///
@@ -238,7 +234,6 @@ pub fn verify_valid_agreement(
     let hybrid = outcome(Strategy::Hybrid)?;
     let portfolio = outcome(Strategy::Portfolio)?;
     let dfd = outcome(Strategy::DiskDepthFirst)?;
-    let pdag = outcome(Strategy::ParallelDag)?;
 
     // Everyone parsed the same trace.
     for (name, o) in [
@@ -246,7 +241,6 @@ pub fn verify_valid_agreement(
         ("hybrid", hybrid),
         ("portfolio", portfolio),
         ("disk-depth-first", dfd),
-        ("parallel-dag", pdag),
     ] {
         if o.stats.learned_in_trace != df.stats.learned_in_trace {
             return Err(disagree(
@@ -327,23 +321,6 @@ pub fn verify_valid_agreement(
             ),
         ));
     }
-    // The parallel-dag executor verifies the same full set of learned
-    // clauses as breadth-first (its accounting model differs, so peak
-    // memory is compared across its own worker counts, not against bf).
-    if pdag.stats.clauses_built != bf.stats.clauses_built
-        || pdag.stats.resolutions != bf.stats.resolutions
-    {
-        return Err(disagree(
-            "stats-mismatch",
-            format!(
-                "parallel-dag ({}/{}) diverges from breadth-first ({}/{})",
-                pdag.stats.clauses_built,
-                pdag.stats.resolutions,
-                bf.stats.clauses_built,
-                bf.stats.resolutions
-            ),
-        ));
-    }
     Ok(AgreementSummary {
         learned_in_trace: df.stats.learned_in_trace,
         needed_built: df.stats.clauses_built,
@@ -363,7 +340,6 @@ pub fn verify_valid_agreement(
 ///   as disagreements);
 /// - depth-first, disk-backed depth-first and the portfolio agree
 ///   bit-for-bit, down to the failure diagnostic text;
-/// - breadth-first and parallel-dag agree the same way;
 /// - acceptance respects what each strategy verifies: a breadth-first
 ///   accept and a hybrid accept each imply a depth-first accept (both
 ///   verify a superset of depth-first's needed clauses; bf and hybrid
@@ -396,14 +372,12 @@ pub fn verify_cross_consistency(reports: &[StrategyReport]) -> Result<(), Disagr
     let hybrid = require(reports, Strategy::Hybrid)?;
     let portfolio = require(reports, Strategy::Portfolio)?;
     let dfd = require(reports, Strategy::DiskDepthFirst)?;
-    let pdag = require(reports, Strategy::ParallelDag)?;
 
     // Bit-identical pairs: same traversal ⇒ same verdict text, and on
     // accept, same work counters.
     for (a_name, a, b_name, b) in [
         ("depth-first", df, "disk-depth-first", dfd),
         ("disk-depth-first", dfd, "portfolio", portfolio),
-        ("breadth-first", bf, "parallel-dag", pdag),
     ] {
         if a.verdict() != b.verdict() {
             return Err(disagree(
@@ -481,10 +455,10 @@ mod tests {
     }
 
     #[test]
-    fn valid_trace_agrees_six_ways() {
+    fn valid_trace_agrees_across_every_strategy() {
         let (cnf, trace) = unsat_fixture();
         let reports = run_all_strategies(&cnf, &trace, &CheckConfig::default());
-        assert_eq!(reports.len(), 6);
+        assert_eq!(reports.len(), ALL_STRATEGIES.len());
         let summary = verify_valid_agreement(&reports).unwrap();
         assert!(summary.learned_in_trace >= summary.needed_built);
         verify_cross_consistency(&reports).unwrap();
@@ -556,7 +530,7 @@ mod tests {
     }
 
     /// Runs every strategy, checks the oracle's pairs, and returns the
-    /// one verdict all six must share.
+    /// one verdict they all must share.
     fn unanimous<S: TraceSource + ?Sized>(cnf: &Cnf, trace: &S, config: &CheckConfig) -> String {
         let reports = run_all_strategies(cnf, trace, config);
         verify_cross_consistency(&reports).unwrap();
@@ -567,7 +541,7 @@ mod tests {
         verdict
     }
 
-    /// The verdict all six strategies share on a trace file, binary or
+    /// The verdict every strategy shares on a trace file, binary or
     /// ASCII (sniffed from `bytes`, as `FileTrace::open` does).
     fn unanimous_on_file(cnf: &Cnf, name: &str, bytes: &[u8]) -> String {
         let dir = std::env::temp_dir().join("rescheck-agreement");
@@ -673,7 +647,7 @@ mod tests {
     /// A trace whose learned ids break the sequence `n, n + 1, …` is
     /// renumbered through one map: its twins with gaps, with ids past
     /// 2^62 and with ids in descending order check exactly like the dense
-    /// original under all six strategies. Their peaks carry the map's
+    /// original under every strategy. Their peaks carry the map's
     /// per-record charge and nothing that depends on an id's value.
     #[test]
     fn renumbered_twins_check_like_the_dense_trace() {
@@ -705,10 +679,7 @@ mod tests {
             ("past 2^62", &|id| (1 << 62) + 7 * (id - n)),
             ("descending", &|id| n + 2 * learned - (id - n)),
         ];
-        let config = CheckConfig {
-            jobs: 2,
-            ..CheckConfig::default()
-        };
+        let config = CheckConfig::default();
         for strategy in ALL_STRATEGIES {
             let base = check_unsat_claim(&cnf, &dense, strategy, &config).unwrap();
             let mut peaks = Vec::new();

@@ -21,7 +21,6 @@ use std::time::Instant;
 ///
 /// let cfg = CheckConfig {
 ///     memory_limit: Some(800 << 20), // the paper's 800 MB cap
-///     jobs: 4,
 ///     ..CheckConfig::default()
 /// };
 /// assert!(cfg.memory_limit.is_some());
@@ -33,12 +32,8 @@ pub struct CheckConfig {
     /// The paper ran both checkers with an 800 MB limit, under which the
     /// depth-first strategy fails on the largest instances (Table 2).
     pub memory_limit: Option<u64>,
-    /// Worker threads for [`Strategy::ParallelDag`]'s executor; `0`
-    /// picks the available parallelism (capped at 8). The value is a cap:
-    /// pdag never runs more workers than the machine has cores, since
-    /// extra threads cannot raise throughput and its stats are identical
-    /// for any worker count. pdag reads the trace on the calling thread,
-    /// and every other strategy runs there entirely and ignores it.
+    /// Ignored: every strategy checks on the calling thread. Kept so
+    /// callers that still set it compile.
     pub jobs: usize,
     /// Cooperative cancellation handle, polled at progress strides. The
     /// default flag is inert; arm one ([`CancelFlag::armed`]) to be able
@@ -47,7 +42,7 @@ pub struct CheckConfig {
 }
 
 impl Default for CheckConfig {
-    /// Unlimited memory, automatic job count and an inert cancel flag.
+    /// Unlimited memory and an inert cancel flag.
     fn default() -> Self {
         CheckConfig {
             memory_limit: None,
@@ -86,7 +81,6 @@ impl Default for CheckConfig {
 ///     Strategy::Hybrid,
 ///     Strategy::Portfolio,
 ///     Strategy::DiskDepthFirst,
-///     Strategy::ParallelDag,
 /// ] {
 ///     check_unsat_claim(&cnf, &trace, strategy, &CheckConfig::default())?;
 /// }
@@ -105,7 +99,7 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// (`check:pass1`, `check:resolve`, `final-phase`, and hybrid's
 /// `check:walk` between the first two) nested under a
 /// per-strategy span (`check:df`, `check:bf`, `check:hybrid`,
-/// `check:portfolio`, `check:dfd`, `check:pdag`); clauses the depth-first
+/// `check:portfolio`, `check:dfd`); clauses the depth-first
 /// walk builds on demand inside the final phase are timed as one
 /// `check:resolve` span within `final-phase`. Also resolution-shape
 /// histograms (`check.resolve.chain_len` — resolve sources per learned
@@ -125,12 +119,6 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// `check.dfd.cursor_reads` (positioned trace reads performed, one per
 /// clause built); like every strategy, it reads the trace through the
 /// source it is given and charges no copy of it.
-/// [`Strategy::ParallelDag`] streams the trace like breadth-first, builds
-/// its dependency graph during its pass 1, timed as a `check:dag-build`
-/// phase before `check:resolve`, and reports the graph's
-/// parallelism bound: `check.dag.work` (resolutions over all learned
-/// clauses) and `check.dag.span` (the most resolutions on one dependency
-/// path), beside `check.jobs` and the executor's per-worker histograms.
 ///
 /// It is [`check_unsat_claim_scoped`] on a fresh [`CheckScratch`].
 ///
@@ -179,7 +167,6 @@ fn span_name(strategy: Strategy) -> &'static str {
         Strategy::Hybrid => "check:hybrid",
         Strategy::Portfolio => "check:portfolio",
         Strategy::DiskDepthFirst => "check:dfd",
-        Strategy::ParallelDag => "check:pdag",
     }
 }
 
@@ -217,11 +204,7 @@ fn run_portfolio<S: TraceSource + ?Sized>(
 /// checks and want to reuse the kernel, arena and original-clause cache
 /// across jobs instead of rebuilding them per job.
 ///
-/// Every sequential strategy ([`Strategy::DepthFirst`],
-/// [`Strategy::BreadthFirst`], [`Strategy::Hybrid`],
-/// [`Strategy::DiskDepthFirst`] and [`Strategy::Portfolio`]) runs on the
-/// provided [`CheckScratch`]; [`Strategy::ParallelDag`] keeps per-worker
-/// state of its own and ignores it.
+/// Every strategy runs on the provided [`CheckScratch`].
 ///
 /// Reported stats and accounted memory are bit-identical to the
 /// unscoped entry point: reuse trades allocator work, never accounting.
@@ -249,7 +232,6 @@ pub fn check_unsat_claim_scoped<S: TraceSource + ?Sized>(
         Strategy::Hybrid => crate::depth_first::run_hybrid(cnf, trace, config, scratch, obs),
         Strategy::Portfolio => run_portfolio(cnf, trace, config, scratch, obs),
         Strategy::DiskDepthFirst => crate::depth_first::run_disk(cnf, trace, config, scratch, obs),
-        Strategy::ParallelDag => crate::dag::run(cnf, trace, config, obs),
     };
     span.stop(obs);
     result

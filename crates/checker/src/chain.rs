@@ -1,4 +1,4 @@
-//! The chain step every sequential engine shares.
+//! The chain step every engine shares.
 //!
 //! Rebuilding one learned clause is the same job in depth-first,
 //! breadth-first and hybrid checking: seed the [`ResolutionKernel`] with

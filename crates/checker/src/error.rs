@@ -31,12 +31,6 @@ pub enum FailureKind {
     Io,
     /// The check was cancelled cooperatively before reaching a verdict.
     Cancelled,
-    /// The checker itself misbehaved — a worker thread panicked — so no
-    /// verdict was reached. Says nothing about the proof; the *checker*
-    /// should be considered buggy. Callers that manage worker fleets (the
-    /// serve daemon, the parallel strategies) degrade to this instead of
-    /// aborting the process.
-    Internal,
 }
 
 impl fmt::Display for FailureKind {
@@ -46,7 +40,6 @@ impl fmt::Display for FailureKind {
             FailureKind::ResourceLimit => f.write_str("resource-limit"),
             FailureKind::Io => f.write_str("io-error"),
             FailureKind::Cancelled => f.write_str("cancelled"),
-            FailureKind::Internal => f.write_str("internal-error"),
         }
     }
 }
@@ -188,14 +181,6 @@ pub enum CheckError {
     /// e.g. because the `serve` watchdog's deadline fired. Not a
     /// statement about the trace's validity.
     Cancelled,
-    /// A checker worker thread panicked. The parallel-dag strategy
-    /// converts join failures into this instead of `expect`-aborting the
-    /// whole process, so a poisoned worker degrades into a reportable
-    /// verdict.
-    WorkerPanic {
-        /// Which worker died and the panic message it died with.
-        what: String,
-    },
 }
 
 impl CheckError {
@@ -215,7 +200,6 @@ impl CheckError {
             },
             CheckError::MemoryLimitExceeded { .. } => FailureKind::ResourceLimit,
             CheckError::Cancelled => FailureKind::Cancelled,
-            CheckError::WorkerPanic { .. } => FailureKind::Internal,
             _ => FailureKind::ProofDefect,
         }
     }
@@ -294,9 +278,6 @@ impl fmt::Display for CheckError {
                 "memory limit exceeded: {required} bytes required, limit is {limit}"
             ),
             CheckError::Cancelled => f.write_str("check cancelled before reaching a verdict"),
-            CheckError::WorkerPanic { what } => {
-                write!(f, "internal checker error: {what}")
-            }
         }
     }
 }
@@ -398,13 +379,6 @@ mod tests {
         assert_eq!(env.kind(), FailureKind::Io);
         assert_eq!(FailureKind::Io.to_string(), "io-error");
         assert_eq!(FailureKind::ProofDefect.to_string(), "proof-defect");
-        // A panicked worker is the checker's own fault, never the proof's.
-        let poisoned = CheckError::WorkerPanic {
-            what: "counting worker: index out of bounds".into(),
-        };
-        assert_eq!(poisoned.kind(), FailureKind::Internal);
-        assert!(poisoned.to_string().contains("internal checker error"));
-        assert_eq!(FailureKind::Internal.to_string(), "internal-error");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Determinism is a feature, not just a speed-up: `HashMap`'s per-process
 //! random seed made iteration order differ between runs, and every place
 //! the checker iterates a hot map (e.g. the hybrid strategy's root set)
-//! now behaves identically across runs and `--jobs` values.
+//! now behaves identically across runs.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};

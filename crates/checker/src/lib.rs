@@ -27,10 +27,10 @@
 //! with the trace left on disk behind a 16-byte-per-clause offset index,
 //! and [`check_hybrid`] on that same index, rebuilding depth-first's
 //! clauses under breadth-first's freeing discipline (the paper's proposed
-//! future work). [`Strategy::ParallelDag`] schedules breadth-first's work
-//! over threads. Every sequential engine rebuilds clauses through one
-//! shared chain step on a reusable [`CheckScratch`]; an engine contributes
-//! only its first pass, its rebuild order and when it frees a clause.
+//! future work). The checker is single-threaded: every engine rebuilds
+//! clauses through one shared chain step on a reusable [`CheckScratch`];
+//! an engine contributes only its first pass, its rebuild order and when
+//! it frees a clause.
 //!
 //! SAT claims are checked by [`check_sat_claim`] in linear time.
 //!
@@ -75,7 +75,6 @@ mod cache;
 mod cancel;
 mod chain;
 mod core_min;
-mod dag;
 mod depth_first;
 #[cfg(test)]
 mod disk_df {
@@ -84,7 +83,6 @@ mod disk_df {
     mod tests;
 }
 mod error;
-mod executor;
 mod final_phase;
 mod fxhash;
 #[cfg(test)]
@@ -98,12 +96,6 @@ pub mod kernel;
 mod memory;
 mod model;
 mod outcome;
-#[cfg(test)]
-mod parallel {
-    //! pdag's threading plumbing lives in `executor`; only its tests are
-    //! kept apart, in `parallel/tests.rs`.
-    mod tests;
-}
 mod proof;
 pub mod resolve;
 mod scratch;
@@ -119,7 +111,7 @@ pub use core_min::{minimize_core, CoreIteration, CoreMinimization, MinimizeError
 pub use error::{BadAntecedentReason, CheckError, FailureKind};
 pub use kernel::{KernelStats, ResolutionKernel};
 pub use memory::MemoryMeter;
-pub use outcome::{CheckOutcome, CheckStats, UnsatCore};
+pub use outcome::{check_stats_json, CheckOutcome, CheckStats, UnsatCore};
 pub use proof::{proof_stats, ProofStats};
 pub use resolve::{
     normalize_literals, resolve_on, resolve_sorted, resolve_sorted_pivot, ResolveFailure,

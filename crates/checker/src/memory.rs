@@ -44,15 +44,6 @@ pub(crate) const INDEX_ENTRY_BYTES: u64 = 16;
 /// index in a hash table at its load factor); a dense trace has no map.
 pub(crate) const RENUMBER_ENTRY_BYTES: u64 = 24;
 
-/// Accounted bytes per node of the parallel-dag executor's dependency
-/// graph: the node record itself plus its completion slot and in-degree
-/// counter (a node's index is its dense id, so there is no id map).
-pub(crate) const DAG_NODE_BYTES: u64 = 64;
-
-/// Accounted bytes per resolve-source entry of the parallel-dag
-/// dependency graph (the tagged forward edge plus its reverse edge).
-pub(crate) const DAG_SOURCE_BYTES: u64 = 8;
-
 /// Page granularity for charging the clause arena's flat literal store.
 ///
 /// The arena grows its literal tail in whole pages and charges the meter

@@ -104,12 +104,10 @@ impl Pass1 {
 
 /// A valid record, as [`pass1`] hands it to its engine.
 pub(crate) enum Record<'a> {
-    /// A learned record: the id space that now defines it, its id and
-    /// table index, its byte offset and its resolve sources.
+    /// A learned record: the id space that now defines it, its byte
+    /// offset and its resolve sources.
     Learned {
         ids: &'a IdSpace,
-        id: u64,
-        index: usize,
         offset: u64,
         sources: &'a [u64],
     },
@@ -143,7 +141,7 @@ pub(crate) fn pass1<S: TraceSource + ?Sized>(
             }
             match event {
                 EventRef::Learned { id, sources } => {
-                    let index = pass.ids.define(id)?;
+                    pass.ids.define(id)?;
                     if sources.len() < 2 {
                         return Err(CheckError::Trace(io::Error::new(
                             io::ErrorKind::InvalidData,
@@ -152,8 +150,6 @@ pub(crate) fn pass1<S: TraceSource + ?Sized>(
                     }
                     engine(Record::Learned {
                         ids: &pass.ids,
-                        id,
-                        index,
                         offset,
                         sources,
                     })

@@ -1,6 +1,7 @@
 //! Results of a successful check.
 
 use rescheck_cnf::{Cnf, Var};
+use rescheck_obs::Json;
 use std::fmt;
 use std::time::Duration;
 
@@ -27,14 +28,6 @@ pub enum Strategy {
     /// demand through a trace cursor. Bit-identical statistics and core
     /// to [`Strategy::DepthFirst`], without the `O(trace)` memory term.
     DiskDepthFirst,
-    /// Breadth-first's verification set scheduled as a dependency DAG: a
-    /// dense build pass resolves every id to an index once, then a
-    /// work-stealing executor rebuilds independent learned clauses
-    /// concurrently, committing completions in trace order so clauses
-    /// are still freed at their last use. Same verdict and same
-    /// `clauses_built` / `resolutions` / `peak_memory_bytes` for any
-    /// worker count.
-    ParallelDag,
 }
 
 impl fmt::Display for Strategy {
@@ -45,7 +38,6 @@ impl fmt::Display for Strategy {
             Strategy::Hybrid => f.write_str("hybrid"),
             Strategy::Portfolio => f.write_str("portfolio"),
             Strategy::DiskDepthFirst => f.write_str("disk-depth-first"),
-            Strategy::ParallelDag => f.write_str("parallel-dag"),
         }
     }
 }
@@ -169,6 +161,23 @@ impl fmt::Display for CheckStats {
     }
 }
 
+/// Check statistics as a JSON object (the per-run half-row of Table 2),
+/// as metrics documents and verdict frames embed them.
+pub fn check_stats_json(stats: &CheckStats) -> Json {
+    let mut json = Json::object();
+    json.set("strategy", stats.strategy.to_string())
+        .set("learned_in_trace", stats.learned_in_trace)
+        .set("clauses_built", stats.clauses_built)
+        .set("built_percent", stats.built_percent())
+        .set("resolutions", stats.resolutions)
+        .set("peak_memory_bytes", stats.peak_memory_bytes)
+        .set("runtime_seconds", stats.runtime.as_secs_f64());
+    if let Some(bytes) = stats.trace_bytes {
+        json.set("trace_bytes", bytes);
+    }
+    json
+}
+
 /// The result of a successful UNSAT-claim validation.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
@@ -217,6 +226,24 @@ mod tests {
             ..stats
         };
         assert_eq!(empty.built_percent(), 0.0);
+    }
+
+    #[test]
+    fn check_stats_json_roundtrips_through_parser() {
+        let stats = CheckStats {
+            strategy: Strategy::DepthFirst,
+            learned_in_trace: 200,
+            clauses_built: 50,
+            resolutions: 420,
+            peak_memory_bytes: 65536,
+            runtime: Duration::from_millis(12),
+            trace_bytes: Some(1024),
+        };
+        let json = check_stats_json(&stats);
+        let reparsed = rescheck_obs::json::parse(&json.to_pretty_string()).unwrap();
+        assert_eq!(reparsed.get("clauses_built").unwrap().as_u64(), Some(50));
+        assert_eq!(reparsed.get("built_percent").unwrap().as_f64(), Some(25.0));
+        assert_eq!(reparsed.get("trace_bytes").unwrap().as_u64(), Some(1024));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Beyond validating a proof, the resolution DAG itself carries
 //! information: how deep the derivation is, how many resolutions it
-//! performs, how much of the solver's learning it actually uses. These
-//! metrics quantify the paper's observations (e.g. that xor-heavy
-//! `longmult` proofs are long, §4) and are cheap to compute — a
-//! structural pass, no clause construction.
+//! performs, how much of the solver's learning it actually uses, and how
+//! much of that work could run side by side. These metrics quantify the
+//! paper's observations (e.g. that xor-heavy `longmult` proofs are long,
+//! §4) and are cheap to compute — a structural pass, no clause
+//! construction.
 
 use crate::cancel::CancelFlag;
 use crate::depth_first::{final_phase_roots, Visitor, Walker};
@@ -50,6 +51,11 @@ pub struct ProofStats {
     /// Longest source chain: the height of the needed DAG, counting
     /// original clauses as height 0.
     pub depth: u64,
+    /// The most derivation resolutions on one dependency path of the
+    /// needed DAG: a clause's resolutions plus the most along any of its
+    /// learned sources' paths. No schedule of the needed clauses, however
+    /// many workers run it, takes fewer sequential resolutions.
+    pub span: u64,
     /// Largest resolve-source list among needed clauses.
     pub max_sources: usize,
     /// Mean resolve-source list length among needed clauses.
@@ -67,6 +73,17 @@ impl ProofStats {
             100.0 * self.needed as f64 / self.learned_total as f64
         }
     }
+
+    /// The parallelism the proof offers: derivation resolutions over the
+    /// span, the speed-up bound for rebuilding the needed clauses on any
+    /// number of workers (1.0 when nothing needs rebuilding).
+    pub fn parallelism(&self) -> f64 {
+        if self.span == 0 {
+            1.0
+        } else {
+            self.derivation_resolutions as f64 / self.span as f64
+        }
+    }
 }
 
 impl fmt::Display for ProofStats {
@@ -74,14 +91,16 @@ impl fmt::Display for ProofStats {
         write!(
             f,
             "proof: {}/{} learned clauses needed ({:.1}%), depth {}, \
-             {} derivation resolutions (≤{} final), sources avg {:.1} max {}, \
-             core {} clauses",
+             {} derivation resolutions (≤{} final), span {} (parallelism {:.1}), \
+             sources avg {:.1} max {}, core {} clauses",
             self.needed,
             self.learned_total,
             self.needed_percent(),
             self.depth,
             self.derivation_resolutions,
             self.final_phase_bound,
+            self.span,
+            self.parallelism(),
             self.avg_sources,
             self.max_sources,
             self.core_clauses,
@@ -111,6 +130,7 @@ pub fn proof_stats<S: TraceSource + ?Sized>(
         derivation_resolutions: cone.derivation_resolutions,
         final_phase_bound: full.pass1.level_zero.len() as u64,
         depth: cone.height.iter().copied().max().unwrap_or(0),
+        span: cone.span,
         max_sources: cone.max_sources,
         avg_sources: if cone.needed == 0 {
             0.0
@@ -123,17 +143,22 @@ pub fn proof_stats<S: TraceSource + ?Sized>(
 
 /// The learned clauses the empty-clause derivation needs, as the walk
 /// from what the final phase reads finds them: each one's height
-/// (originals are height 0), the originals they and the final phase
-/// resolve with, and tallies of their source lists.
+/// (originals are height 0) and longest path in resolutions, the
+/// originals they and the final phase resolve with, and tallies of their
+/// source lists.
 pub(crate) struct NeededCone<'i> {
     ids: &'i IdSpace,
     /// Each learned clause's height by dense id; 0 for one the
     /// derivation does not need.
     pub height: Vec<u64>,
+    /// Each needed clause's most resolutions on one path down to the
+    /// originals, by dense id.
+    path: Vec<u64>,
     /// Which original clauses the needed cone uses.
     pub used_originals: Vec<bool>,
     needed: u64,
     derivation_resolutions: u64,
+    span: u64,
     max_sources: usize,
     source_sum: u64,
 }
@@ -145,9 +170,11 @@ pub(crate) fn needed_cone(full: &FullTrace, start_id: u64) -> Result<NeededCone<
     let mut cone = NeededCone {
         ids,
         height: vec![0; ids.len()],
+        path: vec![0; ids.len()],
         used_originals: vec![false; ids.num_original()],
         needed: 0,
         derivation_resolutions: 0,
+        span: 0,
         max_sources: 0,
         source_sum: 0,
     };
@@ -168,18 +195,24 @@ impl Visitor for NeededCone<'_> {
     }
 
     fn finish(&mut self, id: u64, sources: &[u64]) -> Result<(), CheckError> {
-        let mut h = 0u64;
+        // The walk finishes every source before its consumer, so each
+        // learned source's height and path are final here.
+        let (mut h, mut p) = (0u64, 0u64);
         for &s in sources {
             if self.ids.is_original(s) {
                 self.used_originals[s as usize] = true;
             } else if let Some(j) = self.ids.index(s) {
                 h = h.max(self.height[j]);
+                p = p.max(self.path[j]);
             }
         }
+        let resolutions = sources.len() as u64 - 1;
         let index = self.ids.index(id).expect("a finished clause is defined");
         self.height[index] = h + 1;
+        self.path[index] = p + resolutions;
+        self.span = self.span.max(self.path[index]);
         self.needed += 1;
-        self.derivation_resolutions += sources.len() as u64 - 1;
+        self.derivation_resolutions += resolutions;
         self.max_sources = self.max_sources.max(sources.len());
         self.source_sum += sources.len() as u64;
         Ok(())
@@ -253,6 +286,7 @@ mod tests {
         assert_eq!(stats.needed_percent(), 0.0);
         assert_eq!(stats.core_clauses, 2);
         assert_eq!(stats.avg_sources, 0.0);
+        assert_eq!((stats.span, stats.parallelism()), (0, 1.0));
     }
 
     #[test]
@@ -284,6 +318,42 @@ mod tests {
             crate::api::check_depth_first(&cnf, &trace, &crate::api::CheckConfig::default())
                 .unwrap();
         assert!(stats.needed >= outcome.stats.clauses_built);
+    }
+
+    /// A chain of 15 learned clauses, each resolving the previous one
+    /// with an original: every resolution sits on the one path.
+    #[test]
+    fn a_chain_has_no_parallelism() {
+        let n = 16i64;
+        let mut cnf = Cnf::new();
+        cnf.add_dimacs_clause(&[1]);
+        for i in 1..n {
+            cnf.add_dimacs_clause(&[-i, i + 1]);
+        }
+        cnf.add_dimacs_clause(&[-n]);
+        let mut sink = MemorySink::new();
+        let mut prev = 0u64;
+        for i in 1..n {
+            let next_id = (n + i) as u64;
+            sink.learned(next_id, &[prev, i as u64]).unwrap();
+            prev = next_id;
+        }
+        sink.level_zero(Lit::from_dimacs(n), prev).unwrap();
+        sink.final_conflict(n as u64).unwrap();
+        let stats = proof_stats(&cnf, &sink).unwrap();
+        assert_eq!((stats.derivation_resolutions, stats.span), (15, 15));
+        assert_eq!(stats.parallelism(), 1.0);
+    }
+
+    #[test]
+    fn a_diamond_runs_its_two_arms_side_by_side() {
+        let (cnf, sink) = crate::depth_first::table::diamond();
+        let stats = proof_stats(&cnf, &sink).unwrap();
+        // #5, then #6 and #7 side by side, then #8: four resolutions,
+        // three of them on the longest path.
+        assert_eq!((stats.derivation_resolutions, stats.span), (4, 3));
+        assert!((stats.parallelism() - 4.0 / 3.0).abs() < 1e-9);
+        assert!(stats.to_string().contains("span 3 (parallelism 1.3)"));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   [`ScratchPool`] hands them out ([`checkout`]) and takes them back
 //!   ([`checkin`]); a scratch poisoned by a panicking job is simply
 //!   dropped instead of returned.
-//! - Every run begins with [`CheckScratch::start_run`] (called when a
-//!   sequential engine starts its chain step): the arena is reset, the
+//! - Every run begins with [`CheckScratch::start_run`] (called when an
+//!   engine starts its chain step): the arena is reset, the
 //!   cache is demoted to its warm tier, and the kernel's stat counters
 //!   are snapshotted so per-job metrics report deltas, not lifetime
 //!   totals.
@@ -173,20 +173,12 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agreement::ALL_STRATEGIES;
     use crate::api::{check_unsat_claim_scoped, CheckConfig};
     use crate::outcome::Strategy;
     use rescheck_cnf::Lit;
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
-
-    /// Every strategy that runs on the caller's scratch.
-    const SEQUENTIAL: [Strategy; 5] = [
-        Strategy::DepthFirst,
-        Strategy::BreadthFirst,
-        Strategy::Hybrid,
-        Strategy::DiskDepthFirst,
-        Strategy::Portfolio,
-    ];
 
     /// A proof touching several distinct original clauses, so the
     /// original cache actually holds entries worth keeping warm.
@@ -212,7 +204,7 @@ mod tests {
     fn warm_and_cold_jobs_account_identical_peaks() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in SEQUENTIAL {
+        for strategy in ALL_STRATEGIES {
             let mut scratch = CheckScratch::new();
             scratch.begin_job(42);
             let cold = check_unsat_claim_scoped(
@@ -253,7 +245,7 @@ mod tests {
     fn scoped_runs_match_one_shot_runs() {
         let (cnf, sink) = fixture();
         let config = CheckConfig::default();
-        for strategy in SEQUENTIAL {
+        for strategy in ALL_STRATEGIES {
             let one_shot = crate::api::check_unsat_claim(&cnf, &sink, strategy, &config).unwrap();
             let mut scratch = CheckScratch::new();
             scratch.begin_job(7);

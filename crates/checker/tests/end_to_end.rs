@@ -1,6 +1,7 @@
 //! End-to-end validation: solve → trace → check, both strategies, over a
 //! spread of instance families and solver configurations.
 
+use rescheck_checker::agreement::ALL_STRATEGIES;
 use rescheck_checker::{check_sat_claim, check_unsat_claim, minimize_core, CheckConfig, Strategy};
 use rescheck_cnf::{Cnf, Lit, Var};
 use rescheck_solver::{SolveResult, Solver, SolverConfig};
@@ -295,9 +296,9 @@ fn df_core_checks_out_as_unsat_on_xor_cycles() {
 }
 
 /// Checks of a binary trace file report bit-identical stats, peak
-/// included, at every worker count and whether the file is read from
-/// disk or from its in-memory [`TraceMap`] copy: no strategy charges a
-/// copy of the trace.
+/// included, under every strategy, for any `jobs` value (which no
+/// strategy reads) and whether the file is read from disk or from its
+/// in-memory [`TraceMap`] copy: no strategy charges a copy of the trace.
 #[test]
 fn map_checks_are_bit_identical_across_jobs() {
     let cnf = pigeonhole(5);
@@ -312,14 +313,11 @@ fn map_checks_are_bit_identical_across_jobs() {
         writer.flush().unwrap();
     }
 
-    for (strategy, job_counts) in [
-        (Strategy::ParallelDag, &[1usize, 2, 4][..]),
-        (Strategy::DiskDepthFirst, &[1][..]),
-    ] {
+    for strategy in ALL_STRATEGIES {
         let mut across_jobs: Option<(u64, u64, u64, u64)> = None;
         let file = FileTrace::open(&path).unwrap();
         let map = TraceMap::open(&path).unwrap();
-        for &jobs in job_counts {
+        for jobs in [1, 2, 4] {
             let config = CheckConfig {
                 jobs,
                 ..CheckConfig::default()

@@ -1,6 +1,6 @@
 //! Differential tests for the literal-stamp resolution kernel against
 //! the sorted-merge oracle ([`resolve_sorted`]), plus end-to-end
-//! agreement of all six checking strategies on the shared hot path.
+//! agreement of every checking strategy on the shared hot path.
 //!
 //! The kernel replaced the oracle inside every strategy; the oracle is
 //! deliberately kept (unchanged two-pointer merge) precisely so these
@@ -333,25 +333,19 @@ fn solved(seed: u64) -> Option<(Cnf, MemorySink)> {
         .then_some((cnf, sink))
 }
 
-/// All six strategies accept the same traces with consistent counters
-/// on the shared kernel/arena hot path: depth-first, its disk-backed
-/// variant, the portfolio and hybrid verify the same needed subset,
-/// breadth-first and the parallel-dag executor verify the full trace
-/// with matching work counters, and breadth-first builds every learned
-/// clause.
+/// Every strategy accepts the same traces with consistent counters on
+/// the shared kernel/arena hot path: depth-first, its disk-backed
+/// variant, the portfolio and hybrid verify the same needed subset, and
+/// breadth-first builds every learned clause.
 #[test]
-fn six_strategies_agree_end_to_end() {
+fn every_strategy_agrees_end_to_end() {
     let mut fixtures: Vec<(Cnf, MemorySink)> = vec![chain(64), chain(300)];
     fixtures.extend((0..32).filter_map(solved).take(6));
     assert!(fixtures.len() > 2, "no solver fixture went UNSAT");
 
     for (f, (cnf, trace)) in fixtures.iter().enumerate() {
         let run = |strategy: Strategy| -> CheckOutcome {
-            let config = CheckConfig {
-                jobs: 3,
-                ..CheckConfig::default()
-            };
-            check_unsat_claim(cnf, trace, strategy, &config)
+            check_unsat_claim(cnf, trace, strategy, &CheckConfig::default())
                 .unwrap_or_else(|e| panic!("fixture {f} {strategy}: {e:?}"))
         };
         let df = run(Strategy::DepthFirst);
@@ -359,7 +353,6 @@ fn six_strategies_agree_end_to_end() {
         let hybrid = run(Strategy::Hybrid);
         let portfolio = run(Strategy::Portfolio);
         let dfd = run(Strategy::DiskDepthFirst);
-        let pdag = run(Strategy::ParallelDag);
 
         // The disk-backed depth-first walk is the same traversal as the
         // in-memory one, and without a budget the portfolio never leaves
@@ -385,7 +378,7 @@ fn six_strategies_agree_end_to_end() {
         );
 
         // Everyone sees the same trace.
-        for outcome in [&bf, &hybrid, &portfolio, &dfd, &pdag] {
+        for outcome in [&bf, &hybrid, &portfolio, &dfd] {
             assert_eq!(
                 outcome.stats.learned_in_trace, df.stats.learned_in_trace,
                 "fixture {f}"
@@ -405,101 +398,7 @@ fn six_strategies_agree_end_to_end() {
             bf.stats.clauses_built, bf.stats.learned_in_trace,
             "fixture {f}"
         );
-        // The parallel-dag executor verifies the same full trace as
-        // breadth-first (its accounting model differs, so peak memory
-        // is instead held bit-identical across its own worker counts in
-        // `parallel_dag_stats_are_identical_across_job_counts`).
-        assert_eq!(
-            pdag.stats.clauses_built, bf.stats.clauses_built,
-            "fixture {f}"
-        );
-        assert_eq!(pdag.stats.resolutions, bf.stats.resolutions, "fixture {f}");
     }
-}
-
-/// The parallel-dag determinism guarantee: `clauses_built`,
-/// `resolutions` and `peak_memory_bytes` are bit-identical for any
-/// worker count, because every memory charge and free happens at the
-/// trace-order commit watermark, never on a worker's own clock.
-#[test]
-fn parallel_dag_stats_are_identical_across_job_counts() {
-    let mut fixtures: Vec<(Cnf, MemorySink)> = vec![chain(64), chain(300)];
-    fixtures.extend((0..32).filter_map(solved).take(4));
-
-    for (f, (cnf, trace)) in fixtures.iter().enumerate() {
-        let mut baseline: Option<CheckOutcome> = None;
-        for jobs in [1usize, 2, 4] {
-            let config = CheckConfig {
-                jobs,
-                ..CheckConfig::default()
-            };
-            let outcome = check_unsat_claim(cnf, trace, Strategy::ParallelDag, &config)
-                .unwrap_or_else(|e| panic!("fixture {f} jobs {jobs}: {e:?}"));
-            if let Some(base) = &baseline {
-                assert_eq!(
-                    outcome.stats.clauses_built, base.stats.clauses_built,
-                    "fixture {f} jobs {jobs}"
-                );
-                assert_eq!(
-                    outcome.stats.resolutions, base.stats.resolutions,
-                    "fixture {f} jobs {jobs}"
-                );
-                assert_eq!(
-                    outcome.stats.peak_memory_bytes, base.stats.peak_memory_bytes,
-                    "fixture {f} jobs {jobs}"
-                );
-                assert_eq!(
-                    outcome.stats.learned_in_trace, base.stats.learned_in_trace,
-                    "fixture {f} jobs {jobs}"
-                );
-            } else {
-                baseline = Some(outcome);
-            }
-        }
-    }
-}
-
-/// The parallel-dag executor on a solver-produced pigeonhole trace —
-/// the Table 2 instance family — at `--jobs 4`, cross-checked against
-/// breadth-first and re-run for stat determinism. This is the
-/// ThreadSanitizer job's anchor for the work-stealing executor: on a
-/// multi-core runner the public API runs real worker threads here.
-#[test]
-fn parallel_dag_checks_pigeonhole_at_four_workers() {
-    // php(6 pigeons, 5 holes): every pigeon sits somewhere, no two
-    // pigeons share a hole. Var of pigeon i in hole j is i*5 + j.
-    let mut cnf = Cnf::with_vars(30);
-    for i in 0..6i64 {
-        let holes: Vec<i64> = (1..=5).map(|j| i * 5 + j).collect();
-        cnf.add_dimacs_clause(&holes);
-    }
-    for j in 1..=5i64 {
-        for i1 in 0..6i64 {
-            for i2 in (i1 + 1)..6 {
-                cnf.add_dimacs_clause(&[-(i1 * 5 + j), -(i2 * 5 + j)]);
-            }
-        }
-    }
-    let mut solver = Solver::from_cnf(&cnf, SolverConfig::default());
-    let mut trace = MemorySink::new();
-    assert!(solver.solve_traced(&mut trace).unwrap().is_unsat());
-
-    let config = CheckConfig {
-        jobs: 4,
-        ..CheckConfig::default()
-    };
-    let bf = check_unsat_claim(&cnf, &trace, Strategy::BreadthFirst, &config).unwrap();
-    let first = check_unsat_claim(&cnf, &trace, Strategy::ParallelDag, &config).unwrap();
-    let second = check_unsat_claim(&cnf, &trace, Strategy::ParallelDag, &config).unwrap();
-    assert_eq!(first.stats.clauses_built, bf.stats.clauses_built);
-    assert_eq!(first.stats.resolutions, bf.stats.resolutions);
-    assert_eq!(first.stats.learned_in_trace, bf.stats.learned_in_trace);
-    assert_eq!(first.stats.clauses_built, second.stats.clauses_built);
-    assert_eq!(first.stats.resolutions, second.stats.resolutions);
-    assert_eq!(
-        first.stats.peak_memory_bytes,
-        second.stats.peak_memory_bytes
-    );
 }
 
 /// The allocation-free claim, observed through the kernel's own scratch

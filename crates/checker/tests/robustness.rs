@@ -5,9 +5,8 @@
 //! in-house [`SplitMix64`] generator (seeded loops, reproducible from
 //! the printed seed); `heavy-tests` raises the case count.
 
-use rescheck_checker::{
-    check_unsat_claim, proof_stats, trim_trace, CheckConfig, FailureKind, Strategy as CheckStrategy,
-};
+use rescheck_checker::agreement::ALL_STRATEGIES;
+use rescheck_checker::{check_unsat_claim, proof_stats, trim_trace, CheckConfig, FailureKind};
 use rescheck_cnf::{Cnf, Lit, SplitMix64, Var};
 use rescheck_solver::{Solver, SolverConfig};
 use rescheck_trace::{BinaryWriter, FileTrace, MemorySink, TraceEvent, TraceMap, TraceSink};
@@ -17,19 +16,6 @@ const CASES: u64 = if cfg!(feature = "heavy-tests") {
 } else {
     64
 };
-
-/// Every checking strategy, the parallel and disk-backed ones included:
-/// anything the sequential checkers must survive, the portfolio, the
-/// parallel-dag executor and the disk-backed depth-first checker must
-/// survive too.
-const ALL_STRATEGIES: [CheckStrategy; 6] = [
-    CheckStrategy::DepthFirst,
-    CheckStrategy::BreadthFirst,
-    CheckStrategy::Hybrid,
-    CheckStrategy::Portfolio,
-    CheckStrategy::DiskDepthFirst,
-    CheckStrategy::ParallelDag,
-];
 
 fn pigeonhole(holes: usize) -> Cnf {
     let pigeons = holes + 1;
@@ -227,8 +213,7 @@ fn crafted_corruptions_are_rejected_by_every_strategy() {
 }
 
 /// Binary traces cut off mid-varint (or mid-event) must surface as a
-/// `CheckError` from every strategy, including through the parallel
-/// readers that decode on separate threads.
+/// `CheckError` from every strategy.
 #[test]
 fn truncated_binary_traces_are_rejected_by_every_strategy() {
     let (cnf, events) = genuine();
@@ -308,41 +293,4 @@ fn truncating_the_file_after_its_map_is_established_never_kills_a_check() {
         }
         std::fs::remove_file(&path).ok();
     }
-}
-
-/// Repeated parallel-dag runs must not accumulate threads: the scoped
-/// executor workers are joined before `check_unsat_claim` returns.
-/// Best-effort (needs procfs); a systematic leak of even one worker per
-/// call would trip the slack immediately.
-#[test]
-fn parallel_dag_leaks_no_threads() {
-    let thread_count = || -> Option<usize> {
-        std::fs::read_to_string("/proc/self/status")
-            .ok()?
-            .lines()
-            .find(|l| l.starts_with("Threads:"))?
-            .split_whitespace()
-            .nth(1)?
-            .parse()
-            .ok()
-    };
-    let (cnf, events) = genuine();
-    let Some(before) = thread_count() else {
-        return;
-    };
-    let config = CheckConfig {
-        jobs: 4,
-        ..CheckConfig::default()
-    };
-    let runs = 16;
-    for _ in 0..runs {
-        check_unsat_claim(&cnf, &events, CheckStrategy::ParallelDag, &config).unwrap();
-    }
-    let after = thread_count().unwrap();
-    // A leaked worker per run would mean at least +16; allow noise from
-    // concurrently running tests.
-    assert!(
-        after < before + runs,
-        "parallel-dag leaked threads: {before} -> {after}"
-    );
 }

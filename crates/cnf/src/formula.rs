@@ -274,12 +274,24 @@ impl Cnf {
             .collect()
     }
 
+    /// One past the largest variable index some clause mentions (0 when
+    /// no clause has a literal): the variable space the clauses use. A
+    /// DIMACS header's [`num_vars`](Cnf::num_vars) is a claim that can be
+    /// far larger, so per-variable tables are sized by this instead.
+    pub fn used_var_bound(&self) -> usize {
+        self.lits
+            .iter()
+            .map(|lit| lit.var().index() + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Number of *distinct* variables actually mentioned by some clause.
     ///
     /// Table 3 of the paper distinguishes declared variables (DIMACS
     /// header) from used variables; this returns the latter.
     pub fn num_used_vars(&self) -> usize {
-        let mut used = vec![false; self.num_vars];
+        let mut used = vec![false; self.used_var_bound()];
         for lit in &self.lits {
             used[lit.var().index()] = true;
         }

@@ -6,9 +6,9 @@
 //! that idea into a fuzzer whose oracles are the pipeline's own
 //! redundancies:
 //!
-//! * the **six checking strategies** (depth-first, breadth-first,
-//!   hybrid, portfolio, parallel-dag, disk-df) must agree on every
-//!   verdict and on class-level statistics;
+//! * the **five checking strategies** (depth-first, breadth-first,
+//!   hybrid, portfolio, disk-df) must agree on every verdict and on
+//!   class-level statistics;
 //! * **SAT answers** must satisfy the formula, and both answers must
 //!   match brute-force ground truth on small instances and
 //!   by-construction labels on structured families;

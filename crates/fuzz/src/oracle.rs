@@ -7,7 +7,7 @@
 //!    ([`rescheck_checker::check_sat_claim`]), and — on small instances —
 //!    agree with brute-force ground truth and any status known by
 //!    construction.
-//! 2. **UNSAT answers** must be accepted by *all six* checking
+//! 2. **UNSAT answers** must be accepted by *every* checking
 //!    strategies with class-identical statistics
 //!    ([`rescheck_checker::agreement::verify_valid_agreement`]), again
 //!    cross-checked against ground truth where available.
@@ -37,16 +37,6 @@ use rescheck_solver::{SolveResult, Solver};
 use rescheck_trace::{mutate, read_all, BinaryWriter, Mutation, TraceEvent, TraceFormat};
 use rescheck_trace::{MemorySink, TraceSink, ALL_MUTATIONS};
 use std::fmt;
-
-/// The checker configuration the oracle matrix runs under: a fixed
-/// worker count, so the parallel-dag executor runs its threaded path on
-/// every trace fuzzing produces (on a host with more than one core).
-fn oracle_config() -> CheckConfig {
-    CheckConfig {
-        jobs: 3,
-        ..CheckConfig::default()
-    }
-}
 
 /// Deliberate oracle sabotage, for validating the shrinker and the
 /// artifact pipeline end to end (a fuzzer whose failure path is never
@@ -92,7 +82,7 @@ pub enum FindingKind {
     /// The solver's verdict contradicts ground truth (brute force on
     /// small instances, or a status known by construction).
     GroundTruthMismatch,
-    /// The six checking strategies disagreed on a pristine solver
+    /// The checking strategies disagreed on a pristine solver
     /// trace.
     StrategyDisagreement,
     /// A mutated trace broke a checker invariant (panic, misclassified
@@ -187,7 +177,7 @@ pub struct IterationCounters {
     pub unsat: u64,
     /// Conflict budget exhausted.
     pub unknown: u64,
-    /// Six-strategy matrices run on pristine traces.
+    /// Strategy matrices run on pristine traces.
     pub matrices: u64,
     /// LRAT round trips (export → re-ingest → re-check) completed.
     pub roundtrips: u64,
@@ -348,11 +338,11 @@ pub fn run_iteration(iteration: u64, iter_seed: u64, cfg: &OracleConfig) -> Iter
                 }
             }
 
-            // Six-way strategy matrix on the pristine trace.
+            // The full strategy matrix on the pristine trace.
             let mut matrix_note = String::new();
             if found.is_none() {
                 counters.matrices = 1;
-                let reports = run_all_strategies(&cnf, &events, &oracle_config());
+                let reports = run_all_strategies(&cnf, &events, &CheckConfig::default());
                 match verify_valid_agreement(&reports) {
                     Ok(summary) => {
                         matrix_note = format!(
@@ -451,7 +441,7 @@ fn run_mutants(
             counters.mutants_inapplicable += 1;
             continue;
         }
-        let reports = run_all_strategies(cnf, &mutant_events, &oracle_config());
+        let reports = run_all_strategies(cnf, &mutant_events, &CheckConfig::default());
         if let Err(d) = verify_cross_consistency(&reports) {
             return (
                 format!(" mutants={rejected}-then-FINDING"),
@@ -535,7 +525,7 @@ fn run_roundtrip(
             theirs.len()
         ));
     }
-    if let Err(d) = verify_synthesized_trace(cnf, &reingested.events, &oracle_config()) {
+    if let Err(d) = verify_synthesized_trace(cnf, &reingested.events, &CheckConfig::default()) {
         return fail(format!("matrix rejected the round-tripped trace: {d}"));
     }
     counters.roundtrips += 1;
@@ -553,7 +543,7 @@ fn run_roundtrip(
             Err(_) => counters.proof_mutants_rejected += 1,
             Ok(report) => {
                 if report.resolution_checkable() {
-                    let reports = run_all_strategies(cnf, &report.events, &oracle_config());
+                    let reports = run_all_strategies(cnf, &report.events, &CheckConfig::default());
                     if let Err(d) = verify_cross_consistency(&reports) {
                         return (
                             " proof-mutants=FINDING".to_string(),
@@ -616,7 +606,7 @@ pub fn instance_failure_reproduces(
                 return false;
             }
             let events = sink.into_events();
-            let reports = run_all_strategies(cnf, &events, &oracle_config());
+            let reports = run_all_strategies(cnf, &events, &CheckConfig::default());
             match cfg.inject {
                 Some(InjectedBug::RejectValid) => verify_valid_agreement(&reports).is_ok(),
                 _ => verify_valid_agreement(&reports).is_err(),
@@ -641,7 +631,7 @@ pub fn instance_failure_reproduces(
 
 /// Does a trace-level failure still reproduce on `events`?
 pub fn trace_failure_reproduces(cnf: &Cnf, events: &[TraceEvent], cfg: &OracleConfig) -> bool {
-    let reports = run_all_strategies(cnf, events, &oracle_config());
+    let reports = run_all_strategies(cnf, events, &CheckConfig::default());
     match cfg.inject {
         Some(InjectedBug::AcceptMutants) => {
             verify_cross_consistency(&reports).is_ok() && reports.iter().all(|r| !r.run.accepted())

@@ -10,7 +10,7 @@
 //! Two instantiations matter here:
 //!
 //! * **instance-level** — the items are the formula's clauses, the test
-//!   function re-runs the full oracle (solve → trace → six-strategy
+//!   function re-runs the full oracle (solve → trace → strategy
 //!   matrix) on the reduced formula;
 //! * **trace-level** — the items are trace events, the test function
 //!   re-runs the strategy matrix on the reduced event list.

@@ -1,13 +1,11 @@
-//! Cross-thread event buffering for parallel components.
+//! Owned copies of events, for buffers that outlive one `observe` call.
 //!
-//! [`Event`] borrows its string fields, so it cannot be sent between
-//! threads or stored beyond the `observe` call. Parallel code (the
-//! parallel-dag executor's workers) instead gives each worker its own
-//! [`EventBuffer`] — an owned, `Send` recording of everything the worker
-//! emitted — and replays the buffers into the real observer on the
-//! coordinating thread once the workers are joined.
+//! [`Event`] borrows its string fields, so it cannot be stored beyond the
+//! `observe` call or sent between threads. [`OwnedEvent`] is its owned,
+//! `Send` counterpart: the [`FlightRecorder`](crate::FlightRecorder)'s
+//! ring holds these.
 
-use crate::observer::{Event, Level, Observer};
+use crate::observer::{Event, Level};
 use std::time::Duration;
 
 /// An owned counterpart of [`Event`], safe to move across threads.
@@ -75,34 +73,33 @@ pub enum OwnedEvent {
         /// Optional preformatted detail.
         detail: Option<String>,
     },
-    /// See [`Event::Decision`]. Captured only by
-    /// [`from_event_full`](OwnedEvent::from_event_full).
+    /// See [`Event::Decision`].
     Decision {
         /// 1-based decision number.
         number: u64,
     },
-    /// See [`Event::Conflict`]. Captured only by `from_event_full`.
+    /// See [`Event::Conflict`].
     Conflict {
         /// 1-based conflict number.
         number: u64,
         /// Decision level at which the conflict occurred.
         decision_level: u32,
     },
-    /// See [`Event::Restart`]. Captured only by `from_event_full`.
+    /// See [`Event::Restart`].
     Restart {
         /// 1-based restart number.
         number: u64,
         /// Conflicts since the previous restart.
         conflicts_since: u64,
     },
-    /// See [`Event::ClauseLearned`]. Captured only by `from_event_full`.
+    /// See [`Event::ClauseLearned`].
     ClauseLearned {
         /// The clause's trace ID.
         id: u64,
         /// Number of literals in the learned clause.
         literals: u64,
     },
-    /// See [`Event::DbReduced`]. Captured only by `from_event_full`.
+    /// See [`Event::DbReduced`].
     DbReduced {
         /// Learned clauses kept.
         kept: u64,
@@ -119,16 +116,9 @@ pub enum OwnedEvent {
 }
 
 impl OwnedEvent {
-    /// Copies a borrowed event into its owned form.
-    ///
-    /// Discrete solver events ([`Event::Decision`], [`Event::Conflict`],
-    /// …) are not buffered: workers in the checking subsystem never emit
-    /// them, and buffering one per conflict would defeat the
-    /// allocation-free design of the hot path. Returns `None` for those.
-    /// The flight recorder, which *wants* per-decision granularity, uses
-    /// [`from_event_full`](Self::from_event_full) instead.
-    pub fn from_event(event: &Event<'_>) -> Option<OwnedEvent> {
-        Some(match event {
+    /// Copies any borrowed event into its owned form.
+    pub fn from_event_full(event: &Event<'_>) -> OwnedEvent {
+        match event {
             Event::PhaseStarted { phase } => OwnedEvent::PhaseStarted {
                 phase: (*phase).to_string(),
             },
@@ -169,22 +159,6 @@ impl OwnedEvent {
                 unit: (*unit).to_string(),
                 detail: detail.map(str::to_string),
             },
-            Event::Message { level, text } => OwnedEvent::Message {
-                level: *level,
-                text: (*text).to_string(),
-            },
-            _ => return None,
-        })
-    }
-
-    /// Copies *any* borrowed event into its owned form, including the
-    /// discrete solver events [`from_event`](Self::from_event) drops.
-    /// This is the flight recorder's capture path.
-    pub fn from_event_full(event: &Event<'_>) -> OwnedEvent {
-        if let Some(owned) = Self::from_event(event) {
-            return owned;
-        }
-        match event {
             Event::Decision { number } => OwnedEvent::Decision { number: *number },
             Event::Conflict {
                 number,
@@ -208,152 +182,10 @@ impl OwnedEvent {
                 kept: *kept,
                 deleted: *deleted,
             },
-            _ => unreachable!("from_event covers every replayable variant"),
-        }
-    }
-}
-
-/// A `Send` observer that records owned copies of the events it sees,
-/// for later replay on another thread.
-///
-/// # Examples
-///
-/// ```
-/// use rescheck_obs::{Event, EventBuffer, MetricsSink, Observer};
-///
-/// // A worker thread records into its own buffer…
-/// let mut buffer = EventBuffer::new();
-/// buffer.observe(&Event::GaugeSet { name: "check.resolutions", value: 42.0 });
-///
-/// // …and the coordinator replays it into its own observer.
-/// let mut sink = MetricsSink::new();
-/// buffer.replay(&mut sink);
-/// assert_eq!(sink.registry().gauge("check.resolutions"), Some(42.0));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct EventBuffer {
-    events: Vec<OwnedEvent>,
-}
-
-impl EventBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        EventBuffer::default()
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[OwnedEvent] {
-        &self.events
-    }
-
-    /// Returns `true` if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replays every buffered event into `obs` unchanged.
-    pub fn replay(&self, obs: &mut dyn Observer) {
-        for event in &self.events {
-            match event {
-                OwnedEvent::PhaseStarted { phase } => {
-                    obs.observe(&Event::PhaseStarted { phase });
-                }
-                OwnedEvent::PhaseFinished { phase, wall } => {
-                    obs.observe(&Event::PhaseFinished { phase, wall: *wall });
-                }
-                OwnedEvent::SpanStarted { id, parent, name } => {
-                    obs.observe(&Event::SpanStarted {
-                        id: *id,
-                        parent: *parent,
-                        name,
-                    });
-                }
-                OwnedEvent::SpanFinished { id, name, wall } => {
-                    obs.observe(&Event::SpanFinished {
-                        id: *id,
-                        name,
-                        wall: *wall,
-                    });
-                }
-                OwnedEvent::CounterAdd { name, delta } => {
-                    obs.observe(&Event::CounterAdd {
-                        name,
-                        delta: *delta,
-                    });
-                }
-                OwnedEvent::GaugeSet { name, value } => {
-                    obs.observe(&Event::GaugeSet {
-                        name,
-                        value: *value,
-                    });
-                }
-                OwnedEvent::HistRecord { name, value } => {
-                    obs.observe(&Event::HistRecord {
-                        name,
-                        value: *value,
-                    });
-                }
-                OwnedEvent::Progress {
-                    phase,
-                    done,
-                    unit,
-                    detail,
-                } => {
-                    obs.observe(&Event::Progress {
-                        phase,
-                        done: *done,
-                        unit,
-                        detail: detail.as_deref(),
-                    });
-                }
-                OwnedEvent::Decision { number } => {
-                    obs.observe(&Event::Decision { number: *number });
-                }
-                OwnedEvent::Conflict {
-                    number,
-                    decision_level,
-                } => {
-                    obs.observe(&Event::Conflict {
-                        number: *number,
-                        decision_level: *decision_level,
-                    });
-                }
-                OwnedEvent::Restart {
-                    number,
-                    conflicts_since,
-                } => {
-                    obs.observe(&Event::Restart {
-                        number: *number,
-                        conflicts_since: *conflicts_since,
-                    });
-                }
-                OwnedEvent::ClauseLearned { id, literals } => {
-                    obs.observe(&Event::ClauseLearned {
-                        id: *id,
-                        literals: *literals,
-                    });
-                }
-                OwnedEvent::DbReduced { kept, deleted } => {
-                    obs.observe(&Event::DbReduced {
-                        kept: *kept,
-                        deleted: *deleted,
-                    });
-                }
-                OwnedEvent::Message { level, text } => {
-                    obs.observe(&Event::Message {
-                        level: *level,
-                        text,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl Observer for EventBuffer {
-    fn observe(&mut self, event: &Event<'_>) {
-        if let Some(owned) = OwnedEvent::from_event(event) {
-            self.events.push(owned);
+            Event::Message { level, text } => OwnedEvent::Message {
+                level: *level,
+                text: (*text).to_string(),
+            },
         }
     }
 }
@@ -361,61 +193,6 @@ impl Observer for EventBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsSink;
-
-    #[test]
-    fn buffers_and_replays_everything_replayable() {
-        let mut buf = EventBuffer::new();
-        buf.observe(&Event::PhaseStarted { phase: "p" });
-        buf.observe(&Event::PhaseFinished {
-            phase: "p",
-            wall: Duration::from_millis(5),
-        });
-        buf.observe(&Event::CounterAdd {
-            name: "c",
-            delta: 3,
-        });
-        buf.observe(&Event::GaugeSet {
-            name: "g",
-            value: 2.0,
-        });
-        buf.observe(&Event::HistRecord {
-            name: "h",
-            value: 12,
-        });
-        buf.observe(&Event::SpanStarted {
-            id: 91,
-            parent: None,
-            name: "s",
-        });
-        buf.observe(&Event::SpanFinished {
-            id: 91,
-            name: "s",
-            wall: Duration::from_millis(1),
-        });
-        buf.observe(&Event::Progress {
-            phase: "p",
-            done: 10,
-            unit: "clauses",
-            detail: Some("d"),
-        });
-        buf.observe(&Event::Message {
-            level: Level::Info,
-            text: "hi",
-        });
-        // Discrete solver events are intentionally dropped.
-        buf.observe(&Event::Decision { number: 1 });
-        assert_eq!(buf.events().len(), 9);
-        assert!(!buf.is_empty());
-
-        let mut sink = MetricsSink::new();
-        buf.replay(&mut sink);
-        assert_eq!(sink.registry().counter("c"), Some(3));
-        assert_eq!(sink.registry().gauge("g"), Some(2.0));
-        assert_eq!(sink.registry().histogram("h").map(|h| h.count()), Some(1));
-        assert_eq!(sink.registry().spans().len(), 1);
-        assert!(sink.registry().phase_seconds("p").is_some());
-    }
 
     #[test]
     fn from_event_full_captures_discrete_solver_events() {
@@ -434,7 +211,7 @@ mod tests {
             OwnedEvent::from_event_full(&Event::Decision { number: 1 }),
             OwnedEvent::Decision { number: 1 }
         );
-        // …and still agrees with from_event on replayable kinds.
+        // …as well as the metric and span events.
         assert_eq!(
             OwnedEvent::from_event_full(&Event::CounterAdd {
                 name: "c",
@@ -447,10 +224,11 @@ mod tests {
         );
     }
 
+    /// A recorder's ring of owned events can move to another thread.
     #[test]
     fn buffer_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<EventBuffer>();
         assert_send::<OwnedEvent>();
+        assert_send::<crate::FlightRecorder>();
     }
 }

@@ -7,10 +7,9 @@
 //! document — a "last 4k events before death" black box that rides
 //! along with the repro bundle.
 //!
-//! Unlike [`EventBuffer`](crate::EventBuffer), the recorder captures
-//! *everything*, including per-decision solver events, via
-//! [`OwnedEvent::from_event_full`]; it is meant for the check/fuzz
-//! paths, not the solver's uninstrumented hot loop.
+//! The recorder captures *everything*, including per-decision solver
+//! events, via [`OwnedEvent::from_event_full`]; it is meant for the
+//! check/fuzz paths, not the solver's uninstrumented hot loop.
 //!
 //! Span ids are process-global and therefore differ between runs; the
 //! dump renumbers them densely in order of first appearance so that two

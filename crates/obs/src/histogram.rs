@@ -7,8 +7,8 @@
 //! handful of integer updates — no allocation, no branching on size —
 //! so histograms are safe to feed from checker and solver hot loops.
 //!
-//! Snapshots merge bucket-wise, which is how per-worker histograms from
-//! the parallel checker aggregate into one distribution.
+//! Snapshots merge bucket-wise, which is how the daemon's per-job
+//! histograms aggregate into one distribution.
 
 use crate::json::Json;
 

@@ -18,6 +18,8 @@
 //!   [`Registry::from_json`]).
 //! - [`FlightRecorder`]: a bounded ring of recent events dumped as a
 //!   `*.flight.json` post-mortem when a check fails.
+//! - [`metrics_document`]: the `rescheck-metrics-v2` document every
+//!   command and verdict frame reports.
 //! - [`prom`]: Prometheus text-exposition rendering for `--metrics-format
 //!   prom`.
 //! - [`Json`]: a hand-rolled JSON value with a stable emitter and a
@@ -36,13 +38,15 @@ pub mod metrics;
 pub mod observer;
 pub mod progress;
 pub mod prom;
+pub mod report;
 pub mod span;
 
-pub use buffer::{EventBuffer, OwnedEvent};
+pub use buffer::OwnedEvent;
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY, FLIGHT_SCHEMA};
 pub use histogram::Histogram;
 pub use json::{Json, ParseError};
 pub use metrics::{Registry, SpanRec};
 pub use observer::{Event, Level, MetricsSink, NullObserver, Observer, Tee};
 pub use progress::{LogConfig, ProgressReporter};
+pub use report::{metrics_document, SCHEMA, SCHEMA_V1};
 pub use span::{Phase, Span};

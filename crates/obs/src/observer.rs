@@ -41,8 +41,7 @@ pub enum Event<'a> {
     /// `check:pass1`, `check:resolve`, `final-phase`, …).
     ///
     /// [`Phase`](crate::Phase) no longer emits this (it emits span
-    /// events); the variant remains for manual constructions and
-    /// buffered replays of older streams.
+    /// events); the variant remains for manual constructions.
     PhaseStarted {
         /// The phase name.
         phase: &'a str,

@@ -5,8 +5,8 @@
 //! open one its parent, so a check decomposes into a tree like
 //! `check > check:df > check:pass1` with self/child time attribution.
 //! Parentage is tracked in a thread-local stack of span ids; ids come
-//! from a process-global counter so spans from worker threads merge
-//! into one registry without collisions (ids are therefore *not*
+//! from a process-global counter so spans from the daemon's worker
+//! threads merge into one registry without collisions (ids are therefore *not*
 //! stable across runs — consumers that need determinism, like the
 //! flight recorder, renumber at dump time).
 //!

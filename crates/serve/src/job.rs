@@ -11,12 +11,12 @@ use crate::budget::BudgetLedger;
 use crate::cache::{CachedTrace, FormulaCache, TraceCache};
 use crate::protocol::{status, verdict, Claim, Inject, JobSpec, Payload};
 use crate::watchdog::Watchdog;
-use rescheck_bench::report;
 use rescheck_checker::{
-    check_sat_claim, check_unsat_claim_scoped, CancelFlag, CheckConfig, CheckScratch, FailureKind,
+    check_sat_claim, check_stats_json, check_unsat_claim_scoped, CancelFlag, CheckConfig,
+    CheckScratch, FailureKind,
 };
 use rescheck_cnf::{Assignment, Lit};
-use rescheck_obs::{Event, Json, MetricsSink, Observer, Registry};
+use rescheck_obs::{metrics_document, Event, Json, MetricsSink, Observer, Registry};
 use rescheck_trace::{read_all, require_regular_file, MemorySink, TraceFormat, TraceSource};
 use std::io::Cursor;
 use std::path::Path;
@@ -106,11 +106,15 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
 
     match &spec.claim {
         Claim::Sat(lits) => {
-            let max_var = lits.iter().map(|l| l.unsigned_abs() as usize).max();
-            let mut model = Assignment::new(formula.cnf.num_vars());
-            model.grow_to(max_var.unwrap_or(0).max(formula.cnf.num_vars()));
+            // Only variables some clause mentions can decide the claim,
+            // so the model is sized by those: neither the header's count
+            // nor a literal the model names beyond them sizes it.
+            let bound = formula.cnf.used_var_bound();
+            let mut model = Assignment::new(bound);
             for &l in lits {
-                model.assign(Lit::from_dimacs(l));
+                if l.unsigned_abs() <= bound as u64 {
+                    model.assign(Lit::from_dimacs(l));
+                }
             }
             let frame = match check_sat_claim(&formula.cnf, &model) {
                 Ok(()) => {
@@ -199,8 +203,8 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
             scratch.begin_job(formula.token);
             let config = CheckConfig {
                 memory_limit: lease.bytes(),
-                jobs: spec.inner_jobs,
                 cancel: cancel.clone(),
+                ..CheckConfig::default()
             };
             let source: &dyn TraceSource = match &trace {
                 LoadedTrace::Memory(events) => events,
@@ -220,7 +224,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                     let mut frame = verdict(&spec.id, status::VALID);
                     frame
                         .set("claim", "unsat")
-                        .set("stats", report::check_stats_json(&outcome.stats));
+                        .set("stats", check_stats_json(&outcome.stats));
                     if let Some(core) = &outcome.core {
                         frame.set("core_clauses", core.num_clauses());
                     }
@@ -265,7 +269,6 @@ fn failure_status(kind: FailureKind, deadline_armed: bool) -> &'static str {
         FailureKind::Io => status::IO_ERROR,
         FailureKind::Cancelled if deadline_armed => status::TIMEOUT,
         FailureKind::Cancelled => status::CANCELLED,
-        FailureKind::Internal => status::INTERNAL_ERROR,
     }
 }
 
@@ -278,6 +281,6 @@ fn error_verdict(spec: &JobSpec, status: &str, message: &str) -> Json {
 /// Stamps the wall time and embeds the job's metrics document.
 fn finish(mut frame: Json, started: Instant, registry: Registry) -> (Json, Registry) {
     frame.set("wall_seconds", started.elapsed().as_secs_f64());
-    frame.set("metrics", report::metrics_document("serve-job", &registry));
+    frame.set("metrics", metrics_document("serve-job", &registry));
     (frame, registry)
 }

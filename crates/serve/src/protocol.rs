@@ -18,11 +18,11 @@
 //! | `trace`        | inline ASCII resolve trace (UNSAT claim)                 |
 //! | `trace_path`   | path to a trace file (ASCII or binary, sniffed)          |
 //! | `model`        | array of DIMACS literals (SAT claim)                     |
-//! | `strategy`     | `df` `bf` `hybrid` `portfolio` `pdag` `dfd` (default `df`) |
+//! | `strategy`     | `df` `bf` `hybrid` `portfolio` `dfd` (default `df`); `pdag` `pbf` run `bf` |
 //! | `proof_format` | `native` (default) `drat` `drup` `lrat` — how to read the trace payload |
 //! | `memory_bytes` | per-job accounted-memory cap                             |
 //! | `timeout_ms`   | per-job wall-clock deadline                              |
-//! | `jobs`         | inner worker threads for `pdag` (default 1)              |
+//! | `jobs`         | accepted and ignored: every check runs on its worker     |
 //! | `inject`       | chaos hook: `panic` or `sleep:<ms>` (tests, drills)      |
 //!
 //! Exactly one of `trace` / `trace_path` / `model` selects the claim.
@@ -104,8 +104,6 @@ pub struct JobSpec {
     pub memory_bytes: Option<u64>,
     /// Per-job wall-clock deadline; `None` = the daemon default.
     pub timeout_ms: Option<u64>,
-    /// Inner worker threads (only `pdag` uses more than one).
-    pub inner_jobs: usize,
     /// How to read UNSAT evidence: `None` = native resolve trace,
     /// `Some` = a clausal proof ingested into a synthetic trace first.
     pub proof_format: Option<ProofFormat>,
@@ -146,16 +144,17 @@ impl FrameError {
 }
 
 /// Maps the CLI's strategy names (the serve protocol reuses them
-/// verbatim) to [`Strategy`]. `pbf` / `parallel-bf` name the retired
-/// parallel breadth-first strategy and run parallel-dag, which verifies
-/// the same clauses with the same work counters.
+/// verbatim) to [`Strategy`]. `pdag` / `parallel-dag` and `pbf` /
+/// `parallel-bf` name retired parallel engines; they run breadth-first,
+/// which verifies the same clauses with the same work counters.
 pub fn parse_strategy(name: &str) -> Option<Strategy> {
     match name {
         "df" | "depth-first" => Some(Strategy::DepthFirst),
-        "bf" | "breadth-first" => Some(Strategy::BreadthFirst),
+        "bf" | "breadth-first" | "pdag" | "parallel-dag" | "pbf" | "parallel-bf" => {
+            Some(Strategy::BreadthFirst)
+        }
         "hybrid" => Some(Strategy::Hybrid),
         "portfolio" => Some(Strategy::Portfolio),
-        "pdag" | "parallel-dag" | "pbf" | "parallel-bf" => Some(Strategy::ParallelDag),
         "dfd" | "disk-df" => Some(Strategy::DiskDepthFirst),
         _ => None,
     }
@@ -280,9 +279,8 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
     }
     let memory_bytes = u64_field(&value, "memory_bytes").map_err(|e| fail(e.message))?;
     let timeout_ms = u64_field(&value, "timeout_ms").map_err(|e| fail(e.message))?;
-    let inner_jobs = u64_field(&value, "jobs")
-        .map_err(|e| fail(e.message))?
-        .map_or(1, |j| j as usize);
+    // `jobs` is still validated, though no strategy reads it.
+    u64_field(&value, "jobs").map_err(|e| fail(e.message))?;
     let inject = match value.get("inject").map(|v| (v, v.as_str())) {
         None => None,
         Some((_, Some("panic"))) => Some(Inject::Panic),
@@ -303,7 +301,6 @@ pub fn parse_frame(line: &str) -> Result<Frame, FrameError> {
         strategy,
         memory_bytes,
         timeout_ms,
-        inner_jobs,
         proof_format,
         inject,
     })))
@@ -393,7 +390,6 @@ mod tests {
         };
         assert_eq!(spec.id, "j1");
         assert_eq!(spec.strategy, Strategy::DepthFirst);
-        assert_eq!(spec.inner_jobs, 1);
         assert_eq!(spec.memory_bytes, None);
         assert_eq!(spec.timeout_ms, None);
         assert_eq!(spec.inject, None);
@@ -407,10 +403,10 @@ mod tests {
             ("bf", Strategy::BreadthFirst),
             ("hybrid", Strategy::Hybrid),
             ("portfolio", Strategy::Portfolio),
-            ("pbf", Strategy::ParallelDag),
-            ("parallel-bf", Strategy::ParallelDag),
-            ("pdag", Strategy::ParallelDag),
-            ("parallel-dag", Strategy::ParallelDag),
+            ("pbf", Strategy::BreadthFirst),
+            ("parallel-bf", Strategy::BreadthFirst),
+            ("pdag", Strategy::BreadthFirst),
+            ("parallel-dag", Strategy::BreadthFirst),
             ("dfd", Strategy::DiskDepthFirst),
             ("disk-df", Strategy::DiskDepthFirst),
         ] {

@@ -24,9 +24,8 @@ use crate::cache::{FormulaCache, TraceCache};
 use crate::job::{run_job, JobEnv};
 use crate::protocol::{self, status, Frame, FrameError, JobSpec, SUMMARY_SCHEMA};
 use crate::watchdog::Watchdog;
-use rescheck_bench::report;
 use rescheck_checker::ScratchPool;
-use rescheck_obs::{Json, Registry};
+use rescheck_obs::{metrics_document, Json, Registry};
 use std::any::Any;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -213,7 +212,7 @@ impl Server {
             }
             Ok(Frame::Metrics) => {
                 let snapshot = self.metrics_snapshot();
-                write_frame(reply, &report::metrics_document("serve", &snapshot));
+                write_frame(reply, &metrics_document("serve", &snapshot));
                 LineOutcome::Replied
             }
             Ok(Frame::Shutdown) => LineOutcome::Shutdown,

@@ -1,4 +1,4 @@
-//! The acceptance campaign: a 115-job mixed workload through
+//! The acceptance campaign: a 100-job mixed workload through
 //! `rescheck serve` must match one-shot checking bit-for-bit (same
 //! statuses, same stats), and must do so identically whether the daemon
 //! runs one worker or four.
@@ -6,8 +6,9 @@
 mod common;
 
 use common::*;
-use rescheck_bench::report;
-use rescheck_checker::{check_sat_claim, check_unsat_claim, CheckConfig, FailureKind, Strategy};
+use rescheck_checker::{
+    check_sat_claim, check_stats_json, check_unsat_claim, CheckConfig, FailureKind, Strategy,
+};
 use rescheck_cnf::{Assignment, Cnf, Lit};
 use rescheck_obs::json::Json;
 use rescheck_serve::{LineOutcome, ServeConfig, Server};
@@ -17,12 +18,11 @@ use std::io::Cursor;
 
 /// Every strategy: each one's verdict and stats are a pure function of
 /// the claim and its budget.
-const STRATEGIES: [(&str, Strategy); 6] = [
+const STRATEGIES: [(&str, Strategy); 5] = [
     ("df", Strategy::DepthFirst),
     ("bf", Strategy::BreadthFirst),
     ("hybrid", Strategy::Hybrid),
     ("portfolio", Strategy::Portfolio),
-    ("pdag", Strategy::ParallelDag),
     ("dfd", Strategy::DiskDepthFirst),
 ];
 
@@ -61,7 +61,6 @@ fn failure_status(kind: FailureKind) -> &'static str {
         FailureKind::ResourceLimit => "resource-limit",
         FailureKind::Io => "io-error",
         FailureKind::Cancelled => "cancelled",
-        FailureKind::Internal => "internal-error",
     }
 }
 
@@ -78,13 +77,12 @@ fn one_shot_unsat(
     let trace = MemorySink::from(events);
     let config = CheckConfig {
         memory_limit: memory,
-        jobs: 1,
         ..CheckConfig::default()
     };
     match check_unsat_claim(cnf, &trace, strategy, &config) {
         Ok(outcome) => (
             "valid".to_string(),
-            Some(comparable_stats(&report::check_stats_json(&outcome.stats))),
+            Some(comparable_stats(&check_stats_json(&outcome.stats))),
         ),
         Err(e) => (failure_status(e.kind()).to_string(), None),
     }
@@ -137,7 +135,7 @@ fn sat_case(id: String, cnf: &Cnf, cnf_str: &str, model: &[i64]) -> Case {
     }
 }
 
-/// Builds the 115-job mixed campaign: valid UNSAT proofs across every
+/// Builds the 100-job mixed campaign: valid UNSAT proofs across every
 /// strategy, defective proofs (formula/trace mismatches), valid and
 /// defective SAT models, and memory-starved jobs.
 fn build_campaign() -> Vec<Case> {
@@ -158,7 +156,7 @@ fn build_campaign() -> Vec<Case> {
 
     let mut cases = Vec::new();
 
-    // 48 valid UNSAT: 4 formulas × 6 strategies × 2 rounds (the repeat
+    // 40 valid UNSAT: 4 formulas × 5 strategies × 2 rounds (the repeat
     // round exercises warm formula-cache + scratch reuse paths).
     for round in 0..2 {
         for (name, cnf, text, trace) in &prepared {
@@ -176,7 +174,7 @@ fn build_campaign() -> Vec<Case> {
         }
     }
 
-    // 24 proof defects: each formula checked against the next formula's
+    // 20 proof defects: each formula checked against the next formula's
     // trace — ids resolve, resolutions do not.
     for (i, (name, cnf, text, _)) in prepared.iter().enumerate() {
         let wrong_trace = &prepared[(i + 1) % prepared.len()].3;
@@ -193,7 +191,7 @@ fn build_campaign() -> Vec<Case> {
         }
     }
 
-    // 18 memory-starved: 64 bytes is below any real clause budget.
+    // 15 memory-starved: 64 bytes is below any real clause budget.
     for (name, cnf, text, trace) in prepared.iter().take(3) {
         for (sname, strategy) in STRATEGIES {
             cases.push(unsat_case(
@@ -227,7 +225,7 @@ fn build_campaign() -> Vec<Case> {
         cases.push(sat_case(format!("badmodel-{k}"), &cnf, &text, &model));
     }
 
-    assert_eq!(cases.len(), 115);
+    assert_eq!(cases.len(), 100);
     cases
 }
 
@@ -293,5 +291,65 @@ fn hundred_job_campaign_matches_one_shot_checking_for_any_worker_count() {
             statuses.contains(expected),
             "campaign never produced {expected}: {statuses:?}"
         );
+    }
+}
+
+/// `pdag`, `pbf` and their long forms name retired parallel engines: a
+/// frame naming one, with the `jobs` key they used to read, gets
+/// breadth-first's verdict and stats, valid or defective.
+#[test]
+fn retired_parallel_names_get_breadth_first_verdicts_and_stats() {
+    let (php, chain) = (pigeonhole(3), unsat_chain(20));
+    let (php_text, chain_text) = (cnf_text(&php), cnf_text(&chain));
+    let (php_trace, chain_trace) = (unsat_trace_text(&php), unsat_trace_text(&chain));
+    let claim = |id: String, cnf: &Cnf, text: &str, trace: &str, name: &str| Case {
+        line: job_frame(
+            &id,
+            &[
+                ("cnf", Json::Str(text.to_string())),
+                ("trace", Json::Str(trace.to_string())),
+                ("strategy", Json::Str(name.to_string())),
+                ("jobs", Json::UInt(4)),
+            ],
+        ),
+        expected: one_shot_unsat(cnf, trace, Strategy::BreadthFirst, None),
+        id,
+    };
+    let mut cases = Vec::new();
+    for name in ["pdag", "parallel-dag", "pbf", "parallel-bf"] {
+        cases.push(claim(
+            format!("ok-{name}"),
+            &php,
+            &php_text,
+            &php_trace,
+            name,
+        ));
+        cases.push(claim(
+            format!("chain-{name}"),
+            &chain,
+            &chain_text,
+            &chain_trace,
+            name,
+        ));
+        cases.push(claim(
+            format!("defect-{name}"),
+            &php,
+            &php_text,
+            &chain_trace,
+            name,
+        ));
+    }
+    let results = run_campaign(&cases, 2);
+    for case in &cases {
+        let (status, stats) = &results[&case.id];
+        assert_eq!(status, &case.expected.0, "{}", case.id);
+        assert_eq!(stats, &case.expected.1, "{}", case.id);
+        if case.id.starts_with("defect") {
+            assert_eq!(status, "proof-defect", "{}", case.id);
+        } else {
+            assert_eq!(status, "valid", "{}", case.id);
+            let strategy = stats.as_ref().and_then(|s| s.get("strategy"));
+            assert_eq!(strategy.and_then(Json::as_str), Some("breadth-first"));
+        }
     }
 }

@@ -61,7 +61,7 @@ fn clausal_proof_jobs_reach_native_verdicts() {
                 ("cnf", cnf_json.clone()),
                 ("trace", Json::from(lrat_text.as_str())),
                 ("proof_format", Json::from("lrat")),
-                ("strategy", Json::from("pdag")),
+                ("strategy", Json::from("bf")),
             ],
         ),
         // The same claim as a hint-free DRAT proof. Unit propagation on

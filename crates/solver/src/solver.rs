@@ -153,13 +153,15 @@ impl Solver {
         self.num_vars = self.num_vars.max(n);
     }
 
-    /// Adds every clause of `cnf`, in order.
+    /// Adds every clause of `cnf`, in order. The solver's variables are
+    /// those the clauses mention, not the count a DIMACS header declares:
+    /// a variable no clause mentions cannot affect satisfiability, and
+    /// sizing by the header would let one line allocate without bound.
     ///
     /// # Panics
     ///
     /// Panics if solving has already started.
     pub fn add_formula(&mut self, cnf: &Cnf) {
-        self.ensure_vars(cnf.num_vars());
         for clause in cnf.clauses() {
             self.add_clause_internal(Clause::new(clause.iter().copied()));
         }

@@ -4,9 +4,8 @@
 //! ```text
 //! rescheck solve <file.cnf> [--trace <out>] [--binary] [--no-learning]
 //!                [--no-deletion] [--no-restarts]
-//! rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pdag]
-//!                [--mem-limit <bytes>] [--jobs <n>]
-//!                [--proof-format native|drat|drup|lrat]
+//! rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio]
+//!                [--mem-limit <bytes>] [--proof-format native|drat|drup|lrat]
 //! rescheck export <file.cnf> <trace> [--out <proof.lrat>] [--binary]
 //! rescheck core  <file.cnf> [--iterations <n>] [--out <core.cnf>]
 //! rescheck gen   <family> [args…]        # writes DIMACS to stdout
@@ -25,7 +24,8 @@ use rescheck::prelude::*;
 use rescheck::workloads;
 use rescheck_bench::report;
 use rescheck_obs::{
-    Event, FlightRecorder, Json, LogConfig, MetricsSink, Observer, Phase, ProgressReporter, Span,
+    metrics_document, Event, FlightRecorder, Json, LogConfig, MetricsSink, Observer, Phase,
+    ProgressReporter, Span,
 };
 use std::io::Write;
 use std::path::Path;
@@ -70,8 +70,8 @@ rescheck — validate SAT solver results with a resolution-based checker
 USAGE:
   rescheck solve <file.cnf> [--trace <out>] [--binary]
                  [--no-learning] [--no-deletion] [--no-restarts]
-  rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio|pdag]
-                 [--mem-limit <bytes>] [--jobs <n>]
+  rescheck check <file.cnf> <trace> [--strategy df|bf|dfd|hybrid|portfolio]
+                 [--mem-limit <bytes>]
                  (a native <trace> must be a regular file: it is read
                  more than once; pass `-` to read the trace from stdin
                  instead, ASCII or binary, sniffed by magic)
@@ -80,12 +80,9 @@ USAGE:
                  smaller memory budget, reading each needed clause's
                  record once; hybrid is the same walk, freeing each
                  clause after its last needed use; portfolio runs dfd
-                 and, only if it runs out of memory, bf; pdag verifies
-                 what bf does but schedules the resolution pass as a
-                 dependency DAG across <n> work-stealing workers with
-                 bit-identical stats for any worker count — --jobs 0 =
-                 auto; pbf and parallel-bf are accepted as names for
-                 pdag)
+                 and, only if it runs out of memory, bf; pdag, pbf and
+                 their long forms name retired parallel engines and run
+                 bf)
                  (no strategy copies a trace file into memory: each
                  reads it from disk, so its stat line is the same for
                  an ASCII file, a binary file and stdin)
@@ -106,6 +103,9 @@ USAGE:
   rescheck core  <file.cnf> [--iterations <n>] [--out <core.cnf>]
   rescheck trim  <file.cnf> <trace> --out <trimmed> [--binary]
   rescheck stats <file.cnf> <trace>
+                 (the needed proof's shape: depth, derivation resolutions
+                 and their span — the most on one dependency path — whose
+                 ratio is the parallelism the proof offers)
   rescheck gen   <family> [args…] [--seed <s>]
                  (families: pigeonhole <holes>,
                  parity <n>, adder <width>, longmult <width>,
@@ -119,7 +119,7 @@ USAGE:
                  [--max-findings <k>] [--artifacts <dir>] [--quiet]
                  [--inject reject-valid|accept-mutants]
                  (deterministic differential fuzzing: every iteration
-                 solves a seeded random instance, cross-validates all six
+                 solves a seeded random instance, cross-validates all five
                  check strategies, verifies SAT models, and feeds
                  corrupted traces to the checker; disagreements are
                  delta-debugged to a minimal repro under --artifacts.
@@ -144,8 +144,8 @@ Observability (solve, check, core, trim, stats, fuzz):
   --metrics-out <path>   write the metrics document to a file instead
   --metrics-format <f>   json (default): rescheck-metrics-v2 with phase
                          timers, counters, gauges, log-bucketed
-                         histograms (check.resolve.*, check.executor.*)
-                         and the hierarchical span tree;
+                         histograms (check.resolve.*) and the
+                         hierarchical span tree;
                          prom: Prometheus text exposition of the
                          counters, gauges, phases and histograms
   --flight-out <path>    (check only) where to dump the flight recorder
@@ -158,7 +158,7 @@ Observability (solve, check, core, trim, stats, fuzz):
 
 Exit codes: solve → 10 SAT / 20 UNSAT (competition convention);
 check → 0 valid proof, 1 proof defect, 3 resource limit exceeded,
-4 input I/O error, 5 internal checker error (worker panic);
+4 input I/O error;
 export → 0 success, 1 defective trace, 4 input I/O error;
 fuzz → 0 clean campaign, 1 disagreements found;
 core → 0 on success, 1 on an invalid proof; all → 2 on usage errors.
@@ -244,7 +244,7 @@ impl CliObserver {
         let rendered = match self.format {
             MetricsFormat::Prom => rescheck_obs::prom::render(self.metrics.registry()),
             MetricsFormat::Json => {
-                let mut doc = report::metrics_document(command, self.metrics.registry());
+                let mut doc = metrics_document(command, self.metrics.registry());
                 extend(&mut doc);
                 let mut text = doc.to_pretty_string();
                 text.push('\n');
@@ -424,22 +424,17 @@ fn cmd_solve(rest: &[String]) -> CliResult {
 }
 
 fn cmd_check(rest: &[String]) -> CliResult {
-    use rescheck::checker::check_unsat_claim_observed;
+    use rescheck::checker::{check_stats_json, check_unsat_claim_observed};
     let mut args = rest.to_vec();
     let mut obs = CliObserver::from_args(&mut args)?;
     let strategy = match take_opt(&mut args, "--strategy")? {
         None => Strategy::DepthFirst,
-        Some(name) => rescheck_serve::protocol::parse_strategy(&name).ok_or_else(|| {
-            format!("unknown strategy {name:?} (df|bf|dfd|hybrid|portfolio|pdag)")
-        })?,
+        Some(name) => rescheck_serve::protocol::parse_strategy(&name)
+            .ok_or_else(|| format!("unknown strategy {name:?} (df|bf|dfd|hybrid|portfolio)"))?,
     };
     let memory_limit = take_opt(&mut args, "--mem-limit")?
         .map(|s| s.parse::<u64>())
         .transpose()?;
-    let jobs = take_opt(&mut args, "--jobs")?
-        .map(|s| s.parse::<usize>())
-        .transpose()?
-        .unwrap_or(0);
     let flight_out = take_opt(&mut args, "--flight-out")?;
     let proof_format = match take_opt(&mut args, "--proof-format")?.as_deref() {
         None | Some("native") => None,
@@ -592,7 +587,6 @@ fn cmd_check(rest: &[String]) -> CliResult {
     }
     let config = CheckConfig {
         memory_limit,
-        jobs,
         ..CheckConfig::default()
     };
     let result = match &trace {
@@ -620,7 +614,7 @@ fn cmd_check(rest: &[String]) -> CliResult {
                 );
             }
             obs.write_metrics("check", |doc| {
-                doc.set("check", report::check_stats_json(&outcome.stats));
+                doc.set("check", check_stats_json(&outcome.stats));
                 if let Some(core) = &outcome.core {
                     let mut core_json = Json::object();
                     core_json
@@ -658,15 +652,12 @@ fn cmd_check(rest: &[String]) -> CliResult {
             // Distinct exit codes per failure class: a defective proof
             // (1) is a solver/trace bug, a breached memory budget (3) a
             // retry-with-more-resources, an I/O failure (4) an
-            // environment problem, a checker-internal error (5 — e.g. a
-            // worker panic surfaced as a structured verdict) a bug in
-            // *us*. Cancellation shares 3: the run was stopped by a
-            // resource policy, not by the proof.
+            // environment problem. Cancellation shares 3: the run was
+            // stopped by a resource policy, not by the proof.
             Ok(ExitCode::from(match kind {
                 FailureKind::ProofDefect => 1,
                 FailureKind::ResourceLimit | FailureKind::Cancelled => 3,
                 FailureKind::Io => 4,
-                FailureKind::Internal => 5,
             }))
         }
     }

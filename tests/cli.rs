@@ -93,9 +93,14 @@ fn binary_traces_are_smaller_and_check() {
     assert_eq!(out.status.code(), Some(0));
 }
 
+/// A strategy name that is an alias or a policy prints the stat line of
+/// the engine it runs, identical apart from the wall time: `pdag`, `pbf`
+/// and their long forms name retired parallel engines and run `bf`, and
+/// without a budget the portfolio is disk-backed depth-first. `check`
+/// no longer takes `--jobs`.
 #[test]
-fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
-    let dir = tmp_dir("parallel");
+fn strategy_aliases_print_their_engines_stat_line() {
+    let dir = tmp_dir("aliases");
     let cnf_path = dir.join("php.cnf");
     let trace_path = dir.join("php.rt");
     let out = bin().args(["gen", "pigeonhole", "5"]).output().unwrap();
@@ -110,15 +115,15 @@ fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
     assert_eq!(st.code(), Some(20));
 
     // The stats line without its trailing wall-clock figure.
-    let stats_line = |strategy: &str, jobs: &str| -> String {
+    let stats_line = |strategy: &str| -> String {
         let out = bin()
             .arg("check")
             .arg(&cnf_path)
             .arg(&trace_path)
-            .args(["--strategy", strategy, "--jobs", jobs])
+            .args(["--strategy", strategy])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(0), "{strategy} --jobs {jobs}");
+        assert_eq!(out.status.code(), Some(0), "{strategy}");
         let text = String::from_utf8_lossy(&out.stdout).to_string();
         assert!(text.contains("VALID UNSAT proof"), "{text}");
         let line = text
@@ -129,20 +134,24 @@ fn parallel_strategies_check_and_pbf_is_jobs_deterministic() {
         line.rsplit_once(',').unwrap().0.to_string()
     };
 
-    // Without a budget the portfolio is disk-backed depth-first.
     assert_eq!(
-        stats_line("portfolio", "4").replacen("portfolio:", "disk-depth-first:", 1),
-        stats_line("dfd", "4")
+        stats_line("portfolio").replacen("portfolio:", "disk-depth-first:", 1),
+        stats_line("dfd")
     );
-    // `pbf` and `parallel-bf` are names for parallel-dag, whose stats do
-    // not depend on the worker count.
-    let pdag = stats_line("pdag", "1");
-    assert!(pdag.starts_with("parallel-dag:"), "{pdag}");
-    for strategy in ["pdag", "pbf", "parallel-bf"] {
-        for jobs in ["1", "4"] {
-            assert_eq!(stats_line(strategy, jobs), pdag, "{strategy} --jobs {jobs}");
-        }
+    let bf = stats_line("bf");
+    assert!(bf.starts_with("breadth-first:"), "{bf}");
+    for strategy in ["pdag", "parallel-dag", "pbf", "parallel-bf"] {
+        assert_eq!(stats_line(strategy), bf, "{strategy}");
     }
+
+    let out = bin()
+        .arg("check")
+        .arg(&cnf_path)
+        .arg(&trace_path)
+        .args(["--strategy", "pdag", "--jobs", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
 }
 
 #[test]
@@ -565,9 +574,12 @@ fn failed_check_dumps_a_flight_recording() {
     assert!(custom.is_file());
 }
 
+/// `stats` reports the parallelism the needed proof offers: its
+/// derivation resolutions over its span, the most resolutions on one
+/// dependency path, on stdout and in the metrics document.
 #[test]
-fn parallel_check_attributes_per_worker_metrics() {
-    let dir = tmp_dir("worker-metrics");
+fn stats_reports_the_proofs_parallelism() {
+    let dir = tmp_dir("stats-parallelism");
     let cnf_path = dir.join("w.cnf");
     let trace_path = dir.join("w.rtb");
     let metrics_path = dir.join("w.json");
@@ -581,45 +593,31 @@ fn parallel_check_attributes_per_worker_metrics() {
         .arg("--binary")
         .status()
         .unwrap();
-    let st = bin()
-        .arg("check")
+    let out = bin()
+        .arg("stats")
         .arg(&cnf_path)
         .arg(&trace_path)
-        .args(["--strategy", "pdag", "--jobs", "4"])
         .arg("--metrics-out")
         .arg(&metrics_path)
-        .status()
+        .output()
         .unwrap();
-    assert_eq!(st.code(), Some(0));
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     let text = std::fs::read_to_string(&metrics_path).unwrap();
     let doc = rescheck_obs::json::parse(&text).unwrap();
-    let gauge = |name: &str| -> u64 {
-        doc.path("gauges")
-            .and_then(|g| g.get(name))
+    let proof = |key: &str| -> f64 {
+        doc.path("proof")
+            .and_then(|p| p.get(key))
             .and_then(|j| j.as_f64())
-            .unwrap_or_else(|| panic!("missing gauge {name}: {text}")) as u64
+            .unwrap_or_else(|| panic!("missing proof.{key}: {text}"))
     };
-    let samples = |name: &str| -> u64 {
-        doc.path("histograms")
-            .and_then(|h| h.get(name))
-            .and_then(|h| h.get("count"))
-            .and_then(|j| j.as_u64())
-            .unwrap_or_else(|| panic!("missing histogram {name}: {text}"))
-    };
-    // `--jobs` is a cap: pdag runs at most one worker per core, and one
-    // resolved-count sample per executor worker.
-    let workers = gauge("check.jobs");
-    assert!((1..=4).contains(&workers), "{workers} workers");
-    assert_eq!(samples("check.executor.resolved_per_worker"), workers);
-    // The graph states its own parallelism bound: every resolution of
-    // the trace's learned clauses, and the longest path through them.
-    let (work, span) = (gauge("check.dag.work"), gauge("check.dag.span"));
-    assert!(0 < span && span <= work, "span {span}, work {work}");
-    assert!(work <= gauge("check.resolutions"), "work {work}");
-    // pdag streams the file like bf: no byte map, no sharded pass 1.
-    for absent in ["trace-map", "check.map.bytes", "check.pass1."] {
-        assert!(!text.contains(absent), "{absent}: {text}");
-    }
+    let (work, span) = (proof("derivation_resolutions"), proof("span"));
+    assert!(0.0 < span && span < work, "span {span}, work {work}");
+    assert!((proof("parallelism") - work / span).abs() < 1e-9);
+    assert!(
+        stdout.contains(&format!("span {span} (parallelism {:.1})", work / span)),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -890,7 +888,7 @@ fn piped_trace_paths_are_input_errors_that_point_to_stdin() {
         }
         assert_eq!(solve.output().unwrap().status.code(), Some(20));
         let trace = std::fs::read(dir.join(name)).unwrap();
-        for strategy in ["df", "bf", "dfd", "hybrid", "portfolio", "pdag"] {
+        for strategy in ["df", "bf", "dfd", "hybrid", "portfolio"] {
             let args = ["check", "php.cnf", "/dev/stdin", "--strategy", strategy];
             let (code, stdout, stderr) = run_with_stdin(&dir, &args, &trace);
             assert_eq!(code, Some(4), "{name} {strategy}: {stdout}{stderr}");
@@ -989,11 +987,15 @@ fn serve_stdin_answers_every_frame_and_winds_down_on_shutdown() {
 /// two-clause formula declaring 99,999,999,999 variables checks under
 /// every strategy (the core counts the variables its clauses use) and
 /// as a DRAT or LRAT claim (the ingester sizes its tables by the
-/// variables read), and the daemon answers it and the jobs around it.
+/// variables read), `solve` decides it and its satisfiable twin (the
+/// solver's variables are those the clauses mention), and the daemon
+/// answers both claims, a model naming a variable no clause mentions
+/// included, and the jobs around them.
 #[test]
 fn a_huge_declared_variable_count_is_checked_not_allocated() {
     let dir = tmp_dir("huge-header");
     std::fs::write(dir.join("big.cnf"), "p cnf 99999999999 2\n1 0\n-1 0\n").unwrap();
+    std::fs::write(dir.join("bigsat.cnf"), "p cnf 99999999999 1\n1 0\n").unwrap();
     std::fs::write(dir.join("big.rt"), "v 1 0\nf 1\n").unwrap();
     std::fs::write(dir.join("big.drat"), "0\n").unwrap();
     std::fs::write(dir.join("big.lrat"), "3 0 1 2 0\n").unwrap();
@@ -1011,11 +1013,10 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
             "{format}: {stdout}"
         );
     }
-    for strategy in ["df", "bf", "dfd", "hybrid", "portfolio", "pdag"] {
+    for strategy in ["df", "bf", "dfd", "hybrid", "portfolio"] {
         let out = bin()
             .current_dir(&dir)
             .args(["check", "big.cnf", "big.rt", "--strategy", strategy])
-            .args(["--jobs", "1"])
             .output()
             .unwrap();
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -1024,7 +1025,7 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
             stdout.starts_with("VALID UNSAT proof"),
             "{strategy}: {stdout}"
         );
-        if !["bf", "pdag"].contains(&strategy) {
+        if strategy != "bf" {
             assert!(
                 stdout.contains("unsat core: 2 of 2 clauses, 1 variables"),
                 "{strategy}: {stdout}"
@@ -1032,8 +1033,24 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
         }
     }
 
+    for (cnf, code, answer) in [
+        ("big.cnf", 20, "s UNSATISFIABLE"),
+        ("bigsat.cnf", 10, "s SATISFIABLE\nv 1 0"),
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(["solve", cnf])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{cnf}: {out:?}");
+        assert!(stdout.contains(answer), "{cnf}: {stdout}");
+    }
+
     let input = [
         r#"{"id":"before","cnf":"p cnf 1 1\n1 0\n","model":[1]}"#,
+        r#"{"id":"big-sat","cnf_path":"bigsat.cnf","model":[1]}"#,
+        r#"{"id":"big-sat-far","cnf_path":"bigsat.cnf","model":[1,-99999999999]}"#,
         r#"{"id":"big","cnf_path":"big.cnf","trace_path":"big.rt","strategy":"df"}"#,
         r#"{"id":"big-drat","cnf_path":"big.cnf","trace_path":"big.drat","proof_format":"drat"}"#,
         r#"{"id":"big-lrat","cnf_path":"big.cnf","trace_path":"big.lrat","proof_format":"lrat"}"#,
@@ -1049,7 +1066,15 @@ fn a_huge_declared_variable_count_is_checked_not_allocated() {
         .filter(|l| !l.trim().is_empty())
         .map(|l| rescheck_obs::json::parse(l).unwrap())
         .collect();
-    for id in ["before", "big", "big-drat", "big-lrat", "after"] {
+    for id in [
+        "before",
+        "big-sat",
+        "big-sat-far",
+        "big",
+        "big-drat",
+        "big-lrat",
+        "after",
+    ] {
         let frame = frames
             .iter()
             .find(|f| f.get("id").and_then(|j| j.as_str()) == Some(id))
@@ -1130,7 +1155,7 @@ fn export_lrat_and_recheck_agrees_with_native() {
     // Both encodings re-ingest and validate under every strategy the
     // native trace validates under.
     for proof in [&lrat_text, &lrat_binary] {
-        for strategy in ["df", "bf", "pdag"] {
+        for strategy in ["df", "bf"] {
             let out = bin()
                 .arg("check")
                 .arg(&cnf_path)
