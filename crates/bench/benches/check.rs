@@ -9,17 +9,21 @@
 //! binary temp file and read into a [`TraceMap`] (the `rescheck serve`
 //! reuse pattern), which every row then decodes in place.
 //!
+//! The two configurations run alternately, one iteration of each per
+//! pair, and the overhead is the median over the pairs of their ratio.
+//!
 //! With `--json <path>` a `rescheck-metrics-v2` document is written with
 //! one row per (instance, configuration) pair carrying the median check
-//! time and the learned-clauses-per-second throughput, for the CI
-//! bench-smoke job (which checks shape, never timing). The document
-//! records the host's available parallelism, the context for comparing
-//! timings across hosts.
+//! time and the learned-clauses-per-second throughput, plus
+//! `observer_overhead_ratio` (that median ratio), for the CI bench-smoke
+//! job (which checks shape, never timing). The document records the
+//! host's available parallelism, the context for comparing timings
+//! across hosts.
 
-use rescheck_bench::micro::bench;
+use rescheck_bench::micro::bench_pair;
 use rescheck_bench::report::{take_json_flag, write_json};
 use rescheck_checker::{check_unsat_claim, check_unsat_claim_observed, CheckConfig, Strategy};
-use rescheck_obs::{Json, MetricsSink, SCHEMA};
+use rescheck_obs::{Json, MetricsSink, NullObserver, Observer, SCHEMA};
 use rescheck_solver::{Solver, SolverConfig};
 use rescheck_trace::{BinaryWriter, TraceMap, TraceSink};
 use rescheck_workloads::{pipeline, Instance};
@@ -71,35 +75,30 @@ fn main() {
         rows.push(row);
     };
 
-    let seq = bench(&format!("check/bf/{}", inst.name), || {
-        check_unsat_claim(
-            &inst.cnf,
-            &trace,
-            Strategy::BreadthFirst,
-            &CheckConfig::default(),
-        )
-        .expect("genuine trace");
-    });
-    push_row("bf", seq.median.as_secs_f64());
-
     // Observability overhead: the same breadth-first check with a
-    // recording metrics sink (spans, counters, histograms) against
-    // the NullObserver baseline measured above.
-    let mut sink = MetricsSink::new();
-    let observed = bench(&format!("check/bf-metrics/{}", inst.name), || {
-        check_unsat_claim_observed(
-            &inst.cnf,
-            &trace,
-            Strategy::BreadthFirst,
-            &CheckConfig::default(),
-            &mut sink,
-        )
-        .expect("genuine trace");
-    });
+    // recording metrics sink (spans, counters, histograms) against the
+    // NullObserver baseline, the two alternating, with a fresh sink per
+    // iteration so no run records into an earlier run's registry.
+    let run = |obs: &mut dyn Observer| {
+        let config = CheckConfig::default();
+        check_unsat_claim_observed(&inst.cnf, &trace, Strategy::BreadthFirst, &config, obs)
+            .expect("genuine trace");
+    };
+    let (seq, observed, ratio) = bench_pair(
+        [
+            &format!("check/bf/{}", inst.name),
+            &format!("check/bf-metrics/{}", inst.name),
+        ],
+        || run(&mut NullObserver),
+        || run(&mut MetricsSink::new()),
+    );
+    push_row("bf", seq.median.as_secs_f64());
     push_row("bf-metrics", observed.median.as_secs_f64());
-    let overhead =
-        (observed.median.as_secs_f64() / seq.median.as_secs_f64().max(1e-12) - 1.0) * 100.0;
-    println!("check/observer-overhead/{}: {overhead:+.2}%", inst.name);
+    let overhead = (ratio - 1.0) * 100.0;
+    println!(
+        "check/observer-overhead/{}: {overhead:+.2}% (median of {} pairs)",
+        inst.name, seq.iters
+    );
 
     if let Some(path) = json_path {
         let mut doc = Json::object();
@@ -111,6 +110,7 @@ fn main() {
                     .map(|n| n.get() as u64)
                     .unwrap_or(1),
             )
+            .set("observer_overhead_ratio", ratio)
             .set("rows", Json::Array(rows));
         write_json(Path::new(&path), &doc).expect("write json");
         println!("wrote {path}");

@@ -34,39 +34,72 @@ pub struct Summary {
 /// Runs `f` repeatedly within the time budget and prints a summary line
 /// (`name: median …  min …  mean …  (N iters)`).
 pub fn bench(name: &str, mut f: impl FnMut()) -> Summary {
-    // Warm up and calibrate.
-    let once = {
-        let t = Instant::now();
-        f();
-        t.elapsed().max(Duration::from_nanos(1))
-    };
-    let target = budget();
-    let iters = (target.as_nanos() / once.as_nanos()).clamp(5, 10_000) as u32;
+    let iters = calibrate(&mut f, 5);
+    let samples = (0..iters).map(|_| time(&mut f)).collect();
+    summarize(name, samples)
+}
 
-    let mut samples: Vec<Duration> = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed());
+/// Runs `a` and `b` alternately, one iteration of each per pair, within
+/// the time budget (at least 11 pairs), and prints both summary lines.
+/// Returns both summaries and the median over the pairs of the ratio
+/// `b / a`: alternating keeps a drifting host from landing on one side,
+/// and the per-pair ratio compares iterations that ran side by side.
+pub fn bench_pair(
+    names: [&str; 2],
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (Summary, Summary, f64) {
+    let pairs = calibrate(
+        &mut || {
+            a();
+            b();
+        },
+        11,
+    );
+    let (mut times_a, mut times_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..pairs {
+        let (ta, tb) = (time(&mut a), time(&mut b));
+        ratios.push(tb.as_secs_f64() / ta.as_secs_f64().max(1e-12));
+        times_a.push(ta);
+        times_b.push(tb);
     }
+    ratios.sort_unstable_by(f64::total_cmp);
+    let ratio = ratios[ratios.len() / 2];
+    (summarize(names[0], times_a), summarize(names[1], times_b), ratio)
+}
+
+/// Warms up with one run of `f` and returns how many iterations fit the
+/// time budget, at least `min`.
+fn calibrate(f: &mut impl FnMut(), min: u32) -> u32 {
+    let once = time(f).max(Duration::from_nanos(1));
+    (budget().as_nanos() / once.as_nanos()).clamp(u128::from(min), 10_000) as u32
+}
+
+fn time(f: &mut impl FnMut()) -> Duration {
+    let t = Instant::now();
+    f();
+    t.elapsed()
+}
+
+fn summarize(name: &str, mut samples: Vec<Duration>) -> Summary {
     samples.sort_unstable();
+    let iters = samples.len() as u32;
     let min = samples[0];
     let median = samples[samples.len() / 2];
     let total: Duration = samples.iter().sum();
     let mean = total / iters;
-    let summary = Summary {
-        iters,
-        min,
-        median,
-        mean,
-    };
     println!(
         "{name}: median {}s  min {}s  mean {}s  ({iters} iters)",
         crate::fmt_secs(median),
         crate::fmt_secs(min),
         crate::fmt_secs(mean),
     );
-    summary
+    Summary {
+        iters,
+        min,
+        median,
+        mean,
+    }
 }
 
 #[cfg(test)]
@@ -80,5 +113,24 @@ mod tests {
         let s = bench("noop", || n = n.wrapping_add(1));
         assert!(s.iters >= 5);
         assert!(s.min <= s.median && s.median <= s.mean * 2);
+    }
+
+    #[test]
+    fn bench_pair_alternates_and_reports_the_median_ratio() {
+        std::env::set_var("RESCHECK_BENCH_MS", "5");
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b, ratio) = bench_pair(
+            ["a", "b"],
+            || order.borrow_mut().push('a'),
+            || {
+                order.borrow_mut().push('b');
+                std::thread::sleep(Duration::from_micros(200));
+            },
+        );
+        assert_eq!((a.iters, b.iters), (b.iters, a.iters));
+        assert!(a.iters >= 11);
+        let order = order.into_inner();
+        assert!(order.chunks(2).all(|pair| pair == ['a', 'b']), "{order:?}");
+        assert!(ratio > 1.0, "{ratio}");
     }
 }

@@ -1,5 +1,6 @@
 //! Top-level checking entry points.
 
+use crate::cache::NormalizedClauses;
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
 use crate::outcome::CheckOutcome;
@@ -120,7 +121,9 @@ pub fn check_unsat_claim<S: TraceSource + ?Sized>(
 /// clause built); like every strategy, it reads the trace through the
 /// source it is given and charges no copy of it.
 ///
-/// It is [`check_unsat_claim_scoped`] on a fresh [`CheckScratch`].
+/// It is [`check_unsat_claim_scoped`] on the formula's
+/// [`NormalizedClauses`], built for this check, and a fresh
+/// [`CheckScratch`].
 ///
 /// # Errors
 ///
@@ -156,7 +159,9 @@ pub fn check_unsat_claim_observed<S: TraceSource + ?Sized>(
     config: &CheckConfig,
     obs: &mut dyn Observer,
 ) -> Result<CheckOutcome, CheckError> {
-    check_unsat_claim_scoped(cnf, trace, strategy, config, &mut CheckScratch::new(), obs)
+    let table = NormalizedClauses::new(cnf);
+    let scratch = &mut CheckScratch::new();
+    check_unsat_claim_scoped(cnf, &table, trace, strategy, config, scratch, obs)
 }
 
 /// The per-strategy span every check runs inside.
@@ -176,6 +181,7 @@ fn span_name(strategy: Strategy) -> &'static str {
 /// runs out of memory only when both strategies do.
 fn run_portfolio<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
@@ -183,14 +189,14 @@ fn run_portfolio<S: TraceSource + ?Sized>(
 ) -> Result<CheckOutcome, CheckError> {
     let started = Instant::now();
     config.cancel.check()?;
-    let mut outcome = match crate::depth_first::run_disk(cnf, trace, config, scratch, obs) {
+    let mut outcome = match crate::depth_first::run_disk(cnf, table, trace, config, scratch, obs) {
         Err(err @ CheckError::MemoryLimitExceeded { .. }) => {
             obs.observe(&Event::Message {
                 level: Level::Info,
                 text: &format!("portfolio: disk-depth-first {err}; falling back to breadth-first"),
             });
             config.cancel.check()?;
-            crate::breadth_first::run(cnf, trace, config, scratch, obs)
+            crate::breadth_first::run(cnf, table, trace, config, scratch, obs)
         }
         decided => decided,
     }?;
@@ -199,23 +205,27 @@ fn run_portfolio<S: TraceSource + ?Sized>(
     Ok(outcome)
 }
 
-/// [`check_unsat_claim_observed`] against caller-owned scratch buffers,
-/// for long-lived processes (the `rescheck serve` daemon) that run many
-/// checks and want to reuse the kernel, arena and original-clause cache
-/// across jobs instead of rebuilding them per job.
-///
-/// Every strategy runs on the provided [`CheckScratch`].
+/// [`check_unsat_claim_observed`] on a prepared [`NormalizedClauses`]
+/// table of `cnf` and caller-owned scratch buffers, for long-lived
+/// processes (the `rescheck serve` daemon) that check many claims: every
+/// job on a formula reads one table, and the kernel and arena are reused
+/// across jobs instead of rebuilt per job.
 ///
 /// Reported stats and accounted memory are bit-identical to the
-/// unscoped entry point: reuse trades allocator work, never accounting.
-/// See the [`crate::CheckScratch`] docs for the warm-tier rules
-/// ([`CheckScratch::begin_job`]).
+/// unscoped entry point: sharing and reuse trade allocator work, never
+/// accounting (see the [`crate::CheckScratch`] docs).
 ///
 /// # Errors
 ///
 /// See [`check_unsat_claim`].
+///
+/// # Panics
+///
+/// Panics if `table` has not as many clauses as `cnf`; it must be
+/// `NormalizedClauses::new(cnf)`.
 pub fn check_unsat_claim_scoped<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     strategy: Strategy,
     config: &CheckConfig,
@@ -227,11 +237,15 @@ pub fn check_unsat_claim_scoped<S: TraceSource + ?Sized>(
     // stopped on the error path too — flight dumps see it close.
     let mut span = Span::start(span_name(strategy), obs);
     let result = match strategy {
-        Strategy::DepthFirst => crate::depth_first::run(cnf, trace, config, scratch, obs),
-        Strategy::BreadthFirst => crate::breadth_first::run(cnf, trace, config, scratch, obs),
-        Strategy::Hybrid => crate::depth_first::run_hybrid(cnf, trace, config, scratch, obs),
-        Strategy::Portfolio => run_portfolio(cnf, trace, config, scratch, obs),
-        Strategy::DiskDepthFirst => crate::depth_first::run_disk(cnf, trace, config, scratch, obs),
+        Strategy::DepthFirst => crate::depth_first::run(cnf, table, trace, config, scratch, obs),
+        Strategy::BreadthFirst => {
+            crate::breadth_first::run(cnf, table, trace, config, scratch, obs)
+        }
+        Strategy::Hybrid => crate::depth_first::run_hybrid(cnf, table, trace, config, scratch, obs),
+        Strategy::Portfolio => run_portfolio(cnf, table, trace, config, scratch, obs),
+        Strategy::DiskDepthFirst => {
+            crate::depth_first::run_disk(cnf, table, trace, config, scratch, obs)
+        }
     };
     span.stop(obs);
     result
@@ -249,13 +263,7 @@ pub fn check_depth_first<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::depth_first::run(
-        cnf,
-        trace,
-        config,
-        &mut CheckScratch::new(),
-        &mut NullObserver,
-    )
+    check_unsat_claim(cnf, trace, Strategy::DepthFirst, config)
 }
 
 /// Validates an UNSAT claim with the breadth-first strategy (§3.3).
@@ -268,13 +276,7 @@ pub fn check_breadth_first<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::breadth_first::run(
-        cnf,
-        trace,
-        config,
-        &mut CheckScratch::new(),
-        &mut NullObserver,
-    )
+    check_unsat_claim(cnf, trace, Strategy::BreadthFirst, config)
 }
 
 /// Validates an UNSAT claim with the hybrid (on-disk depth-first)
@@ -294,13 +296,7 @@ pub fn check_hybrid<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::depth_first::run_hybrid(
-        cnf,
-        trace,
-        config,
-        &mut CheckScratch::new(),
-        &mut NullObserver,
-    )
+    check_unsat_claim(cnf, trace, Strategy::Hybrid, config)
 }
 
 /// Validates an UNSAT claim with the disk-backed depth-first strategy:
@@ -323,13 +319,7 @@ pub fn check_disk_depth_first<S: TraceSource + ?Sized>(
     trace: &S,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, CheckError> {
-    crate::depth_first::run_disk(
-        cnf,
-        trace,
-        config,
-        &mut CheckScratch::new(),
-        &mut NullObserver,
-    )
+    check_unsat_claim(cnf, trace, Strategy::DiskDepthFirst, config)
 }
 
 /// A SAT claim that does not hold.

@@ -17,6 +17,7 @@
 //! resolve source is one indexed load.
 
 use crate::api::CheckConfig;
+use crate::cache::NormalizedClauses;
 use crate::cancel::CancelFlag;
 use crate::chain::ChainStep;
 use crate::depth_first::final_phase_roots;
@@ -73,6 +74,7 @@ fn count_uses<S: TraceSource + ?Sized>(
 /// its last use.
 pub(crate) fn run<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
@@ -93,7 +95,7 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 
     let resolve_phase = Phase::start("check:resolve", obs);
     let ids = &pass1.ids;
-    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, false, obs);
+    let mut chain = ChainStep::new(cnf, table, ids, meter, config, scratch, false, obs);
     let mut parked = None;
     let result = trace.visit_events(&mut |event| {
         let EventRef::Learned { id, sources } = event else {
@@ -172,7 +174,8 @@ mod tests {
         config: &CheckConfig,
         obs: &mut dyn Observer,
     ) -> Result<CheckOutcome, CheckError> {
-        super::run(cnf, trace, config, &mut CheckScratch::new(), obs)
+        let table = NormalizedClauses::new(cnf);
+        super::run(cnf, &table, trace, config, &mut CheckScratch::new(), obs)
     }
 
     #[test]

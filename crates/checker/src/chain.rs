@@ -3,18 +3,19 @@
 //! Rebuilding one learned clause is the same job in depth-first,
 //! breadth-first and hybrid checking: seed the [`ResolutionKernel`] with
 //! the first resolve source, fold in the rest, and store the resolvent in
-//! the [`ClauseArena`], borrowing original clauses from the accounted
-//! [`OriginalCache`] along the way. Each resolve source costs one indexed
-//! load: an original's id indexes the original table, a learned clause's
-//! dense id ([`IdSpace`]) the arena. [`ChainStep`] does that job on the
-//! kernel, arena and table of the caller's [`CheckScratch`], and also
+//! the [`ClauseArena`], borrowing original clauses from the formula's
+//! [`NormalizedClauses`] (charged through the job's [`OriginalCache`])
+//! along the way. Each resolve source costs one indexed load: an
+//! original's id indexes the normalized table, a learned clause's dense
+//! id ([`IdSpace`]) the arena. [`ChainStep`] does that job on the kernel,
+//! arena and charges of the caller's [`CheckScratch`], and also
 //! runs the final empty-clause phase and reports the end-of-run gauges.
 //! Each engine keeps only its pass 1, the order in which it rebuilds
 //! clauses, and when it frees them.
 
 use crate::api::CheckConfig;
 use crate::arena::ClauseArena;
-use crate::cache::OriginalCache;
+use crate::cache::{NormalizedClauses, OriginalCache};
 use crate::cancel::CancelFlag;
 use crate::error::CheckError;
 use crate::final_phase::{derive_empty_clause, ClauseProvider};
@@ -39,8 +40,10 @@ pub(crate) struct ChainStep<'a> {
     kernel: &'a mut ResolutionKernel,
     /// Resident learned clauses, by table index.
     arena: &'a mut ClauseArena,
-    /// Normalized original clauses, charged to the meter like every
-    /// other resident clause.
+    /// The formula's normalized original clauses.
+    table: &'a NormalizedClauses,
+    /// Which originals are charged to the meter, like every other
+    /// resident clause.
     originals: &'a mut OriginalCache,
     /// Kernel counters at job start, for per-job delta gauges.
     kernel_base: KernelStats,
@@ -57,8 +60,14 @@ pub(crate) struct ChainStep<'a> {
 impl<'a> ChainStep<'a> {
     /// Starts a run on `scratch` over the learned clauses `ids` defines;
     /// `with_core` tracks the original clauses the proof touches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` has not as many clauses as `cnf`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         cnf: &'a Cnf,
+        table: &'a NormalizedClauses,
         ids: &'a IdSpace,
         meter: MemoryMeter,
         config: &CheckConfig,
@@ -66,10 +75,12 @@ impl<'a> ChainStep<'a> {
         with_core: bool,
         obs: &'a mut dyn Observer,
     ) -> Self {
-        let kernel_base = scratch.start_run(cnf, ids.len());
+        assert_eq!(table.num_clauses(), cnf.num_clauses(), "a table of cnf");
+        let kernel_base = scratch.start_run(cnf.num_clauses(), ids.len());
         let (kernel, arena, originals) = scratch.parts();
         ChainStep {
             cnf,
+            table,
             ids,
             kernel,
             arena,
@@ -114,10 +125,10 @@ impl<'a> ChainStep<'a> {
                     used[source as usize] = true;
                 }
                 self.originals
-                    .get(self.cnf, source as usize, &mut self.meter)
+                    .get(self.table, source as usize, &mut self.meter)
             } else {
                 let resident = self.ids.index(source).and_then(|i| self.arena.get(i));
-                resident.ok_or(CheckError::UnknownClause {
+                resident.ok_or_else(|| CheckError::UnknownClause {
                     id: source,
                     referenced_by: Some(target),
                 })?
@@ -168,7 +179,7 @@ impl<'a> ChainStep<'a> {
         let lits = self.kernel.finish();
         let clause_len = lits.len() as u64;
         while let Err(err) = self.arena.insert(index, lits, &mut self.meter) {
-            if !self.originals.evict_one(&mut self.meter) {
+            if !self.originals.evict_one(self.table, &mut self.meter) {
                 return Err(err);
             }
         }
@@ -285,7 +296,7 @@ where
             out.extend_from_slice(
                 chain
                     .originals
-                    .get(chain.cnf, id as usize, &mut chain.meter),
+                    .get(chain.table, id as usize, &mut chain.meter),
             );
             return Ok(());
         }
@@ -294,7 +305,7 @@ where
         self.building += started.elapsed();
         let chain = &*self.chain;
         let clause = chain.ids.index(id).and_then(|index| chain.arena.get(index));
-        out.extend_from_slice(clause.ok_or(CheckError::UnknownClause {
+        out.extend_from_slice(clause.ok_or_else(|| CheckError::UnknownClause {
             id,
             referenced_by: None,
         })?);

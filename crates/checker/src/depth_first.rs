@@ -35,6 +35,7 @@
 
 use crate::api::CheckConfig;
 use crate::breadth_first::{rebuild, PINNED};
+use crate::cache::NormalizedClauses;
 use crate::cancel::CancelFlag;
 use crate::chain::{ChainStep, PROGRESS_STRIDE};
 use crate::error::CheckError;
@@ -53,6 +54,7 @@ use std::time::Instant;
 /// `df`: depth-first over the trace loaded into memory.
 pub(crate) fn run<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
@@ -69,7 +71,7 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 
     let start_id = full.pass1.start_id()?;
     let ids = &full.pass1.ids;
-    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, true, obs);
+    let mut chain = ChainStep::new(cnf, table, ids, meter, config, scratch, true, obs);
     build_and_derive(&mut &full, &full.pass1, &mut chain, start_id)?;
     let entries = chain.resident_clauses();
     Ok(chain.finish(
@@ -84,6 +86,7 @@ pub(crate) fn run<S: TraceSource + ?Sized>(
 /// `dfd`: depth-first over the trace left on disk.
 pub(crate) fn run_disk<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
@@ -103,7 +106,9 @@ pub(crate) fn run_disk<S: TraceSource + ?Sized>(
         cursor: trace.open_cursor()?,
         reads: 0,
     };
-    let mut chain = ChainStep::new(cnf, &pass.ids, meter, config, scratch, true, &mut *obs);
+    let mut chain = ChainStep::new(
+        cnf, table, &pass.ids, meter, config, scratch, true, &mut *obs,
+    );
     build_and_derive(&mut store, &pass, &mut chain, start_id)?;
     let entries = chain.resident_clauses();
     let learned = pass.ids.len() as u64;
@@ -134,6 +139,7 @@ pub(crate) fn run_disk<S: TraceSource + ?Sized>(
 /// consumer, and the final phase reads the pinned roots.
 pub(crate) fn run_hybrid<S: TraceSource + ?Sized>(
     cnf: &Cnf,
+    table: &NormalizedClauses,
     trace: &S,
     config: &CheckConfig,
     scratch: &mut CheckScratch,
@@ -176,7 +182,7 @@ pub(crate) fn run_hybrid<S: TraceSource + ?Sized>(
     walk_phase.finish(obs);
 
     let resolve_phase = Phase::start("check:resolve", obs);
-    let mut chain = ChainStep::new(cnf, ids, meter, config, scratch, true, obs);
+    let mut chain = ChainStep::new(cnf, table, ids, meter, config, scratch, true, obs);
     for &id in &needed.order {
         let sources = store.sources(id, None)?;
         rebuild(&mut chain, id, &sources, &mut needed.use_counts)?;
@@ -438,7 +444,7 @@ fn indexed_pass1<S: TraceSource + ?Sized>(
 /// `disk_df::tests` on `dfd` and `hybrid::tests` on `hybrid`.
 #[cfg(test)]
 pub(crate) mod table {
-    use super::{run, run_disk, run_hybrid};
+    use super::{run, run_disk, run_hybrid, NormalizedClauses};
     use crate::api::CheckConfig;
     use crate::error::CheckError;
     use crate::outcome::{CheckOutcome, Strategy};
@@ -469,10 +475,11 @@ pub(crate) mod table {
         config: &CheckConfig,
     ) -> Result<CheckOutcome, CheckError> {
         let (scratch, obs) = (&mut CheckScratch::new(), &mut NullObserver);
+        let table = &NormalizedClauses::new(cnf);
         match store {
-            Strategy::DepthFirst => run(cnf, sink, config, scratch, obs),
-            Strategy::DiskDepthFirst => run_disk(cnf, sink, config, scratch, obs),
-            Strategy::Hybrid => run_hybrid(cnf, sink, config, scratch, obs),
+            Strategy::DepthFirst => run(cnf, table, sink, config, scratch, obs),
+            Strategy::DiskDepthFirst => run_disk(cnf, table, sink, config, scratch, obs),
+            Strategy::Hybrid => run_hybrid(cnf, table, sink, config, scratch, obs),
             other => unreachable!("{other:?} is not a depth-first walk"),
         }
     }

@@ -3,6 +3,7 @@
 //! agreement with `df`, its cursor reads and its tightest budget.
 
 use crate::api::CheckConfig;
+use crate::cache::NormalizedClauses;
 use crate::depth_first::run_disk;
 use crate::depth_first::table::{self, store_tests};
 use crate::outcome::Strategy;
@@ -52,8 +53,16 @@ fn reads_each_needed_clause_once_under_any_budget() {
                 ..CheckConfig::default()
             };
             let mut metrics = MetricsSink::new();
-            run_disk(&cnf, &sink, &config, &mut CheckScratch::new(), &mut metrics)
-                .map(|outcome| (outcome, metrics.registry().gauge("check.dfd.cursor_reads")))
+            let table = NormalizedClauses::new(&cnf);
+            run_disk(
+                &cnf,
+                &table,
+                &sink,
+                &config,
+                &mut CheckScratch::new(),
+                &mut metrics,
+            )
+            .map(|outcome| (outcome, metrics.registry().gauge("check.dfd.cursor_reads")))
         };
         let tight = crate::memory::tightest_limit(|limit| dfd(limit).map(|(outcome, _)| outcome));
         for limit in [None, Some(tight)] {
@@ -71,7 +80,7 @@ fn reads_each_needed_clause_once_under_any_budget() {
 #[test]
 fn caches_yield_to_a_tight_memory_limit() {
     // The tightest limit dfd passes under is below its unlimited
-    // peak: the original-clause cache gave its bytes back instead of
+    // peak: the original clauses gave their charges back instead of
     // failing the check, and the proof is unchanged.
     let (cnf, sink) = table::diamond();
     let dfd = |limit| {
@@ -81,6 +90,7 @@ fn caches_yield_to_a_tight_memory_limit() {
         };
         run_disk(
             &cnf,
+            &NormalizedClauses::new(&cnf),
             &sink,
             &config,
             &mut CheckScratch::new(),

@@ -335,30 +335,33 @@ impl ResolutionKernel {
     /// Makes room for `clause`: stamps for its largest variable (its
     /// last literal, as it is sorted), and one clause's worth of spare
     /// accumulator and clash slots.
+    #[inline]
     fn reserve(&mut self, clause: &[Lit]) {
-        let mut grew = false;
-        if let Some(last) = clause.last() {
-            let vars = last.var().index() + 1;
-            if self.present.len() < vars {
-                self.present.resize(vars, [0; 2]);
-                if self.exact {
-                    self.paired.resize(vars, [0; 2]);
-                }
-                grew = true;
+        let vars = clause.last().map_or(0, |last| last.var().index() + 1);
+        let len = clause.len();
+        if self.present.len() < vars || self.lits.len() < self.len + len || self.clash.len() < len {
+            self.grow(vars, len);
+        }
+    }
+
+    /// [`reserve`](Self::reserve)'s growth path, off the fold's hot path.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, vars: usize, len: usize) {
+        if self.present.len() < vars {
+            self.present.resize(vars, [0; 2]);
+            if self.exact {
+                self.paired.resize(vars, [0; 2]);
             }
         }
         let filler = Lit::from_code(0);
-        if self.lits.len() < self.len + clause.len() {
-            self.lits.resize(self.len + clause.len(), filler);
-            grew = true;
+        if self.lits.len() < self.len + len {
+            self.lits.resize(self.len + len, filler);
         }
-        if self.clash.len() < clause.len() {
-            self.clash.resize(clause.len(), Var::new(0));
-            grew = true;
+        if self.clash.len() < len {
+            self.clash.resize(len, Var::new(0));
         }
-        if grew {
-            self.note_footprint();
-        }
+        self.note_footprint();
     }
 
     /// Updates `scratch_grows`/`scratch_high_water` from current buffer

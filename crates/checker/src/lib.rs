@@ -106,6 +106,7 @@ pub use api::{
     check_unsat_claim, check_unsat_claim_observed, check_unsat_claim_scoped, CheckConfig,
     ModelError, Strategy,
 };
+pub use cache::NormalizedClauses;
 pub use cancel::CancelFlag;
 pub use core_min::{minimize_core, CoreIteration, CoreMinimization, MinimizeError};
 pub use error::{BadAntecedentReason, CheckError, FailureKind};

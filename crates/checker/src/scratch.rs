@@ -1,13 +1,14 @@
-//! Job-scoped checker scratch: reusable kernels, arenas and caches.
+//! Job-scoped checker scratch: reusable kernels, arenas and charges.
 //!
 //! A one-shot `rescheck check` builds a [`ResolutionKernel`], a
-//! [`ClauseArena`] and an original-clause cache, uses them once, and
+//! [`ClauseArena`] and an original-clause ledger, uses them once, and
 //! throws them away with the process. A long-lived validation service
 //! (`rescheck serve`) runs thousands of jobs per process, so those
 //! buffers are worth keeping: the kernel's stamp arrays stay sized for the
-//! largest formula seen, the arena's literal tail keeps its capacity, and
-//! — when two consecutive jobs check the *same* formula — the normalized
-//! original clauses survive as a warm tier.
+//! largest formula seen, and the arena's literal tail keeps its capacity.
+//! Normalized original clauses are not scratch: they live in the
+//! formula's [`NormalizedClauses`](crate::NormalizedClauses), which every
+//! job on the formula shares.
 //!
 //! The ownership rules are strict because the accounting must stay
 //! deterministic:
@@ -17,20 +18,14 @@
 //!   ([`checkin`]); a scratch poisoned by a panicking job is simply
 //!   dropped instead of returned.
 //! - Every run begins with [`CheckScratch::start_run`] (called when an
-//!   engine starts its chain step): the arena is reset, the
-//!   cache is demoted to its warm tier, and the kernel's stat counters
-//!   are snapshotted so per-job metrics report deltas, not lifetime
-//!   totals.
-//! - Warm reuse of cached original clauses requires the caller to
-//!   *declare* formula identity via [`CheckScratch::begin_job`] with a
-//!   stable token. Two consecutive runs declaring the same token keep the
-//!   warm tier; anything else clears it — clause ids from one formula
-//!   must never resolve against another.
-//! - Accounting is unchanged by reuse: warm promotions are charged to the
-//!   current job's [`MemoryMeter`](crate::MemoryMeter) at the same
-//!   first-touch point a cold run pays, and the arena re-charges its
-//!   pages from zero. Per-job `peak_memory_bytes` is bit-identical warm
-//!   vs cold — the invariant the double-charge regression test pins down.
+//!   engine starts its chain step): the arena is reset, every original
+//!   is uncharged, and the kernel's stat counters are snapshotted so
+//!   per-job metrics report deltas, not lifetime totals.
+//! - Accounting is unchanged by reuse: originals are charged to the
+//!   current job's [`MemoryMeter`](crate::MemoryMeter) at first touch,
+//!   and the arena re-charges its pages from zero. Per-job
+//!   `peak_memory_bytes` is bit-identical to a one-shot check's, whatever
+//!   formulas the scratch checked before.
 //!
 //! [`checkout`]: ScratchPool::checkout
 //! [`checkin`]: ScratchPool::checkin
@@ -38,10 +33,9 @@
 use crate::arena::ClauseArena;
 use crate::cache::OriginalCache;
 use crate::kernel::{KernelStats, ResolutionKernel};
-use rescheck_cnf::Cnf;
 use std::sync::Mutex;
 
-/// Reusable per-job checker state: kernel, arena and original table.
+/// Reusable per-job checker state: kernel, arena and original charges.
 ///
 /// See the [module docs](self) for the ownership and accounting rules.
 ///
@@ -51,8 +45,7 @@ use std::sync::Mutex;
 /// use rescheck_checker::{CheckScratch, ScratchPool};
 ///
 /// let pool = ScratchPool::new();
-/// let mut scratch = pool.checkout();
-/// scratch.begin_job(0x1234); // declare which formula the job is for
+/// let scratch = pool.checkout();
 /// // … run check_unsat_claim_scoped with it …
 /// pool.checkin(scratch);
 /// assert_eq!(pool.len(), 1);
@@ -62,11 +55,6 @@ pub struct CheckScratch {
     kernel: ResolutionKernel,
     arena: ClauseArena,
     originals: OriginalCache,
-    /// Formula identity of the current warm-tier contents.
-    token: Option<u64>,
-    /// Identity declared (via [`CheckScratch::begin_job`]) for the next
-    /// run; consumed by [`CheckScratch::start_run`].
-    next_token: Option<u64>,
 }
 
 impl CheckScratch {
@@ -75,37 +63,12 @@ impl CheckScratch {
         CheckScratch::default()
     }
 
-    /// Declares the formula the next run will check, enabling warm reuse
-    /// of cached original clauses when `formula_token` matches the
-    /// previous run's declaration. The token must be a stable identity of
-    /// the formula *content* (the serve daemon hashes the CNF bytes);
-    /// runs without a declaration always start cold.
-    pub fn begin_job(&mut self, formula_token: u64) {
-        self.next_token = Some(formula_token);
-    }
-
-    /// Number of original-clause normalizations the warm tier has saved
-    /// over this scratch's lifetime.
-    pub fn warm_hits(&self) -> u64 {
-        self.originals.warm_hits()
-    }
-
-    /// Prepares the scratch for one run on `cnf` with `learned` learned
-    /// clauses and returns the kernel-stats baseline (for per-job delta
-    /// reporting). Called by every chain step — defensively, so a caller
-    /// that forgets [`CheckScratch::begin_job`] gets a correct cold run,
-    /// never stale clauses from another formula.
-    pub(crate) fn start_run(&mut self, cnf: &Cnf, learned: usize) -> KernelStats {
+    /// Prepares the scratch for one run on a formula of `num_clauses`
+    /// clauses with `learned` learned clauses and returns the
+    /// kernel-stats baseline (for per-job delta reporting).
+    pub(crate) fn start_run(&mut self, num_clauses: usize, learned: usize) -> KernelStats {
         self.arena.reset(learned);
-        let declared = self.next_token.take();
-        if declared.is_some() && declared == self.token {
-            // Same formula back to back: keep normalized originals warm.
-            self.originals.begin_job();
-        } else {
-            self.originals.reset();
-        }
-        self.originals.size_for(cnf);
-        self.token = declared;
+        self.originals.reset(num_clauses);
         self.kernel.stats()
     }
 
@@ -130,9 +93,8 @@ pub(crate) fn kernel_stats_since(now: &KernelStats, base: &KernelStats) -> Kerne
 
 /// A shared pool of [`CheckScratch`]es for a worker fleet.
 ///
-/// Checkout order is LIFO (most recently returned first), which maximizes
-/// the chance that a job on the same formula gets the scratch still warm
-/// with its normalized clauses.
+/// Checkout order is LIFO (most recently returned first), so the
+/// scratch handed out is the one whose buffers were touched last.
 #[derive(Default)]
 pub struct ScratchPool {
     inner: Mutex<Vec<CheckScratch>>,
@@ -175,13 +137,14 @@ mod tests {
     use super::*;
     use crate::agreement::ALL_STRATEGIES;
     use crate::api::{check_unsat_claim_scoped, CheckConfig};
-    use crate::outcome::Strategy;
-    use rescheck_cnf::Lit;
+    use crate::cache::NormalizedClauses;
+    use crate::outcome::{check_stats_json, CheckOutcome};
+    use rescheck_cnf::{Cnf, Lit};
     use rescheck_obs::NullObserver;
     use rescheck_trace::{MemorySink, TraceSink};
+    use std::time::Duration;
 
-    /// A proof touching several distinct original clauses, so the
-    /// original cache actually holds entries worth keeping warm.
+    /// A proof touching several distinct original clauses.
     fn fixture() -> (Cnf, MemorySink) {
         let mut cnf = Cnf::new();
         cnf.add_dimacs_clause(&[1, 2]);
@@ -196,46 +159,42 @@ mod tests {
         (cnf, sink)
     }
 
-    /// The satellite regression: two jobs on the same formula from the
-    /// same warm scratch must report bit-identical peak bytes — the
-    /// shared original-clause cache is never double-charged and never
-    /// under-charged.
+    /// Formula B: clause ids that overlap A's but mean other literals.
+    fn fixture_b() -> (Cnf, MemorySink) {
+        let mut cnf = Cnf::new();
+        cnf.add_dimacs_clause(&[3]);
+        cnf.add_dimacs_clause(&[-3, 4]);
+        cnf.add_dimacs_clause(&[-4]);
+        let mut sink = MemorySink::new();
+        sink.learned(3, &[0, 1]).unwrap(); // (4)
+        sink.level_zero(Lit::from_dimacs(4), 3).unwrap();
+        sink.final_conflict(2).unwrap();
+        (cnf, sink)
+    }
+
+    /// One scratch checking formulas A, B, A in turn reports each
+    /// formula's one-shot stats: its charges never leak from one job to
+    /// the next, and ids from one formula never read another's clauses.
     #[test]
-    fn warm_and_cold_jobs_account_identical_peaks() {
-        let (cnf, sink) = fixture();
+    fn one_scratch_across_formulas_reports_one_shot_stats() {
+        let formulas = [fixture(), fixture_b(), fixture()];
         let config = CheckConfig::default();
         for strategy in ALL_STRATEGIES {
             let mut scratch = CheckScratch::new();
-            scratch.begin_job(42);
-            let cold = check_unsat_claim_scoped(
-                &cnf,
-                &sink,
-                strategy,
-                &config,
-                &mut scratch,
-                &mut NullObserver,
-            )
-            .unwrap();
-            scratch.begin_job(42);
-            let warm = check_unsat_claim_scoped(
-                &cnf,
-                &sink,
-                strategy,
-                &config,
-                &mut scratch,
-                &mut NullObserver,
-            )
-            .unwrap();
-            assert_eq!(
-                cold.stats.peak_memory_bytes, warm.stats.peak_memory_bytes,
-                "{strategy}: warm scratch must not change accounted peak"
-            );
-            assert_eq!(cold.stats.clauses_built, warm.stats.clauses_built);
-            assert_eq!(cold.stats.resolutions, warm.stats.resolutions);
-            assert!(
-                scratch.warm_hits() > 0,
-                "{strategy}: warm run must actually reuse normalized originals"
-            );
+            for (cnf, sink) in &formulas {
+                let one_shot = crate::api::check_unsat_claim(cnf, sink, strategy, &config).unwrap();
+                let scoped = check_unsat_claim_scoped(
+                    cnf,
+                    &NormalizedClauses::new(cnf),
+                    sink,
+                    strategy,
+                    &config,
+                    &mut scratch,
+                    &mut NullObserver,
+                )
+                .unwrap();
+                assert_eq!(stat_line(one_shot), stat_line(scoped), "{strategy}");
+            }
         }
     }
 
@@ -247,95 +206,25 @@ mod tests {
         let config = CheckConfig::default();
         for strategy in ALL_STRATEGIES {
             let one_shot = crate::api::check_unsat_claim(&cnf, &sink, strategy, &config).unwrap();
-            let mut scratch = CheckScratch::new();
-            scratch.begin_job(7);
             let scoped = check_unsat_claim_scoped(
                 &cnf,
+                &NormalizedClauses::new(&cnf),
                 &sink,
                 strategy,
                 &config,
-                &mut scratch,
+                &mut CheckScratch::new(),
                 &mut NullObserver,
             )
             .unwrap();
-            assert_eq!(
-                one_shot.stats.peak_memory_bytes,
-                scoped.stats.peak_memory_bytes
-            );
-            assert_eq!(one_shot.stats.clauses_built, scoped.stats.clauses_built);
-            assert_eq!(one_shot.stats.resolutions, scoped.stats.resolutions);
-            assert_eq!(
-                one_shot.stats.learned_in_trace,
-                scoped.stats.learned_in_trace
-            );
+            assert_eq!(stat_line(one_shot), stat_line(scoped), "{strategy}");
         }
     }
 
-    /// A different token (or none) must clear the warm tier: ids from one
-    /// formula never resolve against another's clauses.
-    #[test]
-    fn token_change_clears_warm_tier() {
-        let (cnf, sink) = fixture();
-        // A different formula whose clause ids overlap but mean different
-        // literals; its proof must not see formula A's cached clauses.
-        let mut cnf_b = Cnf::new();
-        cnf_b.add_dimacs_clause(&[3]);
-        cnf_b.add_dimacs_clause(&[-3]);
-        let mut sink_b = MemorySink::new();
-        sink_b.level_zero(Lit::from_dimacs(3), 0).unwrap();
-        sink_b.final_conflict(1).unwrap();
-
-        let config = CheckConfig::default();
-        let mut scratch = CheckScratch::new();
-        scratch.begin_job(1);
-        check_unsat_claim_scoped(
-            &cnf,
-            &sink,
-            Strategy::DepthFirst,
-            &config,
-            &mut scratch,
-            &mut NullObserver,
-        )
-        .unwrap();
-        let hits_before = scratch.warm_hits();
-        scratch.begin_job(2); // different formula
-        check_unsat_claim_scoped(
-            &cnf_b,
-            &sink_b,
-            Strategy::DepthFirst,
-            &config,
-            &mut scratch,
-            &mut NullObserver,
-        )
-        .unwrap();
-        assert_eq!(
-            scratch.warm_hits(),
-            hits_before,
-            "token change must prevent cross-formula reuse"
-        );
-
-        // An undeclared run is always cold, even on the same formula.
-        let mut undeclared = CheckScratch::new();
-        undeclared.begin_job(9);
-        check_unsat_claim_scoped(
-            &cnf,
-            &sink,
-            Strategy::DepthFirst,
-            &config,
-            &mut undeclared,
-            &mut NullObserver,
-        )
-        .unwrap();
-        check_unsat_claim_scoped(
-            &cnf,
-            &sink,
-            Strategy::DepthFirst,
-            &config,
-            &mut undeclared,
-            &mut NullObserver,
-        )
-        .unwrap();
-        assert_eq!(undeclared.warm_hits(), 0);
+    /// The stat line (run time aside) and the core.
+    fn stat_line(mut outcome: CheckOutcome) -> (String, Option<Vec<usize>>) {
+        outcome.stats.runtime = Duration::ZERO;
+        let line = check_stats_json(&outcome.stats).to_string();
+        (line, outcome.core.map(|core| core.clause_ids))
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   resolving the conflicting clause with the reason of every falsified
 //!   literal it accumulates (level-0 reasons included), so the derived
 //!   resolvent `R ⊆ C` contains only negated assumptions and the chain
-//!   folds with exactly one clashing variable per step; the walk stops
-//!   once no marked literal with a reason is left, which changes neither
-//!   the chain nor the resolvent;
+//!   folds with exactly one clashing variable per step; the walk visits
+//!   only the trail positions of marked literals with a reason, highest
+//!   first, which is the top-down order;
 //! - a chain of length one means the conflicting clause subsumes the
 //!   addition — the checker requires at least two sources, so the new
 //!   clause *aliases* the subsumer instead of emitting an event;
@@ -212,6 +212,9 @@ struct Engine {
     /// Per variable: the reason clause of its assignment, or `NONE` for
     /// an assumption. Read only while the variable is assigned.
     reason: Vec<CRef>,
+    /// Per variable: its position on the trail. Read only while the
+    /// variable is assigned.
+    trail_pos: Vec<u32>,
     /// Assigned literal codes in assignment order.
     trail: Vec<u32>,
     /// Length of the persistent (level-0) prefix of the trail.
@@ -226,6 +229,9 @@ struct Engine {
     /// and the literals marked so far.
     mark: Vec<bool>,
     marked: Vec<u32>,
+    /// Analysis scratch: a bitset of the trail positions whose literal's
+    /// negation is marked and has a reason, i.e. still to resolve away.
+    pending: Vec<u64>,
     events: Vec<TraceEvent>,
     resolvents: Vec<(u64, Vec<Lit>)>,
     stats: IngestStats,
@@ -250,6 +256,7 @@ impl Engine {
             self.val.resize(codes, 0);
             self.mark.resize(codes, false);
             self.reason.resize(codes / 2, NONE);
+            self.trail_pos.resize(codes / 2, 0);
             if self.watched {
                 self.watches.resize_with(codes, Vec::new);
             }
@@ -298,6 +305,7 @@ impl Engine {
         self.val[lit as usize] = TRUE;
         self.val[(lit ^ 1) as usize] = FALSE;
         self.reason[(lit >> 1) as usize] = reason;
+        self.trail_pos[(lit >> 1) as usize] = self.trail.len() as u32;
         self.trail.push(lit);
     }
 
@@ -468,21 +476,28 @@ impl Engine {
     /// (conflicting clause first) and the derived resolvent, sorted.
     fn analyze(&mut self, conflict: CRef) -> (Vec<u64>, Vec<u32>) {
         let mut chain = vec![self.trace_id(conflict)];
-        let mut pending = self.mark_lits(conflict, None);
-        let mut i = self.trail.len();
-        // Every pending literal's negation sits below `i` on the trail.
-        while pending > 0 && i > 0 {
-            i -= 1;
-            let lit = self.trail[i];
-            let neg = (lit ^ 1) as usize;
-            let r = self.reason[(lit >> 1) as usize];
-            if !self.mark[neg] || r == NONE {
-                continue; // unmarked, or an assumption whose negation stays
+        let words = self.trail.len().div_ceil(64);
+        if self.pending.len() < words {
+            self.pending.resize(words, 0);
+        }
+        self.mark_lits(conflict, None);
+        // A reason's other literals sit below the literal it implied, so
+        // taking the highest pending position first walks the trail
+        // top-down, visiting marked positions only.
+        let mut word = words;
+        while word > 0 {
+            let bits = self.pending[word - 1];
+            if bits == 0 {
+                word -= 1;
+                continue;
             }
-            self.mark[neg] = false;
-            pending -= 1;
+            let bit = 63 - bits.leading_zeros() as usize;
+            self.pending[word - 1] ^= 1 << bit;
+            let lit = self.trail[(word - 1) * 64 + bit];
+            self.mark[(lit ^ 1) as usize] = false;
+            let r = self.reason[(lit >> 1) as usize];
             chain.push(self.trace_id(r));
-            pending += self.mark_lits(r, Some(lit));
+            self.mark_lits(r, Some(lit));
         }
         // Whatever is still marked survives the fold: negated
         // assumptions, plus the satisfied literal in the
@@ -498,11 +513,10 @@ impl Engine {
         (chain, resolvent)
     }
 
-    /// Marks the literals of `c` except `skip`, and returns how many of
-    /// the newly marked are false with a reason: those the analysis walk
-    /// must still reach.
-    fn mark_lits(&mut self, c: CRef, skip: Option<u32>) -> usize {
-        let mut pending = 0;
+    /// Marks the literals of `c` except `skip`, and sets the pending bit
+    /// of each newly marked one that is false with a reason: those the
+    /// analysis walk must still reach.
+    fn mark_lits(&mut self, c: CRef, skip: Option<u32>) {
         for k in self.span(c) {
             let l = self.arena[k];
             if Some(l) == skip || self.mark[l as usize] {
@@ -510,11 +524,12 @@ impl Engine {
             }
             self.mark[l as usize] = true;
             self.marked.push(l);
-            if self.val[l as usize] == FALSE && self.reason[(l >> 1) as usize] != NONE {
-                pending += 1;
+            let var = (l >> 1) as usize;
+            if self.val[l as usize] == FALSE && self.reason[var] != NONE {
+                let pos = self.trail_pos[var] as usize;
+                self.pending[pos / 64] |= 1 << (pos % 64);
             }
         }
-        pending
     }
 
     /// Installs a clause derived by [`Engine::analyze`] from `conflict`

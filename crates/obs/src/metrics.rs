@@ -70,9 +70,14 @@ impl Registry {
         }
     }
 
-    /// Sets a gauge to an absolute value.
+    /// Sets a gauge to an absolute value. The name is allocated only
+    /// when the gauge is new.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        if let Some(slot) = self.gauges.get_mut(name) {
+            *slot = value;
+        } else {
+            self.gauges.insert(name.to_string(), value);
+        }
     }
 
     /// Records one timing of a phase; repeats accumulate.

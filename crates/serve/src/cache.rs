@@ -1,144 +1,71 @@
-//! Small caches shared by all workers: parsed formulas and binary
-//! traces read into memory.
+//! One cache, shared by all workers, of the inputs jobs read: parsed
+//! formulas and binary traces read into memory.
 //!
-//! Campaigns routinely submit many jobs against the same CNF (one formula,
-//! many traces). Parsing DIMACS per job would dominate small checks, so
-//! the daemon keys parsed formulas by an FNV-1a hash of the DIMACS text
-//! and hands out `Arc<Cnf>` clones. Each distinct formula also gets a
-//! stable **token**, which is what [`CheckScratch::begin_job`] uses to
-//! decide whether a worker's warm original-clause tier may be reused —
-//! same token, same formula, warm reuse is sound.
+//! Campaigns routinely submit many jobs against the same files (one
+//! formula, many traces; one trace under several strategies). The
+//! [`InputCache`] prepares each input once and hands every later job a
+//! shared handle to it:
 //!
-//! The same campaigns also re-check one trace *file* under several
-//! strategies or job counts. A [`TraceCache`] keys the in-memory
-//! [`TraceMap`] copies of binary trace files by path (revalidated by
-//! length + mtime) and hands out shared handles to them — so the daemon
-//! reads a repeatedly checked trace once instead of per job.
+//! - a formula ([`Formula`]) is parsed once and its clauses are
+//!   normalized once into the [`NormalizedClauses`] table every job on it
+//!   reads in place;
+//! - a binary trace file is read once into a [`TraceMap`]. The copy
+//!   outlives the file, so a trace truncated or rewritten while a job
+//!   runs changes nothing that job sees. ASCII traces are not cached:
+//!   each job reads its own [`FileTrace`] from disk.
 //!
-//! [`CheckScratch::begin_job`]: rescheck_checker::CheckScratch::begin_job
+//! Files are keyed by path. The `stat` every job takes on a path (which
+//! also refuses anything but a regular file before it is opened)
+//! revalidates the entry: a changed length or mtime makes the job read
+//! the file afresh. A rewrite that keeps both the length and the mtime
+//! (within the file system's timestamp granularity) goes unseen until
+//! either changes. Inline formulas are keyed by their length and FNV-1a
+//! hash.
+//!
+//! The cache is bounded by [`CACHE_BYTES`], summed over its entries, and
+//! evicts the oldest entry first. Its memory is the daemon's own, not
+//! leased from `--mem-total`: the jobs' accounted budgets are unchanged
+//! by what the cache holds.
 
-use rescheck_cnf::dimacs;
-use rescheck_cnf::{Cnf, ParseDimacsError};
+use rescheck_checker::NormalizedClauses;
+use rescheck_cnf::{dimacs, Cnf, Lit, ParseDimacsError};
 use rescheck_trace::{FileTrace, TraceFormat, TraceMap, TraceSource};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-/// Parsed formulas the cache keeps resident at once. Entries are whole
-/// CNFs, so the cap is deliberately small; eviction is FIFO.
-const CACHE_CAPACITY: usize = 8;
+/// The bytes the cache keeps resident: a formula counts its parsed
+/// clauses and their normalized table, a trace its file length. A
+/// campaign's working set of small files fits; an input larger than the
+/// bound is used uncached.
+pub const CACHE_BYTES: usize = 64 << 20;
 
-struct Entry {
-    /// Stored to disambiguate genuine hits from 64-bit hash collisions.
-    text_len: usize,
-    text_fnv: u64,
-    cnf: Arc<Cnf>,
-    token: u64,
+/// A parsed formula and its normalized clauses, shared by every job on it.
+#[derive(Debug)]
+pub struct Formula {
+    /// The formula as parsed.
+    pub cnf: Cnf,
+    /// Its clauses normalized, the table every check on it reads.
+    pub clauses: NormalizedClauses,
 }
 
-/// A parsed formula plus its identity token for scratch warm-tier reuse.
-#[derive(Clone)]
-pub struct CachedFormula {
-    /// The parsed formula.
-    pub cnf: Arc<Cnf>,
-    /// Stable identity: equal tokens ⇒ byte-identical DIMACS source.
-    pub token: u64,
-}
-
-#[derive(Default)]
-struct State {
-    entries: HashMap<u64, Entry>,
-    order: VecDeque<u64>,
-    next_token: u64,
-    hits: u64,
-    misses: u64,
-}
-
-/// Content-addressed `Arc<Cnf>` cache with FIFO eviction.
-#[derive(Default)]
-pub struct FormulaCache {
-    state: Mutex<State>,
-}
-
-impl FormulaCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        FormulaCache::default()
+impl Formula {
+    fn parse(text: &str) -> Result<Formula, ParseDimacsError> {
+        let cnf = dimacs::parse_str(text)?;
+        let clauses = NormalizedClauses::new(&cnf);
+        Ok(Formula { cnf, clauses })
     }
 
-    /// Parses `text` as DIMACS, or returns the cached parse of identical
-    /// text. Tokens are assigned once per distinct formula and survive
-    /// eviction-free for the entry's lifetime; a re-inserted formula gets
-    /// a *fresh* token, which at worst costs a warm-tier rebuild, never
-    /// correctness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the DIMACS parse error for malformed input (parse
-    /// failures are not cached).
-    pub fn load_text(&self, text: &str) -> Result<CachedFormula, ParseDimacsError> {
-        let key = fnv1a(text.as_bytes());
-        {
-            let mut state = self.state.lock().expect("formula cache poisoned");
-            if let Some(entry) = state.entries.get(&key) {
-                if entry.text_len == text.len() && entry.text_fnv == key {
-                    let hit = CachedFormula {
-                        cnf: Arc::clone(&entry.cnf),
-                        token: entry.token,
-                    };
-                    state.hits += 1;
-                    return Ok(hit);
-                }
-            }
-        }
-        let cnf = Arc::new(dimacs::parse_str(text)?);
-        let mut state = self.state.lock().expect("formula cache poisoned");
-        state.misses += 1;
-        let token = state.next_token;
-        state.next_token += 1;
-        if state.order.len() >= CACHE_CAPACITY {
-            if let Some(oldest) = state.order.pop_front() {
-                state.entries.remove(&oldest);
-            }
-        }
-        state.entries.insert(
-            key,
-            Entry {
-                text_len: text.len(),
-                text_fnv: key,
-                cnf: Arc::clone(&cnf),
-                token,
-            },
-        );
-        state.order.push_back(key);
-        Ok(CachedFormula { cnf, token })
-    }
-
-    /// `(hits, misses)` so far — exported as `serve.formula_cache.*`.
-    pub fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock().expect("formula cache poisoned");
-        (state.hits, state.misses)
+    /// The parsed clauses and the table share one layout: the literals
+    /// and one offset per clause (the table is never longer).
+    fn bytes(&self) -> usize {
+        let cnf = &self.cnf;
+        2 * (cnf.num_literals() * size_of::<Lit>() + cnf.num_clauses() * size_of::<usize>())
     }
 }
 
-struct TraceEntry {
-    /// Revalidation stamp: a changed length or mtime means the file was
-    /// rewritten and the cached copy must not be reused.
-    len: u64,
-    mtime: Option<SystemTime>,
-    map: Arc<TraceMap>,
-}
-
-#[derive(Default)]
-struct TraceState {
-    entries: HashMap<String, TraceEntry>,
-    order: VecDeque<String>,
-    hits: u64,
-    misses: u64,
-}
-
-/// A trace file as [`TraceCache::open`] hands it out.
+/// A trace file as [`InputCache::trace`] hands it out.
 #[derive(Clone, Debug)]
 pub enum CachedTrace {
     /// A binary trace: the in-memory copy every job on the file shares.
@@ -157,82 +84,217 @@ impl CachedTrace {
     }
 }
 
-/// Path-keyed cache of binary traces read into memory, with FIFO
-/// eviction.
-///
-/// The payoff is not the `open` syscall but the **byte buffer**: the
-/// cache reads each binary trace file into a [`TraceMap`] once and every
-/// job on the file shares it — a campaign checking one trace file under
-/// several strategies or worker counts reads it exactly once. The buffer
-/// is a copy, so a trace file truncated or rewritten while a job runs
-/// changes nothing that job sees. ASCII traces are not cached: each job
-/// reads its own [`FileTrace`] from disk.
-#[derive(Default)]
-pub struct TraceCache {
-    state: Mutex<TraceState>,
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Key {
+    /// A `cnf_path` file.
+    Formula(String),
+    /// A binary `trace_path` file.
+    Trace(String),
+    /// An inline formula: its length and FNV-1a hash.
+    Text(usize, u64),
 }
 
-impl TraceCache {
-    /// Creates an empty cache.
+#[derive(Clone)]
+enum Value {
+    Formula(Arc<Formula>),
+    Trace(Arc<TraceMap>),
+}
+
+/// A file's length and mtime when it was read.
+type Stamp = (u64, Option<SystemTime>);
+
+struct Entry {
+    /// `None` for inline text.
+    stamp: Option<Stamp>,
+    bytes: usize,
+    value: Value,
+}
+
+#[derive(Default)]
+struct State {
+    entries: HashMap<Key, Entry>,
+    /// Keys in insertion order, for FIFO eviction.
+    order: VecDeque<Key>,
+    bytes: usize,
+    /// `(hits, misses)` of formula lookups.
+    formulas: (u64, u64),
+    /// `(hits, misses)` of trace lookups.
+    traces: (u64, u64),
+}
+
+impl State {
+    fn counts(&mut self, key: &Key) -> &mut (u64, u64) {
+        match key {
+            Key::Trace(_) => &mut self.traces,
+            Key::Formula(_) | Key::Text(..) => &mut self.formulas,
+        }
+    }
+}
+
+/// Path- and content-keyed cache of prepared inputs, bounded by bytes,
+/// with FIFO eviction.
+pub struct InputCache {
+    state: Mutex<State>,
+    bound: usize,
+}
+
+impl Default for InputCache {
+    fn default() -> Self {
+        InputCache::with_bound(CACHE_BYTES)
+    }
+}
+
+impl InputCache {
+    /// An empty cache bounded by [`CACHE_BYTES`].
     pub fn new() -> Self {
-        TraceCache::default()
+        InputCache::default()
     }
 
-    /// Opens `path`: the cached copy when the file's length and mtime
-    /// are unchanged, else the file read afresh — into memory, and
-    /// cached, when it is a binary trace.
+    /// An empty cache that keeps at most `bound` bytes resident.
+    pub fn with_bound(bound: usize) -> Self {
+        InputCache {
+            state: Mutex::default(),
+            bound,
+        }
+    }
+
+    /// The formula of the inline DIMACS `text`.
     ///
     /// # Errors
     ///
-    /// Propagates `stat`/`open`/read failures; failures are not cached.
-    pub fn open(&self, path: &str) -> io::Result<CachedTrace> {
-        let meta = std::fs::metadata(path)?;
-        let (len, mtime) = (meta.len(), meta.modified().ok());
-        {
-            let mut state = self.state.lock().expect("trace cache poisoned");
-            if let Some(entry) = state.entries.get(path) {
-                if entry.len == len && entry.mtime == mtime {
-                    let map = Arc::clone(&entry.map);
-                    state.hits += 1;
-                    return Ok(CachedTrace::Map(map));
-                }
-            }
+    /// The DIMACS parse error for malformed input (not cached).
+    pub fn formula_text(&self, text: &str) -> Result<Arc<Formula>, ParseDimacsError> {
+        let key = Key::Text(text.len(), fnv1a(text.as_bytes()));
+        if let Some(Value::Formula(formula)) = self.get(&key, None) {
+            return Ok(formula);
+        }
+        let formula = Arc::new(Formula::parse(text)?);
+        let bytes = formula.bytes();
+        self.put(key, None, bytes, Value::Formula(Arc::clone(&formula)));
+        Ok(formula)
+    }
+
+    /// The formula of the DIMACS file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the `stat`/read failure or the parse error (not
+    /// cached).
+    pub fn formula_file(&self, path: &str) -> Result<Arc<Formula>, String> {
+        let reading = |e: io::Error| format!("reading {path}: {e}");
+        let stamp = stat(path).map_err(reading)?;
+        let key = Key::Formula(path.to_string());
+        if let Some(Value::Formula(formula)) = self.get(&key, Some(stamp)) {
+            return Ok(formula);
+        }
+        let text = std::fs::read_to_string(path).map_err(reading)?;
+        let formula = Formula::parse(&text).map_err(|e| format!("parsing formula: {e}"))?;
+        let formula = Arc::new(formula);
+        let bytes = formula.bytes();
+        self.put(
+            key,
+            Some(stamp),
+            bytes,
+            Value::Formula(Arc::clone(&formula)),
+        );
+        Ok(formula)
+    }
+
+    /// The trace file at `path`: the cached copy when the file's length
+    /// and mtime are unchanged, else the file read afresh — into memory,
+    /// and cached, when it is a binary trace.
+    ///
+    /// # Errors
+    ///
+    /// `stat`/open/read failures (not cached).
+    pub fn trace(&self, path: &str) -> io::Result<CachedTrace> {
+        let stamp = stat(path)?;
+        let key = Key::Trace(path.to_string());
+        if let Some(Value::Trace(map)) = self.get(&key, Some(stamp)) {
+            return Ok(CachedTrace::Map(map));
         }
         let file = FileTrace::open(path)?;
-        let map = match file.format() {
-            TraceFormat::Binary => Some(Arc::new(TraceMap::open(file.path())?)),
-            TraceFormat::Ascii => None,
-        };
-        let mut state = self.state.lock().expect("trace cache poisoned");
-        state.misses += 1;
-        let Some(map) = map else {
+        if file.format() == TraceFormat::Ascii {
+            self.lock().traces.1 += 1;
             return Ok(CachedTrace::File(file));
-        };
-        if !state.entries.contains_key(path) {
-            if state.order.len() >= CACHE_CAPACITY {
-                if let Some(oldest) = state.order.pop_front() {
-                    state.entries.remove(&oldest);
-                }
-            }
-            state.order.push_back(path.to_string());
         }
-        state.entries.insert(
-            path.to_string(),
-            TraceEntry {
-                len,
-                mtime,
-                map: Arc::clone(&map),
-            },
-        );
+        let map = Arc::new(TraceMap::open(file.path())?);
+        let bytes = map.bytes().len();
+        self.put(key, Some(stamp), bytes, Value::Trace(Arc::clone(&map)));
         Ok(CachedTrace::Map(map))
     }
 
-    /// `(hits, misses)` so far — exported as `serve.trace_cache.*`.
-    /// Every open of an ASCII trace, which is never cached, is a miss.
-    pub fn stats(&self) -> (u64, u64) {
-        let state = self.state.lock().expect("trace cache poisoned");
-        (state.hits, state.misses)
+    /// `(hits, misses)` of formula lookups so far — exported as
+    /// `serve.formula_cache.*`.
+    pub fn formula_stats(&self) -> (u64, u64) {
+        self.lock().formulas
     }
+
+    /// `(hits, misses)` of trace lookups so far — exported as
+    /// `serve.trace_cache.*`. Every open of an ASCII trace, which is
+    /// never cached, is a miss.
+    pub fn trace_stats(&self) -> (u64, u64) {
+        self.lock().traces
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("input cache poisoned")
+    }
+
+    /// The entry under `key` when it was read with `stamp`, counted as a
+    /// hit.
+    fn get(&self, key: &Key, stamp: Option<Stamp>) -> Option<Value> {
+        let mut state = self.lock();
+        let entry = state.entries.get(key).filter(|e| e.stamp == stamp)?;
+        let value = entry.value.clone();
+        state.counts(key).0 += 1;
+        Some(value)
+    }
+
+    /// Counts a miss and caches `value` under `key`, in place of any
+    /// stale entry, evicting the oldest entries until it fits.
+    fn put(&self, key: Key, stamp: Option<Stamp>, bytes: usize, value: Value) {
+        let mut state = self.lock();
+        let state = &mut *state;
+        state.counts(&key).1 += 1;
+        if let Some(stale) = state.entries.remove(&key) {
+            state.bytes -= stale.bytes;
+            state.order.retain(|k| *k != key);
+        }
+        if bytes > self.bound {
+            return;
+        }
+        while state.bytes + bytes > self.bound {
+            let Some(oldest) = state.order.pop_front() else {
+                break;
+            };
+            if let Some(evicted) = state.entries.remove(&oldest) {
+                state.bytes -= evicted.bytes;
+            }
+        }
+        state.bytes += bytes;
+        state.order.push_back(key.clone());
+        let entry = Entry {
+            stamp,
+            bytes,
+            value,
+        };
+        state.entries.insert(key, entry);
+    }
+}
+
+/// The length and mtime of `path`, refusing anything but a regular file
+/// before it is opened: opening a FIFO with no writer would block the
+/// worker past any deadline.
+fn stat(path: &str) -> io::Result<Stamp> {
+    let meta = std::fs::metadata(path)?;
+    if !meta.is_file() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "not a regular file",
+        ));
+    }
+    Ok((meta.len(), meta.modified().ok()))
 }
 
 /// 64-bit FNV-1a — tiny, dependency-free, good enough for a keyed cache
@@ -249,41 +311,93 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+    use std::time::Duration;
 
     const TINY: &str = "p cnf 1 2\n1 0\n-1 0\n";
 
-    #[test]
-    fn identical_text_hits_and_shares_a_token() {
-        let cache = FormulaCache::new();
-        let a = cache.load_text(TINY).unwrap();
-        let b = cache.load_text(TINY).unwrap();
-        assert_eq!(a.token, b.token);
-        assert!(Arc::ptr_eq(&a.cnf, &b.cnf));
-        assert_eq!(cache.stats(), (1, 1));
+    fn temp(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "rescheck-serve-cache-{}-{name}",
+            std::process::id()
+        ))
     }
 
     #[test]
-    fn distinct_text_gets_distinct_tokens() {
-        let cache = FormulaCache::new();
-        let a = cache.load_text(TINY).unwrap();
-        let b = cache.load_text("p cnf 2 1\n1 2 0\n").unwrap();
-        assert_ne!(a.token, b.token);
-        assert_eq!(cache.stats(), (0, 2));
+    fn identical_text_hits_and_shares_one_formula() {
+        let cache = InputCache::new();
+        let a = cache.formula_text(TINY).unwrap();
+        let b = cache.formula_text(TINY).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(a.clauses.num_clauses(), 2);
+        assert_eq!(cache.formula_stats(), (1, 1));
+    }
+
+    #[test]
+    fn distinct_text_misses() {
+        let cache = InputCache::new();
+        let a = cache.formula_text(TINY).unwrap();
+        let b = cache.formula_text("p cnf 2 1\n1 2 0\n").unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.formula_stats(), (0, 2));
     }
 
     #[test]
     fn parse_errors_propagate_and_are_not_cached() {
-        let cache = FormulaCache::new();
-        assert!(cache.load_text("p cnf nonsense").is_err());
-        assert_eq!(cache.stats(), (0, 0));
+        let cache = InputCache::new();
+        assert!(cache.formula_text("p cnf nonsense").is_err());
+        assert_eq!(cache.formula_stats(), (0, 0));
     }
 
-    fn write_binary_trace(name: &str) -> std::path::PathBuf {
+    #[test]
+    fn a_formula_file_rewritten_in_place_is_parsed_afresh() {
+        let path = temp("rewrite.cnf");
+        let name = path.to_str().unwrap();
+        let cache = InputCache::new();
+        std::fs::write(&path, "p cnf 2 1\n1 2 0\n").unwrap();
+        let first = cache.formula_file(name).unwrap();
+        assert!(Arc::ptr_eq(&first, &cache.formula_file(name).unwrap()));
+        // A new length.
+        std::fs::write(&path, "p cnf 2 2\n1 0\n2 0\n").unwrap();
+        let longer = cache.formula_file(name).unwrap();
+        assert_eq!(longer.cnf.num_clauses(), 2);
+        // The same length and a later mtime.
+        std::fs::write(&path, "p cnf 2 2\n2 0\n1 0\n").unwrap();
+        let file = std::fs::File::options().write(true).open(&path).unwrap();
+        file.set_modified(SystemTime::now() + Duration::from_secs(60))
+            .unwrap();
+        drop(file);
+        let same_len = cache.formula_file(name).unwrap();
+        assert!(!Arc::ptr_eq(&longer, &same_len));
+        assert_eq!(same_len.cnf.clause(1).unwrap(), [Lit::from_dimacs(1)]);
+        assert_eq!(cache.formula_stats(), (1, 3));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn eviction_is_fifo_within_the_byte_bound() {
+        let one = Formula::parse(TINY).unwrap().bytes();
+        let cache = InputCache::with_bound(2 * one);
+        let texts = [TINY, "p cnf 1 2\n-1 0\n1 0\n", "p cnf 2 2\n2 0\n-2 0\n"];
+        let first = cache.formula_text(texts[0]).unwrap();
+        cache.formula_text(texts[1]).unwrap();
+        assert!(Arc::ptr_eq(&first, &cache.formula_text(texts[0]).unwrap()));
+        // The third fills the cache past its bound: the oldest goes, and
+        // the next job on it parses it again.
+        cache.formula_text(texts[2]).unwrap();
+        let again = cache.formula_text(texts[0]).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(cache.formula_stats(), (1, 4));
+        // A formula larger than the bound is used uncached.
+        let tight = InputCache::with_bound(one - 1);
+        tight.formula_text(TINY).unwrap();
+        tight.formula_text(TINY).unwrap();
+        assert_eq!(tight.formula_stats(), (0, 2));
+    }
+
+    fn write_binary_trace(name: &str) -> PathBuf {
         use rescheck_trace::{BinaryWriter, TraceSink};
-        let path = std::env::temp_dir().join(format!(
-            "rescheck-serve-cache-{}-{name}.rtb",
-            std::process::id()
-        ));
+        let path = temp(&format!("{name}.rtb"));
         let mut buf = Vec::new();
         {
             let mut w = BinaryWriter::new(&mut buf).unwrap();
@@ -310,10 +424,10 @@ mod tests {
     #[test]
     fn trace_cache_hits_on_unchanged_files() {
         let path = write_binary_trace("hit");
-        let cache = TraceCache::new();
-        let a = map_of(cache.open(path.to_str().unwrap()).unwrap());
-        let b = map_of(cache.open(path.to_str().unwrap()).unwrap());
-        assert_eq!(cache.stats(), (1, 1));
+        let cache = InputCache::new();
+        let a = map_of(cache.trace(path.to_str().unwrap()).unwrap());
+        let b = map_of(cache.trace(path.to_str().unwrap()).unwrap());
+        assert_eq!(cache.trace_stats(), (1, 1));
         // Both handles share one copy of the file.
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.bytes(), std::fs::read(&path).unwrap().as_slice());
@@ -322,18 +436,15 @@ mod tests {
 
     #[test]
     fn ascii_traces_are_read_from_disk_per_job() {
-        let path = std::env::temp_dir().join(format!(
-            "rescheck-serve-cache-{}-ascii.rt",
-            std::process::id()
-        ));
+        let path = temp("ascii.rt");
         std::fs::write(&path, "r 2 2 0 1\nf 2\n").unwrap();
-        let cache = TraceCache::new();
+        let cache = InputCache::new();
         for _ in 0..2 {
-            let trace = cache.open(path.to_str().unwrap()).unwrap();
+            let trace = cache.trace(path.to_str().unwrap()).unwrap();
             assert!(matches!(trace, CachedTrace::File(_)), "{trace:?}");
             assert_eq!(event_count(&trace), 2);
         }
-        assert_eq!(cache.stats(), (0, 2));
+        assert_eq!(cache.trace_stats(), (0, 2));
         std::fs::remove_file(&path).ok();
     }
 
@@ -341,8 +452,8 @@ mod tests {
     fn trace_cache_revalidates_on_length_change() {
         use rescheck_trace::{BinaryWriter, TraceSink};
         let path = write_binary_trace("stale");
-        let cache = TraceCache::new();
-        cache.open(path.to_str().unwrap()).unwrap();
+        let cache = InputCache::new();
+        cache.trace(path.to_str().unwrap()).unwrap();
         // Rewrite the file with one more event: the stale copy must
         // not be served.
         let mut buf = Vec::new();
@@ -353,9 +464,9 @@ mod tests {
             w.final_conflict(3).unwrap();
         }
         std::fs::write(&path, buf).unwrap();
-        let fresh = cache.open(path.to_str().unwrap()).unwrap();
+        let fresh = cache.trace(path.to_str().unwrap()).unwrap();
         assert_eq!(event_count(&fresh), 3);
-        assert_eq!(cache.stats().1, 2, "rewrite must be a miss");
+        assert_eq!(cache.trace_stats().1, 2, "rewrite must be a miss");
         std::fs::remove_file(&path).ok();
     }
 
@@ -364,10 +475,7 @@ mod tests {
         // The cache holds a buffered copy, so the handle decodes every
         // event the file had when it was opened.
         use rescheck_trace::{BinaryWriter, TraceSink};
-        let path = std::env::temp_dir().join(format!(
-            "rescheck-serve-cache-{}-truncated.rtb",
-            std::process::id()
-        ));
+        let path = temp("truncated.rtb");
         let mut buf = Vec::new();
         {
             let mut w = BinaryWriter::new(&mut buf).unwrap();
@@ -378,7 +486,7 @@ mod tests {
         }
         assert!(buf.len() > 16 * 4096, "the trace spans many pages");
         std::fs::write(&path, buf).unwrap();
-        let trace = TraceCache::new().open(path.to_str().unwrap()).unwrap();
+        let trace = InputCache::new().trace(path.to_str().unwrap()).unwrap();
         // Cut at a page boundary.
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(4096).unwrap();
@@ -388,21 +496,12 @@ mod tests {
 
     #[test]
     fn trace_cache_propagates_open_errors() {
-        let cache = TraceCache::new();
-        assert!(cache.open("/nonexistent/rescheck-trace.rtb").is_err());
-        assert_eq!(cache.stats(), (0, 0));
-    }
-
-    #[test]
-    fn eviction_is_fifo_and_reinsert_changes_token() {
-        let cache = FormulaCache::new();
-        let first = cache.load_text(TINY).unwrap();
-        for i in 0..CACHE_CAPACITY {
-            let text = format!("p cnf {n} 1\n{n} 0\n", n = i + 1);
-            cache.load_text(&text).unwrap();
-        }
-        // TINY was evicted; loading it again re-parses under a new token.
-        let again = cache.load_text(TINY).unwrap();
-        assert_ne!(first.token, again.token);
+        let cache = InputCache::new();
+        assert!(cache.trace("/nonexistent/rescheck-trace.rtb").is_err());
+        assert!(cache.formula_file("/nonexistent/rescheck.cnf").is_err());
+        assert_eq!(
+            (cache.trace_stats(), cache.formula_stats()),
+            ((0, 0), (0, 0))
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! discarded on panic (the scratch).
 
 use crate::budget::BudgetLedger;
-use crate::cache::{CachedTrace, FormulaCache, TraceCache};
+use crate::cache::{CachedTrace, InputCache};
 use crate::protocol::{status, verdict, Claim, Inject, JobSpec, Payload};
 use crate::watchdog::Watchdog;
 use rescheck_checker::{
@@ -29,10 +29,9 @@ pub struct JobEnv<'a> {
     pub ledger: &'a BudgetLedger,
     /// Deadline service.
     pub watchdog: &'a Watchdog,
-    /// Shared parsed-formula cache.
-    pub cache: &'a FormulaCache,
-    /// Shared trace cache (one in-memory copy per binary trace file).
-    pub traces: &'a TraceCache,
+    /// Shared input cache: formulas with their normalized clauses, and
+    /// one in-memory copy per binary trace file.
+    pub inputs: &'a InputCache,
     /// Daemon-wide default deadline for jobs that set none.
     pub default_timeout_ms: Option<u64>,
 }
@@ -61,28 +60,20 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
     });
 
     // Every path is stat'ed before it is opened: opening a FIFO with no
-    // writer would block the worker past any deadline. The trace cache
-    // gets the same check from `FileTrace::open`.
+    // writer would block the worker past any deadline. The input cache
+    // refuses anything but a regular file at that `stat`.
     let formula = match &spec.formula {
-        Payload::Inline(text) => env.cache.load_text(text),
-        Payload::Path(path) => match require_regular_file(Path::new(path))
-            .and_then(|()| std::fs::read_to_string(path))
-        {
-            Ok(text) => env.cache.load_text(&text),
-            Err(e) => {
-                return finish(
-                    error_verdict(spec, status::IO_ERROR, &format!("reading {path}: {e}")),
-                    started,
-                    Registry::new(),
-                )
-            }
-        },
+        Payload::Inline(text) => env
+            .inputs
+            .formula_text(text)
+            .map_err(|e| format!("parsing formula: {e}")),
+        Payload::Path(path) => env.inputs.formula_file(path),
     };
     let formula = match formula {
         Ok(f) => f,
-        Err(e) => {
+        Err(message) => {
             return finish(
-                error_verdict(spec, status::IO_ERROR, &format!("parsing formula: {e}")),
+                error_verdict(spec, status::IO_ERROR, &message),
                 started,
                 Registry::new(),
             )
@@ -189,7 +180,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                     }
                 }
             } else {
-                match load_trace(evidence, env.traces) {
+                match load_trace(evidence, env.inputs) {
                     Ok(trace) => trace,
                     Err(message) => {
                         return finish(
@@ -200,7 +191,6 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
                     }
                 }
             };
-            scratch.begin_job(formula.token);
             let config = CheckConfig {
                 memory_limit: lease.bytes(),
                 cancel: cancel.clone(),
@@ -212,6 +202,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
             };
             let result = check_unsat_claim_scoped(
                 &formula.cnf,
+                &formula.clauses,
                 source,
                 spec.strategy,
                 &config,
@@ -246,17 +237,17 @@ enum LoadedTrace {
     Path(CachedTrace),
 }
 
-fn load_trace(evidence: &Payload, traces: &TraceCache) -> Result<LoadedTrace, String> {
+fn load_trace(evidence: &Payload, inputs: &InputCache) -> Result<LoadedTrace, String> {
     match evidence {
         Payload::Inline(text) => {
             let events = read_all(Cursor::new(text.as_bytes()), TraceFormat::Ascii)
                 .map_err(|e| format!("parsing inline trace: {e}"))?;
             Ok(LoadedTrace::Memory(MemorySink::from(events)))
         }
-        // Path evidence goes through the daemon's trace cache: repeated
+        // Path evidence goes through the daemon's input cache: repeated
         // jobs against one binary file share a single in-memory copy.
-        Payload::Path(path) => traces
-            .open(path)
+        Payload::Path(path) => inputs
+            .trace(path)
             .map(LoadedTrace::Path)
             .map_err(|e| format!("opening trace {path}: {e}")),
     }

@@ -2,7 +2,7 @@
 //!
 //! Batch checking (`rescheck check`) pays process startup, formula
 //! parsing and allocator warm-up per claim. A solver regression farm
-//! validating thousands of claims wants a **daemon**: parse the formula
+//! validating thousands of claims wants a **daemon**: prepare each input
 //! once, keep kernel/arena scratch warm, and stream claims through a
 //! worker pool. This crate is that daemon, built exclusively on `std`
 //! (`std::net` + `std::thread`), in keeping with the workspace's
@@ -20,13 +20,13 @@
 //! - [`Watchdog`] — per-job deadlines driving the checker's cooperative
 //!   [`CancelFlag`](rescheck_checker::CancelFlag); expired jobs verdict
 //!   as `timeout`.
-//! - [`FormulaCache`] — content-addressed `Arc<Cnf>` sharing across jobs,
-//!   whose identity tokens gate
-//!   [`CheckScratch`](rescheck_checker::CheckScratch) warm-tier reuse.
-//! - [`TraceCache`] — path-keyed sharing of binary traces read into
-//!   memory ([`TraceMap`](rescheck_trace::TraceMap)s), so a campaign
-//!   re-checking one trace file reads its bytes once instead of per job
-//!   (into a buffer, never a mapping a truncation could fault).
+//! - [`InputCache`] — one byte-bounded cache of what jobs read, keyed by
+//!   path (revalidated by each job's `stat`) or, for inline formulas, by
+//!   content: each [`Formula`] is parsed and its clauses normalized once
+//!   ([`NormalizedClauses`](rescheck_checker::NormalizedClauses), read in
+//!   place by every worker's jobs), and each binary trace file is read
+//!   once into memory ([`TraceMap`](rescheck_trace::TraceMap), a buffer,
+//!   never a mapping a truncation could fault).
 //!
 //! Verdicts embed a full `rescheck-metrics-v2` document, and the daemon
 //! itself exports `serve.*` counters, queue-depth and job-wall-time
@@ -65,7 +65,7 @@ mod server;
 mod watchdog;
 
 pub use budget::{BudgetLedger, Lease};
-pub use cache::{CachedFormula, CachedTrace, FormulaCache, TraceCache};
+pub use cache::{CachedTrace, Formula, InputCache, CACHE_BYTES};
 pub use front::{serve_io, serve_stdin, serve_tcp};
 pub use server::{write_frame, LineOutcome, Reply, ServeConfig, Server};
 pub use watchdog::{Watchdog, WatchdogGuard};

@@ -20,7 +20,7 @@
 //! scratch, never the process.
 
 use crate::budget::BudgetLedger;
-use crate::cache::{FormulaCache, TraceCache};
+use crate::cache::InputCache;
 use crate::job::{run_job, JobEnv};
 use crate::protocol::{self, status, Frame, FrameError, JobSpec, SUMMARY_SCHEMA};
 use crate::watchdog::Watchdog;
@@ -93,8 +93,7 @@ struct QueuedJob {
 struct Shared {
     ledger: BudgetLedger,
     watchdog: Watchdog,
-    cache: FormulaCache,
-    traces: TraceCache,
+    inputs: InputCache,
     pool: ScratchPool,
     registry: Mutex<Registry>,
     queued: AtomicUsize,
@@ -147,8 +146,7 @@ impl Server {
         let shared = Arc::new(Shared {
             ledger: BudgetLedger::new(config.mem_total, worker_count),
             watchdog: Watchdog::start(),
-            cache: FormulaCache::new(),
-            traces: TraceCache::new(),
+            inputs: InputCache::new(),
             pool: ScratchPool::new(),
             registry: Mutex::new(Registry::new()),
             queued: AtomicUsize::new(0),
@@ -288,8 +286,8 @@ impl Server {
     /// A copy of the daemon-wide metrics registry (cache gauges
     /// refreshed).
     pub fn metrics_snapshot(&self) -> Registry {
-        let (hits, misses) = self.shared.cache.stats();
-        let (trace_hits, trace_misses) = self.shared.traces.stats();
+        let (hits, misses) = self.shared.inputs.formula_stats();
+        let (trace_hits, trace_misses) = self.shared.inputs.trace_stats();
         self.shared.with_registry(|reg| {
             reg.inc(
                 "serve.formula_cache.hits",
@@ -376,8 +374,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Arc<Mutex<Receiver<QueuedJob>>>) -> Lo
         let env = JobEnv {
             ledger: &shared.ledger,
             watchdog: &shared.watchdog,
-            cache: &shared.cache,
-            traces: &shared.traces,
+            inputs: &shared.inputs,
             default_timeout_ms: shared.default_timeout_ms,
         };
         let started = Instant::now();

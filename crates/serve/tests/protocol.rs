@@ -492,3 +492,109 @@ fn fifo_paths_get_io_errors_and_shutdown_completes() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `(hits, misses)` of the daemon's formula cache.
+fn formula_cache(server: &Server) -> (u64, u64) {
+    let snapshot = server.metrics_snapshot();
+    let count = |name: &str| snapshot.counter(name).unwrap_or(0);
+    (
+        count("serve.formula_cache.hits"),
+        count("serve.formula_cache.misses"),
+    )
+}
+
+#[test]
+fn a_formula_file_rewritten_between_jobs_is_parsed_afresh() {
+    // The model satisfies the first and third formulas, not the second.
+    // The second has a new length; the third has the second's length
+    // and a later mtime.
+    let path =
+        std::env::temp_dir().join(format!("rescheck-serve-rewrite-{}.cnf", std::process::id()));
+    let versions = [
+        ("p cnf 2 1\n-1 -2 0\n", "valid"),
+        ("p cnf 2 1\n-1 2 0\n", "model-defect"),
+        ("p cnf 2 1\n1 -2 0\n", "valid"),
+    ];
+    let server = Server::start(one_worker());
+    let buf = SharedBuf::new();
+    let reply = buf.reply();
+    for (n, (text, _)) in versions.iter().enumerate() {
+        std::fs::write(&path, text).unwrap();
+        if n == 2 {
+            let file = std::fs::File::options().write(true).open(&path).unwrap();
+            let later = std::time::SystemTime::now() + Duration::from_secs(60);
+            file.set_modified(later).unwrap();
+        }
+        let job = job_frame(
+            &format!("v{n}"),
+            &[
+                ("cnf_path", Json::Str(path.display().to_string())),
+                ("model", Json::Array(vec![Json::Int(1), Json::Int(-2)])),
+            ],
+        );
+        server.handle_line(&job, &reply);
+        buf.wait_frames(n + 1);
+    }
+    let frames = buf.frames();
+    for (n, (_, expected)) in versions.iter().enumerate() {
+        assert_eq!(status_of(verdict_for(&frames, &format!("v{n}"))), *expected);
+    }
+    assert_eq!(formula_cache(&server), (0, 3));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn jobs_on_two_workers_share_one_formula_and_report_one_shot_stats() {
+    use rescheck_checker::{check_stats_json, check_unsat_claim, CheckConfig, Strategy};
+    use rescheck_trace::{read_all, MemorySink, TraceFormat};
+    let cnf = pigeonhole(3);
+    let trace_text = unsat_trace_text(&cnf);
+    let path =
+        std::env::temp_dir().join(format!("rescheck-serve-shared-{}.cnf", std::process::id()));
+    std::fs::write(&path, cnf_text(&cnf)).unwrap();
+    let events = read_all(Cursor::new(trace_text.as_bytes()), TraceFormat::Ascii).unwrap();
+    let one_shot = check_unsat_claim(
+        &cnf,
+        &MemorySink::from(events),
+        Strategy::DepthFirst,
+        &CheckConfig::default(),
+    )
+    .unwrap();
+    let stat_line = |stats: &Json| {
+        let mut stats = stats.clone();
+        stats.set("runtime_seconds", 0.0);
+        stats.to_string()
+    };
+    let expected = stat_line(&check_stats_json(&one_shot.stats));
+
+    // Job `a` sleeps on one worker while job `b` runs on the other, so
+    // `b` parses the formula and `a` reads `b`'s table.
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let buf = SharedBuf::new();
+    let reply = buf.reply();
+    for (id, inject) in [("a", Some("sleep:300")), ("b", None)] {
+        let mut fields = vec![
+            ("cnf_path", Json::Str(path.display().to_string())),
+            ("trace", Json::Str(trace_text.clone())),
+            ("strategy", Json::from("df")),
+        ];
+        if let Some(inject) = inject {
+            fields.push(("inject", Json::from(inject)));
+        }
+        server.handle_line(&job_frame(id, &fields), &reply);
+    }
+    let frames = buf.wait_frames(2);
+    assert_eq!(frames[0].get("id").and_then(Json::as_str), Some("b"));
+    for id in ["a", "b"] {
+        let verdict = verdict_for(&frames, id);
+        assert_eq!(status_of(verdict), "valid", "{verdict}");
+        assert_eq!(stat_line(verdict.get("stats").unwrap()), expected, "{id}");
+    }
+    assert_eq!(formula_cache(&server), (1, 1));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}

@@ -182,12 +182,28 @@ fn varint_overflow() -> io::Error {
 /// returning the value and the number of bytes consumed. Overflow
 /// semantics match [`crate::varint::read_u64`]: a 10th byte above 1 or
 /// an 11th continuation byte is an overflow.
-#[inline]
+///
+/// Ids and deltas in real traces take one to three bytes, so those are
+/// decoded inline; longer varints take the out-of-line loop.
+#[inline(always)]
 fn decode_varint_chunk(chunk: &[u8; 10]) -> io::Result<(u64, usize)> {
-    let first = chunk[0];
-    if first < 0x80 {
-        return Ok((u64::from(first), 1));
+    let [b0, b1, b2, ..] = *chunk;
+    if b0 < 0x80 {
+        return Ok((u64::from(b0), 1));
     }
+    let low = u64::from(b0 & 0x7f);
+    if b1 < 0x80 {
+        return Ok((low | u64::from(b1) << 7, 2));
+    }
+    if b2 < 0x80 {
+        return Ok((low | u64::from(b1 & 0x7f) << 7 | u64::from(b2) << 14, 3));
+    }
+    decode_long_varint(chunk)
+}
+
+#[cold]
+#[inline(never)]
+fn decode_long_varint(chunk: &[u8; 10]) -> io::Result<(u64, usize)> {
     let mut value: u64 = 0;
     let mut shift: u32 = 0;
     for (i, &byte) in chunk.iter().enumerate() {
