@@ -65,7 +65,11 @@ pub fn bench_pair(
     }
     ratios.sort_unstable_by(f64::total_cmp);
     let ratio = ratios[ratios.len() / 2];
-    (summarize(names[0], times_a), summarize(names[1], times_b), ratio)
+    (
+        summarize(names[0], times_a),
+        summarize(names[1], times_b),
+        ratio,
+    )
 }
 
 /// Warms up with one run of `f` and returns how many iterations fit the

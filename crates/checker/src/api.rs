@@ -413,7 +413,7 @@ mod tests {
     }
 
     /// One byte short of the tightest budget disk-backed depth-first
-    /// passes under: its original-clause cache has given everything back
+    /// passes under: its original clauses have given every charge back
     /// there, so what does not fit is its index and clauses.
     fn just_below_dfd(cnf: &Cnf, sink: &MemorySink) -> CheckConfig {
         let limited = |memory_limit| CheckConfig {

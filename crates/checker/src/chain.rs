@@ -75,7 +75,11 @@ impl<'a> ChainStep<'a> {
         with_core: bool,
         obs: &'a mut dyn Observer,
     ) -> Self {
-        assert_eq!(table.num_clauses(), cnf.num_clauses(), "a table of cnf");
+        assert_eq!(
+            table.num_clauses(),
+            cnf.num_clauses(),
+            "the normalized table must be built from this formula"
+        );
         let kernel_base = scratch.start_run(cnf.num_clauses(), ids.len());
         let (kernel, arena, originals) = scratch.parts();
         ChainStep {
@@ -128,10 +132,15 @@ impl<'a> ChainStep<'a> {
                     .get(self.table, source as usize, &mut self.meter)
             } else {
                 let resident = self.ids.index(source).and_then(|i| self.arena.get(i));
-                resident.ok_or_else(|| CheckError::UnknownClause {
-                    id: source,
-                    referenced_by: Some(target),
-                })?
+                // Built only on failure: a per-fold `ok_or` would build
+                // and drop an error for every learned source.
+                let Some(clause) = resident else {
+                    return Err(CheckError::UnknownClause {
+                        id: source,
+                        referenced_by: Some(target),
+                    });
+                };
+                clause
             };
             if step == 0 {
                 self.kernel.begin(clause);
@@ -305,7 +314,7 @@ where
         self.building += started.elapsed();
         let chain = &*self.chain;
         let clause = chain.ids.index(id).and_then(|index| chain.arena.get(index));
-        out.extend_from_slice(clause.ok_or_else(|| CheckError::UnknownClause {
+        out.extend_from_slice(clause.ok_or(CheckError::UnknownClause {
             id,
             referenced_by: None,
         })?);

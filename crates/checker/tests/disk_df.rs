@@ -92,7 +92,7 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     assert_same_proof(&dfd, &df);
 
     // Under the tightest budget the disk-backed walk passes, its
-    // original-clause cache must give way to the mandatory structures
+    // charged original clauses must give way to the mandatory structures
     // (index + arena + level-0), and in-memory depth-first memory-outs.
     let limit = tightest_dfd_limit(&cnf, &trace);
     assert!(
@@ -113,7 +113,7 @@ fn completes_under_a_limit_that_memory_outs_depth_first() {
     assert!(dfd_limited.stats.peak_memory_bytes <= limit);
 }
 
-/// The budget decides only how much the original-clause cache holds,
+/// The budget decides only how many original clauses stay charged,
 /// never the proof.
 #[test]
 fn source_cache_does_not_change_the_proof() {

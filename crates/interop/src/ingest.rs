@@ -480,12 +480,12 @@ impl Engine {
         if self.pending.len() < words {
             self.pending.resize(words, 0);
         }
-        self.mark_lits(conflict, None);
+        let mut pending = self.mark_lits(conflict, None);
         // A reason's other literals sit below the literal it implied, so
         // taking the highest pending position first walks the trail
         // top-down, visiting marked positions only.
         let mut word = words;
-        while word > 0 {
+        while pending > 0 && word > 0 {
             let bits = self.pending[word - 1];
             if bits == 0 {
                 word -= 1;
@@ -497,7 +497,7 @@ impl Engine {
             self.mark[(lit ^ 1) as usize] = false;
             let r = self.reason[(lit >> 1) as usize];
             chain.push(self.trace_id(r));
-            self.mark_lits(r, Some(lit));
+            pending = pending - 1 + self.mark_lits(r, Some(lit));
         }
         // Whatever is still marked survives the fold: negated
         // assumptions, plus the satisfied literal in the
@@ -515,8 +515,9 @@ impl Engine {
 
     /// Marks the literals of `c` except `skip`, and sets the pending bit
     /// of each newly marked one that is false with a reason: those the
-    /// analysis walk must still reach.
-    fn mark_lits(&mut self, c: CRef, skip: Option<u32>) {
+    /// analysis walk must still reach. Returns how many it set.
+    fn mark_lits(&mut self, c: CRef, skip: Option<u32>) -> usize {
+        let mut pending = 0;
         for k in self.span(c) {
             let l = self.arena[k];
             if Some(l) == skip || self.mark[l as usize] {
@@ -528,8 +529,10 @@ impl Engine {
             if self.val[l as usize] == FALSE && self.reason[var] != NONE {
                 let pos = self.trail_pos[var] as usize;
                 self.pending[pos / 64] |= 1 << (pos % 64);
+                pending += 1;
             }
         }
+        pending
     }
 
     /// Installs a clause derived by [`Engine::analyze`] from `conflict`

@@ -28,8 +28,9 @@
 //! by what the cache holds.
 
 use rescheck_checker::NormalizedClauses;
-use rescheck_cnf::{dimacs, Cnf, Lit, ParseDimacsError};
+use rescheck_cnf::{dimacs, Cnf, Lit};
 use rescheck_trace::{FileTrace, TraceFormat, TraceMap, TraceSource};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -51,12 +52,6 @@ pub struct Formula {
 }
 
 impl Formula {
-    fn parse(text: &str) -> Result<Formula, ParseDimacsError> {
-        let cnf = dimacs::parse_str(text)?;
-        let clauses = NormalizedClauses::new(&cnf);
-        Ok(Formula { cnf, clauses })
-    }
-
     /// The parsed clauses and the table share one layout: the literals
     /// and one offset per clause (the table is never longer).
     fn bytes(&self) -> usize {
@@ -151,7 +146,7 @@ impl InputCache {
     }
 
     /// An empty cache that keeps at most `bound` bytes resident.
-    pub fn with_bound(bound: usize) -> Self {
+    fn with_bound(bound: usize) -> Self {
         InputCache {
             state: Mutex::default(),
             bound,
@@ -162,16 +157,10 @@ impl InputCache {
     ///
     /// # Errors
     ///
-    /// The DIMACS parse error for malformed input (not cached).
-    pub fn formula_text(&self, text: &str) -> Result<Arc<Formula>, ParseDimacsError> {
+    /// A message naming the parse error (not cached).
+    pub fn formula_text(&self, text: &str) -> Result<Arc<Formula>, String> {
         let key = Key::Text(text.len(), fnv1a(text.as_bytes()));
-        if let Some(Value::Formula(formula)) = self.get(&key, None) {
-            return Ok(formula);
-        }
-        let formula = Arc::new(Formula::parse(text)?);
-        let bytes = formula.bytes();
-        self.put(key, None, bytes, Value::Formula(Arc::clone(&formula)));
-        Ok(formula)
+        self.formula(key, None, || Ok(Cow::Borrowed(text)))
     }
 
     /// The formula of the DIMACS file at `path`.
@@ -184,17 +173,31 @@ impl InputCache {
         let reading = |e: io::Error| format!("reading {path}: {e}");
         let stamp = stat(path).map_err(reading)?;
         let key = Key::Formula(path.to_string());
-        if let Some(Value::Formula(formula)) = self.get(&key, Some(stamp)) {
+        self.formula(key, Some(stamp), || {
+            std::fs::read_to_string(path)
+                .map(Cow::Owned)
+                .map_err(reading)
+        })
+    }
+
+    /// The formula cached under `key` with `stamp`, else the text `read`
+    /// returns, parsed, normalized and cached.
+    fn formula<'t>(
+        &self,
+        key: Key,
+        stamp: Option<Stamp>,
+        read: impl FnOnce() -> Result<Cow<'t, str>, String>,
+    ) -> Result<Arc<Formula>, String> {
+        if let Some(Value::Formula(formula)) = self.get(&key, stamp) {
             return Ok(formula);
         }
-        let text = std::fs::read_to_string(path).map_err(reading)?;
-        let formula = Formula::parse(&text).map_err(|e| format!("parsing formula: {e}"))?;
-        let formula = Arc::new(formula);
-        let bytes = formula.bytes();
+        let cnf = dimacs::parse_str(&read()?).map_err(|e| format!("parsing formula: {e}"))?;
+        let clauses = NormalizedClauses::new(&cnf);
+        let formula = Arc::new(Formula { cnf, clauses });
         self.put(
             key,
-            Some(stamp),
-            bytes,
+            stamp,
+            formula.bytes(),
             Value::Formula(Arc::clone(&formula)),
         );
         Ok(formula)
@@ -274,12 +277,14 @@ impl InputCache {
         }
         state.bytes += bytes;
         state.order.push_back(key.clone());
-        let entry = Entry {
-            stamp,
-            bytes,
-            value,
-        };
-        state.entries.insert(key, entry);
+        state.entries.insert(
+            key,
+            Entry {
+                stamp,
+                bytes,
+                value,
+            },
+        );
     }
 }
 
@@ -376,7 +381,7 @@ mod tests {
 
     #[test]
     fn eviction_is_fifo_within_the_byte_bound() {
-        let one = Formula::parse(TINY).unwrap().bytes();
+        let one = InputCache::new().formula_text(TINY).unwrap().bytes();
         let cache = InputCache::with_bound(2 * one);
         let texts = [TINY, "p cnf 1 2\n-1 0\n1 0\n", "p cnf 2 2\n2 0\n-2 0\n"];
         let first = cache.formula_text(texts[0]).unwrap();

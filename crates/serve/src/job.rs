@@ -63,10 +63,7 @@ pub fn run_job(spec: &JobSpec, env: &JobEnv<'_>, scratch: &mut CheckScratch) -> 
     // writer would block the worker past any deadline. The input cache
     // refuses anything but a regular file at that `stat`.
     let formula = match &spec.formula {
-        Payload::Inline(text) => env
-            .inputs
-            .formula_text(text)
-            .map_err(|e| format!("parsing formula: {e}")),
+        Payload::Inline(text) => env.inputs.formula_text(text),
         Payload::Path(path) => env.inputs.formula_file(path),
     };
     let formula = match formula {

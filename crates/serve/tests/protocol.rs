@@ -588,7 +588,6 @@ fn jobs_on_two_workers_share_one_formula_and_report_one_shot_stats() {
         server.handle_line(&job_frame(id, &fields), &reply);
     }
     let frames = buf.wait_frames(2);
-    assert_eq!(frames[0].get("id").and_then(Json::as_str), Some("b"));
     for id in ["a", "b"] {
         let verdict = verdict_for(&frames, id);
         assert_eq!(status_of(verdict), "valid", "{verdict}");
