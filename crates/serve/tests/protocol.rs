@@ -576,7 +576,7 @@ fn jobs_on_two_workers_share_one_formula_and_report_one_shot_stats() {
     });
     let buf = SharedBuf::new();
     let reply = buf.reply();
-    for (id, inject) in [("a", Some("sleep:300")), ("b", None)] {
+    for (id, inject) in [("a", Some("sleep:1000")), ("b", None)] {
         let mut fields = vec![
             ("cnf_path", Json::Str(path.display().to_string())),
             ("trace", Json::Str(trace_text.clone())),
